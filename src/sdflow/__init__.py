@@ -11,11 +11,10 @@ from .validator import Violation, check_requirements
 from .normalizer import NormalizedModel, normalize
 from .sdf_core import (Actor, Channel, ConsistencyReport, Port, Schedule, Sdfg,
                        aligned_repetition, build_schedule, check_consistency,
-                       export_dot, hyperperiod, load_sdfg, repetition_vector,
-                       save_sdfg)
+                       export_dot, load_sdfg, repetition_vector, save_sdfg,
+                       sil_span)
 from .translator import TranslationReport, rate_transition_rates, translate
-from .interpreter import (Comparison, Trace, compare_traces, run_mil, run_sil,
-                          sil_span)
+from .interpreter import Comparison, Trace, compare_traces, run_mil, run_sil
 from .codegen import SourceBundle, emit_bundle
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "TranslationReport", "UnderflowError", "UnsupportedKindError",
     "ValidationFailed", "Violation", "aligned_repetition", "build_schedule",
     "check_consistency", "check_requirements", "compare_traces", "emit_bundle",
-    "export_dot", "hyperperiod", "load_model", "load_model_file", "load_sdfg",
+    "export_dot", "load_model", "load_model_file", "load_sdfg",
     "normalize", "rate_transition_rates", "repetition_vector", "run_mil",
     "run_sil", "save_model", "save_sdfg", "sil_span", "translate",
 ]

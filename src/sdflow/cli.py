@@ -27,7 +27,7 @@ from math import ceil
 from . import codegen as codegen_mod
 from . import sdf_core, translator, validator
 from .errors import SchemaError, SdflowError, ValidationFailed
-from .interpreter import Trace, compare_traces, run_mil, run_sil, sil_span
+from .interpreter import Trace, compare_traces, run_mil, run_sil
 from .model_ir import BlockModel, dump_model_file, load_model_file
 from .normalizer import normalize
 
@@ -73,11 +73,13 @@ def _translate(m: BlockModel, depth):
     return n, translator.translate(n)
 
 
-def _derive_periods(args, m, g) -> int:
-    if getattr(args, "periods", None) is not None:
-        return args.periods
+def _derive_periods(args, m, g) -> tuple[Fraction, int]:
+    """Wall-clock span of --steps base steps, and the schedule iterations
+    that cover it (or --periods when given)."""
     span = Fraction(args.steps) * m.base_step
-    return int(ceil(span / sil_span(g)))
+    if getattr(args, "periods", None) is not None:
+        return span, args.periods
+    return span, int(ceil(span / sdf_core.sil_span(g)))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -158,8 +160,7 @@ def cmd_schedule(args) -> int:
         else:
             print(f"{report.status}: {report.detail}")
         return 1
-    sched = sdf_core.build_schedule(g, report.repetition)
-    h = sdf_core.hyperperiod(g)
+    sched, h = report.schedule, report.schedule.span
     if args.json:
         print(json.dumps({"status": report.status,
                           "hyperperiod": [h.numerator, h.denominator],
@@ -188,7 +189,7 @@ def cmd_simulate_mil(args) -> int:
 def cmd_simulate_sil(args) -> int:
     m = load_model_file(args.model)
     _, (g, _) = _translate(m, args.depth)
-    periods = _derive_periods(args, m, g)
+    _, periods = _derive_periods(args, m, g)
     trace = run_sil(g, periods=periods, stimulus=_load_stimulus(args.stimulus, m))
     _write_or_print(_trace_text(trace, args.json), args.out)
     return 0
@@ -198,8 +199,7 @@ def cmd_verify(args) -> int:
     m = load_model_file(args.model)
     stim = _load_stimulus(args.stimulus, m)
     _, (g, _) = _translate(m, args.depth)
-    span = Fraction(args.steps) * m.base_step
-    periods = int(ceil(span / sil_span(g)))
+    span, periods = _derive_periods(args, m, g)
     mil = run_mil(m, args.steps, stimulus=stim)
     sil = run_sil(g, periods=periods, stimulus=stim)
     cmp = compare_traces(mil.clip(span), sil.clip(span), tol=args.tol)
@@ -218,7 +218,7 @@ def cmd_verify(args) -> int:
 def cmd_codegen(args) -> int:
     m = load_model_file(args.model)
     _, (g, _) = _translate(m, args.depth)
-    periods = _derive_periods(args, m, g)
+    _, periods = _derive_periods(args, m, g)
     bundle = codegen_mod.emit_bundle(g, periods=periods,
                                      stimulus=_load_stimulus(args.stimulus, m),
                                      asserts=not args.no_asserts)

@@ -20,8 +20,8 @@ from math import isinf, isnan
 
 from . import kinds
 from .errors import SdflowError, SignalTypeError, UnsupportedKindError
-from .interpreter import Trace, time_str
-from .sdf_core import Sdfg, aligned_repetition, build_schedule, repetition_vector
+from .interpreter import Trace, _stim_table, time_str
+from .sdf_core import Sdfg, build_schedule
 
 CTYPE = {"f64": "double", "i32": "int32_t", "bool": "unsigned char"}
 DTCODE = {"f64": "SDF_F64", "i32": "SDF_I32", "bool": "SDF_BOOL"}
@@ -181,8 +181,7 @@ def emit_bundle(g: Sdfg, periods: int = 1, stimulus: Trace | None = None,
                 "translate the model fully flattened instead")
         if a.kind not in kinds.KINDS:
             raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
-    q, _ = aligned_repetition(g, repetition_vector(g))
-    sched = build_schedule(g, q)
+    sched = build_schedule(g)
     em = _Emitter(g, sched, periods, stimulus, asserts)
     return SourceBundle(em.name, em.files())
 
@@ -208,12 +207,7 @@ class _Emitter:
     def _bake_stimulus(self, stimulus):
         """Resolve every Inport firing to a literal token, as the schedule
         interpreter would."""
-        table = {}
-        if stimulus is not None:
-            for sig in stimulus.samples:
-                d, w = stimulus.specs[sig]
-                table[sig] = {t: kinds.canon_token(d, w, v)
-                              for t, v in stimulus.samples[sig]}
+        table = _stim_table(stimulus)
         baked = {}
         for a in self.g.actors:
             if a.kind != "Inport" or a.id not in table or not a.out_ports:
@@ -405,10 +399,7 @@ class _Emitter:
         k = kinds.KINDS[a.kind]
         ai = self.aident[a.id]
         data_specs = [(p.dtype, p.width) for p in a.in_ports if not p.event]
-        n_full = 1 + max((p.origin for p in a.out_ports), default=-1)
-        out_full = [("f64", 1)] * n_full
-        for p in a.out_ports:
-            out_full[p.origin] = (p.dtype, p.width)
+        out_full = a.full_out_specs()
         live = sorted({p.origin for p in a.out_ports})
         has_events = any(p.event for p in a.in_ports)
 

@@ -36,7 +36,8 @@ class NonHarmonicError(SdflowError):
 
 
 class InconsistentError(SdflowError):
-    """Balance equations admit only the zero solution."""
+    """Balance equations admit only the zero solution, or an iteration does
+    not return every channel to its delay."""
 
 
 class DeadlockError(SdflowError):

@@ -25,10 +25,11 @@ from fractions import Fraction
 from math import isinf, isnan
 
 from . import kinds
-from .errors import (AlgebraicLoopError, NormalizationError, SchemaError, SdflowError,
-                     ShapeError, UnderflowError, UnsupportedKindError)
+from .errors import (AlgebraicLoopError, InconsistentError, NormalizationError,
+                     SchemaError, SdflowError, ShapeError, UnderflowError,
+                     UnsupportedKindError)
 from .model_ir import Block, BlockModel
-from .sdf_core import Sdfg, aligned_repetition, build_schedule, repetition_vector
+from .sdf_core import Sdfg, build_schedule
 
 # ---------------------------------------------------------------------------
 # Trace
@@ -607,24 +608,10 @@ class EmbeddedDiagram:
 # Dataflow engine
 
 
-def _full_out_specs(a) -> list:
-    """Out specs indexed by the original (pre-replication) port index.
-    Dropped ports get a placeholder spec; their values are never used."""
-    if a.kind == "Subsystem" and a.impl is not None:
-        return [tuple(s) for s in a.impl.out_ports]
-    n = 1 + max((p.origin for p in a.out_ports), default=-1)
-    specs = [("f64", 1)] * n
-    for p in a.out_ports:
-        specs[p.origin] = (p.dtype, p.width)
-    return specs
-
-
 def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
     """Replay `periods` iterations of the schedule with FIFO queues."""
     g.check_wellformed()
-    q0 = repetition_vector(g)
-    q, _ = aligned_repetition(g, q0)
-    sched = build_schedule(g, q)
+    sched = build_schedule(g)
 
     actors = {a.id: a for a in g.actors}
     ch_in: dict[tuple, object] = {}
@@ -649,7 +636,7 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
         if k is None:
             raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
         data_specs[a.id] = [(p.dtype, p.width) for p in a.in_ports if not p.event]
-        out_specs[a.id] = _full_out_specs(a)
+        out_specs[a.id] = a.full_out_specs()
         if a.kind == "Subsystem":
             if a.impl is None:
                 raise SdflowError(
@@ -740,12 +727,7 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
         for aid in sched.firings:
             fire(aid)
         for c in g.channels:
-            assert len(fifos[c.id]) == c.delay, \
-                f"channel {c.id} holds {len(fifos[c.id])} tokens at the iteration boundary"
+            if len(fifos[c.id]) != c.delay:
+                raise InconsistentError(f"channel {c.id} holds {len(fifos[c.id])} "
+                                        "tokens at the iteration boundary")
     return trace
-
-
-def sil_span(g: Sdfg) -> Fraction:
-    """Wall-clock time covered by one aligned schedule iteration."""
-    _, h = aligned_repetition(g, repetition_vector(g))
-    return h

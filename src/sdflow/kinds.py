@@ -12,11 +12,14 @@ bool tokens are bools.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import SchemaError
 
 DTYPES = ("f64", "i32", "bool")
 
-RELOPS = ("<", "<=", ">", ">=", "==", "!=")
+RELOPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 LOGICOPS = ("AND", "OR", "XOR", "NAND", "NOR", "NOT")
 
 # Kinds that are pure wiring: they vanish during routing removal and are
@@ -438,7 +441,7 @@ class _RelationalOp(Kind):
     def check(self, params, in_specs, out_specs):
         probs = []
         if params.get("op") not in RELOPS:
-            probs.append(f"RelationalOp op must be one of {RELOPS}")
+            probs.append(f"RelationalOp op must be one of {tuple(RELOPS)}")
         if in_specs[0] != in_specs[1]:
             probs.append("RelationalOp inputs must share one SignalSpec")
         if out_specs[0][0] != "bool" or out_specs[0][1] != in_specs[0][1]:
@@ -449,12 +452,7 @@ class _RelationalOp(Kind):
 
     def output(self, params, in_specs, out_specs, state, ins):
         op = params["op"]
-        fns = {
-            "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
-            "==": lambda a, b: a == b, "!=": lambda a, b: a != b,
-        }
-        return [_each(out_specs[0][1], fns[op], ins[0], ins[1])]
+        return [_each(out_specs[0][1], RELOPS[op], ins[0], ins[1])]
 
 
 class _LogicalOp(Kind):
@@ -594,7 +592,7 @@ class _Chart(Kind):
             if tr.get("from") not in states or tr.get("to") not in states:
                 probs.append(f"Chart transition {i} references an unknown state")
             if tr.get("op") not in RELOPS:
-                probs.append(f"Chart transition {i} op must be one of {RELOPS}")
+                probs.append(f"Chart transition {i} op must be one of {tuple(RELOPS)}")
             inp = tr.get("input")
             if not isinstance(inp, int) or isinstance(inp, bool) or not 0 <= inp < len(in_specs):
                 probs.append(f"Chart transition {i} input index out of range")
@@ -654,16 +652,11 @@ class _Chart(Kind):
 
     def update(self, params, in_specs, out_specs, state, ins):
         cur = params["states"][state]
-        fns = {
-            "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
-            "==": lambda a, b: a == b, "!=": lambda a, b: a != b,
-        }
         for tr in params["transitions"]:
             if tr["from"] != cur:
                 continue
             u = token_elems(ins[tr["input"]], in_specs[tr["input"]][1])[tr["element"]]
-            if fns[tr["op"]](u, tr["value"]):
+            if RELOPS[tr["op"]](u, tr["value"]):
                 return params["states"].index(tr["to"])
         return state
 

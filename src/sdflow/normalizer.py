@@ -21,11 +21,9 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DepthWarning, NormalizationError, SignalTypeError
-from .kinds import canon_token
+from .kinds import ROUTING_KINDS, canon_token
 from .model_ir import (Block, BlockModel, Connection, SampleTime, SignalSpec,
                        TriggerGroup, model_height)
-
-ROUTING = ("Goto", "From", "DataStoreWrite", "DataStoreRead", "BusCreator", "BusSelector")
 
 
 @dataclass
@@ -221,7 +219,7 @@ def remove_routing(m: BlockModel) -> BlockModel:
 
     conns: list[Connection] = []
     for c in root.connections:
-        if by_id[c.dst[0]].kind in ROUTING:
+        if by_id[c.dst[0]].kind in ROUTING_KINDS:
             continue  # consumed via chasing
         src = chase(c.src)
         sblk = by_id[src[0]]
@@ -234,7 +232,7 @@ def remove_routing(m: BlockModel) -> BlockModel:
             src = chase(driver[(w.id, 0)])
             conns.append(Connection(src, (memories[store].id, 0), spec_of[(w.id, 0)]))
 
-    removed = {c.id for c in root.children if c.kind in ROUTING}
+    removed = {c.id for c in root.children if c.kind in ROUTING_KINDS}
     root.children = [c for c in root.children if c.id not in removed]
     root.connections = conns
     m.triggers = [TriggerGroup(t.path, t.mode, t.control,

@@ -3,9 +3,10 @@
 An Sdfg is actors joined by FIFO channels.  Channels carry the token
 rates of both endpoints and an initial token load (the delay).  The
 operations here are purely structural: solve the balance equations for
-the repetition vector, play the token game to build one flat iteration
-schedule (recording peak queue occupancy), classify a graph, and render
-Graphviz text.  No block semantics appear at this level.
+the repetition vector, align it across components, play the token game to
+build the one flat iteration schedule that every engine runs (recording
+peak queue occupancy), classify a graph, and render Graphviz text.  No
+block semantics appear at this level.
 
 Balance equation per channel c: q[src] * rate_src == q[dst] * rate_dst.
 The repetition vector is the smallest positive integer solution, solved
@@ -48,6 +49,16 @@ class Actor:
     # schedule interpreter can run their diagram.  Not serialized; a graph
     # loaded from JSON must be re-translated if it contains subsystems.
     impl: object = field(default=None, compare=False, repr=False)
+
+    def full_out_specs(self) -> list[tuple[str, int]]:
+        """Out specs indexed by the original (pre-replication) port index.
+        Dropped ports get a placeholder spec; their values are never used."""
+        if self.kind == "Subsystem" and self.impl is not None:
+            return [tuple(s) for s in self.impl.out_ports]
+        specs = [("f64", 1)] * (1 + max((p.origin for p in self.out_ports), default=-1))
+        for p in self.out_ports:
+            specs[p.origin] = (p.dtype, p.width)
+        return specs
 
 
 @dataclass
@@ -167,26 +178,13 @@ def repetition_vector(g: Sdfg) -> dict[str, int]:
     return {a: int(v) for a, v in q.items()}
 
 
-def hyperperiod(g: Sdfg) -> Fraction:
-    """Least common multiple of the actor periods (one schedule iteration)."""
-    h = Fraction(0)
-    for a in g.actors:
-        if h == 0:
-            h = a.period
-        else:
-            # lcm over rationals: lcm(num)/gcd(den)
-            h = Fraction(h.numerator * a.period.numerator
-                         // gcd(h.numerator, a.period.numerator),
-                         gcd(h.denominator, a.period.denominator))
-    return h
-
-
 def aligned_repetition(g: Sdfg, q: dict[str, int]) -> tuple[dict[str, int], Fraction]:
     """Scale the per-component repetition counts so one iteration spans the
     same wall-clock time in every weakly-connected component.
 
     Returns the scaled vector and that common span.  For a connected graph
-    this is the plain repetition vector and its hyperperiod."""
+    this is the plain repetition vector and the lcm of its periods.  An
+    already aligned vector comes back unchanged."""
     parent = {a.id: a.id for a in g.actors}
 
     def find(x):
@@ -216,9 +214,17 @@ def aligned_repetition(g: Sdfg, q: dict[str, int]) -> tuple[dict[str, int], Frac
     scaled = {}
     for a in g.actors:
         s = h / spans[find(a.id)]
-        assert s.denominator == 1
+        if s.denominator != 1:
+            raise InconsistentError(f"actor {a.id}: span {spans[find(a.id)]} "
+                                    f"does not divide the iteration span {h}")
         scaled[a.id] = q[a.id] * int(s)
     return scaled, h
+
+
+def sil_span(g: Sdfg) -> Fraction:
+    """Wall-clock time covered by one aligned schedule iteration."""
+    _, h = aligned_repetition(g, repetition_vector(g))
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +234,13 @@ def aligned_repetition(g: Sdfg, q: dict[str, int]) -> tuple[dict[str, int], Frac
 @dataclass
 class Schedule:
     """One flat iteration: q[a] firings of each actor, in an order that a
-    plain FIFO replay can execute without underflow."""
+    plain FIFO replay can execute without underflow.  `repetition` is the
+    aligned vector and `span` the wall-clock time the iteration covers."""
 
     firings: list[str]
     peaks: dict[str, int]
     repetition: dict[str, int]
+    span: Fraction
 
     def to_json(self) -> dict:
         return {"firings": list(self.firings),
@@ -241,9 +249,12 @@ class Schedule:
 
 
 def build_schedule(g: Sdfg, q: dict[str, int] | None = None) -> Schedule:
-    """Token-game simulation; ties broken by ascending actor id."""
+    """The iteration every engine runs: the repetition vector (solved, or
+    `q`) aligned across components, ordered by the token game with ties
+    broken by ascending actor id."""
     if q is None:
         q = repetition_vector(g)
+    q, span = aligned_repetition(g, q)
     ins = g.in_channels()
     outs = g.out_channels()
     tokens = {c.id: c.delay for c in g.channels}
@@ -274,15 +285,21 @@ def build_schedule(g: Sdfg, q: dict[str, int] | None = None) -> Schedule:
         firings.append(pick)
 
     for c in g.channels:
-        assert tokens[c.id] == c.delay, f"channel {c.id} did not return to its delay count"
-    return Schedule(firings, peaks, q)
+        if tokens[c.id] != c.delay:
+            raise InconsistentError(f"channel {c.id} holds {tokens[c.id]} tokens after "
+                                    f"one iteration, not its delay {c.delay}")
+    return Schedule(firings, peaks, q, span)
 
 
 @dataclass
 class ConsistencyReport:
+    """`repetition` is the aligned vector (None when inconsistent);
+    `schedule` is the iteration built for a consistent graph."""
+
     status: str  # "consistent" | "inconsistent" | "deadlocked"
     detail: str
     repetition: dict[str, int] | None
+    schedule: Schedule | None = None
 
     @property
     def ok(self) -> bool:
@@ -295,10 +312,10 @@ def check_consistency(g: Sdfg) -> ConsistencyReport:
     except InconsistentError as e:
         return ConsistencyReport("inconsistent", str(e), None)
     try:
-        build_schedule(g, q)
+        sched = build_schedule(g, q)
     except DeadlockError as e:
-        return ConsistencyReport("deadlocked", str(e), q)
-    return ConsistencyReport("consistent", "", q)
+        return ConsistencyReport("deadlocked", str(e), aligned_repetition(g, q)[0])
+    return ConsistencyReport("consistent", "", sched.repetition, sched)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,27 @@ def test_criterion_5e_normalization_preserves_behavior(capsys):
                    f"their source model exactly, {dt:.1f}s)")
 
 
+def test_criterion_5f_schedule_is_the_aligned_iteration(capsys):
+    t0 = time.perf_counter()
+    checked = multi = 0
+    for seed in range(200):
+        m = random_model(seed)
+        if check_requirements(m):
+            continue
+        g, _ = translate(normalize(m))
+        s = build_schedule(g)
+        assert Counter(s.firings) == s.repetition, f"seed {seed}"
+        for a in g.actors:
+            assert s.repetition[a.id] * a.period == s.span, f"seed {seed}: {a.id}"
+        checked += 1
+        multi += s.repetition != repetition_vector(g)
+    assert multi > 0          # the corpus does exercise the alignment
+    dt = time.perf_counter() - t0
+    assert dt < 120.0
+    report(capsys, f"criterion 5f: PASS ({checked} random models schedule "
+                   f"one aligned iteration, {multi} of them rescaled, {dt:.1f}s)")
+
+
 def test_criterion_6_requirement_rules(capsys):
     t0 = time.perf_counter()
     pairs = [

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,6 +67,30 @@ def cyclic_doc():
                          {"src": ["g1", 0], "dst": ["g2", 0], "dtype": "f64", "width": 1},
                          {"src": ["g2", 0], "dst": ["g1", 0], "dtype": "f64", "width": 1},
                          {"src": ["g2", 0], "dst": ["y", 0], "dtype": "f64", "width": 1}]}}
+
+
+def two_rate_doc():
+    """Two unconnected components, Constant@1 -> o1 and Constant@2 -> o2."""
+    f1 = {"dtype": "f64", "width": 1}
+
+    def const(bid, period):
+        return {"id": bid, "kind": "Constant", "params": {"value": 1.0},
+                "sample_time": {"num": period, "den": 1},
+                "ports": {"in": [], "out": [f1]}}
+
+    def out(bid, period, index):
+        return {"id": bid, "kind": "Outport", "params": {"index": index},
+                "sample_time": {"num": period, "den": 1},
+                "ports": {"in": [f1], "out": []}}
+
+    return {"name": "tworate", "base_step": {"num": 1, "den": 1}, "data_stores": [],
+            "root": {"id": "tworate", "kind": "Subsystem", "params": {"mode": "normal"},
+                     "ports": {"in": [], "out": []},
+                     "children": [const("c1", 1), out("o1", 1, 0),
+                                  const("c2", 2), out("o2", 2, 1)],
+                     "connections": [
+                         {"src": ["c1", 0], "dst": ["o1", 0], "dtype": "f64", "width": 1},
+                         {"src": ["c2", 0], "dst": ["o2", 0], "dtype": "f64", "width": 1}]}}
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +180,21 @@ def test_schedule_output():
     assert lines[0] == "consistent; hyperperiod 4"
     assert "  q[Product] = 2" in lines
     assert lines[-1].startswith("firings: ")
+
+
+def test_schedule_prints_what_runs_across_components(tmp_path):
+    path = write_model(tmp_path, two_rate_doc(), "tworate.json")
+    rc, out, _ = run_cli("schedule", path)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "consistent; hyperperiod 2"
+    assert "  q[c1] = 2" in lines and "  q[c2] = 1" in lines
+    firings = Counter(lines[-1].removeprefix("firings: ").split())
+    rc, trace, _ = run_cli("simulate-sil", path, "--periods", 1)
+    assert rc == 0
+    rows = Counter(ln.split(",")[1] for ln in trace.splitlines()[1:])
+    assert rows == {"o1": 2, "o2": 1}
+    assert all(firings[o] == n for o, n in rows.items())
 
 
 def test_schedule_flags_deadlock(tmp_path):

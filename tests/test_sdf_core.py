@@ -6,15 +6,20 @@ and replay the schedule with an independent token counter.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sdflow import (Actor, Channel, DeadlockError, InconsistentError, Port,
                     SchemaError, Sdfg, aligned_repetition, build_schedule,
-                    check_consistency, export_dot, hyperperiod, load_sdfg,
+                    check_consistency, export_dot, load_sdfg,
                     repetition_vector, save_sdfg)
 
 
@@ -140,15 +145,15 @@ def test_schedule_json_is_plain_data():
 # timing
 
 
-def test_hyperperiod_integer_periods():
+def test_schedule_span_integer_periods():
     g = graph([actor("a", 2), actor("b", 3)], [])
-    assert hyperperiod(g) == Fraction(6)
+    assert build_schedule(g).span == Fraction(6)
 
 
-def test_hyperperiod_fractional_periods():
+def test_schedule_span_fractional_periods():
     g = graph([actor("a", Fraction(1, 2)), actor("b", Fraction(3, 4))], [])
     # smallest time that is a multiple of both 1/2 and 3/4
-    assert hyperperiod(g) == Fraction(3, 2)
+    assert build_schedule(g).span == Fraction(3, 2)
 
 
 def test_aligned_repetition_scales_components():
@@ -165,6 +170,41 @@ def test_aligned_repetition_keeps_fractional_span():
     scaled, h = aligned_repetition(g, {"a": 1})
     assert h == Fraction(1, 2)
     assert scaled == {"a": 1}
+
+
+def test_schedule_runs_the_aligned_vector():
+    g = graph([actor("a", 1, n_out=1), actor("b", 1, n_in=1),
+               actor("x", 3)],
+              [chan("c0", ("a", 0), ("b", 0), 1, 1)])
+    s = build_schedule(g)
+    assert s.repetition == {"a": 3, "b": 3, "x": 1} and s.span == Fraction(3)
+    assert Counter(s.firings) == s.repetition
+    # an aligned vector passed back in is kept as it is
+    assert build_schedule(g, s.repetition) == s
+
+
+def test_unbalanced_vector_is_rejected_without_asserts():
+    g = graph([actor("a", n_out=1), actor("b", n_in=1)],
+              [chan("c0", ("a", 0), ("b", 0), 2, 1)])
+    with pytest.raises(InconsistentError, match="c0"):
+        build_schedule(g, {"a": 1, "b": 1})
+    # the check is code, not an assert that python -O strips
+    src = str(Path(__file__).parents[1] / "src")
+    code = textwrap.dedent("""
+        import sys
+        from test_sdf_core import InconsistentError, actor, build_schedule, chan, graph
+        g = graph([actor("a", n_out=1), actor("b", n_in=1)],
+                  [chan("c0", ("a", 0), ("b", 0), 2, 1)])
+        try:
+            build_schedule(g, {"a": 1, "b": 1})
+        except InconsistentError:
+            sys.exit(0)
+        sys.exit(3)
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+    p = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
 
 
 def test_aligned_repetition_connected_is_identity():
