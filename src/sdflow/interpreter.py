@@ -135,16 +135,22 @@ class Trace:
     def from_csv(cls, text: str, specs: dict[str, tuple[str, int]]) -> "Trace":
         """Specs come from the reference side; CSV itself is untyped."""
         tr = cls()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "time,signal,value":
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines or lines[0][1] != "time,signal,value":
             raise SchemaError("trace CSV must start with 'time,signal,value'")
-        for ln in lines[1:]:
-            ts, sig, val = ln.split(",", 2)
+        for n, ln in lines[1:]:
+            fields = ln.split(",", 2)
+            if len(fields) != 3:
+                raise SchemaError(f"trace CSV line {n}: expected time,signal,value")
+            ts, sig, val = fields
             if sig not in specs:
                 raise ShapeError(f"trace CSV mentions unknown signal {sig!r}")
             d, w = specs[sig]
             tr.declare(sig, d, w)
-            tr.add(sig, parse_time(ts), parse_value(d, w, val))
+            try:
+                tr.add(sig, parse_time(ts), parse_value(d, w, val))
+            except (SchemaError, ValueError, ZeroDivisionError) as e:
+                raise SchemaError(f"trace CSV line {n}: {e}") from None
         for sig in tr.samples:
             tr.samples[sig].sort(key=lambda p: p[0])
         return tr

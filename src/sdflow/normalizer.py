@@ -292,12 +292,15 @@ def normalize(m: BlockModel, depth: int | None = None) -> NormalizedModel:
     flat = remove_routing(flat)
     before = {c.id for c in flat.root.children}
     flat = insert_rate_transitions(flat)
+    into, out_of = {}, {}
+    for x in flat.root.connections:  # first match per endpoint
+        into.setdefault(x.dst, x)
+        out_of.setdefault(x.src, x)
     prov = {}
     for c in flat.root.children:
         if c.id in before:
             prov[c.id] = c.id
         else:  # inserted RateTransition
-            up = next(x for x in flat.root.connections if x.dst == (c.id, 0))
-            down = next(x for x in flat.root.connections if x.src == (c.id, 0))
+            up, down = into[(c.id, 0)], out_of[(c.id, 0)]
             prov[c.id] = f"{up.src[0]}:{up.src[1]} -> {down.dst[0]}:{down.dst[1]}"
     return NormalizedModel(flat, eff_depth, prov)

@@ -15,6 +15,7 @@ per weakly-connected component.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -251,30 +252,34 @@ class Schedule:
 def build_schedule(g: Sdfg, q: dict[str, int] | None = None) -> Schedule:
     """The iteration every engine runs: the repetition vector (solved, or
     `q`) aligned across components, ordered by the token game with ties
-    broken by ascending actor id."""
+    broken by ascending actor id.
+
+    The fireable actors wait in a heap, so each firing costs the fired
+    actor's in- and out-degree plus a heap operation, not a scan of every
+    actor.  A channel has one consumer, so a firing only adds tokens to
+    other actors' inputs: a queued actor stays fireable until it is
+    popped, and only the fired actor and its consumers need re-checking."""
     if q is None:
         q = repetition_vector(g)
+    else:
+        _check_counts(g, q)
     q, span = aligned_repetition(g, q)
     ins = g.in_channels()
     outs = g.out_channels()
     tokens = {c.id: c.delay for c in g.channels}
     peaks = dict(tokens)
     remaining = dict(q)
-    order = sorted(remaining)
     firings: list[str] = []
-    total = sum(q.values())
 
-    while len(firings) < total:
-        pick = None
-        for aid in order:
-            if remaining[aid] <= 0:
-                continue
-            if all(tokens[c.id] >= c.rate_dst for c in ins[aid]):
-                pick = aid
-                break
-        if pick is None:
-            blocked = sorted(a for a in remaining if remaining[a] > 0)
-            raise DeadlockError(f"no fireable actor; blocked: {', '.join(blocked)}")
+    def fireable(aid: str) -> bool:
+        return remaining[aid] > 0 and all(tokens[c.id] >= c.rate_dst for c in ins[aid])
+
+    ready = [aid for aid in remaining if fireable(aid)]
+    heapq.heapify(ready)
+    queued = set(ready)
+    while ready:
+        pick = heapq.heappop(ready)
+        queued.discard(pick)
         for c in ins[pick]:
             tokens[c.id] -= c.rate_dst
         for c in outs[pick]:
@@ -283,12 +288,35 @@ def build_schedule(g: Sdfg, q: dict[str, int] | None = None) -> Schedule:
                 peaks[c.id] = tokens[c.id]
         remaining[pick] -= 1
         firings.append(pick)
+        for aid in (pick, *(c.dst[0] for c in outs[pick])):
+            if aid not in queued and fireable(aid):
+                heapq.heappush(ready, aid)
+                queued.add(aid)
+    blocked = sorted(a for a in remaining if remaining[a] > 0)
+    if blocked:
+        raise DeadlockError(f"no fireable actor; blocked: {', '.join(blocked)}")
 
     for c in g.channels:
         if tokens[c.id] != c.delay:
             raise InconsistentError(f"channel {c.id} holds {tokens[c.id]} tokens after "
                                     f"one iteration, not its delay {c.delay}")
     return Schedule(firings, peaks, q, span)
+
+
+def _check_counts(g: Sdfg, q: dict[str, int]) -> None:
+    """A caller-supplied vector names every actor once, with a positive
+    integer count."""
+    ids = {a.id for a in g.actors}
+    missing = sorted(ids - q.keys())
+    if missing:
+        raise InconsistentError(f"repetition vector has no count for actor {missing[0]}")
+    unknown = sorted(map(str, q.keys() - ids))
+    if unknown:
+        raise InconsistentError(f"repetition vector names unknown actor {unknown[0]}")
+    for aid, n in sorted(q.items()):
+        if type(n) is not int or n < 1:
+            raise InconsistentError(f"actor {aid}: repetition count must be a "
+                                    f"positive integer, got {n!r}")
 
 
 @dataclass
@@ -324,6 +352,7 @@ def check_consistency(g: Sdfg) -> ConsistencyReport:
 
 def export_dot(g: Sdfg) -> str:
     """Graphviz text; node and edge order is sorted, so output is stable."""
+    by_id = {a.id: a for a in g.actors}
     lines = [f'digraph "{g.name}" {{', "  rankdir=LR;",
              "  node [shape=box, fontname=monospace];"]
     for a in sorted(g.actors, key=lambda a: a.id):
@@ -332,15 +361,12 @@ def export_dot(g: Sdfg) -> str:
         parts = [f"rate {c.rate_src}/{c.rate_dst}", f"{c.dtype}[{c.width}]"]
         if c.delay:
             parts.append(f"delay {c.delay} " + "●" * min(c.delay, 4))
-        style = ", style=dashed" if _is_event(g, c) else ""
+        dst = by_id[c.dst[0]]
+        event = c.dst[1] < len(dst.in_ports) and dst.in_ports[c.dst[1]].event
+        style = ", style=dashed" if event else ""
         lines.append(f'  "{c.src[0]}" -> "{c.dst[0]}" [label="{" / ".join(parts)}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _is_event(g: Sdfg, c: Channel) -> bool:
-    a = g.actor(c.dst[0])
-    return c.dst[1] < len(a.in_ports) and a.in_ports[c.dst[1]].event
 
 
 # ---------------------------------------------------------------------------

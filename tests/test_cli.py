@@ -253,6 +253,21 @@ def test_verify_passes_on_fixtures(tmp_path):
     assert out.startswith("PASS:")
 
 
+@pytest.mark.parametrize("cmd", ["simulate-sil", "verify"])
+@pytest.mark.parametrize("row, line", [("0,throttle", "line 3"),
+                                       ("1,throttle,abc", "line 3")],
+                         ids=["missing_value", "non_numeric"])
+def test_malformed_stimulus_is_a_schema_error(tmp_path, cmd, row, line):
+    stim = tmp_path / "bad.csv"
+    stim.write_text(f"time,signal,value\n0,throttle,1.0\n{row}\n")
+    rc, out, err = run_cli(cmd, MODELS / "transmission.json",
+                           "--steps", 4, "--stimulus", stim)
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert line in err
+
+
 def test_verify_json_mode():
     rc, out, _ = run_cli("verify", MODELS / "climate.json", "--steps", 12,
                          "--json")

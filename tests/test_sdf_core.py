@@ -17,10 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from model_gen import random_model
 from sdflow import (Actor, Channel, DeadlockError, InconsistentError, Port,
-                    SchemaError, Sdfg, aligned_repetition, build_schedule,
-                    check_consistency, export_dot, load_sdfg,
-                    repetition_vector, save_sdfg)
+                    Schedule, SchemaError, Sdfg, aligned_repetition,
+                    build_schedule, check_consistency, check_requirements,
+                    export_dot, load_sdfg, normalize, repetition_vector,
+                    save_sdfg, translate)
 
 
 def actor(aid, period=1, n_in=0, n_out=0, kind="Gain"):
@@ -207,6 +209,18 @@ def test_unbalanced_vector_is_rejected_without_asserts():
     assert p.returncode == 0, p.stderr
 
 
+@pytest.mark.parametrize("q, names", [
+    ({"a": 0, "b": 0, "x": 1}, "actor a"),
+    ({"a": 1, "b": 1}, "actor x"),
+    ({"a": -1, "b": -1, "x": 1}, "actor a"),
+], ids=["zero", "missing", "negative"])
+def test_supplied_vector_is_checked(q, names):
+    g = graph([actor("a", n_out=1), actor("b", n_in=1), actor("x")],
+              [chan("c0", ("a", 0), ("b", 0), 1, 1)])
+    with pytest.raises(InconsistentError, match=names):
+        build_schedule(g, q)
+
+
 def test_aligned_repetition_connected_is_identity():
     g = graph([actor("a", 2, n_out=1), actor("b", 4, n_in=1)],
               [chan("c0", ("a", 0), ("b", 0), 1, 2)])
@@ -355,3 +369,85 @@ def test_random_schedules_replay_cleanly():
         left = replay(g, sched)
         assert left == {c.id: c.delay for c in g.channels}
         assert Counter(sched.firings) == sched.repetition
+
+
+# ---------------------------------------------------------------------------
+# the ready-heap token game against a full rescan per firing
+
+
+def _scan_schedule(g, q=None):
+    """Reference token game: rescan every actor, in id order, for each
+    firing.  build_schedule must give exactly this schedule."""
+    if q is None:
+        q = repetition_vector(g)
+    q, span = aligned_repetition(g, q)
+    ins, outs = g.in_channels(), g.out_channels()
+    tokens = {c.id: c.delay for c in g.channels}
+    peaks = dict(tokens)
+    remaining = dict(q)
+    order = sorted(remaining)
+    firings = []
+    while len(firings) < sum(q.values()):
+        pick = None
+        for aid in order:
+            if remaining[aid] > 0 and all(tokens[c.id] >= c.rate_dst for c in ins[aid]):
+                pick = aid
+                break
+        if pick is None:
+            blocked = sorted(a for a in remaining if remaining[a] > 0)
+            raise DeadlockError(f"no fireable actor; blocked: {', '.join(blocked)}")
+        for c in ins[pick]:
+            tokens[c.id] -= c.rate_dst
+        for c in outs[pick]:
+            tokens[c.id] += c.rate_src
+            peaks[c.id] = max(peaks[c.id], tokens[c.id])
+        remaining[pick] -= 1
+        firings.append(pick)
+    return Schedule(firings, peaks, q, span)
+
+
+def test_schedule_matches_scan_on_random_models():
+    checked = 0
+    for seed in range(200):
+        m = random_model(seed)
+        if check_requirements(m):
+            continue
+        g, _ = translate(normalize(m))
+        assert build_schedule(g) == _scan_schedule(g), f"seed {seed}"
+        checked += 1
+    assert checked > 100
+
+
+def test_schedule_matches_scan_on_random_graphs():
+    # back and self edges with delays: actors re-enter the ready set
+    rng = random.Random(12)
+    for _ in range(300):
+        g = random_schedulable_graph(rng)
+        assert build_schedule(g) == _scan_schedule(g)
+
+
+@pytest.mark.parametrize("g", [
+    # zero-delay 2-cycle: nothing fires
+    graph([actor("a", n_in=1, n_out=1), actor("b", n_in=1, n_out=1)],
+          [chan("c0", ("a", 0), ("b", 0), 1, 1),
+           chan("c1", ("b", 0), ("a", 0), 1, 1)]),
+    # 3-cycle, q = (2, 2, 1): the delay lets a and b fire once, then c
+    # waits for a second token that never comes
+    graph([actor("a", n_in=1, n_out=1), actor("b", n_in=1, n_out=1),
+           actor("c", n_in=1, n_out=1)],
+          [chan("c0", ("a", 0), ("b", 0), 1, 1),
+           chan("c1", ("b", 0), ("c", 0), 1, 2),
+           chan("c2", ("c", 0), ("a", 0), 2, 1, delay=1)]),
+    # x -> y fires its whole iteration, the a <-> b cycle none of it
+    graph([actor("a", n_in=1, n_out=1), actor("b", n_in=1, n_out=1),
+           actor("x", n_out=1), actor("y", n_in=1)],
+          [chan("c0", ("a", 0), ("b", 0), 1, 1),
+           chan("c1", ("b", 0), ("a", 0), 1, 1),
+           chan("c2", ("x", 0), ("y", 0), 1, 2)]),
+], ids=["two_cycle", "partial_three_cycle", "two_components"])
+def test_deadlock_message_matches_scan(g):
+    with pytest.raises(DeadlockError) as scan:
+        _scan_schedule(g)
+    with pytest.raises(DeadlockError) as heap:
+        build_schedule(g)
+    assert str(heap.value) == str(scan.value)
