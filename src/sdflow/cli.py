@@ -27,7 +27,7 @@ from math import ceil
 from . import codegen as codegen_mod
 from . import sdf_core, translator, validator
 from .errors import SchemaError, SdflowError, ValidationFailed
-from .interpreter import Trace, compare_traces, run_mil, run_sil
+from .interpreter import Trace, _replay, compare_traces, run_mil
 from .model_ir import BlockModel, dump_model_file, load_model_file
 from .normalizer import normalize
 
@@ -41,6 +41,16 @@ def _depth_arg(s: str):
         raise argparse.ArgumentTypeError(f"depth must be an integer or 'full', got {s!r}")
     if v < 0:
         raise argparse.ArgumentTypeError("depth must be >= 0")
+    return v
+
+
+def _count_arg(s: str) -> int:
+    try:
+        v = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {s!r}")
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {v}")
     return v
 
 
@@ -73,13 +83,14 @@ def _translate(m: BlockModel, depth):
     return n, translator.translate(n)
 
 
-def _derive_periods(args, m, g) -> tuple[Fraction, int]:
-    """Wall-clock span of --steps base steps, and the schedule iterations
-    that cover it (or --periods when given)."""
+def _schedule(args, m, g) -> tuple[sdf_core.Schedule, Fraction, int]:
+    """The one schedule the run replays, the wall-clock span of --steps base
+    steps, and the schedule iterations that cover it (or --periods)."""
+    sched = sdf_core.build_schedule(g)
     span = Fraction(args.steps) * m.base_step
     if getattr(args, "periods", None) is not None:
-        return span, args.periods
-    return span, int(ceil(span / sdf_core.sil_span(g)))
+        return sched, span, args.periods
+    return sched, span, int(ceil(span / sched.span))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -189,8 +200,8 @@ def cmd_simulate_mil(args) -> int:
 def cmd_simulate_sil(args) -> int:
     m = load_model_file(args.model)
     _, (g, _) = _translate(m, args.depth)
-    _, periods = _derive_periods(args, m, g)
-    trace = run_sil(g, periods=periods, stimulus=_load_stimulus(args.stimulus, m))
+    sched, _, periods = _schedule(args, m, g)
+    trace = _replay(g, sched, periods, _load_stimulus(args.stimulus, m))
     _write_or_print(_trace_text(trace, args.json), args.out)
     return 0
 
@@ -199,9 +210,9 @@ def cmd_verify(args) -> int:
     m = load_model_file(args.model)
     stim = _load_stimulus(args.stimulus, m)
     _, (g, _) = _translate(m, args.depth)
-    span, periods = _derive_periods(args, m, g)
+    sched, span, periods = _schedule(args, m, g)
     mil = run_mil(m, args.steps, stimulus=stim)
-    sil = run_sil(g, periods=periods, stimulus=stim)
+    sil = _replay(g, sched, periods, stim)
     cmp = compare_traces(mil.clip(span), sil.clip(span), tol=args.tol)
     if args.json:
         print(json.dumps({"pass": cmp.ok, "samples": cmp.samples,
@@ -218,10 +229,9 @@ def cmd_verify(args) -> int:
 def cmd_codegen(args) -> int:
     m = load_model_file(args.model)
     _, (g, _) = _translate(m, args.depth)
-    _, periods = _derive_periods(args, m, g)
-    bundle = codegen_mod.emit_bundle(g, periods=periods,
-                                     stimulus=_load_stimulus(args.stimulus, m),
-                                     asserts=not args.no_asserts)
+    sched, _, periods = _schedule(args, m, g)
+    bundle = codegen_mod._emit(g, sched, periods, _load_stimulus(args.stimulus, m),
+                               asserts=not args.no_asserts)
     outdir = args.out or f"codegen_{m.name}"
     paths = bundle.write(outdir)
     if args.json:
@@ -256,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flatten depth (default: full)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if steps:
-            sp.add_argument("--steps", type=int, default=100, metavar="N",
+            sp.add_argument("--steps", type=_count_arg, default=100, metavar="N",
                             help="base steps to cover (default 100)")
         if periods:
-            sp.add_argument("--periods", type=int, default=None, metavar="N",
+            sp.add_argument("--periods", type=_count_arg, default=None, metavar="N",
                             help="schedule iterations (overrides --steps)")
         if tol:
             sp.add_argument("--tol", type=_tol_arg, default=1e-12, metavar="T",

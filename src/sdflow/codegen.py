@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from math import isinf, isnan
 
 from . import kinds
-from .errors import SdflowError, SignalTypeError, UnsupportedKindError
-from .interpreter import Trace, _stim_table, time_str
-from .sdf_core import Sdfg, build_schedule
+from .errors import SdflowError, UnsupportedKindError
+from .interpreter import Trace, _firing_plan, time_str
+from .sdf_core import Schedule, Sdfg, build_schedule
 
 CTYPE = {"f64": "double", "i32": "int32_t", "bool": "unsigned char"}
 DTCODE = {"f64": "SDF_F64", "i32": "SDF_I32", "bool": "SDF_BOOL"}
@@ -174,57 +174,34 @@ def emit_bundle(g: Sdfg, periods: int = 1, stimulus: Trace | None = None,
     g.check_wellformed()
     if periods < 1:
         raise SdflowError("periods must be at least 1")
+    return _emit(g, build_schedule(g), periods, stimulus, asserts)
+
+
+def _emit(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None,
+          asserts: bool) -> SourceBundle:
+    """emit_bundle for a graph already scheduled as `sched`."""
     for a in g.actors:
         if a.kind == "Subsystem":
             raise UnsupportedKindError(
                 f"actor {a.id}: subsystem actors have no C form; "
                 "translate the model fully flattened instead")
-        if a.kind not in kinds.KINDS:
-            raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
-    sched = build_schedule(g)
-    em = _Emitter(g, sched, periods, stimulus, asserts)
+    em = _Emitter(g, sched, _firing_plan(g, sched, periods, stimulus), periods, asserts)
     return SourceBundle(em.name, em.files())
 
 
 class _Emitter:
-    def __init__(self, g, sched, periods, stimulus, asserts):
+    def __init__(self, g, sched, plan, periods, asserts):
         self.g = g
         self.sched = sched
+        self.plan = plan
         self.periods = periods
         self.asserts = asserts
         self.name = _sanitize(g.name)
         self.aident = _ident_table([a.id for a in g.actors])
         self.cident = _ident_table([c.id for c in g.channels])
-        self.ch_in = {c.dst: c for c in g.channels}
-        self.ch_out: dict[str, list] = {a.id: [] for a in g.actors}
-        for c in g.channels:
-            self.ch_out[c.src[0]].append(c)
-        self.stim = self._bake_stimulus(stimulus)
 
     def _total(self, a) -> int:
         return self.sched.repetition[a.id] * self.periods
-
-    def _bake_stimulus(self, stimulus):
-        """Resolve every Inport firing to a literal token, as the schedule
-        interpreter would."""
-        table = _stim_table(stimulus)
-        baked = {}
-        for a in self.g.actors:
-            if a.kind != "Inport" or a.id not in table or not a.out_ports:
-                continue
-            d, w = a.out_ports[0].dtype, a.out_ports[0].width
-            sd, sw = stimulus.specs[a.id]
-            if (sd, sw) != (d, w):
-                raise SignalTypeError(
-                    f"stimulus {a.id!r} is ({sd} x{sw}), the port wants ({d} x{w})")
-            rows = []
-            for n in range(self._total(a)):
-                t = n * a.period
-                if t not in table[a.id]:
-                    raise SdflowError(f"stimulus for {a.id!r} has no sample at t={t}")
-                rows.append(table[a.id][t])
-            baked[a.id] = rows
-        return baked
 
     # ------------------------------------------------------------------
     # bundle assembly
@@ -398,8 +375,8 @@ class _Emitter:
     def _actor_section(self, a) -> list[str]:
         k = kinds.KINDS[a.kind]
         ai = self.aident[a.id]
-        data_specs = [(p.dtype, p.width) for p in a.in_ports if not p.event]
-        out_full = a.full_out_specs()
+        data_specs = self.plan.data_specs[a.id]
+        out_full = self.plan.out_specs[a.id]
         live = sorted({p.origin for p in a.out_ports})
         has_events = any(p.event for p in a.in_ports)
 
@@ -423,9 +400,9 @@ class _Emitter:
                 d, w = out_full[j]
                 lit = _c_token(d, w, init_out[j])
                 decls.append(f"static {CTYPE[d]} held_{ai}_{j}[{w}] = {lit};")
-        if a.kind == "Inport" and a.id in self.stim:
+        if a.kind == "Inport" and a.id in self.plan.stim:
             d, w = out_full[0]
-            rows = ",\n    ".join(_c_token(d, w, tok) for tok in self.stim[a.id])
+            rows = ",\n    ".join(_c_token(d, w, tok) for tok in self.plan.stim[a.id])
             decls.append(f"static const {CTYPE[d]} stim_{ai}[{self._total(a)}][{w}] = {{\n"
                          f"    {rows}\n}};")
         if a.kind == "Outport":
@@ -433,7 +410,7 @@ class _Emitter:
                               for n in range(self._total(a)))
             decls.append(f"static const char *const tm_{ai}[{self._total(a)}] = "
                          "{ " + times + " };")
-        if a.kind == "Outport" or (a.kind == "Inport" and a.id in self.stim):
+        if a.kind == "Outport" or (a.kind == "Inport" and a.id in self.plan.stim):
             decls.append(f"static long n_{ai};")
 
         body = self._fire_body(a, k, ai, data_specs, out_full, live, has_events)
@@ -446,7 +423,7 @@ class _Emitter:
         data_names: list[str] = []
         n_ev = 0
         for slot, p in enumerate(a.in_ports):
-            c = self.ch_in[(a.id, slot)]
+            c = self.plan.ch_in[(a.id, slot)]
             qn = f"q_{self.cident[c.id]}"
             ct = CTYPE[p.dtype]
             if p.event:
@@ -504,7 +481,7 @@ class _Emitter:
             body += compute
             body += update
 
-        for c in self.ch_out[a.id]:
+        for c in self.plan.ch_out[a.id]:
             origin = a.out_ports[c.src[1]].origin
             qn = f"q_{self.cident[c.id]}"
             if c.rate_src == 1:
@@ -512,7 +489,7 @@ class _Emitter:
             else:
                 body.append(f"    for (int k = 0; k < {c.rate_src}; ++k) "
                             f"sdf_queue_push(&{qn}, o{origin});")
-        if a.kind == "Inport" and a.id in self.stim:
+        if a.kind == "Inport" and a.id in self.plan.stim:
             body.append(f"    n_{ai} += 1;")
         return body
 
@@ -548,7 +525,7 @@ class _Emitter:
             return [f"    o0[{i}] = {_c_scalar(d, e)};" for i, e in enumerate(elems)]
 
         if kind == "Inport":
-            if a.id in self.stim:
+            if a.id in self.plan.stim:
                 return [f"    memcpy(o0, stim_{ai}[n_{ai}], sizeof o0);"]
             return [f"    for (int i = 0; i < {w}; ++i) o0[i] = 0;"]
 

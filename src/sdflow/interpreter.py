@@ -26,10 +26,10 @@ from math import isinf, isnan
 
 from . import kinds
 from .errors import (AlgebraicLoopError, InconsistentError, NormalizationError,
-                     SchemaError, SdflowError, ShapeError, UnderflowError,
-                     UnsupportedKindError)
+                     SchemaError, SdflowError, ShapeError, SignalTypeError,
+                     UnderflowError, UnsupportedKindError)
 from .model_ir import Block, BlockModel
-from .sdf_core import Sdfg, build_schedule
+from .sdf_core import Channel, Schedule, Sdfg, build_schedule
 
 # ---------------------------------------------------------------------------
 # Trace
@@ -550,6 +550,45 @@ def _stim_table(stimulus: "Trace | None"):
     return table
 
 
+@dataclass
+class _FiringPlan:
+    """What run_sil and the C emitter both replay: the channel into each
+    in-port, each actor's out-channels and specs, and the stimulus token of
+    every Inport firing (an Inport without a signal reads zero)."""
+
+    ch_in: dict[tuple[str, int], Channel]
+    ch_out: dict[str, list[Channel]]
+    data_specs: dict[str, list[tuple[str, int]]]
+    out_specs: dict[str, list[tuple[str, int]]]
+    stim: dict[str, list]
+
+
+def _firing_plan(g: Sdfg, sched: Schedule, periods: int,
+                 stimulus: Trace | None) -> _FiringPlan:
+    table = _stim_table(stimulus)
+    data_specs, out_specs, stim = {}, {}, {}
+    for a in g.actors:
+        if a.kind not in kinds.KINDS:
+            raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
+        data_specs[a.id] = [(p.dtype, p.width) for p in a.in_ports if not p.event]
+        out_specs[a.id] = a.full_out_specs()
+        if a.kind != "Inport" or a.id not in table or not a.out_ports:
+            continue
+        (d, w), (sd, sw) = out_specs[a.id][0], stimulus.specs[a.id]
+        if (sd, sw) != (d, w):
+            raise SignalTypeError(
+                f"stimulus {a.id!r} is ({sd} x{sw}), the port wants ({d} x{w})")
+        samples, rows = table[a.id], []
+        for n in range(sched.repetition[a.id] * periods):
+            t = n * a.period
+            if t not in samples:
+                raise SdflowError(f"stimulus for {a.id!r} has no sample at t={t}")
+            rows.append(samples[t])
+        stim[a.id] = rows
+    return _FiringPlan({c.dst: c for c in g.channels}, g.out_channels(),
+                       data_specs, out_specs, stim)
+
+
 def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
     """Fixed-step run of the hierarchical model over `steps` base steps.
 
@@ -617,32 +656,23 @@ class EmbeddedDiagram:
 def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
     """Replay `periods` iterations of the schedule with FIFO queues."""
     g.check_wellformed()
-    sched = build_schedule(g)
+    return _replay(g, build_schedule(g), periods, stimulus)
 
+
+def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> Trace:
+    """run_sil for a graph already scheduled as `sched`."""
+    plan = _firing_plan(g, sched, periods, stimulus)
+    data_specs, out_specs = plan.data_specs, plan.out_specs
     actors = {a.id: a for a in g.actors}
-    ch_in: dict[tuple, object] = {}
-    ch_out: dict[str, list] = {a.id: [] for a in g.actors}
-    fifos: dict[str, deque] = {}
-    for c in g.channels:
-        ch_in[c.dst] = c
-        ch_out[c.src[0]].append(c)
-        fifos[c.id] = deque(c.initial_values)
-
-    table = _stim_table(stimulus)
+    fifos = {c.id: deque(c.initial_values) for c in g.channels}
     trace = Trace()
-    data_specs: dict[str, list] = {}
-    out_specs: dict[str, list] = {}
     state: dict[str, object] = {}
     held: dict[str, list] = {}
     embedded: dict[str, EmbeddedDiagram] = {}
     fired: dict[str, int] = {a.id: 0 for a in g.actors}
 
     for a in g.actors:
-        k = kinds.KINDS.get(a.kind)
-        if k is None:
-            raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
-        data_specs[a.id] = [(p.dtype, p.width) for p in a.in_ports if not p.event]
-        out_specs[a.id] = a.full_out_specs()
+        k = kinds.KINDS[a.kind]
         if a.kind == "Subsystem":
             if a.impl is None:
                 raise SdflowError(
@@ -661,11 +691,10 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
     def fire(aid: str):
         a = actors[aid]
         k = kinds.KINDS[a.kind]
-        t = fired[aid] * a.period
         ins: list[list] = []
         enabled = True
         for slot, port in enumerate(a.in_ports):
-            c = ch_in[(aid, slot)]
+            c = plan.ch_in[(aid, slot)]
             f = fifos[c.id]
             if len(f) < c.rate_dst:
                 raise UnderflowError(
@@ -678,7 +707,7 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
                 ins.append(toks)
 
         if a.kind == "Outport":
-            trace.add(aid, t, ins[0][0])
+            trace.add(aid, fired[aid] * a.period, ins[0][0])
             fired[aid] += 1
             return
 
@@ -691,18 +720,12 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
         elif a.kind == "Inport":
             if not a.out_ports:   # nothing consumes this input
                 produced = []
+            elif not enabled:
+                produced = held[aid]
+            elif aid in plan.stim:
+                produced = held[aid] = [plan.stim[aid][fired[aid]]]
             else:
-                d, w = a.out_ports[0].dtype, a.out_ports[0].width
-                if aid not in table:
-                    produced = [kinds.zero_token(d, w)]
-                elif t in table[aid]:
-                    produced = [table[aid][t]]
-                else:
-                    raise SdflowError(f"stimulus for {aid!r} has no sample at t={t}")
-                if not enabled:
-                    produced = held[aid]
-                else:
-                    held[aid] = produced
+                produced = held[aid] = [kinds.zero_token(*out_specs[aid][0])]
         elif a.kind == "RateTransition":
             produced = [ins[0][-1]] if enabled else held[aid]  # freshest token
             if enabled:
@@ -722,9 +745,8 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
             else:
                 produced = held[aid]
 
-        for c in ch_out[aid]:
-            slot = c.src[1]
-            v = produced[a.out_ports[slot].origin]
+        for c in plan.ch_out[aid]:
+            v = produced[a.out_ports[c.src[1]].origin]
             for _ in range(c.rate_src):
                 fifos[c.id].append(v)
         fired[aid] += 1

@@ -90,10 +90,6 @@ def token_elems(v, width: int):
     return (v,) if width == 1 else tuple(v)
 
 
-def make_token(elems, width: int):
-    return elems[0] if width == 1 else tuple(elems)
-
-
 def _each(width: int, f, *tokens):
     if width == 1:
         return f(*tokens)
@@ -572,7 +568,10 @@ class _Chart(Kind):
     stateful = True
 
     def arity(self, params):
-        return None, None  # declared by the port lists
+        # inputs are declared by the port list; one output per row literal
+        rows = params.get("outputs")
+        row = next(iter(rows.values()), None) if isinstance(rows, dict) else None
+        return None, (len(row) if isinstance(row, list) else None)
 
     def check(self, params, in_specs, out_specs):
         probs = []

@@ -72,7 +72,8 @@ class Block:
 
     @property
     def period(self) -> Fraction:
-        assert self.sample_time is not None, f"{self.id}: unresolved sample time"
+        if self.sample_time is None:
+            raise ResolutionError(f"{self.id}: unresolved sample time")
         return self.sample_time.period
 
     def child(self, cid: str) -> Block:

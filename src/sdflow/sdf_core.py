@@ -415,14 +415,27 @@ def _params_json(params: dict):
     return {k: conv(v) for k, v in params.items()}
 
 
-def _canon_params(kind: str, params: dict, in_specs, out_specs) -> dict:
-    k = kinds.KINDS.get(kind)
-    if k is None or not params:
-        return dict(params)
+def _canon_params(a: Actor) -> dict:
+    """Re-canonicalize a loaded actor's params against its recorded specs.
+    An output no channel consumes records no spec, and no engine reads the
+    params behind it, so such an actor keeps its params as loaded, as do
+    unknown kinds and the param-less actors of purely structural graphs."""
+    if not isinstance(a.params, dict):
+        raise SchemaError(f"actor {a.id}: params must be an object")
+    k = kinds.KINDS.get(a.kind)
+    if k is None or not a.params:
+        return dict(a.params)
+    specs = a.full_out_specs()
+    n_out = k.arity(a.params)[1]
+    if {p.origin for p in a.out_ports} != set(range(len(specs) if n_out is None else n_out)):
+        return dict(a.params)
+    data_in = [(p.dtype, p.width) for p in a.in_ports if not p.event]
     try:
-        return k.canon_params(params, in_specs, out_specs)
-    except (SchemaError, KeyError):
-        return dict(params)
+        return k.canon_params(a.params, data_in, specs)
+    except SchemaError as e:
+        raise SchemaError(f"actor {a.id}: {e}") from None
+    except (KeyError, TypeError) as e:
+        raise SchemaError(f"actor {a.id}: malformed params ({type(e).__name__}: {e})") from None
 
 
 def load_sdfg(doc: dict) -> Sdfg:
@@ -433,10 +446,10 @@ def load_sdfg(doc: dict) -> Sdfg:
                     for p in a["ports"]["in"]]
         out_ports = [Port(p["dtype"], p["width"], p.get("origin", 0), p.get("event", False))
                      for p in a["ports"]["out"]]
-        params = _canon_params(a["kind"], a["state"].get("params", {}),
-                               [(p.dtype, p.width) for p in in_ports],
-                               [(p.dtype, p.width) for p in out_ports])
-        g.actors.append(Actor(a["id"], a["kind"], params, period, in_ports, out_ports))
+        actor = Actor(a["id"], a["kind"], a["state"].get("params", {}), period,
+                      in_ports, out_ports)
+        actor.params = _canon_params(actor)
+        g.actors.append(actor)
     for c in doc["channels"]:
         vals = [kinds.canon_token(c["dtype"], c["width"], v) for v in c["initial_values"]]
         g.channels.append(Channel(c["id"], tuple(c["src"]), tuple(c["dst"]),

@@ -268,6 +268,46 @@ def test_malformed_stimulus_is_a_schema_error(tmp_path, cmd, row, line):
     assert line in err
 
 
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("verify", "--steps", "-4"),
+    ("simulate-sil", "--periods", "0"),
+    ("codegen", "--periods", "0"),
+    ("simulate-mil", "--steps", "0"),
+], ids=["verify_negative_steps", "sil_zero_periods", "codegen_zero_periods",
+        "mil_zero_steps"])
+def test_counts_must_be_positive(tmp_path, cmd, flag, value):
+    extra = ["--out", tmp_path / "out"] if cmd == "codegen" else []
+    rc, out, err = run_cli(cmd, MODELS / "transmission.json", flag, value, *extra)
+    assert rc == 2
+    assert out == ""
+    assert "positive integer" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd", ["simulate-sil", "verify", "codegen"])
+def test_each_run_solves_the_vector_once(tmp_path, monkeypatch, capsys, cmd):
+    from sdflow import cli, codegen, interpreter, sdf_core
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sdf_core, "repetition_vector",
+                        counted("repetition_vector", sdf_core.repetition_vector))
+    build = counted("build_schedule", sdf_core.build_schedule)
+    for mod in (sdf_core, interpreter, codegen):
+        monkeypatch.setattr(mod, "build_schedule", build)
+    args = [cmd, str(MODELS / "multirate_rt.json")]
+    if cmd == "codegen":
+        args += ["--out", str(tmp_path / "bundle")]
+    assert cli.main(args) == 0
+    assert calls == {"repetition_vector": 1, "build_schedule": 1}
+    assert capsys.readouterr().out
+
+
 def test_verify_json_mode():
     rc, out, _ = run_cli("verify", MODELS / "climate.json", "--steps", 12,
                          "--json")

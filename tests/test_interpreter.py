@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from sdflow import (AlgebraicLoopError, SdflowError, ShapeError, Trace,
-                    compare_traces, load_model, normalize, run_mil, run_sil,
-                    sil_span, translate)
+from sdflow import (AlgebraicLoopError, SdflowError, ShapeError, SignalTypeError,
+                    Trace, compare_traces, load_model, normalize, run_mil,
+                    run_sil, sil_span, translate)
 
 F1 = {"dtype": "f64", "width": 1}
 I1 = {"dtype": "i32", "width": 1}
@@ -421,3 +421,13 @@ def test_divergence_report_contents():
     assert r.divergence == {"signal": "x", "time": "3", "index": 0,
                             "a": "1.0", "b": "2.0"}
     assert "diverge" in str(r)
+
+
+def test_sil_stimulus_spec_must_match(transmission):
+    # the same check emit_bundle makes: an i32 signal cannot feed an f64 Inport
+    g, _ = translate(normalize(transmission))
+    st = Trace()
+    st.declare("throttle", "i32", 1)
+    st.add("throttle", Fraction(0), 1)
+    with pytest.raises(SignalTypeError, match="throttle"):
+        run_sil(g, periods=1, stimulus=st)

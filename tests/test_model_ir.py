@@ -2,11 +2,16 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sdflow import (ResolutionError, SchemaError, SignalTypeError,
+from sdflow import (Block, ResolutionError, SchemaError, SignalTypeError,
                     load_model, save_model)
 from sdflow.model_ir import iter_blocks, model_height
 
@@ -255,6 +260,27 @@ def test_store_must_be_declared():
 
 # ---------------------------------------------------------------------------
 # sample time resolution
+
+
+def test_unresolved_period_is_an_error_without_asserts():
+    b = Block("b", "Gain", {"gain": 1.0}, None, [], [])
+    with pytest.raises(ResolutionError, match="b: unresolved sample time"):
+        b.period
+    # the check is code, not an assert that python -O strips
+    code = textwrap.dedent("""
+        import sys
+        from sdflow import Block, ResolutionError
+        try:
+            Block("b", "Gain", {}, None, [], []).period
+        except ResolutionError:
+            sys.exit(0)
+        sys.exit(3)
+        """)
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    p = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
 
 
 def test_period_inherited_from_driver():

@@ -5,6 +5,7 @@ randomized ones construct graphs whose answer is known by construction
 and replay the schedule with an independent token counter.
 """
 
+import json
 import math
 import os
 import random
@@ -273,6 +274,31 @@ def test_sdfg_json_round_trip():
     assert save_sdfg(load_sdfg(doc)) == doc
     g2 = load_sdfg(doc)
     assert repetition_vector(g2) == repetition_vector(g)
+    # translated graphs, as `sdflow translate` writes them: event in-ports,
+    # unconsumed outputs (some of a Chart's, all of a Constant's), vectors
+    for seed in range(300):
+        g = translate(normalize(random_model(seed)))[0]
+        doc = json.loads(json.dumps(save_sdfg(g)))
+        assert save_sdfg(load_sdfg(doc)) == doc, f"seed {seed}"
+
+
+def _translated_doc():
+    doc = save_sdfg(translate(normalize(random_model(3)))[0])
+    const = next(a for a in doc["actors"]
+                 if a["kind"] == "Constant" and a["ports"]["out"])
+    return doc, const
+
+
+@pytest.mark.parametrize("params, problem", [
+    ({"value": "abc"}, "expected"),
+    ({"val": 1.0}, "malformed params"),
+    ([1.0], "must be an object"),
+], ids=["bad_literal", "missing_key", "not_an_object"])
+def test_malformed_params_fail_at_load(params, problem):
+    doc, const = _translated_doc()
+    const["state"]["params"] = params
+    with pytest.raises(SchemaError, match=f"actor {const['id']}: .*{problem}"):
+        load_sdfg(doc)
 
 
 def test_export_dot_is_stable():
