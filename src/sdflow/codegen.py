@@ -57,7 +57,8 @@ def _c_token(dtype: str, width: int, tok) -> str:
 
 
 def _c_str(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    # '?' is escaped so that no "??x" trigraph survives under -std=c99
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("?", "\\?") + '"'
 
 
 def _sanitize(s: str) -> str:
@@ -380,7 +381,7 @@ class _Emitter:
         live = sorted({p.origin for p in a.out_ports})
         has_events = any(p.event for p in a.in_ports)
 
-        decls: list[str] = [f"/* ---- {a.kind} {a.id} ---- */"]
+        decls: list[str] = [f"/* ---- {a.kind} {a.id.replace('*/', '* /')} ---- */"]
         if a.kind == "Chart":
             idx = a.params["states"].index(a.params["initial"])
             decls.append(f"static int st_{ai} = {idx};")

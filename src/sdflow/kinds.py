@@ -58,7 +58,10 @@ def canon_scalar(dtype: str, v):
     if dtype == "f64":
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"expected f64 literal, got {v!r}")
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:  # an int beyond the double range
+            raise SchemaError(f"f64 literal out of range: {v!r}") from None
     if dtype == "i32":
         if isinstance(v, bool) or not isinstance(v, int):
             raise SchemaError(f"expected i32 literal, got {v!r}")
@@ -100,12 +103,22 @@ def _each(width: int, f, *tokens):
 # Kind table
 
 
+def _nat(v) -> bool:
+    """A JSON non-negative integer (bools are not integers here)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _one_of(v, names) -> bool:
+    return isinstance(v, str) and v in names
+
+
 class Kind:
     """One entry of the vocabulary.
 
     feedthrough  output at tick t depends on inputs at tick t
     stateful     carries state between firings (two-phase evaluation)
     n_in/n_out   fixed arity, or None when parameter-dependent
+    keys         the params a block of this kind may carry
     """
 
     name = "?"
@@ -113,16 +126,44 @@ class Kind:
     stateful = False
     n_in: int | None = 0
     n_out: int | None = 1
+    keys: tuple[str, ...] = ()
 
     def arity(self, params) -> tuple[int | None, int | None]:
         return self.n_in, self.n_out
 
-    def check(self, params, in_specs, out_specs) -> list[str]:
-        """Return problem strings; loader attaches the block path."""
-        return []
-
     def canon_params(self, params, in_specs, out_specs) -> dict:
+        """The one gate for a block's arity and params, run by both loaders.
+        Returns the canonical params, or raises one SchemaError listing every
+        problem found; the loader attaches the block path."""
+        n_in, n_out = self.arity(params)
+        if n_in is not None and len(in_specs) != n_in:
+            raise SchemaError(f"{self.name} takes {n_in} inputs, has {len(in_specs)}")
+        if n_out is not None and len(out_specs) != n_out:
+            raise SchemaError(f"{self.name} takes {n_out} outputs, has {len(out_specs)}")
+        probs: list[str] = []
+        canon = self._canon(params, in_specs, out_specs, probs)
+        extra = set(params) - set(self.keys)
+        if canon is not None and extra:
+            probs.append(f"unknown {self.name} params {sorted(extra)}")
+        if probs:
+            raise SchemaError("; ".join(probs))
+        return canon
+
+    def _canon(self, params, in_specs, out_specs, probs: list) -> dict | None:
+        """Append each problem to probs and return the canonical params, or
+        None when a problem leaves nothing further worth checking."""
         return dict(params)
+
+    def _param(self, params, key, probs: list, parse, *spec):
+        """parse(*spec, params[key]), or None once the problem is noted."""
+        if key not in params:
+            probs.append(f"{self.name} requires params.{key}")
+            return None
+        try:
+            return parse(*spec, params[key])
+        except SchemaError as e:
+            probs.append(f"{self.name} {key}: {e}")
+            return None
 
     def init_state(self, params, in_specs, out_specs):
         return None
@@ -142,37 +183,30 @@ def _same_specs(specs):
     return all(s == specs[0] for s in specs[1:])
 
 
-class _Inport(Kind):
+class _BoundaryPort(Kind):
+    """Shared shape of Inport and Outport: an optional port index."""
+
+    keys = ("index",)
+
+    def _canon(self, params, in_specs, out_specs, probs):
+        if not _nat(params.get("index", 0)):
+            probs.append(f"{self.name} index must be a non-negative int")
+        return dict(params)
+
+
+class _Inport(_BoundaryPort):
     name = "Inport"
     n_in, n_out = 0, 1
     feedthrough = False
-
-    def check(self, params, in_specs, out_specs):
-        probs = []
-        idx = params.get("index")
-        if idx is not None and (isinstance(idx, bool) or not isinstance(idx, int) or idx < 0):
-            probs.append("Inport index must be a non-negative int")
-        if set(params) - {"index"}:
-            probs.append(f"unknown Inport params {sorted(set(params) - {'index'})}")
-        return probs
 
     # Output is supplied by the engine (stimulus or boundary injection).
     def output(self, params, in_specs, out_specs, state, ins):
         raise AssertionError("Inport is driven by the engine")
 
 
-class _Outport(Kind):
+class _Outport(_BoundaryPort):
     name = "Outport"
     n_in, n_out = 1, 0
-
-    def check(self, params, in_specs, out_specs):
-        probs = []
-        idx = params.get("index")
-        if idx is not None and (isinstance(idx, bool) or not isinstance(idx, int) or idx < 0):
-            probs.append("Outport index must be a non-negative int")
-        if set(params) - {"index"}:
-            probs.append(f"unknown Outport params {sorted(set(params) - {'index'})}")
-        return probs
 
     def output(self, params, in_specs, out_specs, state, ins):
         return []
@@ -181,22 +215,12 @@ class _Outport(Kind):
 class _Constant(Kind):
     name = "Constant"
     n_in, n_out = 0, 1
+    keys = ("value",)
     feedthrough = False  # source: no inputs to depend on
 
-    def check(self, params, in_specs, out_specs):
-        if "value" not in params:
-            return ["Constant requires params.value"]
-        try:
-            canon_token(out_specs[0][0], out_specs[0][1], params["value"])
-        except SchemaError as e:
-            return [f"Constant value: {e}"]
-        if set(params) - {"value"}:
-            return [f"unknown Constant params {sorted(set(params) - {'value'})}"]
-        return []
-
-    def canon_params(self, params, in_specs, out_specs):
-        d, w = out_specs[0]
-        return {"value": canon_token(d, w, params["value"])}
+    def _canon(self, params, in_specs, out_specs, probs):
+        value = self._param(params, "value", probs, canon_token, *out_specs[0])
+        return None if probs else {"value": value}
 
     def output(self, params, in_specs, out_specs, state, ins):
         return [params["value"]]
@@ -205,28 +229,16 @@ class _Constant(Kind):
 class _Gain(Kind):
     name = "Gain"
     n_in, n_out = 1, 1
+    keys = ("gain",)
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         if in_specs[0] != out_specs[0]:
             probs.append("Gain input and output specs must match")
         d = out_specs[0][0]
-        if "gain" not in params:
-            probs.append("Gain requires params.gain")
-        else:
-            try:
-                canon_scalar("i32" if d == "i32" else "f64", params["gain"])
-            except SchemaError as e:
-                probs.append(f"Gain gain: {e}")
+        gain = self._param(params, "gain", probs, canon_scalar, "i32" if d == "i32" else "f64")
         if d == "bool":
             probs.append("Gain is not defined on bool signals")
-        if set(params) - {"gain"}:
-            probs.append(f"unknown Gain params {sorted(set(params) - {'gain'})}")
-        return probs
-
-    def canon_params(self, params, in_specs, out_specs):
-        d = out_specs[0][0]
-        return {"gain": canon_scalar("i32" if d == "i32" else "f64", params["gain"])}
+        return {"gain": gain}
 
     def output(self, params, in_specs, out_specs, state, ins):
         d, w = out_specs[0]
@@ -236,29 +248,34 @@ class _Gain(Kind):
         return [_each(w, lambda u: g * u, ins[0])]
 
 
-class _Sum(Kind):
-    name = "Sum"
+class _Fold(Kind):
+    """Shared shape of Sum and Product: one input per symbol of the string
+    param, all ports of one numeric SignalSpec."""
+
     n_in, n_out = None, 1
+    symbols = ""
 
     def arity(self, params):
-        signs = params.get("signs")
-        return (len(signs) if isinstance(signs, str) else None), 1
+        s = params.get(self.keys[0])
+        return (len(s) if isinstance(s, str) else None), 1
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
-        signs = params.get("signs")
-        if not isinstance(signs, str) or not signs or set(signs) - set("+-"):
-            probs.append("Sum requires params.signs, a non-empty string over '+-'")
-            return probs
-        if len(signs) != len(in_specs):
-            probs.append(f"Sum has {len(in_specs)} inputs but {len(signs)} signs")
+    def _canon(self, params, in_specs, out_specs, probs):
+        s = params.get(self.keys[0])
+        if not isinstance(s, str) or not s or set(s) - set(self.symbols):
+            probs.append(f"{self.name} requires params.{self.keys[0]}, "
+                         f"a non-empty string over '{self.symbols}'")
+            return None
         if not _same_specs(list(in_specs) + list(out_specs)):
-            probs.append("Sum ports must share one SignalSpec")
+            probs.append(f"{self.name} ports must share one SignalSpec")
         if out_specs[0][0] == "bool":
-            probs.append("Sum is not defined on bool signals")
-        if set(params) - {"signs"}:
-            probs.append(f"unknown Sum params {sorted(set(params) - {'signs'})}")
-        return probs
+            probs.append(f"{self.name} is not defined on bool signals")
+        return dict(params)
+
+
+class _Sum(_Fold):
+    name = "Sum"
+    keys = ("signs",)
+    symbols = "+-"
 
     def output(self, params, in_specs, out_specs, state, ins):
         d, w = out_specs[0]
@@ -278,29 +295,10 @@ class _Sum(Kind):
         return [_each(w, one, *ins)]
 
 
-class _Product(Kind):
+class _Product(_Fold):
     name = "Product"
-    n_in, n_out = None, 1
-
-    def arity(self, params):
-        ops = params.get("ops")
-        return (len(ops) if isinstance(ops, str) else None), 1
-
-    def check(self, params, in_specs, out_specs):
-        probs = []
-        ops = params.get("ops")
-        if not isinstance(ops, str) or not ops or set(ops) - set("*/"):
-            probs.append("Product requires params.ops, a non-empty string over '*/'")
-            return probs
-        if len(ops) != len(in_specs):
-            probs.append(f"Product has {len(in_specs)} inputs but {len(ops)} ops")
-        if not _same_specs(list(in_specs) + list(out_specs)):
-            probs.append("Product ports must share one SignalSpec")
-        if out_specs[0][0] == "bool":
-            probs.append("Product is not defined on bool signals")
-        if set(params) - {"ops"}:
-            probs.append(f"unknown Product params {sorted(set(params) - {'ops'})}")
-        return probs
+    keys = ("ops",)
+    symbols = "*/"
 
     def output(self, params, in_specs, out_specs, state, ins):
         d, w = out_specs[0]
@@ -323,27 +321,14 @@ class _Product(Kind):
 class _UnitDelay(Kind):
     name = "UnitDelay"
     n_in, n_out = 1, 1
+    keys = ("initial",)
     feedthrough = False
     stateful = True
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         if in_specs[0] != out_specs[0]:
             probs.append("UnitDelay input and output specs must match")
-        if "initial" not in params:
-            probs.append("UnitDelay requires params.initial")
-        else:
-            try:
-                canon_token(out_specs[0][0], out_specs[0][1], params["initial"])
-            except SchemaError as e:
-                probs.append(f"UnitDelay initial: {e}")
-        if set(params) - {"initial"}:
-            probs.append(f"unknown UnitDelay params {sorted(set(params) - {'initial'})}")
-        return probs
-
-    def canon_params(self, params, in_specs, out_specs):
-        d, w = out_specs[0]
-        return {"initial": canon_token(d, w, params["initial"])}
+        return {"initial": self._param(params, "initial", probs, canon_token, *out_specs[0])}
 
     def init_state(self, params, in_specs, out_specs):
         return params["initial"]
@@ -361,34 +346,20 @@ class _UnitDelay(Kind):
 class _Saturation(Kind):
     name = "Saturation"
     n_in, n_out = 1, 1
+    keys = ("lower", "upper")
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         if in_specs[0] != out_specs[0]:
             probs.append("Saturation input and output specs must match")
         d = out_specs[0][0]
         if d == "bool":
             probs.append("Saturation is not defined on bool signals")
-            return probs
+            return None
         sd = "i32" if d == "i32" else "f64"
-        for key in ("lower", "upper"):
-            if key not in params:
-                probs.append(f"Saturation requires params.{key}")
-            else:
-                try:
-                    canon_scalar(sd, params[key])
-                except SchemaError as e:
-                    probs.append(f"Saturation {key}: {e}")
-        if not probs and params["lower"] > params["upper"]:
+        p = {key: self._param(params, key, probs, canon_scalar, sd) for key in self.keys}
+        if not probs and p["lower"] > p["upper"]:
             probs.append("Saturation lower bound exceeds upper bound")
-        if set(params) - {"lower", "upper"}:
-            probs.append(f"unknown Saturation params {sorted(set(params) - {'lower', 'upper'})}")
-        return probs
-
-    def canon_params(self, params, in_specs, out_specs):
-        sd = "i32" if out_specs[0][0] == "i32" else "f64"
-        return {"lower": canon_scalar(sd, params["lower"]),
-                "upper": canon_scalar(sd, params["upper"])}
+        return p
 
     def output(self, params, in_specs, out_specs, state, ins):
         lo, hi = params["lower"], params["upper"]
@@ -405,24 +376,12 @@ class _Saturation(Kind):
 class _Switch(Kind):
     name = "Switch"
     n_in, n_out = 3, 1
+    keys = ("threshold",)
 
-    def check(self, params, in_specs, out_specs):
+    def _canon(self, params, in_specs, out_specs, probs):
         # Width agreement of the data inputs is deliberately not checked
         # here; that is the validator's fixed-output-size rule.
-        probs = []
-        if "threshold" not in params:
-            probs.append("Switch requires params.threshold")
-        else:
-            try:
-                canon_scalar("f64", params["threshold"])
-            except SchemaError as e:
-                probs.append(f"Switch threshold: {e}")
-        if set(params) - {"threshold"}:
-            probs.append(f"unknown Switch params {sorted(set(params) - {'threshold'})}")
-        return probs
-
-    def canon_params(self, params, in_specs, out_specs):
-        return {"threshold": canon_scalar("f64", params["threshold"])}
+        return {"threshold": self._param(params, "threshold", probs, canon_scalar, "f64")}
 
     def output(self, params, in_specs, out_specs, state, ins):
         c = ins[1]
@@ -433,18 +392,16 @@ class _Switch(Kind):
 class _RelationalOp(Kind):
     name = "RelationalOp"
     n_in, n_out = 2, 1
+    keys = ("op",)
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
-        if params.get("op") not in RELOPS:
+    def _canon(self, params, in_specs, out_specs, probs):
+        if not _one_of(params.get("op"), RELOPS):
             probs.append(f"RelationalOp op must be one of {tuple(RELOPS)}")
         if in_specs[0] != in_specs[1]:
             probs.append("RelationalOp inputs must share one SignalSpec")
         if out_specs[0][0] != "bool" or out_specs[0][1] != in_specs[0][1]:
             probs.append("RelationalOp output must be bool with the input width")
-        if set(params) - {"op"}:
-            probs.append(f"unknown RelationalOp params {sorted(set(params) - {'op'})}")
-        return probs
+        return dict(params)
 
     def output(self, params, in_specs, out_specs, state, ins):
         op = params["op"]
@@ -454,6 +411,7 @@ class _RelationalOp(Kind):
 class _LogicalOp(Kind):
     name = "LogicalOp"
     n_in, n_out = None, 1
+    keys = ("op", "inputs")
 
     def arity(self, params):
         if params.get("op") == "NOT":
@@ -461,26 +419,18 @@ class _LogicalOp(Kind):
         n = params.get("inputs", 2)
         return (n if isinstance(n, int) and not isinstance(n, bool) else None), 1
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         op = params.get("op")
-        if op not in LOGICOPS:
+        if not _one_of(op, LOGICOPS):
             probs.append(f"LogicalOp op must be one of {LOGICOPS}")
-            return probs
-        if op == "NOT" and len(in_specs) != 1:
-            probs.append("LogicalOp NOT takes exactly one input")
+            return None
         if op != "NOT" and len(in_specs) < 2:
             probs.append(f"LogicalOp {op} takes at least two inputs")
         if not _same_specs(list(in_specs) + list(out_specs)):
             probs.append("LogicalOp ports must share one SignalSpec")
         if out_specs[0][0] != "bool":
             probs.append("LogicalOp is defined on bool signals only")
-        if set(params) - {"op", "inputs"}:
-            probs.append(f"unknown LogicalOp params {sorted(set(params) - {'op', 'inputs'})}")
-        return probs
-
-    def canon_params(self, params, in_specs, out_specs):
-        return {"op": params["op"], "inputs": len(in_specs)}
+        return {"op": op, "inputs": len(in_specs)}
 
     def output(self, params, in_specs, out_specs, state, ins):
         op = params["op"]
@@ -506,34 +456,30 @@ class _LogicalOp(Kind):
 class _Lookup1D(Kind):
     name = "Lookup1D"
     n_in, n_out = 1, 1
+    keys = ("breakpoints", "table")
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         if in_specs[0][0] != "f64" or out_specs[0][0] != "f64":
             probs.append("Lookup1D is defined on f64 signals only")
         if in_specs[0][1] != out_specs[0][1]:
             probs.append("Lookup1D input and output widths must match")
-        bp, tab = params.get("breakpoints"), params.get("table")
-        for label, arr in (("breakpoints", bp), ("table", tab)):
+        p = {}
+        for key in self.keys:
+            arr = params.get(key)
             if not isinstance(arr, list) or len(arr) < 2:
-                probs.append(f"Lookup1D {label} must be a list of at least 2 numbers")
-                return probs
+                probs.append(f"Lookup1D {key} must be a list of at least 2 numbers")
+                return None
             try:
-                [canon_scalar("f64", x) for x in arr]
+                p[key] = [canon_scalar("f64", x) for x in arr]
             except SchemaError as e:
-                probs.append(f"Lookup1D {label}: {e}")
-                return probs
-        if len(bp) != len(tab):
+                probs.append(f"Lookup1D {key}: {e}")
+                return None
+        bp = p["breakpoints"]
+        if len(bp) != len(p["table"]):
             probs.append("Lookup1D breakpoints and table lengths differ")
         if any(not (bp[i] < bp[i + 1]) for i in range(len(bp) - 1)):
             probs.append("Lookup1D breakpoints must be strictly increasing")
-        if set(params) - {"breakpoints", "table"}:
-            probs.append(f"unknown Lookup1D params {sorted(set(params) - {'breakpoints', 'table'})}")
-        return probs
-
-    def canon_params(self, params, in_specs, out_specs):
-        return {"breakpoints": [canon_scalar("f64", x) for x in params["breakpoints"]],
-                "table": [canon_scalar("f64", x) for x in params["table"]]}
+        return p
 
     def output(self, params, in_specs, out_specs, state, ins):
         bp, tab = params["breakpoints"], params["table"]
@@ -564,6 +510,7 @@ class _Chart(Kind):
 
     name = "Chart"
     n_in, n_out = None, None
+    keys = ("states", "initial", "transitions", "outputs")
     feedthrough = False
     stateful = True
 
@@ -573,42 +520,44 @@ class _Chart(Kind):
         row = next(iter(rows.values()), None) if isinstance(rows, dict) else None
         return None, (len(row) if isinstance(row, list) else None)
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         states = params.get("states")
         if not isinstance(states, list) or not states or \
                 any(not isinstance(s, str) for s in states) or len(set(states)) != len(states):
-            return ["Chart requires params.states, a list of unique names"]
+            probs.append("Chart requires params.states, a list of unique names")
+            return None
         if params.get("initial") not in states:
             probs.append("Chart initial state must be one of params.states")
         trans = params.get("transitions", [])
         if not isinstance(trans, list):
-            return ["Chart transitions must be a list"]
+            probs.append("Chart transitions must be a list")
+            return None
+        canon_trans = []
         for i, tr in enumerate(trans):
             if not isinstance(tr, dict):
                 probs.append(f"Chart transition {i} must be an object")
                 continue
             if tr.get("from") not in states or tr.get("to") not in states:
                 probs.append(f"Chart transition {i} references an unknown state")
-            if tr.get("op") not in RELOPS:
+            if not _one_of(tr.get("op"), RELOPS):
                 probs.append(f"Chart transition {i} op must be one of {tuple(RELOPS)}")
-            inp = tr.get("input")
-            if not isinstance(inp, int) or isinstance(inp, bool) or not 0 <= inp < len(in_specs):
+            inp, el, value = tr.get("input"), tr.get("element", 0), None
+            if not (_nat(inp) and inp < len(in_specs)):
                 probs.append(f"Chart transition {i} input index out of range")
+            elif not (_nat(el) and el < in_specs[inp][1]):
+                probs.append(f"Chart transition {i} element index out of range")
             else:
-                el = tr.get("element", 0)
-                if not isinstance(el, int) or isinstance(el, bool) or not 0 <= el < in_specs[inp][1]:
-                    probs.append(f"Chart transition {i} element index out of range")
-                else:
-                    gd = "f64" if in_specs[inp][0] == "f64" else "i32"
-                    try:
-                        canon_scalar(gd, tr.get("value"))
-                    except SchemaError as e:
-                        probs.append(f"Chart transition {i} value: {e}")
+                gd = "f64" if in_specs[inp][0] == "f64" else "i32"
+                try:
+                    value = canon_scalar(gd, tr.get("value"))
+                except SchemaError as e:
+                    probs.append(f"Chart transition {i} value: {e}")
             extra = set(tr) - {"from", "to", "input", "element", "op", "value"}
             if extra:
                 probs.append(f"Chart transition {i} has unknown fields {sorted(extra)}")
-        outs = params.get("outputs")
+            canon_trans.append({"from": tr.get("from"), "to": tr.get("to"), "input": inp,
+                                "element": el, "op": tr.get("op"), "value": value})
+        outs, canon_outs = params.get("outputs"), {}
         if not isinstance(outs, dict) or set(outs) != set(states):
             probs.append("Chart outputs must map every state to its output literals")
         else:
@@ -616,29 +565,14 @@ class _Chart(Kind):
                 if not isinstance(row, list) or len(row) != len(out_specs):
                     probs.append(f"Chart outputs[{s}] must list one literal per out port")
                     continue
+                canon_outs[s] = []
                 for j, lit in enumerate(row):
                     try:
-                        canon_token(out_specs[j][0], out_specs[j][1], lit)
+                        canon_outs[s].append(canon_token(*out_specs[j], lit))
                     except SchemaError as e:
                         probs.append(f"Chart outputs[{s}][{j}]: {e}")
-        extra = set(params) - {"states", "initial", "transitions", "outputs"}
-        if extra:
-            probs.append(f"unknown Chart params {sorted(extra)}")
-        return probs
-
-    def canon_params(self, params, in_specs, out_specs):
-        out = {}
-        for s, row in params["outputs"].items():
-            out[s] = [canon_token(out_specs[j][0], out_specs[j][1], lit)
-                      for j, lit in enumerate(row)]
-        trans = []
-        for tr in params.get("transitions", []):
-            gd = "f64" if in_specs[tr["input"]][0] == "f64" else "i32"
-            trans.append({"from": tr["from"], "to": tr["to"], "input": tr["input"],
-                          "element": tr.get("element", 0), "op": tr["op"],
-                          "value": canon_scalar(gd, tr["value"])})
-        return {"states": list(params["states"]), "initial": params["initial"],
-                "transitions": trans, "outputs": out}
+        return {"states": list(states), "initial": params.get("initial"),
+                "transitions": canon_trans, "outputs": canon_outs}
 
     def init_state(self, params, in_specs, out_specs):
         return params["states"].index(params["initial"])
@@ -667,15 +601,12 @@ class _RateTransition(Kind):
 
     name = "RateTransition"
     n_in, n_out = 1, 1
+    keys = ("src_period", "dst_period")
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         if in_specs[0] != out_specs[0]:
             probs.append("RateTransition input and output specs must match")
-        extra = set(params) - {"src_period", "dst_period"}
-        if extra:
-            probs.append(f"unknown RateTransition params {sorted(extra)}")
-        return probs
+        return dict(params)
 
     def output(self, params, in_specs, out_specs, state, ins):
         return [ins[0]]
@@ -689,38 +620,26 @@ class _DataStoreMemory(Kind):
 
     name = "DataStoreMemory"
     n_in, n_out = None, None
+    keys = ("store", "initial")
     feedthrough = False
     stateful = True
 
     def arity(self, params):
         return None, None  # 0/0 before routing removal, 1/1 after
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         if not isinstance(params.get("store"), str) or not params.get("store"):
             probs.append("DataStoreMemory requires params.store")
         if len(in_specs) not in (0, 1) or len(in_specs) != len(out_specs):
             probs.append("DataStoreMemory must have no ports, or one in and one out")
-        if in_specs and in_specs[0] != out_specs[0]:
+        elif in_specs and in_specs[0] != out_specs[0]:
             probs.append("DataStoreMemory input and output specs must match")
+        initial = params.get("initial")
         if "initial" not in params:
             probs.append("DataStoreMemory requires params.initial")
         elif out_specs:
-            try:
-                canon_token(out_specs[0][0], out_specs[0][1], params["initial"])
-            except SchemaError as e:
-                probs.append(f"DataStoreMemory initial: {e}")
-        extra = set(params) - {"store", "initial"}
-        if extra:
-            probs.append(f"unknown DataStoreMemory params {sorted(extra)}")
-        return probs
-
-    def canon_params(self, params, in_specs, out_specs):
-        p = {"store": params["store"], "initial": params["initial"]}
-        if out_specs:
-            d, w = out_specs[0]
-            p["initial"] = canon_token(d, w, params["initial"])
-        return p
+            initial = self._param(params, "initial", probs, canon_token, *out_specs[0])
+        return {"store": params.get("store"), "initial": initial}
 
     def init_state(self, params, in_specs, out_specs):
         return params["initial"]
@@ -732,45 +651,40 @@ class _DataStoreMemory(Kind):
         return [state]
 
     def update(self, params, in_specs, out_specs, state, ins):
-        return ins[0]
+        return ins[0] if ins else state  # a store nobody writes keeps its initial
 
 
 class _TagParams(Kind):
-    """Shared shape for the tag/store routing blocks."""
+    """Shared shape for the tag/store routing blocks: one name param."""
 
-    key = "?"
-
-    def check(self, params, in_specs, out_specs):
-        probs = []
-        if not isinstance(params.get(self.key), str) or not params.get(self.key):
-            probs.append(f"{self.name} requires params.{self.key}")
-        extra = set(params) - {self.key}
-        if extra:
-            probs.append(f"unknown {self.name} params {sorted(extra)}")
-        return probs
+    def _canon(self, params, in_specs, out_specs, probs):
+        key = self.keys[0]
+        if not isinstance(params.get(key), str) or not params.get(key):
+            probs.append(f"{self.name} requires params.{key}")
+        return dict(params)
 
     def output(self, params, in_specs, out_specs, state, ins):
         raise AssertionError(f"{self.name} is wiring, never executed")
 
 
 class _Goto(_TagParams):
-    name, key = "Goto", "tag"
+    name, keys = "Goto", ("tag",)
     n_in, n_out = 1, 0
 
 
 class _From(_TagParams):
-    name, key = "From", "tag"
+    name, keys = "From", ("tag",)
     n_in, n_out = 0, 1
     feedthrough = False
 
 
 class _DataStoreWrite(_TagParams):
-    name, key = "DataStoreWrite", "store"
+    name, keys = "DataStoreWrite", ("store",)
     n_in, n_out = 1, 0
 
 
 class _DataStoreRead(_TagParams):
-    name, key = "DataStoreRead", "store"
+    name, keys = "DataStoreRead", ("store",)
     n_in, n_out = 0, 1
     feedthrough = False
 
@@ -782,13 +696,10 @@ class _BusCreator(Kind):
     def arity(self, params):
         return None, 1
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         if len(in_specs) < 1:
             probs.append("BusCreator needs at least one input")
-        if params:
-            probs.append(f"unknown BusCreator params {sorted(params)}")
-        return probs
+        return dict(params)
 
     def output(self, params, in_specs, out_specs, state, ins):
         raise AssertionError("BusCreator is wiring, never executed")
@@ -797,22 +708,18 @@ class _BusCreator(Kind):
 class _BusSelector(Kind):
     name = "BusSelector"
     n_in, n_out = 1, None
+    keys = ("indices",)
     feedthrough = False
 
     def arity(self, params):
         return 1, None
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
+    def _canon(self, params, in_specs, out_specs, probs):
         idx = params.get("indices")
-        if idx is not None:
-            if not isinstance(idx, list) or len(idx) != len(out_specs) or \
-                    any(isinstance(i, bool) or not isinstance(i, int) or i < 0 for i in idx):
-                probs.append("BusSelector indices must list one element index per output")
-        extra = set(params) - {"indices"}
-        if extra:
-            probs.append(f"unknown BusSelector params {sorted(extra)}")
-        return probs
+        if idx is not None and (not isinstance(idx, list) or len(idx) != len(out_specs)
+                                or not all(_nat(i) for i in idx)):
+            probs.append("BusSelector indices must list one element index per output")
+        return dict(params)
 
     def output(self, params, in_specs, out_specs, state, ins):
         raise AssertionError("BusSelector is wiring, never executed")
@@ -821,30 +728,23 @@ class _BusSelector(Kind):
 class _Subsystem(Kind):
     name = "Subsystem"
     n_in, n_out = None, None
+    keys = ("mode", "control_port")
 
     def arity(self, params):
         return None, None
 
-    def check(self, params, in_specs, out_specs):
-        probs = []
-        mode = params.get("mode", "normal")
-        if mode not in SUBSYSTEM_MODES:
-            probs.append(f"Subsystem mode must be one of {SUBSYSTEM_MODES}")
+    def _canon(self, params, in_specs, out_specs, probs):
+        p = {"mode": params.get("mode", "normal")}
         cp = params.get("control_port")
-        if mode in ("triggered", "enabled"):
-            if not isinstance(cp, int) or isinstance(cp, bool) or not 0 <= cp < len(in_specs):
-                probs.append(f"{mode} Subsystem requires params.control_port, a valid in-port index")
+        if p["mode"] not in SUBSYSTEM_MODES:
+            probs.append(f"Subsystem mode must be one of {SUBSYSTEM_MODES}")
+        if p["mode"] in ("triggered", "enabled"):
+            if not (_nat(cp) and cp < len(in_specs)):
+                probs.append(f"{p['mode']} Subsystem requires params.control_port, "
+                             "a valid in-port index")
+            p["control_port"] = cp
         elif cp is not None:
             probs.append("control_port is only meaningful for triggered/enabled Subsystems")
-        extra = set(params) - {"mode", "control_port"}
-        if extra:
-            probs.append(f"unknown Subsystem params {sorted(extra)}")
-        return probs
-
-    def canon_params(self, params, in_specs, out_specs):
-        p = {"mode": params.get("mode", "normal")}
-        if p["mode"] in ("triggered", "enabled"):
-            p["control_port"] = params["control_port"]
         return p
 
     def output(self, params, in_specs, out_specs, state, ins):
@@ -858,6 +758,7 @@ class _EnableSource(Kind):
 
     name = "EnableSource"
     n_in, n_out = 1, None
+    keys = ("mode",)
 
     def arity(self, params):
         return 1, None

@@ -6,8 +6,9 @@ canonical runtime type at load so that every later stage (and the C
 emitter) sees identical values.
 
 Invariants held by a loaded BlockModel:
-  * sibling block ids are unique; source ids never contain '/'
-    (the flattener uses '/' to path-qualify dissolved scopes)
+  * sibling block ids are unique; source ids never contain '/' (the
+    flattener uses '/' to path-qualify dissolved scopes), ',' (the trace
+    CSV separator) or non-printable characters
   * every in-port of every block has exactly one driving connection
   * a connection's declared SignalSpec equals both endpoint port specs
   * every block has a resolved, positive sample period (inheritance is
@@ -179,6 +180,8 @@ def _parse_block(obj, where: str) -> Block:
         raise SchemaError(f"{where}: id must be a non-empty string")
     if "/" in bid:
         raise SchemaError(f"{where}: id {bid!r} may not contain '/'")
+    if "," in bid or not bid.isprintable():
+        raise SchemaError(f"{where}: id {bid!r} may not contain ',' or control characters")
     kind = obj["kind"]
     if not isinstance(kind, str) or not kind:
         raise SchemaError(f"{where}: kind must be a non-empty string")
@@ -291,15 +294,10 @@ def _check_kinds(sub: Block, path: str, data_stores: list[str]):
         kind = kinds.KINDS.get(c.kind)
         if kind is None:
             continue  # validator reports UnsupportedBlock
-        n_in, n_out = kind.arity(c.params)
-        if n_in is not None and len(c.in_ports) != n_in:
-            raise SchemaError(f"{here}: {c.kind} takes {n_in} inputs, has {len(c.in_ports)}")
-        if n_out is not None and len(c.out_ports) != n_out:
-            raise SchemaError(f"{here}: {c.kind} takes {n_out} outputs, has {len(c.out_ports)}")
-        probs = kind.check(c.params, c.in_ports, c.out_ports)
-        if probs:
-            raise SchemaError(f"{here}: " + "; ".join(probs))
-        c.params = kind.canon_params(c.params, c.in_ports, c.out_ports)
+        try:
+            c.params = kind.canon_params(c.params, c.in_ports, c.out_ports)
+        except SchemaError as e:
+            raise SchemaError(f"{here}: {e}") from None
         if c.kind in ("DataStoreWrite", "DataStoreRead", "DataStoreMemory"):
             if c.params["store"] not in data_stores:
                 raise ResolutionError(f"{here}: store {c.params['store']!r} is not declared "

@@ -416,20 +416,24 @@ def _params_json(params: dict):
 
 
 def _canon_params(a: Actor) -> dict:
-    """Re-canonicalize a loaded actor's params against its recorded specs.
-    An output no channel consumes records no spec, and no engine reads the
-    params behind it, so such an actor keeps its params as loaded, as do
-    unknown kinds and the param-less actors of purely structural graphs."""
+    """Run a loaded actor through the model loader's gate, against its
+    recorded specs.  An output no channel consumes records no spec, and no
+    engine reads the params behind it, so such an actor keeps its params
+    as loaded, as do actors of unknown kinds."""
     if not isinstance(a.params, dict):
         raise SchemaError(f"actor {a.id}: params must be an object")
     k = kinds.KINDS.get(a.kind)
-    if k is None or not a.params:
+    if k is None:
         return dict(a.params)
     specs = a.full_out_specs()
     n_out = k.arity(a.params)[1]
     if {p.origin for p in a.out_ports} != set(range(len(specs) if n_out is None else n_out)):
         return dict(a.params)
     data_in = [(p.dtype, p.width) for p in a.in_ports if not p.event]
+    if a.kind == "DataStoreMemory":
+        # Routing removal gives the register one spec on both sides; the
+        # side without a writer, or without a reader, is absent here.
+        data_in, specs = data_in or specs, specs or data_in
     try:
         return k.canon_params(a.params, data_in, specs)
     except SchemaError as e:

@@ -128,6 +128,37 @@ def test_malformed_json_is_a_usage_error(tmp_path):
     assert rc == 2
 
 
+def port_doc(out_id="y", memory=False):
+    """Constant -> Outport `out_id`; with `memory`, also a DataStoreMemory
+    that declares one in-port, fed by the Constant, and no out-port."""
+    f1 = {"dtype": "f64", "width": 1}
+    children = [{"id": "c", "kind": "Constant", "params": {"value": 1.0},
+                 "ports": {"in": [], "out": [f1]}},
+                {"id": out_id, "kind": "Outport", "params": {"index": 0},
+                 "ports": {"in": [f1], "out": []}}]
+    conns = [{"src": ["c", 0], "dst": [out_id, 0], "dtype": "f64", "width": 1}]
+    if memory:
+        children.append({"id": "m", "kind": "DataStoreMemory",
+                         "params": {"store": "s", "initial": 0.0},
+                         "ports": {"in": [f1], "out": []}})
+        conns.append({"src": ["c", 0], "dst": ["m", 0], "dtype": "f64", "width": 1})
+    return {"name": "pd", "base_step": {"num": 1, "den": 1}, "data_stores": ["s"],
+            "root": {"id": "pd", "kind": "Subsystem", "params": {"mode": "normal"},
+                     "ports": {"in": [], "out": []},
+                     "children": children, "connections": conns}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (port_doc(memory=True), "m: DataStoreMemory must have no ports, or one in and one out"),
+    (port_doc("y,1"), "id 'y,1' may not contain ',' or control characters"),
+    (port_doc("y\n1"), "id 'y\\n1' may not contain ',' or control characters"),
+], ids=["store_in_port_only", "comma_id", "newline_id"])
+def test_load_defects_are_schema_errors(tmp_path, doc, message):
+    rc, out, err = run_cli("check", write_model(tmp_path, doc))
+    assert rc == 2 and out == ""
+    assert err.endswith(f"{message}\n") and len(err.splitlines()) == 1, err
+
+
 def test_bad_depth_is_a_usage_error():
     rc, _, err = run_cli("check", MODELS / "multirate.json", "--depth", "-1")
     assert rc == 2 and "depth" in err

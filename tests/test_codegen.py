@@ -150,6 +150,25 @@ def test_compiled_i32_wraps(tmp_path):
     assert compare_traces(ref, got).ok
 
 
+def test_hostile_ids_reach_c_unchanged(tmp_path):
+    # "??=" is the '#' trigraph under -std=c99; the flattened id "s*/g"
+    # would close a C comment
+    sub = blk("s*", "Subsystem", ins=[F1], outs=[F1],
+              children=[blk("i", "Inport", {"index": 0}, outs=[F1]),
+                        blk("g", "Gain", {"gain": 2.0}, ins=[F1], outs=[F1]),
+                        blk("o", "Outport", {"index": 0}, ins=[F1])],
+              connections=[conn(("i", 0), ("g", 0)), conn(("g", 0), ("o", 0))])
+    m = model([blk("c", "Constant", {"value": 1.5}, st=1, outs=[F1]), sub,
+               blk("y??=x", "Outport", {"index": 0}, ins=[F1])],
+              [conn(("c", 0), ("s*", 0)), conn(("s*", 0), ("y??=x", 0))],
+              name="ids")
+    g = graph_of(m)
+    ref = run_sil(g, 2)
+    got = c_trace(emit_bundle(g, periods=2), tmp_path, ref.specs)
+    assert list(got.samples) == ["y??=x"]
+    assert compare_traces(ref, got).ok
+
+
 def test_unstimulated_inport_reads_zero(transmission, tmp_path):
     g = graph_of(transmission)
     periods = 2

@@ -191,6 +191,15 @@ def test_data_store_reads_previous_write():
     assert out_values(run_mil(m, 3)) == [0.0, 5.0, 5.0]
 
 
+def test_unwritten_store_holds_its_initial_value():
+    m = model([blk("mem", "DataStoreMemory", {"store": "s", "initial": 2.5}, st=1),
+               blk("r", "DataStoreRead", {"store": "s"}, outs=[F1]),
+               blk("y", "Outport", {"index": 0}, ins=[F1])],
+              [conn(("r", 0), ("y", 0))], stores=["s"])
+    g, _ = translate(normalize(m))
+    assert out_values(run_mil(m, 3)) == out_values(run_sil(g, 3)) == [2.5] * 3
+
+
 def enabled_model(mode="enabled"):
     sub = blk("sub", "Subsystem", {"mode": mode, "control_port": 0},
               st=1, ins=[B1, F1], outs=[F1],

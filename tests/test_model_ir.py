@@ -118,6 +118,11 @@ def test_id_rules():
     d["root"]["children"][0]["id"] = ""
     with pytest.raises(SchemaError):
         load_model(d)
+    for bad in ("a,b", "a\nb", "a\tb", "a\u2028b"):
+        d = tiny()
+        d["root"]["children"][0]["id"] = bad
+        with pytest.raises(SchemaError, match="',' or control characters"):
+            load_model(d)
 
 
 def test_duplicate_sibling_ids():
@@ -218,6 +223,14 @@ def test_i32_rejects_fractions_and_overflow():
         load_model(d)
 
 
+def test_f64_rejects_integers_beyond_double_range():
+    d = doc([blk("c", "Constant", {"value": 10 ** 400}, st=1, outs=[F1]),
+             blk("y", "Outport", {"index": 0}, ins=[F1])],
+            [conn(("c", 0), ("y", 0))])
+    with pytest.raises(SchemaError, match="c: Constant value: f64 literal out of range"):
+        load_model(d)
+
+
 def test_vector_literal_width_checked():
     d = doc([blk("c", "Constant", {"value": [1.0, 2.0]}, st=1,
                  outs=[{"dtype": "f64", "width": 3}]),
@@ -247,6 +260,34 @@ def test_chart_table_validated():
             [conn(("c", 0), ("ch", 0)), conn(("ch", 0), ("y", 0))])
     with pytest.raises(SchemaError, match="unknown state"):
         load_model(d)
+
+
+def _fixture_doc(name):
+    return json.loads((Path(__file__).parent / "models" / f"{name}.json").read_text())
+
+
+def _op_list(p):
+    p["op"] = ["<"]
+
+
+@pytest.mark.parametrize("name, path, edit, problem", [
+    ("transmission", "high_rev", _op_list, "high_rev: RelationalOp op must be one of"),
+    ("transmission", "gear_logic", lambda p: _op_list(p["transitions"][0]),
+     "gear_logic: Chart transition 0 op must be one of"),
+    ("climate", "heater/duty_out", lambda p: p.update(index=None),
+     "heater/duty_out: Outport index must be a non-negative int"),
+    ("climate", "heater/cmd", lambda p: p.update(index=None),
+     "heater/cmd: Inport index must be a non-negative int"),
+], ids=["relop_op_list", "chart_op_list", "outport_index_null", "inport_index_null"])
+def test_malformed_param_types_are_schema_errors(name, path, edit, problem):
+    d = _fixture_doc(name)
+    b = d["root"]
+    for bid in path.split("/"):
+        b = next(c for c in b["children"] if c["id"] == bid)
+    edit(b["params"])
+    with pytest.raises(SchemaError) as e:
+        load_model(d)
+    assert str(e.value).startswith(problem)
 
 
 def test_store_must_be_declared():

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_fixture
 from model_gen import random_model
 from sdflow import (Actor, Channel, DeadlockError, InconsistentError, Port,
                     Schedule, SchemaError, Sdfg, aligned_repetition,
@@ -268,12 +269,18 @@ def test_wellformed_catches_unbound_port():
 
 
 def test_sdfg_json_round_trip():
-    g = graph([actor("a", 2, n_out=1), actor("b", 4, n_in=1)],
+    # a purely structural graph: actors of a kind outside the vocabulary
+    g = graph([actor("a", 2, n_out=1, kind="X"), actor("b", 4, n_in=1, kind="X")],
               [chan("c0", ("a", 0), ("b", 0), 2, 1, delay=1)])
     doc = save_sdfg(g)
     assert save_sdfg(load_sdfg(doc)) == doc
     g2 = load_sdfg(doc)
     assert repetition_vector(g2) == repetition_vector(g)
+    # claiming the Gain kind holds the same actors to the Gain gate
+    for a in doc["actors"]:
+        a["kind"] = "Gain"
+    with pytest.raises(SchemaError, match="actor a: Gain takes 1 inputs, has 0"):
+        load_sdfg(doc)
     # translated graphs, as `sdflow translate` writes them: event in-ports,
     # unconsumed outputs (some of a Chart's, all of a Constant's), vectors
     for seed in range(300):
@@ -282,22 +289,31 @@ def test_sdfg_json_round_trip():
         assert save_sdfg(load_sdfg(doc)) == doc, f"seed {seed}"
 
 
-def _translated_doc():
-    doc = save_sdfg(translate(normalize(random_model(3)))[0])
-    const = next(a for a in doc["actors"]
-                 if a["kind"] == "Constant" and a["ports"]["out"])
-    return doc, const
+def _translated_doc(model, kind):
+    doc = save_sdfg(translate(normalize(model))[0])
+    act = next(a for a in doc["actors"] if a["kind"] == kind and a["ports"]["out"])
+    return doc, act
 
 
-@pytest.mark.parametrize("params, problem", [
-    ({"value": "abc"}, "expected"),
-    ({"val": 1.0}, "malformed params"),
-    ([1.0], "must be an object"),
-], ids=["bad_literal", "missing_key", "not_an_object"])
-def test_malformed_params_fail_at_load(params, problem):
-    doc, const = _translated_doc()
-    const["state"]["params"] = params
-    with pytest.raises(SchemaError, match=f"actor {const['id']}: .*{problem}"):
+@pytest.mark.parametrize("source, kind, edit, problem", [
+    ("random3", "Constant", lambda p: {"value": "abc"}, "expected"),
+    ("random3", "Constant", lambda p: {"val": 1.0}, "Constant requires params.value"),
+    ("random3", "Constant", lambda p: [1.0], "must be an object"),
+    ("transmission", "RelationalOp", lambda p: {**p, "op": "=~"},
+     "RelationalOp op must be one of"),
+    ("transmission", "Chart", lambda p: {**p, "initial": "nope"},
+     "Chart initial state must be one of params.states"),
+    ("transmission", "Product", lambda p: {**p, "ops": "*x"},
+     "Product requires params.ops, a non-empty string over"),
+    ("transmission", "Lookup1D", lambda p: {**p, "breakpoints": p["breakpoints"][::-1]},
+     "Lookup1D breakpoints must be strictly increasing"),
+], ids=["bad_literal", "missing_key", "not_an_object", "relop_unknown_op",
+        "chart_unknown_initial", "product_bad_ops", "lookup_decreasing"])
+def test_malformed_params_fail_at_load(source, kind, edit, problem):
+    model = random_model(3) if source == "random3" else load_fixture(source)
+    doc, act = _translated_doc(model, kind)
+    act["state"]["params"] = edit(act["state"]["params"])
+    with pytest.raises(SchemaError, match=f"actor {act['id']}: .*{problem}"):
         load_sdfg(doc)
 
 
