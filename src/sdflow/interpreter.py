@@ -8,9 +8,19 @@ the normalizer:
   data-store routing and bus pairs, producing for every leaf block the
   leaf that feeds each of its in-ports.  Evaluation is fixed-step and
   two-phase: outputs settle in feedthrough topological order, then the
-  stateful blocks latch their next state.
+  stateful blocks latch their next state.  Each leaf is compiled once per
+  run into a step tuple (enable and input references, kind functions,
+  params, specs).  A leaf is active at base step s when the denominator of
+  base_step / period divides s, so gcd(s, lcm of the denominators) names
+  the active set; its ordered list of steps is built on first use and
+  reused, and each base step walks one such list.
 * run_sil replays a dataflow schedule with plain FIFO queues, one token
-  at a time.
+  at a time.  Each actor is bound once per run to a firing tuple
+  specialised by kind: its input FIFOs and rates, its output FIFOs with
+  their origins, its kind functions, params, specs and state cell.  The
+  replay walks those tuples in schedule order.  The stimulus rows of
+  every Inport firing are built before the replay, one division per
+  sample.
 
 Both produce a Trace: per output signal, (time, value) samples with the
 signal's type and width.  compare_traces checks two traces sample by
@@ -19,10 +29,10 @@ sample, exactly for bool/i32 and within a relative tolerance for f64.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isinf, isnan
+from math import gcd, isinf, isnan, lcm
 
 from . import kinds
 from .errors import (AlgebraicLoopError, InconsistentError, NormalizationError,
@@ -292,13 +302,19 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
                 res.memories[c.params["store"]] = path
 
     collect("", top)
+    # the first connection into each in-port drives it
+    drivers: dict[str, dict[tuple[str, int], tuple[str, int]]] = {}
+    for scope_path, sub in scopes.items():
+        into = drivers[scope_path] = {}
+        for cn in sub.connections:
+            into.setdefault(cn.dst, cn.src)
 
     def driver(scope_path: str, bid: str, port: int) -> tuple[str, int]:
-        for cn in scopes[scope_path].connections:
-            if cn.dst == (bid, port):
-                return cn.src
-        raise NormalizationError(
-            f"{_join(scope_path, bid)}: in-port {port} has no driver")
+        src = drivers[scope_path].get((bid, port))
+        if src is None:
+            raise NormalizationError(
+                f"{_join(scope_path, bid)}: in-port {port} has no driver")
+        return src
 
     def resolve(scope_path: str, ep: tuple[str, int]) -> Ref:
         bid, port = ep
@@ -448,12 +464,20 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
 # Block-diagram engine
 
 
+_EVAL, _INPORT, _OUTPORT, _RATE, _EMBED = range(5)  # step roles, MIL and SIL
+
+
 class DiagramEngine:
     """Two-phase evaluation over a Resolution.
 
     `last[path]` holds each leaf's most recent output list; consumers and
     the trace always read from it, so values naturally hold between
     activations and while an enclosing subsystem is disabled.
+
+    `steps` holds one tuple per leaf in evaluation order: (path, role,
+    enable refs, input refs, output function, update function or None,
+    params, in-specs, out-specs).  tick and update walk a list of them, the
+    leaves active at one step.
     """
 
     def __init__(self, top: Block, triggers=()):
@@ -486,67 +510,74 @@ class DiagramEngine:
                 self.last[path] = list(k.initial_output(leaf.params, ispecs, ospecs))
             self.in_specs[path] = ispecs
             self.out_specs[path] = ospecs
+        self.steps = [self._step(path) for path in self.res.order]
+
+    def _step(self, path: str) -> tuple:
+        leaf = self.res.leaves[path]
+        k = kinds.KINDS[leaf.kind]
+        refs = self.res.producers[path]
+        if leaf.kind == "DataStoreMemory" and not leaf.in_ports:
+            w = self.res.mem_writer.get(path)
+            refs = [w] if w is not None else []
+        role = {"Inport": _INPORT, "Outport": _OUTPORT}.get(leaf.kind, _EVAL)
+        # a store nobody writes keeps its initial value
+        update = k.update if k.stateful and (refs or leaf.kind != "DataStoreMemory") else None
+        return (path, role, tuple(self.res.controls[path]), tuple(refs), k.output, update,
+                leaf.params, self.in_specs[path], self.out_specs[path])
 
     def value(self, ref: Ref):
         return self.last[ref[0]][ref[1]]
 
-    def _in_refs(self, path: str) -> list[Ref]:
-        leaf = self.res.leaves[path]
-        if leaf.kind == "DataStoreMemory" and not leaf.in_ports:
-            w = self.res.mem_writer.get(path)
-            return [w] if w is not None else []
-        return self.res.producers[path]
+    def tick(self, steps, stim=None):
+        """Output phase over `steps`, in evaluation order.  Returns the
+        (outport, value) pairs recorded and the steps of the enabled
+        stateful leaves, for update."""
+        last, state, truth = self.last, self.state, kinds.truth
+        recorded, latch = [], []
+        for st in steps:
+            path, role, controls, refs, output, update, params, ispecs, ospecs = st
+            if controls and not all(truth(last[p][i]) for p, i in controls):
+                continue
+            if role == _EVAL:
+                last[path] = list(output(params, ispecs, ospecs, state.get(path),
+                                         [last[p][i] for p, i in refs]))
+            elif role == _OUTPORT:
+                p, i = refs[0]
+                recorded.append((path, last[p][i]))
+            elif stim is not None:
+                last[path] = [stim(path)]
+            if update is not None:
+                latch.append(st)
+        return recorded, latch
 
-    def enabled(self, path: str) -> bool:
-        return all(kinds.truth(self.value(r)) for r in self.res.controls[path])
-
-    def tick(self, active, stim=None):
-        """Output phase.  Returns ((outport, value) pairs, enable map)."""
-        recorded = []
-        en: dict[str, bool] = {}
-        for path in self.res.order:
-            if active is not None and path not in active:
-                continue
-            leaf = self.res.leaves[path]
-            en[path] = self.enabled(path)
-            if not en[path]:
-                continue
-            if leaf.kind == "Inport":
-                if stim is not None:
-                    self.last[path] = [stim(path)]
-            elif leaf.kind == "Outport":
-                recorded.append((path, self.value(self.res.producers[path][0])))
-            else:
-                k = kinds.KINDS[leaf.kind]
-                ins = [self.value(r) for r in self._in_refs(path)]
-                self.last[path] = list(k.output(leaf.params, self.in_specs[path],
-                                                self.out_specs[path],
-                                                self.state.get(path), ins))
-        return recorded, en
-
-    def update(self, active, en):
-        """State phase, after every output of the tick has settled."""
-        for path, leaf in self.res.leaves.items():
-            if active is not None and path not in active:
-                continue
-            k = kinds.KINDS[leaf.kind]
-            if not k.stateful or not en.get(path, False):
-                continue
-            refs = self._in_refs(path)
-            if leaf.kind == "DataStoreMemory" and not refs:
-                continue
-            ins = [self.value(r) for r in refs]
-            self.state[path] = k.update(leaf.params, self.in_specs[path],
-                                        self.out_specs[path], self.state[path], ins)
+    def update(self, latch):
+        """State phase, after every output of the tick has settled.  Each
+        update reads only `last` and its own state, so order is free."""
+        last, state = self.last, self.state
+        for path, _, _, refs, _, update, params, ispecs, ospecs in latch:
+            state[path] = update(params, ispecs, ospecs, state[path],
+                                 [last[p][i] for p, i in refs])
 
 
-def _stim_table(stimulus: "Trace | None"):
+def _stim_table(stimulus: "Trace | None", units: dict[str, Fraction]):
+    """The canonical tokens of each stimulus signal named in `units`, by
+    sample index: the sample at time t sits at index t / units[signal]
+    when that is an integer.  Every sample is canonicalised, on that grid
+    or not."""
     if stimulus is None:
         return {}
     table = {}
-    for sig in stimulus.samples:
+    for sig, pts in stimulus.samples.items():
         d, w = stimulus.specs[sig]
-        table[sig] = {t: kinds.canon_token(d, w, v) for t, v in stimulus.samples[sig]}
+        toks = [(t, kinds.canon_token(d, w, v)) for t, v in pts]
+        unit = units.get(sig)
+        if unit is None:
+            continue
+        rows = table[sig] = {}
+        for t, tok in toks:
+            n, r = divmod(t.numerator * unit.denominator, t.denominator * unit.numerator)
+            if not r:
+                rows[n] = tok
     return table
 
 
@@ -565,7 +596,7 @@ class _FiringPlan:
 
 def _firing_plan(g: Sdfg, sched: Schedule, periods: int,
                  stimulus: Trace | None) -> _FiringPlan:
-    table = _stim_table(stimulus)
+    table = _stim_table(stimulus, {a.id: a.period for a in g.actors if a.kind == "Inport"})
     data_specs, out_specs, stim = {}, {}, {}
     for a in g.actors:
         if a.kind not in kinds.KINDS:
@@ -578,15 +609,35 @@ def _firing_plan(g: Sdfg, sched: Schedule, periods: int,
         if (sd, sw) != (d, w):
             raise SignalTypeError(
                 f"stimulus {a.id!r} is ({sd} x{sw}), the port wants ({d} x{w})")
-        samples, rows = table[a.id], []
-        for n in range(sched.repetition[a.id] * periods):
-            t = n * a.period
-            if t not in samples:
-                raise SdflowError(f"stimulus for {a.id!r} has no sample at t={t}")
-            rows.append(samples[t])
-        stim[a.id] = rows
+        samples = table[a.id]
+        try:
+            stim[a.id] = [samples[n] for n in range(sched.repetition[a.id] * periods)]
+        except KeyError as e:
+            raise SdflowError(f"stimulus for {a.id!r} has no sample "
+                              f"at t={e.args[0] * a.period}") from None
     return _FiringPlan({c.dst: c for c in g.channels}, g.out_channels(),
                        data_specs, out_specs, stim)
+
+
+def _activation(eng: DiagramEngine, base: Fraction):
+    """step -> the steps of the leaves active at base step `step`, in
+    evaluation order.
+
+    A leaf is active at step s when s * base is a multiple of its period,
+    which holds exactly when the denominator of base / period divides s.
+    So gcd(s, lcm of those denominators) names the set of active leaves,
+    and each set's list is built once, on first use."""
+    div = {path: (base / leaf.period).denominator for path, leaf in eng.res.leaves.items()}
+    span = lcm(*div.values())
+    lists: dict[int, list] = {}
+
+    def active(step: int) -> list:
+        key = gcd(step, span)
+        now = lists.get(key)
+        if now is None:
+            now = lists[key] = [st for st in eng.steps if key % div[st[0]] == 0]
+        return now
+    return active
 
 
 def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
@@ -597,30 +648,35 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
     as the zero token.
     """
     eng = DiagramEngine(m.root, m.triggers)
-    table = _stim_table(stimulus)
+    base = m.base_step
     trace = Trace()
     for path in eng.res.outports:
         d, w = eng.res.leaves[path].in_ports[0]
         trace.declare(path, d, w)
+    # stimulus samples by step number; an Inport without a signal reads zero
+    table = _stim_table(stimulus, dict.fromkeys(eng.res.inports, base))
+    if steps <= 0:
+        return trace
+    zeros = {path: kinds.zero_token(*eng.res.leaves[path].out_ports[0])
+             for path in eng.res.inports}
 
     def stim(path):
-        leaf = eng.res.leaves[path]
-        d, w = leaf.out_ports[0]
         if path not in table:
-            return kinds.zero_token(d, w)
+            return zeros[path]
         try:
-            return table[path][t]
+            return table[path][step]
         except KeyError:
-            raise SdflowError(f"stimulus for {path!r} has no sample at t={t}") from None
+            raise SdflowError(f"stimulus for {path!r} has no sample "
+                              f"at t={step * base}") from None
 
+    active = _activation(eng, base)
     for step in range(steps):
-        t = step * m.base_step
-        active = {path for path, leaf in eng.res.leaves.items()
-                  if t % leaf.period == 0}
-        recorded, en = eng.tick(active, stim)
-        for path, v in recorded:
-            trace.add(path, t, v)
-        eng.update(active, en)
+        recorded, latch = eng.tick(active(step), stim)
+        if recorded:
+            t = step * base
+            for path, v in recorded:
+                trace.add(path, t, v)
+        eng.update(latch)
     return trace
 
 
@@ -644,8 +700,8 @@ class EmbeddedDiagram:
         if enabled:
             for idx, path in self.in_index.items():
                 self.eng.last[path] = [in_tokens[idx]]
-            _, en = self.eng.tick(None, stim=None)
-            self.eng.update(None, en)
+            _, latch = self.eng.tick(self.eng.steps)
+            self.eng.update(latch)
         return [self.eng.value(r) for r in self.out_refs]
 
 
@@ -660,102 +716,121 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
 
 
 def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> Trace:
-    """run_sil for a graph already scheduled as `sched`."""
+    """run_sil for a graph already scheduled as `sched`.
+
+    Each actor is bound once to a tuple: its role, id, in-port reads (FIFO,
+    rate, event flag, channel id) in slot order, out-channel writes (FIFO,
+    output index, rate), a [firings, held outputs, state] cell, its kind's
+    output and update functions (None where unused), params and specs, and
+    a role-specific extra: an Inport's stimulus rows, an Outport's
+    timestamps and sample list, a Subsystem's diagram and control slot.
+    The firing loop walks those tuples in schedule order.
+    """
     plan = _firing_plan(g, sched, periods, stimulus)
-    data_specs, out_specs = plan.data_specs, plan.out_specs
-    actors = {a.id: a for a in g.actors}
     fifos = {c.id: deque(c.initial_values) for c in g.channels}
     trace = Trace()
-    state: dict[str, object] = {}
-    held: dict[str, list] = {}
-    embedded: dict[str, EmbeddedDiagram] = {}
-    fired: dict[str, int] = {a.id: 0 for a in g.actors}
-
+    fires = Counter(sched.firings)
+    stamps: dict[Fraction, list[Fraction]] = {}   # per period, shared by Outports
+    bound = {}
     for a in g.actors:
         k = kinds.KINDS[a.kind]
+        dspecs, ospecs = plan.data_specs[a.id], plan.out_specs[a.id]
+        cell = [0, None, None]
+        output = update = extra = None
         if a.kind == "Subsystem":
             if a.impl is None:
                 raise SdflowError(
                     f"actor {a.id}: subsystem internals are not serialized; "
                     "re-translate the model instead of loading the graph")
-            embedded[a.id] = EmbeddedDiagram(a.impl)
+            role = _EMBED
+            gated = a.params.get("mode", "normal") in ("triggered", "enabled")
+            extra = (EmbeddedDiagram(a.impl), a.params["control_port"] if gated else None)
         elif a.kind == "Outport":
-            d, w = data_specs[a.id][0]
-            trace.declare(a.id, d, w)
-        elif k.stateful:
-            state[a.id] = k.init_state(a.params, data_specs[a.id], out_specs[a.id])
-        if a.kind not in ("Subsystem", "Outport"):
-            held[a.id] = list(k.initial_output(a.params, data_specs[a.id],
-                                               out_specs[a.id]))
-
-    def fire(aid: str):
-        a = actors[aid]
-        k = kinds.KINDS[a.kind]
-        ins: list[list] = []
-        enabled = True
-        for slot, port in enumerate(a.in_ports):
-            c = plan.ch_in[(aid, slot)]
-            f = fifos[c.id]
-            if len(f) < c.rate_dst:
-                raise UnderflowError(
-                    f"firing {aid} needs {c.rate_dst} tokens on {c.id}, "
-                    f"found {len(f)}")
-            toks = [f.popleft() for _ in range(c.rate_dst)]
-            if port.event:
-                enabled = enabled and all(kinds.truth(x) for x in toks)
-            else:
-                ins.append(toks)
-
-        if a.kind == "Outport":
-            trace.add(aid, fired[aid] * a.period, ins[0][0])
-            fired[aid] += 1
-            return
-
-        if a.kind == "Subsystem":
-            mode = a.params.get("mode", "normal")
-            sub_en = enabled
-            if mode in ("triggered", "enabled"):
-                sub_en = enabled and kinds.truth(ins[a.params["control_port"]][0])
-            produced = embedded[aid].fire([tk[0] for tk in ins], sub_en)
-        elif a.kind == "Inport":
-            if not a.out_ports:   # nothing consumes this input
-                produced = []
-            elif not enabled:
-                produced = held[aid]
-            elif aid in plan.stim:
-                produced = held[aid] = [plan.stim[aid][fired[aid]]]
-            else:
-                produced = held[aid] = [kinds.zero_token(*out_specs[aid][0])]
-        elif a.kind == "RateTransition":
-            produced = [ins[0][-1]] if enabled else held[aid]  # freshest token
-            if enabled:
-                held[aid] = produced
+            role = _OUTPORT
+            trace.declare(a.id, *dspecs[0])
+            ts = stamps.setdefault(a.period, [])
+            ts.extend(n * a.period for n in range(len(ts), fires[a.id] * periods))
+            extra = (ts, trace.samples[a.id].append)
         else:
-            vals = [tk[0] for tk in ins]
-            if enabled:
-                if a.out_ports:
-                    produced = list(k.output(a.params, data_specs[aid],
-                                             out_specs[aid], state.get(aid), vals))
-                else:
-                    produced = []
-                held[aid] = produced
-                if k.stateful:
-                    state[aid] = k.update(a.params, data_specs[aid], out_specs[aid],
-                                          state[aid], vals)
-            else:
-                produced = held[aid]
-
-        for c in plan.ch_out[aid]:
-            v = produced[a.out_ports[c.src[1]].origin]
-            for _ in range(c.rate_src):
-                fifos[c.id].append(v)
-        fired[aid] += 1
+            role = {"Inport": _INPORT, "RateTransition": _RATE}.get(a.kind, _EVAL)
+            if k.stateful:
+                cell[2] = k.init_state(a.params, dspecs, ospecs)
+                update = k.update
+            cell[1] = list(k.initial_output(a.params, dspecs, ospecs))
+            if a.out_ports:
+                output = k.output
+            extra = plan.stim.get(a.id)
+        reads = []
+        for slot, port in enumerate(a.in_ports):
+            c = plan.ch_in[(a.id, slot)]
+            reads.append((fifos[c.id], c.rate_dst, port.event, c.id))
+        writes = tuple((fifos[c.id], a.out_ports[c.src[1]].origin, c.rate_src)
+                       for c in plan.ch_out[a.id])
+        bound[a.id] = (role, a.id, tuple(reads), writes, cell, output, update,
+                       a.params, dspecs, ospecs, extra)
+    seq = [bound[aid] for aid in sched.firings]
+    boundary = [(fifos[c.id], c.delay, c.id) for c in g.channels]
+    truth = kinds.truth
 
     for _ in range(max(0, periods)):
-        for aid in sched.firings:
-            fire(aid)
-        for c in g.channels:
-            if len(fifos[c.id]) != c.delay:
-                raise InconsistentError(f"channel {c.id} holds {len(fifos[c.id])} "
+        for role, aid, reads, writes, cell, output, update, params, dspecs, ospecs, extra in seq:
+            vals = []
+            enabled = True
+            for f, r, event, cid in reads:
+                if r == 1:
+                    try:
+                        v = f.popleft()
+                    except IndexError:
+                        raise UnderflowError(f"firing {aid} needs 1 tokens on {cid}, "
+                                             "found 0") from None
+                    if not event:
+                        vals.append(v)
+                    elif enabled:
+                        enabled = truth(v)
+                    continue
+                if len(f) < r:
+                    raise UnderflowError(f"firing {aid} needs {r} tokens on {cid}, "
+                                         f"found {len(f)}")
+                toks = [f.popleft() for _ in range(r)]
+                if not event:
+                    vals.append(toks[-1] if role == _RATE else toks[0])  # freshest for RT
+                elif enabled:
+                    enabled = all(truth(x) for x in toks)
+
+            if role == _EVAL:
+                if enabled:
+                    produced = cell[1] = (list(output(params, dspecs, ospecs, cell[2], vals))
+                                          if output is not None else [])
+                    if update is not None:
+                        cell[2] = update(params, dspecs, ospecs, cell[2], vals)
+                else:
+                    produced = cell[1]
+            elif role == _OUTPORT:
+                times, add = extra
+                add((times[cell[0]], vals[0]))
+                cell[0] += 1
+                continue
+            elif role == _INPORT:
+                if enabled and extra is not None:
+                    cell[1] = [extra[cell[0]]]
+                produced = cell[1]
+            elif role == _RATE:
+                if enabled:
+                    cell[1] = [vals[0]]
+                produced = cell[1]
+            else:
+                diagram, control = extra
+                if control is not None and enabled:
+                    enabled = truth(vals[control])
+                produced = diagram.fire(vals, enabled)
+            for f, origin, r in writes:
+                if r == 1:
+                    f.append(produced[origin])
+                else:
+                    f.extend([produced[origin]] * r)
+            cell[0] += 1
+        for f, delay, cid in boundary:
+            if len(f) != delay:
+                raise InconsistentError(f"channel {cid} holds {len(f)} "
                                         "tokens at the iteration boundary")
     return trace

@@ -369,7 +369,13 @@ def load_model(doc: dict) -> BlockModel:
 
 def load_model_file(path) -> BlockModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_model(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as e:  # not UTF-8, or an integer literal too long to parse
+            raise SchemaError(f"{path}: {e}") from None
+    return load_model(doc)
 
 
 # ---------------------------------------------------------------------------

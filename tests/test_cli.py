@@ -159,6 +159,19 @@ def test_load_defects_are_schema_errors(tmp_path, doc, message):
     assert err.endswith(f"{message}\n") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("case", ["5001_digit_int", "not_utf8"])
+def test_unparsable_model_file_is_a_schema_error(tmp_path, case):
+    path = tmp_path / "bad.json"
+    if case == "5001_digit_int":
+        text = json.dumps(port_doc())
+        path.write_text(text.replace('"value": 1.0', '"value": ' + "7" * 5001, 1))
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    rc, out, err = run_cli("check", path)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1, err
+
+
 def test_bad_depth_is_a_usage_error():
     rc, _, err = run_cli("check", MODELS / "multirate.json", "--depth", "-1")
     assert rc == 2 and "depth" in err

@@ -4,14 +4,19 @@ Golden values in this file are worked out by hand; the comments next to
 each case show the arithmetic.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+from conftest import load_fixture
+from model_gen import random_model
 
-from sdflow import (AlgebraicLoopError, SdflowError, ShapeError, SignalTypeError,
-                    Trace, compare_traces, load_model, normalize, run_mil,
-                    run_sil, sil_span, translate)
+from sdflow import (AlgebraicLoopError, InconsistentError, SdflowError, ShapeError,
+                    SignalTypeError, Trace, UnderflowError, build_schedule,
+                    compare_traces, load_model, normalize, run_mil, run_sil,
+                    sil_span, translate)
+from sdflow.interpreter import DiagramEngine, _activation, _replay
 
 F1 = {"dtype": "f64", "width": 1}
 I1 = {"dtype": "i32", "width": 1}
@@ -309,8 +314,82 @@ def test_mil_equals_sil_on_climate(climate):
 
 def test_missing_stimulus_sample_is_an_error(transmission):
     stim = ramp("throttle", Fraction(1), 1)   # only t=0
-    with pytest.raises(SdflowError, match="no sample at"):
+    with pytest.raises(SdflowError, match="no sample at t=1$"):
         run_mil(transmission, 2, stim)
+    g, _ = translate(normalize(transmission))
+    with pytest.raises(SdflowError, match="stimulus for 'throttle' has no sample at t=1$"):
+        run_sil(g, 1, stim)
+
+
+# ---------------------------------------------------------------------------
+# activation lists and replay errors
+
+
+def offgrid_model():
+    """Periods 3/4, 5/6 and 1/3 over a base step of 1/2: none of them is an
+    integer multiple of the base step."""
+    def st(num, den):
+        return {"num": num, "den": den}
+    children = [blk("c", "Constant", {"value": 2.0}, outs=[F1], sample_time=st(3, 4)),
+                blk("g", "Gain", {"gain": 3.0}, ins=[F1], outs=[F1], sample_time=st(5, 6)),
+                blk("d", "UnitDelay", {"initial": 0.0}, ins=[F1], outs=[F1],
+                    sample_time=st(1, 3)),
+                blk("y", "Outport", {"index": 0}, ins=[F1], sample_time=st(1, 3))]
+    conns = [conn(("c", 0), ("g", 0)), conn(("g", 0), ("d", 0)), conn(("d", 0), ("y", 0))]
+    return load_model({"name": "offgrid", "base_step": {"num": 1, "den": 2},
+                       "data_stores": [],
+                       "root": {"id": "root", "kind": "Subsystem",
+                                "params": {"mode": "normal"},
+                                "ports": {"in": [], "out": []},
+                                "children": children, "connections": conns}})
+
+
+def activation_models():
+    yield "offgrid", offgrid_model()
+    for name in ("multirate", "multirate_rt", "transmission", "climate"):
+        yield name, load_fixture(name)
+    for seed in range(200):
+        yield f"random_model({seed})", random_model(seed)
+
+
+def test_activation_lists_match_the_modulo_rule():
+    """The old per-step rule, t % period == 0 over every leaf, is the oracle
+    for the compiled activation lists over four hyperperiods."""
+    for name, m in activation_models():
+        eng = DiagramEngine(m.root, m.triggers)
+        active = _activation(eng, m.base_step)
+        periods = {path: leaf.period for path, leaf in eng.res.leaves.items()}
+        hyper = math.lcm(*((p / m.base_step).numerator for p in periods.values()))
+        for step in range(4 * hyper):
+            t = step * m.base_step
+            want = [path for path in eng.res.order if t % periods[path] == 0]
+            assert [st[0] for st in active(step)] == want, f"{name} step {step}"
+
+
+def test_offgrid_periods_run_on_their_own_grid():
+    # base 1/2: c fires at t = 0, 3/4 ... only where a base step lands
+    # (steps 0, 3, 6), g at steps 0, 5; y and d every second step
+    tr = run_mil(offgrid_model(), 12)
+    assert [str(t) for t, _ in tr.samples["y"]] == ["0", "1", "2", "3", "4", "5"]
+    # d latches g's output at d's activations: g is 6.0 from step 0 on
+    assert out_values(tr) == [0.0, 6.0, 6.0, 6.0, 6.0, 6.0]
+
+
+def test_sil_underflow_is_an_error(multirate):
+    g, _ = translate(normalize(multirate))
+    s = build_schedule(g)
+    early = dataclasses.replace(s, firings=list(reversed(s.firings)))
+    with pytest.raises(UnderflowError, match=f"firing {early.firings[0]} needs"):
+        _replay(g, early, 1, None)
+
+
+def test_sil_token_count_is_checked_at_the_iteration_boundary(multirate):
+    g, _ = translate(normalize(multirate))
+    s = build_schedule(g)
+    source = next(a for a in g.actors if not a.in_ports)
+    extra = dataclasses.replace(s, firings=s.firings + [source.id])
+    with pytest.raises(InconsistentError, match="at the iteration boundary"):
+        _replay(g, extra, 1, None)
 
 
 def test_absent_stimulus_reads_zero(transmission):
