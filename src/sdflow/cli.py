@@ -21,15 +21,15 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from math import ceil
 
 from . import codegen as codegen_mod
-from . import sdf_core, translator, validator
+from . import normalizer, sdf_core, translator, validator
 from .errors import SchemaError, SdflowError, ValidationFailed
 from .interpreter import Trace, _replay, compare_traces, run_mil
 from .model_ir import BlockModel, dump_model_file, load_model_file
-from .normalizer import normalize
 
 
 def _depth_arg(s: str):
@@ -67,19 +67,20 @@ def _load_stimulus(path: str | None, m: BlockModel) -> Trace | None:
         return None
     specs = {b.id: (b.out_ports[0].dtype, b.out_ports[0].width)
              for b in m.root.children if b.kind == "Inport"}
-    with open(path) as f:
-        return Trace.from_csv(f.read(), specs)
-
-
-def _gate(m: BlockModel, depth) -> None:
-    vios = validator.check_requirements(m, depth=depth)
-    if vios:
-        raise ValidationFailed(vios)
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"{path}: {e}") from None
+    return Trace.from_csv(text, specs)
 
 
 def _translate(m: BlockModel, depth):
-    _gate(m, depth)
-    n = normalize(m, depth=depth)
+    """Gate, normalize and translate, normalizing the flat model the gate built."""
+    vios, flat, depth = validator._check(m, depth)
+    if vios:
+        raise ValidationFailed(vios)
+    n = normalizer._lower(flat, depth)
     return n, translator.translate(n)
 
 
@@ -305,10 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except ValidationFailed as e:
         print(f"error: {e}", file=sys.stderr)
         for v in e.violations:

@@ -2,9 +2,11 @@
 rate transitions.
 
 The pipeline is flatten -> remove_routing -> insert_rate_transitions.
-Each pass takes and returns a whole BlockModel and never mutates its
-input.  Running the full pipeline twice gives the same model as running
-it once.
+Each pass returns a new BlockModel and never copies or mutates its
+input: it shares the blocks it leaves unchanged (flatten re-ids them but
+shares their params and port specs) and replaces a block it changes by a
+new Block.  Running the full pipeline twice gives the same model as
+running it once.  Only flatten clamps the depth to the model height.
 
 Flattening dissolves subsystems top-down to the requested depth.  Block
 ids are path-qualified with '/' so provenance stays readable; boundary
@@ -16,9 +18,8 @@ below the depth survive as opaque leaves.
 
 from __future__ import annotations
 
-import copy
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DepthWarning, NormalizationError, SignalTypeError
 from .kinds import ROUTING_KINDS, canon_token
@@ -75,9 +76,7 @@ def _collect(sub: Block, prefix: str, depth: int, is_root: bool, out: _Flat):
                     "members": tuple(b.id for b in out.blocks[first:]),
                 })
             continue
-        nc = copy.deepcopy(c)
-        nc.id = qual
-        out.blocks.append(nc)
+        out.blocks.append(replace(c, id=qual))
         local[c.id] = ("blk", qual)
 
     for conn in sub.connections:
@@ -108,12 +107,17 @@ def _resolve(src, incoming: dict) -> tuple:
 
 def flatten(m: BlockModel, depth: int | None = None) -> BlockModel:
     """Dissolve subsystems for `depth` levels (None means fully)."""
+    return _flatten(m, depth)[0]
+
+
+def _flatten(m: BlockModel, depth: int | None) -> tuple[BlockModel, int]:
+    """flatten, plus the depth it used once clamped to the model height."""
     height = model_height(m)
     if depth is None:
         depth = height
     elif depth > height:
         warnings.warn(f"flatten depth {depth} exceeds model height {height}; clamped",
-                      DepthWarning, stacklevel=2)
+                      DepthWarning, stacklevel=3)
         depth = height
 
     out = _Flat()
@@ -134,9 +138,7 @@ def flatten(m: BlockModel, depth: int | None = None) -> BlockModel:
 
     root = Block(m.root.id, "Subsystem", {"mode": "normal"}, m.root.sample_time,
                  [], [], out.blocks, conns)
-    flat = BlockModel(m.name, m.base_step, list(m.data_stores), root)
-    flat.triggers = triggers
-    return flat
+    return BlockModel(m.name, m.base_step, m.data_stores, root, triggers), depth
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,6 @@ def remove_routing(m: BlockModel) -> BlockModel:
     DataStoreMemory survives as a register-like block: it gains one input
     (the writer's driver) and one output (feeding every reader's readers).
     """
-    m = copy.deepcopy(m)
     root = m.root
     by_id = {c.id: c for c in root.children}
     driver = {c.dst: c.src for c in root.connections}
@@ -196,7 +197,7 @@ def remove_routing(m: BlockModel) -> BlockModel:
     def chase(ep):
         return _chase(ep, (by_id, driver, memories, set()))
 
-    # Give each accessed memory its register ports before rebuilding wires.
+    # Replace each accessed memory by its register before rebuilding wires.
     mem_spec: dict[str, SignalSpec] = {}
     for c in root.children:
         if c.kind in ("DataStoreWrite", "DataStoreRead"):
@@ -213,9 +214,10 @@ def remove_routing(m: BlockModel) -> BlockModel:
         ws = writers.get(store, [])
         if len(ws) > 1:
             raise NormalizationError(f"store {store!r} has {len(ws)} writers")
-        mem.in_ports = [spec] if ws else []
-        mem.out_ports = [spec]
-        mem.params["initial"] = canon_token(spec.dtype, spec.width, mem.params["initial"])
+        initial = canon_token(spec.dtype, spec.width, mem.params["initial"])
+        by_id[mem.id] = replace(
+            mem, params={**mem.params, "initial": initial},
+            in_ports=[spec] if ws else [], out_ports=[spec])
 
     conns: list[Connection] = []
     for c in root.connections:
@@ -233,12 +235,12 @@ def remove_routing(m: BlockModel) -> BlockModel:
             conns.append(Connection(src, (memories[store].id, 0), spec_of[(w.id, 0)]))
 
     removed = {c.id for c in root.children if c.kind in ROUTING_KINDS}
-    root.children = [c for c in root.children if c.id not in removed]
-    root.connections = conns
-    m.triggers = [TriggerGroup(t.path, t.mode, t.control,
-                               tuple(b for b in t.members if b not in removed))
-                  for t in m.triggers]
-    return m
+    children = [by_id[c.id] for c in root.children if c.id not in removed]
+    triggers = [TriggerGroup(t.path, t.mode, t.control,
+                             tuple(b for b in t.members if b not in removed))
+                for t in m.triggers]
+    return replace(m, root=replace(root, children=children, connections=conns),
+                   triggers=triggers)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +250,8 @@ def remove_routing(m: BlockModel) -> BlockModel:
 def insert_rate_transitions(m: BlockModel) -> BlockModel:
     """Splice a RateTransition into every root connection whose endpoint
     periods differ, one per connection (fanout branches get their own)."""
-    m = copy.deepcopy(m)
     root = m.root
-    by_id = {c.id: c for c in root.children}
-    taken = set(by_id)
+    by_id = {c.id: c for c in root.children}  # inserted ids are reserved here too
     counter = 0
     conns: list[Connection] = []
     new_blocks: list[Block] = []
@@ -263,10 +263,9 @@ def insert_rate_transitions(m: BlockModel) -> BlockModel:
                 or by_id[c.dst[0]].kind == "RateTransition":
             conns.append(c)
             continue
-        while f"rt_{counter}" in taken:
+        while f"rt_{counter}" in by_id:
             counter += 1
         rid = f"rt_{counter}"
-        taken.add(rid)
         rt = Block(rid, "RateTransition",
                    {"src_period": [sper.numerator, sper.denominator],
                     "dst_period": [dper.numerator, dper.denominator]},
@@ -276,9 +275,8 @@ def insert_rate_transitions(m: BlockModel) -> BlockModel:
         conns.append(Connection(c.src, (rid, 0), c.spec))
         conns.append(Connection((rid, 0), c.dst, c.spec))
 
-    root.children = root.children + new_blocks
-    root.connections = conns
-    return m
+    return replace(m, root=replace(root, children=root.children + new_blocks,
+                                   connections=conns))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +284,11 @@ def insert_rate_transitions(m: BlockModel) -> BlockModel:
 
 
 def normalize(m: BlockModel, depth: int | None = None) -> NormalizedModel:
-    flat = flatten(m, depth)
-    eff_depth = depth if depth is not None else model_height(m)
-    eff_depth = min(eff_depth, model_height(m))
+    return _lower(*_flatten(m, depth))
+
+
+def _lower(flat: BlockModel, depth: int) -> NormalizedModel:
+    """The passes after flatten, on the flat model `flatten` built at `depth`."""
     flat = remove_routing(flat)
     before = {c.id for c in flat.root.children}
     flat = insert_rate_transitions(flat)
@@ -303,4 +303,4 @@ def normalize(m: BlockModel, depth: int | None = None) -> NormalizedModel:
         else:  # inserted RateTransition
             up, down = into[(c.id, 0)], out_of[(c.id, 0)]
             prov[c.id] = f"{up.src[0]}:{up.src[1]} -> {down.dst[0]}:{down.dst[1]}"
-    return NormalizedModel(flat, eff_depth, prov)
+    return NormalizedModel(flat, depth, prov)

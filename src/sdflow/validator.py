@@ -29,8 +29,8 @@ from fractions import Fraction
 
 from . import kinds
 from .errors import NormalizationError
-from .model_ir import Block, BlockModel, iter_blocks, model_height
-from .normalizer import flatten
+from .model_ir import Block, BlockModel, iter_blocks
+from .normalizer import _flatten, flatten
 
 RULES = ("FixedStep", "HarmonicRates", "E1_Hierarchy", "E2_VariableSize",
          "E3_1_DanglingRouting", "E3_2_BusPairing", "E3_2_BusOutput",
@@ -56,20 +56,25 @@ def _divides(a: Fraction, b: Fraction) -> bool:
 
 
 def check_requirements(m: BlockModel, depth: int | None = None) -> list[Violation]:
-    depth = model_height(m) if depth is None else min(depth, model_height(m))
+    return _check(m, depth)[0]
+
+
+def _check(m: BlockModel, depth: int | None):
+    """check_requirements, plus flatten's model and depth (None if it failed)."""
     out: list[Violation] = []
+    use = _routing_use(m.root)
 
     _check_vocabulary(m, out)
     _check_fixed_step(m, out)
-    _check_dangling_routing(m, out)
+    _check_dangling_routing(use, out)
     _check_control_blocks(m, out)
 
     try:
-        flat = flatten(m, depth)
+        flat, flat_depth = _flatten(m, depth)
     except NormalizationError as e:
         out.append(Violation("E3_1_DanglingRouting", m.root.id,
                              f"wiring could not be resolved: {e}"))
-        flat = None
+        flat = flat_depth = None
 
     if flat is not None:
         _check_harmonic_flat(flat, out)
@@ -77,10 +82,10 @@ def check_requirements(m: BlockModel, depth: int | None = None) -> list[Violatio
         _check_triggers(flat, out)
         for leaf in flat.root.children:
             if leaf.is_subsystem():
-                _check_atomic(leaf, m, out)
+                _check_atomic(leaf, m, use, out)
 
     uniq = sorted(set(out), key=lambda v: (v.location, v.rule, v.message))
-    return uniq
+    return uniq, flat, flat_depth
 
 
 # ---------------------------------------------------------------------------
@@ -101,62 +106,47 @@ def _check_fixed_step(m: BlockModel, out: list[Violation]):
                                  f"base step {m.base_step}"))
 
 
-def _check_dangling_routing(m: BlockModel, out: list[Violation]):
-    gotos: dict[str, list[str]] = {}
-    froms: dict[str, list[str]] = {}
-    writes: dict[str, list[str]] = {}
-    reads: dict[str, list[str]] = {}
-    mems: dict[str, list[str]] = {}
-    for path, b, _ in iter_blocks(m.root):
-        if b.kind == "Goto":
-            gotos.setdefault(b.params["tag"], []).append(path)
-        elif b.kind == "From":
-            froms.setdefault(b.params["tag"], []).append(path)
-        elif b.kind == "DataStoreWrite":
-            writes.setdefault(b.params["store"], []).append(path)
-        elif b.kind == "DataStoreRead":
-            reads.setdefault(b.params["store"], []).append(path)
-        elif b.kind == "DataStoreMemory":
-            mems.setdefault(b.params["store"], []).append(path)
+_STORE_KINDS = ("DataStoreWrite", "DataStoreRead", "DataStoreMemory")
 
-    for tag, where in gotos.items():
-        if len(where) > 1:
-            for p in where:
-                out.append(Violation("E3_1_DanglingRouting", p,
-                                     f"tag {tag!r} has {len(where)} Goto writers"))
-        if tag not in froms:
-            for p in where:
-                out.append(Violation("E3_1_DanglingRouting", p,
-                                     f"Goto tag {tag!r} has no From reader"))
-    for tag, where in froms.items():
-        if tag not in gotos:
-            for p in where:
-                out.append(Violation("E3_1_DanglingRouting", p,
-                                     f"From tag {tag!r} has no Goto writer"))
 
-    for store, where in writes.items():
-        if store not in mems:
-            for p in where:
-                out.append(Violation("E3_1_DanglingRouting", p,
-                                     f"DataStoreWrite {store!r} has no DataStoreMemory"))
-        if store not in reads:
-            for p in where:
-                out.append(Violation("E3_1_DanglingRouting", p,
-                                     f"DataStoreWrite {store!r} has no DataStoreRead"))
-        if len(where) > 1:
-            for p in where:
-                out.append(Violation("E3_1_DanglingRouting", p,
-                                     f"store {store!r} has {len(where)} writers"))
-    for store, where in reads.items():
-        if store not in mems:
-            for p in where:
-                out.append(Violation("E3_1_DanglingRouting", p,
-                                     f"DataStoreRead {store!r} has no DataStoreMemory"))
-    for store, where in mems.items():
-        if len(where) > 1:
-            for p in where:
-                out.append(Violation("E3_1_DanglingRouting", p,
-                                     f"store {store!r} has {len(where)} memories"))
+def _routing_use(root: Block) -> dict[tuple[str, str], list[str]]:
+    """Paths of the tag and store blocks below `root`, keyed by (kind, tag
+    or store name)."""
+    use: dict[tuple[str, str], list[str]] = {}
+    for path, b, _ in iter_blocks(root):
+        if b.kind in ("Goto", "From"):
+            use.setdefault((b.kind, b.params["tag"]), []).append(path)
+        elif b.kind in _STORE_KINDS:
+            use.setdefault((b.kind, b.params["store"]), []).append(path)
+    return use
+
+
+def _check_dangling_routing(use: dict, out: list[Violation]):
+    def flag(where, message):
+        for p in where:
+            out.append(Violation("E3_1_DanglingRouting", p, message))
+
+    for (kind, name), where in use.items():
+        if kind == "Goto":
+            if len(where) > 1:
+                flag(where, f"tag {name!r} has {len(where)} Goto writers")
+            if ("From", name) not in use:
+                flag(where, f"Goto tag {name!r} has no From reader")
+        elif kind == "From":
+            if ("Goto", name) not in use:
+                flag(where, f"From tag {name!r} has no Goto writer")
+        elif kind == "DataStoreWrite":
+            if ("DataStoreMemory", name) not in use:
+                flag(where, f"DataStoreWrite {name!r} has no DataStoreMemory")
+            if ("DataStoreRead", name) not in use:
+                flag(where, f"DataStoreWrite {name!r} has no DataStoreRead")
+            if len(where) > 1:
+                flag(where, f"store {name!r} has {len(where)} writers")
+        elif kind == "DataStoreRead":
+            if ("DataStoreMemory", name) not in use:
+                flag(where, f"DataStoreRead {name!r} has no DataStoreMemory")
+        elif len(where) > 1:
+            flag(where, f"store {name!r} has {len(where)} memories")
 
 
 def _check_control_blocks(m: BlockModel, out: list[Violation]):
@@ -233,8 +223,9 @@ def _check_bus_scope(flat: BlockModel, where: str, out: list[Violation]):
                                          f"output {j} is {sel.out_ports[j]}"))
 
 
-def _check_atomic(leaf: Block, m: BlockModel, out: list[Violation]):
-    """Checks on a subsystem that survives flattening as an opaque leaf."""
+def _check_atomic(leaf: Block, m: BlockModel, use: dict, out: list[Violation]):
+    """Checks on a subsystem that survives flattening as an opaque leaf;
+    `use` is the tag and store usage of the whole model."""
     path = leaf.id  # flat ids are the original qualified paths
 
     for ipath, b, _ in iter_blocks(leaf, prefix=f"{path}/"):
@@ -243,36 +234,24 @@ def _check_atomic(leaf: Block, m: BlockModel, out: list[Violation]):
                                  f"block inside the opaque subsystem {path!r} runs at "
                                  f"{b.period}, the subsystem at {leaf.period}"))
 
-    inner_tags = {"Goto": set(), "From": set()}
-    inner_stores: dict[str, set[str]] = {}
-    for _, b, _ in iter_blocks(leaf):
-        if b.kind in ("Goto", "From"):
-            inner_tags[b.kind].add(b.params["tag"])
-        elif b.kind in ("DataStoreWrite", "DataStoreRead", "DataStoreMemory"):
-            inner_stores.setdefault(b.params["store"], set()).add(b.kind)
+    inner = _routing_use(leaf)
 
-    outer_tags = {"Goto": set(), "From": set()}
-    outer_stores: dict[str, set[str]] = {}
-    for opath, b, _ in iter_blocks(m.root):
-        if opath == path or opath.startswith(f"{path}/"):
-            continue
-        if b.kind in ("Goto", "From"):
-            outer_tags[b.kind].add(b.params["tag"])
-        elif b.kind in ("DataStoreWrite", "DataStoreRead", "DataStoreMemory"):
-            outer_stores.setdefault(b.params["store"], set()).add(b.kind)
+    def outside(kind, name):
+        key = (kind, name)
+        return len(use.get(key, ())) > len(inner.get(key, ()))
 
-    for tag in inner_tags["Goto"] & outer_tags["From"]:
-        out.append(Violation("E1_Hierarchy", path,
-                             f"tag {tag!r} is written inside this opaque subsystem and "
-                             "read outside it"))
-    for tag in inner_tags["From"] & outer_tags["Goto"]:
-        out.append(Violation("E1_Hierarchy", path,
-                             f"tag {tag!r} is read inside this opaque subsystem and "
-                             "written outside it"))
-    for store in inner_stores:
-        if store in outer_stores:
+    for kind, name in inner:
+        if kind == "Goto" and outside("From", name):
             out.append(Violation("E1_Hierarchy", path,
-                                 f"store {store!r} is accessed both inside and outside "
+                                 f"tag {name!r} is written inside this opaque subsystem "
+                                 "and read outside it"))
+        elif kind == "From" and outside("Goto", name):
+            out.append(Violation("E1_Hierarchy", path,
+                                 f"tag {name!r} is read inside this opaque subsystem and "
+                                 "written outside it"))
+        elif kind in _STORE_KINDS and any(outside(k, name) for k in _STORE_KINDS):
+            out.append(Violation("E1_Hierarchy", path,
+                                 f"store {name!r} is accessed both inside and outside "
                                  "this opaque subsystem"))
 
     # Bus pairs inside the opaque subsystem, judged on its own flat view.

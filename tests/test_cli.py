@@ -172,6 +172,17 @@ def test_unparsable_model_file_is_a_schema_error(tmp_path, case):
     assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("cmd", ["check", "translate", "schedule", "simulate-sil",
+                                 "verify", "codegen", "export-dot"])
+def test_depth_above_height_warns_once(tmp_path, cmd):
+    args = [cmd, MODELS / "climate.json"]
+    if cmd in ("translate", "codegen"):
+        args += ["--out", tmp_path / "out"]
+    rc, out, _ = run_cli(*args)
+    assert run_cli(*args, "--depth", 99) == (
+        rc, out, "warning: flatten depth 99 exceeds model height 1; clamped\n")
+
+
 def test_bad_depth_is_a_usage_error():
     rc, _, err = run_cli("check", MODELS / "multirate.json", "--depth", "-1")
     assert rc == 2 and "depth" in err
@@ -312,6 +323,17 @@ def test_malformed_stimulus_is_a_schema_error(tmp_path, cmd, row, line):
     assert line in err
 
 
+@pytest.mark.parametrize("cmd", ["simulate-mil", "simulate-sil", "verify", "codegen"])
+def test_non_utf8_stimulus_is_a_schema_error(tmp_path, cmd):
+    stim = tmp_path / "bad.csv"
+    stim.write_bytes(b"\xff\xfetime,signal,value\n")
+    extra = ["--out", tmp_path / "out"] if cmd == "codegen" else []
+    rc, out, err = run_cli(cmd, MODELS / "transmission.json", "--steps", 4,
+                           "--stimulus", stim, *extra)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {stim}: ") and len(err.splitlines()) == 1, err
+
+
 @pytest.mark.parametrize("cmd, flag, value", [
     ("verify", "--steps", "-4"),
     ("simulate-sil", "--periods", "0"),
@@ -349,6 +371,27 @@ def test_each_run_solves_the_vector_once(tmp_path, monkeypatch, capsys, cmd):
         args += ["--out", str(tmp_path / "bundle")]
     assert cli.main(args) == 0
     assert calls == {"repetition_vector": 1, "build_schedule": 1}
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["translate", "schedule", "simulate-sil", "verify",
+                                 "codegen", "export-dot"])
+def test_each_run_flattens_once(tmp_path, monkeypatch, capsys, cmd):
+    from sdflow import cli, normalizer, validator
+    calls = []
+    flatten = normalizer._flatten
+
+    def counted(m, depth):
+        calls.append(m.name)
+        return flatten(m, depth)
+
+    for mod in (normalizer, validator):
+        monkeypatch.setattr(mod, "_flatten", counted)
+    args = [cmd, str(MODELS / "climate.json")]
+    if cmd in ("translate", "codegen"):
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    assert calls == ["climate"]
     assert capsys.readouterr().out
 
 

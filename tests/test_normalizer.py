@@ -1,10 +1,14 @@
 """Flattening, routing removal and rate transition insertion."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from sdflow import DepthWarning, NormalizationError, load_model, normalize
+from conftest import load_fixture
+from model_gen import random_model
+from sdflow import (DepthWarning, NormalizationError, check_requirements, emit_bundle,
+                    load_model, normalize, run_mil, run_sil, translate)
 from sdflow.model_ir import TriggerGroup, model_height, save_model
 from sdflow.normalizer import flatten, insert_rate_transitions, remove_routing
 
@@ -89,10 +93,27 @@ def test_flatten_is_idempotent(climate):
     assert twice.triggers == once.triggers
 
 
-def test_flatten_never_mutates_input(climate):
-    before = save_model(climate)
-    flatten(climate)
-    assert save_model(climate) == before
+FIXTURES = ("multirate", "multirate_rt", "transmission", "climate")
+
+
+@pytest.mark.parametrize("case", FIXTURES + tuple(f"random_model({s})" for s in range(60)))
+def test_flatten_never_mutates_input(case):
+    # Flat and normalized models share their unchanged leaves, params and
+    # port specs with the input, so no later stage may write to them.
+    if case in FIXTURES:
+        m = load_fixture(case)
+    else:
+        m = random_model(int(case[len("random_model("):-1]))
+    before = json.dumps(save_model(m))  # text, so that 0 and 0.0 differ
+    for depth in (None, 0):
+        flatten(m, depth)
+        check_requirements(m, depth)
+        g, _ = translate(normalize(m, depth))
+        run_sil(g, periods=2)
+        if depth is None:  # subsystem actors have no C form
+            emit_bundle(g, periods=2)
+    run_mil(m, 8)
+    assert json.dumps(save_model(m)) == before
 
 
 def test_nested_paths_compose():
@@ -160,7 +181,9 @@ def test_store_becomes_register():
                blk("y", "Outport", {"index": 0}, ins=[F1])],
               [conn(("c", 0), ("w", 0)), conn(("r", 0), ("y", 0))],
               stores=["s"])
+    before = json.dumps(save_model(m))
     r = remove_routing(m)
+    assert json.dumps(save_model(m)) == before  # the input keeps its memory
     assert ids(r) == ["c", "mem", "y"]
     mem = next(c for c in r.root.children if c.id == "mem")
     assert len(mem.in_ports) == 1 and len(mem.out_ports) == 1
