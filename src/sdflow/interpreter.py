@@ -23,8 +23,9 @@ the normalizer:
   sample.
 
 Both produce a Trace: per output signal, (time, value) samples with the
-signal's type and width.  compare_traces checks two traces sample by
-sample, exactly for bool/i32 and within a relative tolerance for f64.
+signal's type and width; a time is an int when whole, else a reduced
+Fraction.  compare_traces checks two traces sample by sample, exactly for
+bool/i32 and within a relative tolerance for f64.
 """
 
 from __future__ import annotations
@@ -45,29 +46,30 @@ from .sdf_core import Channel, Schedule, Sdfg, build_schedule
 # Trace
 
 
-def time_str(t: Fraction) -> str:
+def time_str(t: int | Fraction) -> str:
     """Exact decimal when the denominator allows one, else "num/den"."""
     den = t.denominator
-    k2 = 0
-    while den % 2 == 0:
-        den //= 2
-        k2 += 1
-    k5 = 0
-    while den % 5 == 0:
-        den //= 5
-        k5 += 1
-    if den != 1:
-        return f"{t.numerator}/{t.denominator}"
-    digits = max(k2, k5)
-    scaled = t.numerator * 10 ** digits // t.denominator
-    if digits == 0:
-        return str(scaled)
+    if den == 1:
+        return str(t.numerator)
+    # den divides 10**k for some k exactly when it has no prime factor but
+    # 2 and 5, and then the least such k is below its bit length
+    digits = next((k for k in range(1, den.bit_length()) if 10 ** k % den == 0), None)
+    if digits is None:
+        return f"{t.numerator}/{den}"
+    scaled = t.numerator * 10 ** digits // den
     s = str(scaled).rjust(digits + 1, "0")
     return f"{s[:-digits]}.{s[-digits:]}"
 
 
-def parse_time(s: str) -> Fraction:
-    return Fraction(s)
+def canon_time(t: int | Fraction) -> int | Fraction:
+    """An int when `t` is whole, else `t` itself."""
+    return t.numerator if t.denominator == 1 else t
+
+
+def parse_time(s: str) -> int | Fraction:
+    if s.isdigit() and s.isascii():
+        return int(s)
+    return canon_time(Fraction(s))
 
 
 def _fmt_scalar(dtype: str, v) -> str:
@@ -105,10 +107,12 @@ def parse_value(dtype: str, width: int, s: str):
 
 class Trace:
     """Per-signal sample lists.  Signals keep insertion order; samples are
-    appended in time order by the engines."""
+    appended in time order by the engines.  The engines, from_csv and
+    from_json give each time in canonical form: an int when whole, else a
+    reduced Fraction (an int equals and hashes like its Fraction)."""
 
     def __init__(self):
-        self.samples: dict[str, list[tuple[Fraction, object]]] = {}
+        self.samples: dict[str, list[tuple[int | Fraction, object]]] = {}
         self.specs: dict[str, tuple[str, int]] = {}
 
     def declare(self, signal: str, dtype: str, width: int):
@@ -117,14 +121,15 @@ class Trace:
         self.specs.setdefault(signal, (dtype, width))
         self.samples.setdefault(signal, [])
 
-    def add(self, signal: str, t: Fraction, value):
+    def add(self, signal: str, t: int | Fraction, value):
         self.samples[signal].append((t, value))
 
     def signals(self) -> list[str]:
         return list(self.samples)
 
-    def clip(self, t_end: Fraction) -> "Trace":
+    def clip(self, t_end: int | Fraction) -> "Trace":
         """Samples strictly before t_end."""
+        t_end = canon_time(t_end)
         out = Trace()
         for sig in self.samples:
             out.declare(sig, *self.specs[sig])
@@ -148,21 +153,26 @@ class Trace:
         lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines or lines[0][1] != "time,signal,value":
             raise SchemaError("trace CSV must start with 'time,signal,value'")
+        columns = {}  # signal -> (append to its samples, dtype, width)
         for n, ln in lines[1:]:
             fields = ln.split(",", 2)
             if len(fields) != 3:
                 raise SchemaError(f"trace CSV line {n}: expected time,signal,value")
             ts, sig, val = fields
-            if sig not in specs:
-                raise ShapeError(f"trace CSV mentions unknown signal {sig!r}")
-            d, w = specs[sig]
-            tr.declare(sig, d, w)
+            col = columns.get(sig)
+            if col is None:
+                if sig not in specs:
+                    raise ShapeError(f"trace CSV mentions unknown signal {sig!r}")
+                d, w = specs[sig]
+                tr.declare(sig, d, w)
+                col = columns[sig] = (tr.samples[sig].append, d, w)
+            add, d, w = col
             try:
-                tr.add(sig, parse_time(ts), parse_value(d, w, val))
+                add((parse_time(ts), parse_value(d, w, val)))
             except (SchemaError, ValueError, ZeroDivisionError) as e:
                 raise SchemaError(f"trace CSV line {n}: {e}") from None
-        for sig in tr.samples:
-            tr.samples[sig].sort(key=lambda p: p[0])
+        for pts in tr.samples.values():
+            pts.sort(key=lambda p: p[0])
         return tr
 
     def to_json(self) -> dict:
@@ -182,7 +192,7 @@ class Trace:
             d, w = s["dtype"], s["width"]
             tr.declare(s["name"], d, w)
             for (num, den), v in s["samples"]:
-                tr.add(s["name"], Fraction(num, den), kinds.canon_token(d, w, v))
+                tr.add(s["name"], canon_time(Fraction(num, den)), kinds.canon_token(d, w, v))
         return tr
 
 
@@ -228,26 +238,26 @@ def compare_traces(a: Trace, b: Trace, tol: float = 0.0) -> Comparison:
         raise ShapeError(f"signal sets differ (only left: {only_a}, only right: {only_b})")
     total = 0
     max_rel = 0.0
-    for sig in a.samples:
-        d, w = a.specs[sig]
-        if sig in b.specs and b.specs[sig] != (d, w):
-            raise ShapeError(f"signal {sig!r} spec differs: {a.specs[sig]} vs {b.specs[sig]}")
-        pa, pb = a.samples[sig], b.samples[sig]
+    for sig, pa in a.samples.items():
+        d, w = spec = a.specs[sig]
+        if sig in b.specs and b.specs[sig] != spec:
+            raise ShapeError(f"signal {sig!r} spec differs: {spec} vs {b.specs[sig]}")
+        pb = b.samples[sig]
         if len(pa) != len(pb):
             raise ShapeError(f"signal {sig!r} has {len(pa)} vs {len(pb)} samples")
         for i, ((ta, va), (tb, vb)) in enumerate(zip(pa, pb)):
             if ta != tb:
                 raise ShapeError(f"signal {sig!r} sample {i} at t={ta} vs t={tb}")
-            total += 1
-            xs = kinds.token_elems(va, w)
-            ys = kinds.token_elems(vb, w)
-            for x, y in zip(xs, ys):
+            if va == vb:
+                continue  # equal elements are close with relative error 0
+            for x, y in ((va, vb),) if w == 1 else zip(va, vb):
                 eq, rel = _scalar_close(d, x, y, tol)
                 max_rel = max(max_rel, rel)
                 if not eq:
-                    return Comparison(False, total, max_rel, {
+                    return Comparison(False, total + i + 1, max_rel, {
                         "signal": sig, "time": str(ta), "index": i,
                         "a": fmt_value(d, w, va), "b": fmt_value(d, w, vb)})
+        total += len(pa)
     return Comparison(True, total, max_rel)
 
 
@@ -670,10 +680,11 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
                               f"at t={step * base}") from None
 
     active = _activation(eng, base)
+    unit = canon_time(base)
     for step in range(steps):
         recorded, latch = eng.tick(active(step), stim)
         if recorded:
-            t = step * base
+            t = canon_time(step * unit)
             for path, v in recorded:
                 trace.add(path, t, v)
         eng.update(latch)
@@ -730,7 +741,7 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
     fifos = {c.id: deque(c.initial_values) for c in g.channels}
     trace = Trace()
     fires = Counter(sched.firings)
-    stamps: dict[Fraction, list[Fraction]] = {}   # per period, shared by Outports
+    stamps: dict[Fraction, list] = {}   # per period, shared by Outports
     bound = {}
     for a in g.actors:
         k = kinds.KINDS[a.kind]
@@ -749,7 +760,8 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
             role = _OUTPORT
             trace.declare(a.id, *dspecs[0])
             ts = stamps.setdefault(a.period, [])
-            ts.extend(n * a.period for n in range(len(ts), fires[a.id] * periods))
+            unit = canon_time(a.period)
+            ts.extend(canon_time(n * unit) for n in range(len(ts), fires[a.id] * periods))
             extra = (ts, trace.samples[a.id].append)
         else:
             role = {"Inport": _INPORT, "RateTransition": _RATE}.get(a.kind, _EVAL)

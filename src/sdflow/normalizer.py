@@ -147,7 +147,7 @@ def _flatten(m: BlockModel, depth: int | None) -> tuple[BlockModel, int]:
 
 def _chase(ep, ctx) -> tuple[str, int]:
     """Follow routing blocks back to a real source port."""
-    by_id, driver, memories, seen = ctx
+    by_id, driver, memories, gotos_by_tag, seen = ctx
     bid, port = ep
     if ep in seen:
         raise NormalizationError(f"routing cycle through {bid!r}")
@@ -155,7 +155,7 @@ def _chase(ep, ctx) -> tuple[str, int]:
     b = by_id[bid]
     if b.kind == "From":
         tag = b.params["tag"]
-        gotos = [g for g in by_id.values() if g.kind == "Goto" and g.params["tag"] == tag]
+        gotos = gotos_by_tag.get(tag, [])
         if len(gotos) != 1:
             raise NormalizationError(f"tag {tag!r} has {len(gotos)} Goto writers")
         return _chase(driver[(gotos[0].id, 0)], ctx)
@@ -190,12 +190,15 @@ def remove_routing(m: BlockModel) -> BlockModel:
     memories = {c.params["store"]: c for c in root.children if c.kind == "DataStoreMemory"}
 
     writers: dict[str, list[Block]] = {}
+    gotos: dict[str, list[Block]] = {}
     for c in root.children:
         if c.kind == "DataStoreWrite":
             writers.setdefault(c.params["store"], []).append(c)
+        elif c.kind == "Goto":
+            gotos.setdefault(c.params["tag"], []).append(c)
 
     def chase(ep):
-        return _chase(ep, (by_id, driver, memories, set()))
+        return _chase(ep, (by_id, driver, memories, gotos, set()))
 
     # Replace each accessed memory by its register before rebuilding wires.
     mem_spec: dict[str, SignalSpec] = {}

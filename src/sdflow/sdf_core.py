@@ -19,7 +19,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import kinds
 from .errors import DeadlockError, InconsistentError, SchemaError
@@ -140,24 +140,29 @@ class Sdfg:
 
 def repetition_vector(g: Sdfg) -> dict[str, int]:
     """Smallest positive integer solution of the balance equations,
-    normalized per weakly-connected component."""
-    neighbours: dict[str, list[tuple[str, Fraction, Channel]]] = {a.id: [] for a in g.actors}
+    normalized per weakly-connected component.  Counts relative to the
+    component's seed are reduced integer (num, den) pairs."""
+    neighbours: dict[str, list[tuple[str, int, int, Channel]]] = {a.id: [] for a in g.actors}
     for c in g.channels:
         s, t = c.src[0], c.dst[0]
-        neighbours[s].append((t, Fraction(c.rate_src, c.rate_dst), c))
-        neighbours[t].append((s, Fraction(c.rate_dst, c.rate_src), c))
+        neighbours[s].append((t, c.rate_src, c.rate_dst, c))
+        neighbours[t].append((s, c.rate_dst, c.rate_src, c))
 
-    q: dict[str, Fraction] = {}
+    q: dict[str, tuple[int, int]] = {}
+    out: dict[str, int] = {}
     for seed in sorted(neighbours):
         if seed in q:
             continue
-        q[seed] = Fraction(1)
+        q[seed] = (1, 1)
         component = [seed]
         stack = [seed]
         while stack:
             a = stack.pop()
-            for b, ratio, ch in neighbours[a]:
-                want = q[a] * ratio
+            num, den = q[a]
+            for b, r_a, r_b, ch in neighbours[a]:
+                n, d = num * r_a, den * r_b
+                k = gcd(n, d)
+                want = (n // k, d // k)
                 if b in q:
                     if q[b] != want:
                         raise InconsistentError(
@@ -167,16 +172,12 @@ def repetition_vector(g: Sdfg) -> dict[str, int]:
                     q[b] = want
                     component.append(b)
                     stack.append(b)
-        scale = 1
-        for a in component:
-            scale = scale * q[a].denominator // gcd(scale, q[a].denominator)
-        norm = 0
-        for a in component:
-            q[a] *= scale
-            norm = gcd(norm, int(q[a]))
-        for a in component:
-            q[a] = Fraction(int(q[a]) // norm)
-    return {a: int(v) for a, v in q.items()}
+        scale = lcm(*(q[a][1] for a in component))
+        counts = [q[a][0] * (scale // q[a][1]) for a in component]
+        norm = gcd(*counts)
+        for a, n in zip(component, counts):
+            out[a] = n // norm
+    return out
 
 
 def aligned_repetition(g: Sdfg, q: dict[str, int]) -> tuple[dict[str, int], Fraction]:
@@ -185,7 +186,9 @@ def aligned_repetition(g: Sdfg, q: dict[str, int]) -> tuple[dict[str, int], Frac
 
     Returns the scaled vector and that common span.  For a connected graph
     this is the plain repetition vector and the lcm of its periods.  An
-    already aligned vector comes back unchanged."""
+    already aligned vector comes back unchanged.  Spans are counted in
+    units of 1/den, den the lcm of the period denominators; the common span
+    is the lcm of the component spans, so each of them divides it."""
     parent = {a.id: a.id for a in g.actors}
 
     def find(x):
@@ -198,28 +201,15 @@ def aligned_repetition(g: Sdfg, q: dict[str, int]) -> tuple[dict[str, int], Frac
         a, b = find(c.src[0]), find(c.dst[0])
         if a != b:
             parent[a] = b
-    spans: dict[str, Fraction] = {}
+    den = lcm(*(a.period.denominator for a in g.actors))
+    spans: dict[str, int] = {}
     for a in g.actors:
         root = find(a.id)
-        span = q[a.id] * a.period
-        spans[root] = max(spans.get(root, Fraction(0)), span)
-    h = None
-    for v in spans.values():
-        if h is None:
-            h = v
-        else:
-            h = Fraction(h.numerator * v.numerator // gcd(h.numerator, v.numerator),
-                         gcd(h.denominator, v.denominator))
-    if h is None:
-        h = Fraction(1)
-    scaled = {}
-    for a in g.actors:
-        s = h / spans[find(a.id)]
-        if s.denominator != 1:
-            raise InconsistentError(f"actor {a.id}: span {spans[find(a.id)]} "
-                                    f"does not divide the iteration span {h}")
-        scaled[a.id] = q[a.id] * int(s)
-    return scaled, h
+        span = q[a.id] * a.period.numerator * (den // a.period.denominator)
+        spans[root] = max(spans.get(root, 0), span)
+    h = lcm(*spans.values())
+    scaled = {a.id: q[a.id] * (h // spans[find(a.id)]) for a in g.actors}
+    return scaled, Fraction(h, den)
 
 
 def sil_span(g: Sdfg) -> Fraction:

@@ -6,6 +6,8 @@ each case show the arithmetic.
 
 import dataclasses
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,9 @@ from sdflow import (AlgebraicLoopError, InconsistentError, SdflowError, ShapeErr
                     SignalTypeError, Trace, UnderflowError, build_schedule,
                     compare_traces, load_model, normalize, run_mil, run_sil,
                     sil_span, translate)
-from sdflow.interpreter import DiagramEngine, _activation, _replay
+from sdflow import kinds
+from sdflow.interpreter import (Comparison, DiagramEngine, _activation, _replay,
+                                _scalar_close, fmt_value)
 
 F1 = {"dtype": "f64", "width": 1}
 I1 = {"dtype": "i32", "width": 1}
@@ -375,6 +379,73 @@ def test_offgrid_periods_run_on_their_own_grid():
     assert out_values(tr) == [0.0, 6.0, 6.0, 6.0, 6.0, 6.0]
 
 
+def half_step_model():
+    """Base step 1/2: u, g and y run every base step, c and z every second."""
+    half = {"num": 1, "den": 2}
+    children = [blk("u", "Inport", {"index": 0}, outs=[F1], sample_time=half),
+                blk("g", "Gain", {"gain": 2.0}, ins=[F1], outs=[F1], sample_time=half),
+                blk("y", "Outport", {"index": 0}, ins=[F1], sample_time=half),
+                blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+                blk("z", "Outport", {"index": 1}, ins=[F1], st=1)]
+    conns = [conn(("u", 0), ("g", 0)), conn(("g", 0), ("y", 0)), conn(("c", 0), ("z", 0))]
+    return load_model({"name": "half", "base_step": half, "data_stores": [],
+                       "root": {"id": "root", "kind": "Subsystem",
+                                "params": {"mode": "normal"},
+                                "ports": {"in": [], "out": []},
+                                "children": children, "connections": conns}})
+
+
+def test_trace_times_are_canonical():
+    """Whole times are ints and the others reduced Fractions, whatever form
+    the stimulus gave them in."""
+    m = half_step_model()
+    g, _ = translate(normalize(m))
+    stim = ramp("u", Fraction(1, 2), 12)          # Fraction(k, 2), whole or not
+    csv = "time,signal,value\n0,u,0.0\n2/4,u,1.0\n1.0,u,2.0\n3/2,u,3.0\n+2,u,4.0\n"
+    doc = {"signals": [{"name": "u", "dtype": "f64", "width": 1,
+                        "samples": [[[0, 1], 0.0], [[2, 4], 1.0], [[4, 4], 2.0]]}]}
+    traces = {"run_mil": run_mil(m, 12, stim),
+              "run_sil": run_sil(g, int(Fraction(6) / sil_span(g)), stim),
+              "from_csv": Trace.from_csv(csv, {"u": ("f64", 1)}),
+              "from_csv(to_csv)": Trace.from_csv(stim.to_csv(), stim.specs),
+              "from_json": Trace.from_json(doc),
+              "from_json(to_json)": Trace.from_json(stim.to_json())}
+    for name, tr in traces.items():
+        times = [t for pts in tr.samples.values() for t, _ in pts]
+        assert {type(t) for t in times} == {int, Fraction}, name
+        assert all(type(t) is int or t.denominator != 1 for t in times), name
+    assert [t for t, _ in traces["from_csv"].samples["u"]] == [0, Fraction(1, 2), 1,
+                                                               Fraction(3, 2), 2]
+    assert traces["run_sil"].samples == traces["run_mil"].samples
+
+
+def test_whole_times_build_no_fraction_per_sample(transmission, monkeypatch):
+    """Stimulus parse, both engines, clip and compare on whole times: the
+    Fractions built do not grow with the run length."""
+    g, _ = translate(normalize(transmission))
+
+    def fractions_built(steps):
+        text = ramp("throttle", Fraction(1), steps).to_csv()
+        end = Fraction(steps)
+        periods = int(end / sil_span(g))
+        built = 0
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return new(cls, *args, **kwargs)
+        with monkeypatch.context() as mp:
+            mp.setattr(Fraction, "__new__", staticmethod(counted))
+            stim = Trace.from_csv(text, {"throttle": ("f64", 1)})
+            mil = run_mil(transmission, steps, stim)
+            sil = run_sil(g, periods, stim)
+            assert compare_traces(mil.clip(end), sil.clip(end)).ok
+        return built
+
+    assert 0 < fractions_built(64) == fractions_built(128)
+
+
 def test_sil_underflow_is_an_error(multirate):
     g, _ = translate(normalize(multirate))
     s = build_schedule(g)
@@ -509,6 +580,101 @@ def test_divergence_report_contents():
     assert r.divergence == {"signal": "x", "time": "3", "index": 0,
                             "a": "1.0", "b": "2.0"}
     assert "diverge" in str(r)
+
+
+def _reference_compare(a, b, tol=0.0):
+    """compare_traces as it was before it split elements once per signal:
+    token_elems and _scalar_close on every sample.  compare_traces must
+    return the same Comparison and raise the same ShapeError."""
+    if set(a.samples) != set(b.samples):
+        only_a = sorted(set(a.samples) - set(b.samples))
+        only_b = sorted(set(b.samples) - set(a.samples))
+        raise ShapeError(f"signal sets differ (only left: {only_a}, only right: {only_b})")
+    total = 0
+    max_rel = 0.0
+    for sig in a.samples:
+        d, w = a.specs[sig]
+        if sig in b.specs and b.specs[sig] != (d, w):
+            raise ShapeError(f"signal {sig!r} spec differs: {a.specs[sig]} vs {b.specs[sig]}")
+        pa, pb = a.samples[sig], b.samples[sig]
+        if len(pa) != len(pb):
+            raise ShapeError(f"signal {sig!r} has {len(pa)} vs {len(pb)} samples")
+        for i, ((ta, va), (tb, vb)) in enumerate(zip(pa, pb)):
+            if ta != tb:
+                raise ShapeError(f"signal {sig!r} sample {i} at t={ta} vs t={tb}")
+            total += 1
+            xs = kinds.token_elems(va, w)
+            ys = kinds.token_elems(vb, w)
+            for x, y in zip(xs, ys):
+                eq, rel = _scalar_close(d, x, y, tol)
+                max_rel = max(max_rel, rel)
+                if not eq:
+                    return Comparison(False, total, max_rel, {
+                        "signal": sig, "time": str(ta), "index": i,
+                        "a": fmt_value(d, w, va), "b": fmt_value(d, w, vb)})
+    return Comparison(True, total, max_rel)
+
+
+F64_VALUES = [0.0, -0.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-9, -1.0, 1e300, 5e-324,
+              math.nan, math.inf, -math.inf]
+
+
+def _random_pair(rng):
+    """Two traces that agree except for a few edits: a nudged or replaced
+    value, a shifted time, a dropped sample or a changed spec."""
+    a, b = Trace(), Trace()
+    for k in range(rng.randint(1, 3)):
+        d, w = rng.choice(["f64", "f64", "i32", "bool"]), rng.randint(1, 3)
+        pick = {"f64": lambda: rng.choice(F64_VALUES),
+                "i32": lambda: rng.choice([0, -1, 7, 2**31 - 1]),
+                "bool": lambda: rng.random() < 0.5}[d]
+        sig = f"s{k}"
+        a.declare(sig, d, w)
+        b.declare(sig, d, w)
+        for n in range(rng.randint(0, 6)):
+            v = pick() if w == 1 else tuple(pick() for _ in range(w))
+            t = Fraction(n, rng.choice([1, 1, 2]))
+            a.add(sig, t, v)
+            b.add(sig, t, v)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            pts = b.samples[sig]
+            edit = rng.random()
+            if not pts or edit < 0.05:
+                b.specs[sig] = (d, w + 1)
+            elif edit < 0.1:
+                pts.pop()
+            else:
+                i = rng.randrange(len(pts))
+                t, v = pts[i]
+                if edit < 0.15:
+                    t += 1
+                elif w == 1:
+                    v = pick()
+                else:
+                    v = tuple(pick() if rng.random() < 0.5 else x for x in v)
+                pts[i] = (t, v)
+    return a, b
+
+
+def test_compare_matches_the_per_sample_reference():
+    rng = random.Random(3)
+    verdicts = Counter()
+    for _ in range(3000):
+        a, b = _random_pair(rng)
+        tol = rng.choice([0.0, 1e-12, 1e-3])
+        want = got = None
+        try:
+            want = _reference_compare(a, b, tol)
+        except ShapeError as e:
+            want = str(e)
+        try:
+            got = compare_traces(a, b, tol)
+        except ShapeError as e:
+            got = str(e)
+        assert got == want
+        verdicts[type(want).__name__ if isinstance(want, str) else want.ok] += 1
+    # matches, divergences and shape errors were all exercised
+    assert min(verdicts[True], verdicts[False], verdicts["str"]) > 100, verdicts
 
 
 def test_sil_stimulus_spec_must_match(transmission):

@@ -199,7 +199,17 @@ def test_duplicate_goto_writers_rejected():
                blk("y", "Outport", {"index": 0}, ins=[F1])],
               [conn(("c", 0), ("g1", 0)), conn(("c", 0), ("g2", 0)),
                conn(("f", 0), ("y", 0))])
-    with pytest.raises(NormalizationError, match="2 Goto writers"):
+    with pytest.raises(NormalizationError, match="^tag 't' has 2 Goto writers$"):
+        remove_routing(m)
+
+
+def test_from_without_goto_rejected():
+    m = model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+               blk("g1", "Goto", {"tag": "other"}, ins=[F1]),
+               blk("f", "From", {"tag": "t"}, outs=[F1]),
+               blk("y", "Outport", {"index": 0}, ins=[F1])],
+              [conn(("c", 0), ("g1", 0)), conn(("f", 0), ("y", 0))])
+    with pytest.raises(NormalizationError, match="^tag 't' has 0 Goto writers$"):
         remove_routing(m)
 
 

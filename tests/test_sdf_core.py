@@ -493,3 +493,147 @@ def test_deadlock_message_matches_scan(g):
     with pytest.raises(DeadlockError) as heap:
         build_schedule(g)
     assert str(heap.value) == str(scan.value)
+
+
+# ---------------------------------------------------------------------------
+# integer balance equations against the rational solution
+
+
+def _fraction_repetition_vector(g):
+    """Reference solution in rationals, as the balance equations were solved
+    before they moved to integer pairs: each actor's count relative to its
+    component's seed is a Fraction.  repetition_vector must give exactly
+    this vector, in this order, and this error text."""
+    neighbours = {a.id: [] for a in g.actors}
+    for c in g.channels:
+        s, t = c.src[0], c.dst[0]
+        neighbours[s].append((t, Fraction(c.rate_src, c.rate_dst), c))
+        neighbours[t].append((s, Fraction(c.rate_dst, c.rate_src), c))
+
+    q = {}
+    for seed in sorted(neighbours):
+        if seed in q:
+            continue
+        q[seed] = Fraction(1)
+        component = [seed]
+        stack = [seed]
+        while stack:
+            a = stack.pop()
+            for b, ratio, ch in neighbours[a]:
+                want = q[a] * ratio
+                if b in q:
+                    if q[b] != want:
+                        raise InconsistentError(
+                            f"channel {ch.id} ({ch.src} -> {ch.dst}, rates "
+                            f"{ch.rate_src}/{ch.rate_dst}) contradicts the balance equations")
+                else:
+                    q[b] = want
+                    component.append(b)
+                    stack.append(b)
+        scale = 1
+        for a in component:
+            scale = scale * q[a].denominator // math.gcd(scale, q[a].denominator)
+        norm = 0
+        for a in component:
+            q[a] *= scale
+            norm = math.gcd(norm, int(q[a]))
+        for a in component:
+            q[a] = Fraction(int(q[a]) // norm)
+    return {a: int(v) for a, v in q.items()}
+
+
+def _fraction_aligned_repetition(g, q):
+    """Reference alignment in rationals: the pairwise lcm of the component
+    spans, lcm(numerators) / gcd(denominators).  aligned_repetition must
+    give exactly this vector, span and error text."""
+    parent = {a.id: a.id for a in g.actors}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in g.channels:
+        a, b = find(c.src[0]), find(c.dst[0])
+        if a != b:
+            parent[a] = b
+    spans = {}
+    for a in g.actors:
+        root = find(a.id)
+        span = q[a.id] * a.period
+        spans[root] = max(spans.get(root, Fraction(0)), span)
+    h = None
+    for v in spans.values():
+        if h is None:
+            h = v
+        else:
+            h = Fraction(h.numerator * v.numerator // math.gcd(h.numerator, v.numerator),
+                         math.gcd(h.denominator, v.denominator))
+    if h is None:
+        h = Fraction(1)
+    scaled = {}
+    for a in g.actors:
+        s = h / spans[find(a.id)]
+        if s.denominator != 1:
+            raise InconsistentError(f"actor {a.id}: span {spans[find(a.id)]} "
+                                    f"does not divide the iteration span {h}")
+        scaled[a.id] = q[a.id] * int(s)
+    return scaled, h
+
+
+def _solve(g, vector, align):
+    """(vector, aligned vector, span) with dict order kept, or the error."""
+    try:
+        q = vector(g)
+        scaled, span = align(g, q)
+    except InconsistentError as e:
+        return "InconsistentError", str(e)
+    return list(q.items()), list(scaled.items()), span, type(span)
+
+
+def random_multi_component_graph(rng):
+    """Several consistent components, each with its own fractional period
+    and some actors at a multiple of it; now and then one rate is bumped,
+    which usually makes the graph inconsistent."""
+    actors, channels = [], []
+    for k in range(rng.randint(1, 4)):
+        g, _ = random_consistent_graph(rng)
+        period = Fraction(rng.randint(1, 7), rng.choice([1, 2, 3, 4, 6, 10]))
+        for a in g.actors:
+            actors.append(Actor(f"k{k}{a.id}", a.kind, {},
+                                period * rng.choice([1, 1, 1, 2, 3]), a.in_ports, a.out_ports))
+        for c in g.channels:
+            bump = 1 if rng.random() < 0.03 else 0
+            channels.append(Channel(f"k{k}{c.id}", (f"k{k}{c.src[0]}", c.src[1]),
+                                    (f"k{k}{c.dst[0]}", c.dst[1]), c.rate_src + bump, c.rate_dst))
+    rng.shuffle(actors)
+    return Sdfg("multi", actors, channels)
+
+
+def test_integer_balance_matches_fractions_on_random_models():
+    checked = 0
+    for seed in range(200):
+        m = random_model(seed)
+        if check_requirements(m):
+            continue
+        g, _ = translate(normalize(m))
+        assert (_solve(g, repetition_vector, aligned_repetition)
+                == _solve(g, _fraction_repetition_vector, _fraction_aligned_repetition)), seed
+        checked += 1
+    assert checked > 100
+
+
+def test_integer_balance_matches_fractions_on_multi_component_graphs():
+    rng = random.Random(8)
+    inconsistent = mixed = 0
+    for _ in range(300):
+        g = random_multi_component_graph(rng)
+        got = _solve(g, repetition_vector, aligned_repetition)
+        assert got == _solve(g, _fraction_repetition_vector, _fraction_aligned_repetition)
+        if got[0] == "InconsistentError":
+            inconsistent += 1
+        elif len({a.period for a in g.actors}) > 1:
+            mixed += 1
+    # both verdicts, and consistent graphs with mixed periods, were exercised
+    assert inconsistent > 10 and mixed > 100
