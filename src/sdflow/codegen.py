@@ -374,7 +374,6 @@ class _Emitter:
     # per-actor emission
 
     def _actor_section(self, a) -> list[str]:
-        k = kinds.KINDS[a.kind]
         ai = self.aident[a.id]
         data_specs = self.plan.data_specs[a.id]
         out_full = self.plan.out_specs[a.id]
@@ -396,7 +395,7 @@ class _Emitter:
             decls.append(f"static const double tab_{ai}[{len(tab)}] = "
                          "{ " + ", ".join(_c_f64(x) for x in tab) + " };")
         if has_events and live:
-            init_out = k.initial_output(a.params, data_specs, out_full)
+            init_out = kinds.KINDS[a.kind].bind(a.params, data_specs, out_full)[1]
             for j in live:
                 d, w = out_full[j]
                 lit = _c_token(d, w, init_out[j])
@@ -414,10 +413,10 @@ class _Emitter:
         if a.kind == "Outport" or (a.kind == "Inport" and a.id in self.plan.stim):
             decls.append(f"static long n_{ai};")
 
-        body = self._fire_body(a, k, ai, data_specs, out_full, live, has_events)
+        body = self._fire_body(a, ai, data_specs, out_full, live, has_events)
         return decls + ["", f"void fire_{ai}(void) {{"] + body + ["}", ""]
 
-    def _fire_body(self, a, k, ai, data_specs, out_full, live, has_events):
+    def _fire_body(self, a, ai, data_specs, out_full, live, has_events):
         body: list[str] = []
         if has_events:
             body.append("    int en = 1;")

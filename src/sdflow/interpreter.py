@@ -8,16 +8,17 @@ the normalizer:
   data-store routing and bus pairs, producing for every leaf block the
   leaf that feeds each of its in-ports.  Evaluation is fixed-step and
   two-phase: outputs settle in feedthrough topological order, then the
-  stateful blocks latch their next state.  Each leaf is compiled once per
-  run into a step tuple (enable and input references, kind functions,
-  params, specs).  A leaf is active at base step s when the denominator of
-  base_step / period divides s, so gcd(s, lcm of the denominators) names
-  the active set; its ordered list of steps is built on first use and
-  reused, and each base step walks one such list.
+  stateful blocks latch their next state.  Each leaf's kind is bound once
+  per run (Kind.bind) into a step tuple: enable and input references and
+  the bound output and update functions.  A leaf is active at base step s
+  when the denominator of base_step / period divides s, so gcd(s, lcm of
+  the denominators) names the active set; its ordered list of steps is
+  built on first use and reused, and each base step walks one such list.
 * run_sil replays a dataflow schedule with plain FIFO queues, one token
   at a time.  Each actor is bound once per run to a firing tuple
   specialised by kind: its input FIFOs and rates, its output FIFOs with
-  their origins, its kind functions, params, specs and state cell.  The
+  their origins, its state cell and its kind's bound functions.  An actor
+  whose every output was dropped only consumes its input tokens.  The
   replay walks those tuples in schedule order.  The stimulus rows of
   every Inport firing are built before the replay, one division per
   sample.
@@ -30,6 +31,7 @@ bool/i32 and within a relative tolerance for f64.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -413,13 +415,18 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
 
     # Flattening dissolves conditional subsystems and records them as
     # trigger groups; re-attach their gating so a normalized model keeps
-    # the original hold semantics.
-    for tg in triggers:
+    # the original hold semantics.  A member gates the leaf of its id and
+    # every leaf under it, in trigger and member order.
+    gates: dict[str, list[tuple[tuple[int, int], Ref]]] = {}
+    for t, tg in enumerate(triggers):
         ref = resolve("", tg.control)
-        for mid in tg.members:
-            for path in res.leaves:
-                if path == mid or path.startswith(mid + "/"):
-                    res.controls[path].append(ref)
+        for m, mid in enumerate(tg.members):
+            gates.setdefault(mid, []).append(((t, m), ref))
+    if gates:
+        for path, chain in res.controls.items():
+            ends = [i for i, ch in enumerate(path) if ch == "/"] + [len(path)]
+            found = [gate for end in ends for gate in gates.get(path[:end], ())]
+            chain.extend(ref for _, ref in sorted(found))
 
     for store, wpath in writers.items():
         if store not in res.memories:
@@ -444,7 +451,9 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
         if kinds.KINDS[leaf.kind].feedthrough:
             deps[p].update(src for src, _ in res.producers[p] if src != p)
         deps[p].update(src for src, _ in res.controls[p] if src != p)
-    ready = sorted(p for p in deps if not deps[p])
+    # Among the leaves whose dependencies are met, the smallest path goes first.
+    ready = [p for p in deps if not deps[p]]
+    heapq.heapify(ready)
     consumers: dict[str, list[str]] = {p: [] for p in deps}
     pending_count = {}
     for p, ds in deps.items():
@@ -453,15 +462,12 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
             consumers[d].append(p)
     order: list[str] = []
     while ready:
-        p = ready.pop(0)
+        p = heapq.heappop(ready)
         order.append(p)
-        freed = []
         for c in consumers[p]:
             pending_count[c] -= 1
             if pending_count[c] == 0:
-                freed.append(c)
-        if freed:
-            ready = sorted(ready + freed)
+                heapq.heappush(ready, c)
     if len(order) != len(deps):
         loop = sorted(p for p in deps if pending_count[p] > 0)
         raise AlgebraicLoopError(
@@ -474,7 +480,7 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
 # Block-diagram engine
 
 
-_EVAL, _INPORT, _OUTPORT, _RATE, _EMBED = range(5)  # step roles, MIL and SIL
+_EVAL, _INPORT, _OUTPORT, _RATE, _EMBED, _SINK = range(6)  # step roles, MIL and SIL
 
 
 class DiagramEngine:
@@ -485,55 +491,30 @@ class DiagramEngine:
     activations and while an enclosing subsystem is disabled.
 
     `steps` holds one tuple per leaf in evaluation order: (path, role,
-    enable refs, input refs, output function, update function or None,
-    params, in-specs, out-specs).  tick and update walk a list of them, the
-    leaves active at one step.
+    enable refs, input refs, output function, update function or None),
+    the functions bound once from the leaf's kind.  tick and update walk a
+    list of them, the leaves active at one step.
     """
 
     def __init__(self, top: Block, triggers=()):
         self.res = resolve_wiring(top, triggers)
-        self.in_specs: dict[str, list] = {}
-        self.out_specs: dict[str, list] = {}
         self.state: dict[str, object] = {}
         self.last: dict[str, list] = {}
-        for path, leaf in self.res.leaves.items():
-            k = kinds.KINDS[leaf.kind]
-            ispecs = [tuple(s) for s in leaf.in_ports]
-            ospecs = [tuple(s) for s in leaf.out_ports]
-            if leaf.kind == "DataStoreMemory" and not ospecs:
-                spec = self.res.mem_spec.get(path)
-                if spec is None:
-                    # store never read nor written; keep the literal as-is
-                    self.state[path] = leaf.params["initial"]
-                    self.last[path] = [self.state[path]]
-                    self.in_specs[path] = []
-                    self.out_specs[path] = [("f64", 1)]
-                    continue
-                ispecs = [spec] if path in self.res.mem_writer else []
-                ospecs = [spec]
-                d, w = spec
-                self.state[path] = kinds.canon_token(d, w, leaf.params["initial"])
-                self.last[path] = [self.state[path]]
-            else:
-                if k.stateful:
-                    self.state[path] = k.init_state(leaf.params, ispecs, ospecs)
-                self.last[path] = list(k.initial_output(leaf.params, ispecs, ospecs))
-            self.in_specs[path] = ispecs
-            self.out_specs[path] = ospecs
-        self.steps = [self._step(path) for path in self.res.order]
+        self.steps = [self._bind(path) for path in self.res.order]
 
-    def _step(self, path: str) -> tuple:
+    def _bind(self, path: str) -> tuple:
         leaf = self.res.leaves[path]
-        k = kinds.KINDS[leaf.kind]
-        refs = self.res.producers[path]
-        if leaf.kind == "DataStoreMemory" and not leaf.in_ports:
-            w = self.res.mem_writer.get(path)
-            refs = [w] if w is not None else []
+        refs, ispecs, ospecs = self.res.producers[path], leaf.in_ports, leaf.out_ports
+        if leaf.kind == "DataStoreMemory" and not ospecs:
+            # A store in source form takes its accessors' spec and its
+            # writer's driver; nothing accessing it leaves it without specs.
+            writer, spec = self.res.mem_writer.get(path), self.res.mem_spec.get(path)
+            refs, ispecs = ([], []) if writer is None else ([writer], [spec])
+            ospecs = [] if spec is None else [spec]
+        self.state[path], self.last[path], output, update = \
+            kinds.KINDS[leaf.kind].bind(leaf.params, ispecs, ospecs)
         role = {"Inport": _INPORT, "Outport": _OUTPORT}.get(leaf.kind, _EVAL)
-        # a store nobody writes keeps its initial value
-        update = k.update if k.stateful and (refs or leaf.kind != "DataStoreMemory") else None
-        return (path, role, tuple(self.res.controls[path]), tuple(refs), k.output, update,
-                leaf.params, self.in_specs[path], self.out_specs[path])
+        return (path, role, tuple(self.res.controls[path]), tuple(refs), output, update)
 
     def value(self, ref: Ref):
         return self.last[ref[0]][ref[1]]
@@ -545,12 +526,11 @@ class DiagramEngine:
         last, state, truth = self.last, self.state, kinds.truth
         recorded, latch = [], []
         for st in steps:
-            path, role, controls, refs, output, update, params, ispecs, ospecs = st
+            path, role, controls, refs, output, update = st
             if controls and not all(truth(last[p][i]) for p, i in controls):
                 continue
             if role == _EVAL:
-                last[path] = list(output(params, ispecs, ospecs, state.get(path),
-                                         [last[p][i] for p, i in refs]))
+                last[path] = output(state[path], [last[p][i] for p, i in refs])
             elif role == _OUTPORT:
                 p, i = refs[0]
                 recorded.append((path, last[p][i]))
@@ -564,9 +544,8 @@ class DiagramEngine:
         """State phase, after every output of the tick has settled.  Each
         update reads only `last` and its own state, so order is free."""
         last, state = self.last, self.state
-        for path, _, _, refs, _, update, params, ispecs, ospecs in latch:
-            state[path] = update(params, ispecs, ospecs, state[path],
-                                 [last[p][i] for p, i in refs])
+        for path, _, _, refs, _, update in latch:
+            state[path] = update(state[path], [last[p][i] for p, i in refs])
 
 
 def _stim_table(stimulus: "Trace | None", units: dict[str, Fraction]):
@@ -731,11 +710,13 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
 
     Each actor is bound once to a tuple: its role, id, in-port reads (FIFO,
     rate, event flag, channel id) in slot order, out-channel writes (FIFO,
-    output index, rate), a [firings, held outputs, state] cell, its kind's
-    output and update functions (None where unused), params and specs, and
-    a role-specific extra: an Inport's stimulus rows, an Outport's
+    output index, rate), a [firings, held outputs, state] cell, the output
+    and update functions bound from its kind (None where unused), and a
+    role-specific extra: an Inport's stimulus rows, an Outport's
     timestamps and sample list, a Subsystem's diagram and control slot.
-    The firing loop walks those tuples in schedule order.
+    An actor with no out-port is a sink: nothing can observe its outputs
+    or state, so it is not bound and only consumes its input tokens.  The
+    firing loop walks those tuples in schedule order.
     """
     plan = _firing_plan(g, sched, periods, stimulus)
     fifos = {c.id: deque(c.initial_values) for c in g.channels}
@@ -744,8 +725,6 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
     stamps: dict[Fraction, list] = {}   # per period, shared by Outports
     bound = {}
     for a in g.actors:
-        k = kinds.KINDS[a.kind]
-        dspecs, ospecs = plan.data_specs[a.id], plan.out_specs[a.id]
         cell = [0, None, None]
         output = update = extra = None
         if a.kind == "Subsystem":
@@ -758,19 +737,17 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
             extra = (EmbeddedDiagram(a.impl), a.params["control_port"] if gated else None)
         elif a.kind == "Outport":
             role = _OUTPORT
-            trace.declare(a.id, *dspecs[0])
+            trace.declare(a.id, *plan.data_specs[a.id][0])
             ts = stamps.setdefault(a.period, [])
             unit = canon_time(a.period)
             ts.extend(canon_time(n * unit) for n in range(len(ts), fires[a.id] * periods))
             extra = (ts, trace.samples[a.id].append)
+        elif not a.out_ports:
+            role = _SINK
         else:
             role = {"Inport": _INPORT, "RateTransition": _RATE}.get(a.kind, _EVAL)
-            if k.stateful:
-                cell[2] = k.init_state(a.params, dspecs, ospecs)
-                update = k.update
-            cell[1] = list(k.initial_output(a.params, dspecs, ospecs))
-            if a.out_ports:
-                output = k.output
+            cell[2], cell[1], output, update = kinds.KINDS[a.kind].bind(
+                a.params, plan.data_specs[a.id], plan.out_specs[a.id])
             extra = plan.stim.get(a.id)
         reads = []
         for slot, port in enumerate(a.in_ports):
@@ -778,14 +755,13 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
             reads.append((fifos[c.id], c.rate_dst, port.event, c.id))
         writes = tuple((fifos[c.id], a.out_ports[c.src[1]].origin, c.rate_src)
                        for c in plan.ch_out[a.id])
-        bound[a.id] = (role, a.id, tuple(reads), writes, cell, output, update,
-                       a.params, dspecs, ospecs, extra)
+        bound[a.id] = (role, a.id, tuple(reads), writes, cell, output, update, extra)
     seq = [bound[aid] for aid in sched.firings]
     boundary = [(fifos[c.id], c.delay, c.id) for c in g.channels]
     truth = kinds.truth
 
     for _ in range(max(0, periods)):
-        for role, aid, reads, writes, cell, output, update, params, dspecs, ospecs, extra in seq:
+        for role, aid, reads, writes, cell, output, update, extra in seq:
             vals = []
             enabled = True
             for f, r, event, cid in reads:
@@ -811,16 +787,17 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
 
             if role == _EVAL:
                 if enabled:
-                    produced = cell[1] = (list(output(params, dspecs, ospecs, cell[2], vals))
-                                          if output is not None else [])
+                    produced = cell[1] = output(cell[2], vals)
                     if update is not None:
-                        cell[2] = update(params, dspecs, ospecs, cell[2], vals)
+                        cell[2] = update(cell[2], vals)
                 else:
                     produced = cell[1]
             elif role == _OUTPORT:
                 times, add = extra
                 add((times[cell[0]], vals[0]))
                 cell[0] += 1
+                continue
+            elif role == _SINK:
                 continue
             elif role == _INPORT:
                 if enabled and extra is not None:

@@ -4,6 +4,8 @@ One implementation of each block's arithmetic lives here and is shared by
 the block-diagram interpreter and the dataflow interpreter; the C emitter
 mirrors the same operation order statement for statement.  Keeping a single
 definition is what makes trace comparison at zero tolerance meaningful.
+Each engine binds every block instance once per run (Kind.bind) and then
+calls only the closures that bind returns.
 
 Tokens are plain Python values: a scalar for width 1, a tuple for wider
 signals.  f64 tokens are floats, i32 tokens are ints wrapped to 32 bits,
@@ -93,10 +95,24 @@ def token_elems(v, width: int):
     return (v,) if width == 1 else tuple(v)
 
 
-def _each(width: int, f, *tokens):
+def _lift(width: int, f):
+    """f over elements, lifted to tokens of `width`."""
     if width == 1:
-        return f(*tokens)
-    return tuple(f(*(t[i] for t in tokens)) for i in range(width))
+        return f
+    return lambda *tokens: tuple(map(f, *tokens))
+
+
+def _stateless(out_specs, output):
+    """bind's result for a kind without state: zero outputs until the first
+    enabled firing."""
+    return None, [zero_token(d, w) for d, w in out_specs], output, None
+
+
+def _register(initial, written: bool):
+    """bind's result for a one-token register: it outputs its state and
+    latches its input, when it has one."""
+    return (initial, [initial], lambda state, ins: [state],
+            (lambda state, ins: ins[0]) if written else None)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +132,15 @@ class Kind:
     """One entry of the vocabulary.
 
     feedthrough  output at tick t depends on inputs at tick t
-    stateful     carries state between firings (two-phase evaluation)
     n_in/n_out   fixed arity, or None when parameter-dependent
     keys         the params a block of this kind may carry
+
+    canon_params gates a block's params at load; bind turns one block
+    instance into the functions an engine runs.
     """
 
     name = "?"
     feedthrough = True
-    stateful = False
     n_in: int | None = 0
     n_out: int | None = 1
     keys: tuple[str, ...] = ()
@@ -165,18 +182,15 @@ class Kind:
             probs.append(f"{self.name} {key}: {e}")
             return None
 
-    def init_state(self, params, in_specs, out_specs):
-        return None
+    def bind(self, params, in_specs, out_specs) -> tuple:
+        """One block instance, bound once per run: (initial state, outputs
+        visible before the first enabled firing, output, update).
 
-    def initial_output(self, params, in_specs, out_specs) -> list:
-        """Outputs visible before the first enabled firing."""
-        return [zero_token(d, w) for d, w in out_specs]
-
-    def output(self, params, in_specs, out_specs, state, ins) -> list:
-        raise NotImplementedError(self.name)
-
-    def update(self, params, in_specs, out_specs, state, ins):
-        return state
+        output(state, ins) returns a firing's output list and update(state,
+        ins) the next state; both close over the params and specs, and
+        either is None where the kind has none.  Kinds the engines drive
+        themselves (boundary ports, wiring, subsystems) have neither."""
+        return _stateless(out_specs, None)
 
 
 def _same_specs(specs):
@@ -199,17 +213,10 @@ class _Inport(_BoundaryPort):
     n_in, n_out = 0, 1
     feedthrough = False
 
-    # Output is supplied by the engine (stimulus or boundary injection).
-    def output(self, params, in_specs, out_specs, state, ins):
-        raise AssertionError("Inport is driven by the engine")
-
 
 class _Outport(_BoundaryPort):
     name = "Outport"
     n_in, n_out = 1, 0
-
-    def output(self, params, in_specs, out_specs, state, ins):
-        return []
 
 
 class _Constant(Kind):
@@ -222,8 +229,9 @@ class _Constant(Kind):
         value = self._param(params, "value", probs, canon_token, *out_specs[0])
         return None if probs else {"value": value}
 
-    def output(self, params, in_specs, out_specs, state, ins):
-        return [params["value"]]
+    def bind(self, params, in_specs, out_specs):
+        value = params["value"]
+        return _stateless(out_specs, lambda state, ins: [value])
 
 
 class _Gain(Kind):
@@ -240,12 +248,11 @@ class _Gain(Kind):
             probs.append("Gain is not defined on bool signals")
         return {"gain": gain}
 
-    def output(self, params, in_specs, out_specs, state, ins):
+    def bind(self, params, in_specs, out_specs):
         d, w = out_specs[0]
         g = params["gain"]
-        if d == "i32":
-            return [_each(w, lambda u: wrap32(g * u), ins[0])]
-        return [_each(w, lambda u: g * u, ins[0])]
+        f = _lift(w, (lambda u: wrap32(g * u)) if d == "i32" else (lambda u: g * u))
+        return _stateless(out_specs, lambda state, ins: [f(ins[0])])
 
 
 class _Fold(Kind):
@@ -277,7 +284,7 @@ class _Sum(_Fold):
     keys = ("signs",)
     symbols = "+-"
 
-    def output(self, params, in_specs, out_specs, state, ins):
+    def bind(self, params, in_specs, out_specs):
         d, w = out_specs[0]
         signs = params["signs"]
         if d == "i32":
@@ -292,7 +299,8 @@ class _Sum(_Fold):
                 for s, u in zip(signs, us):
                     acc = acc + u if s == "+" else acc - u
                 return acc
-        return [_each(w, one, *ins)]
+        f = _lift(w, one)
+        return _stateless(out_specs, lambda state, ins: [f(*ins)])
 
 
 class _Product(_Fold):
@@ -300,7 +308,7 @@ class _Product(_Fold):
     keys = ("ops",)
     symbols = "*/"
 
-    def output(self, params, in_specs, out_specs, state, ins):
+    def bind(self, params, in_specs, out_specs):
         d, w = out_specs[0]
         ops = params["ops"]
         if d == "i32":
@@ -315,7 +323,8 @@ class _Product(_Fold):
                 for o, u in zip(ops, us):
                     acc = acc * u if o == "*" else acc / u
                 return acc
-        return [_each(w, one, *ins)]
+        f = _lift(w, one)
+        return _stateless(out_specs, lambda state, ins: [f(*ins)])
 
 
 class _UnitDelay(Kind):
@@ -323,24 +332,14 @@ class _UnitDelay(Kind):
     n_in, n_out = 1, 1
     keys = ("initial",)
     feedthrough = False
-    stateful = True
 
     def _canon(self, params, in_specs, out_specs, probs):
         if in_specs[0] != out_specs[0]:
             probs.append("UnitDelay input and output specs must match")
         return {"initial": self._param(params, "initial", probs, canon_token, *out_specs[0])}
 
-    def init_state(self, params, in_specs, out_specs):
-        return params["initial"]
-
-    def initial_output(self, params, in_specs, out_specs):
-        return [params["initial"]]
-
-    def output(self, params, in_specs, out_specs, state, ins):
-        return [state]
-
-    def update(self, params, in_specs, out_specs, state, ins):
-        return ins[0]
+    def bind(self, params, in_specs, out_specs):
+        return _register(params["initial"], True)
 
 
 class _Saturation(Kind):
@@ -361,7 +360,7 @@ class _Saturation(Kind):
             probs.append("Saturation lower bound exceeds upper bound")
         return p
 
-    def output(self, params, in_specs, out_specs, state, ins):
+    def bind(self, params, in_specs, out_specs):
         lo, hi = params["lower"], params["upper"]
 
         def one(u):
@@ -370,7 +369,8 @@ class _Saturation(Kind):
             if u > hi:
                 return hi
             return u
-        return [_each(out_specs[0][1], one, ins[0])]
+        f = _lift(out_specs[0][1], one)
+        return _stateless(out_specs, lambda state, ins: [f(ins[0])])
 
 
 class _Switch(Kind):
@@ -383,10 +383,10 @@ class _Switch(Kind):
         # here; that is the validator's fixed-output-size rule.
         return {"threshold": self._param(params, "threshold", probs, canon_scalar, "f64")}
 
-    def output(self, params, in_specs, out_specs, state, ins):
-        c = ins[1]
-        taken = c >= params["threshold"]
-        return [ins[0] if taken else ins[2]]
+    def bind(self, params, in_specs, out_specs):
+        threshold = params["threshold"]
+        return _stateless(out_specs,
+                          lambda state, ins: [ins[0] if ins[1] >= threshold else ins[2]])
 
 
 class _RelationalOp(Kind):
@@ -403,9 +403,9 @@ class _RelationalOp(Kind):
             probs.append("RelationalOp output must be bool with the input width")
         return dict(params)
 
-    def output(self, params, in_specs, out_specs, state, ins):
-        op = params["op"]
-        return [_each(out_specs[0][1], RELOPS[op], ins[0], ins[1])]
+    def bind(self, params, in_specs, out_specs):
+        f = _lift(out_specs[0][1], RELOPS[params["op"]])
+        return _stateless(out_specs, lambda state, ins: [f(ins[0], ins[1])])
 
 
 class _LogicalOp(Kind):
@@ -432,11 +432,8 @@ class _LogicalOp(Kind):
             probs.append("LogicalOp is defined on bool signals only")
         return {"op": op, "inputs": len(in_specs)}
 
-    def output(self, params, in_specs, out_specs, state, ins):
+    def bind(self, params, in_specs, out_specs):
         op = params["op"]
-        w = out_specs[0][1]
-        if op == "NOT":
-            return [_each(w, lambda u: not u, ins[0])]
 
         def one(*us):
             if op in ("AND", "NAND"):
@@ -450,7 +447,8 @@ class _LogicalOp(Kind):
             if op in ("NAND", "NOR"):
                 acc = not acc
             return acc
-        return [_each(w, one, *ins)]
+        f = _lift(out_specs[0][1], operator.not_ if op == "NOT" else one)
+        return _stateless(out_specs, lambda state, ins: [f(*ins)])
 
 
 class _Lookup1D(Kind):
@@ -481,7 +479,7 @@ class _Lookup1D(Kind):
             probs.append("Lookup1D breakpoints must be strictly increasing")
         return p
 
-    def output(self, params, in_specs, out_specs, state, ins):
+    def bind(self, params, in_specs, out_specs):
         bp, tab = params["breakpoints"], params["table"]
         n = len(bp)
 
@@ -497,7 +495,8 @@ class _Lookup1D(Kind):
                 i += 1
             t = (u - bp[i]) / (bp[i + 1] - bp[i])
             return tab[i] + t * (tab[i + 1] - tab[i])
-        return [_each(out_specs[0][1], one, ins[0])]
+        f = _lift(out_specs[0][1], one)
+        return _stateless(out_specs, lambda state, ins: [f(ins[0])])
 
 
 class _Chart(Kind):
@@ -512,7 +511,6 @@ class _Chart(Kind):
     n_in, n_out = None, None
     keys = ("states", "initial", "transitions", "outputs")
     feedthrough = False
-    stateful = True
 
     def arity(self, params):
         # inputs are declared by the port list; one output per row literal
@@ -574,24 +572,22 @@ class _Chart(Kind):
         return {"states": list(states), "initial": params.get("initial"),
                 "transitions": canon_trans, "outputs": canon_outs}
 
-    def init_state(self, params, in_specs, out_specs):
-        return params["states"].index(params["initial"])
+    def bind(self, params, in_specs, out_specs):
+        states = params["states"]
+        rows = [params["outputs"][s] for s in states]
+        # per state index, its transitions in table order: (input,
+        # element, input width, test, value, target state index)
+        moves = [[(tr["input"], tr["element"], in_specs[tr["input"]][1],
+                   RELOPS[tr["op"]], tr["value"], states.index(tr["to"]))
+                  for tr in params["transitions"] if tr["from"] == s] for s in states]
 
-    def initial_output(self, params, in_specs, out_specs):
-        return list(params["outputs"][params["initial"]])
-
-    def output(self, params, in_specs, out_specs, state, ins):
-        return list(params["outputs"][params["states"][state]])
-
-    def update(self, params, in_specs, out_specs, state, ins):
-        cur = params["states"][state]
-        for tr in params["transitions"]:
-            if tr["from"] != cur:
-                continue
-            u = token_elems(ins[tr["input"]], in_specs[tr["input"]][1])[tr["element"]]
-            if RELOPS[tr["op"]](u, tr["value"]):
-                return params["states"].index(tr["to"])
-        return state
+        def transition(state, ins):
+            for inp, el, w, test, value, to in moves[state]:
+                if test(ins[inp] if w == 1 else ins[inp][el], value):
+                    return to
+            return state
+        init = states.index(params["initial"])
+        return init, list(rows[init]), lambda state, ins: list(rows[state]), transition
 
 
 class _RateTransition(Kind):
@@ -608,8 +604,8 @@ class _RateTransition(Kind):
             probs.append("RateTransition input and output specs must match")
         return dict(params)
 
-    def output(self, params, in_specs, out_specs, state, ins):
-        return [ins[0]]
+    def bind(self, params, in_specs, out_specs):
+        return _stateless(out_specs, lambda state, ins: [ins[0]])
 
 
 class _DataStoreMemory(Kind):
@@ -622,7 +618,6 @@ class _DataStoreMemory(Kind):
     n_in, n_out = None, None
     keys = ("store", "initial")
     feedthrough = False
-    stateful = True
 
     def arity(self, params):
         return None, None  # 0/0 before routing removal, 1/1 after
@@ -641,17 +636,13 @@ class _DataStoreMemory(Kind):
             initial = self._param(params, "initial", probs, canon_token, *out_specs[0])
         return {"store": params.get("store"), "initial": initial}
 
-    def init_state(self, params, in_specs, out_specs):
-        return params["initial"]
-
-    def initial_output(self, params, in_specs, out_specs):
-        return [params["initial"]]
-
-    def output(self, params, in_specs, out_specs, state, ins):
-        return [state]
-
-    def update(self, params, in_specs, out_specs, state, ins):
-        return ins[0] if ins else state  # a store nobody writes keeps its initial
+    def bind(self, params, in_specs, out_specs):
+        # bound without an out-spec when nothing accesses the store: the
+        # literal stays as written; without an in-spec nothing writes it
+        initial = params["initial"]
+        if out_specs:
+            initial = canon_token(*out_specs[0], initial)
+        return _register(initial, bool(in_specs))
 
 
 class _TagParams(Kind):
@@ -662,9 +653,6 @@ class _TagParams(Kind):
         if not isinstance(params.get(key), str) or not params.get(key):
             probs.append(f"{self.name} requires params.{key}")
         return dict(params)
-
-    def output(self, params, in_specs, out_specs, state, ins):
-        raise AssertionError(f"{self.name} is wiring, never executed")
 
 
 class _Goto(_TagParams):
@@ -701,9 +689,6 @@ class _BusCreator(Kind):
             probs.append("BusCreator needs at least one input")
         return dict(params)
 
-    def output(self, params, in_specs, out_specs, state, ins):
-        raise AssertionError("BusCreator is wiring, never executed")
-
 
 class _BusSelector(Kind):
     name = "BusSelector"
@@ -720,9 +705,6 @@ class _BusSelector(Kind):
                                 or not all(_nat(i) for i in idx)):
             probs.append("BusSelector indices must list one element index per output")
         return dict(params)
-
-    def output(self, params, in_specs, out_specs, state, ins):
-        raise AssertionError("BusSelector is wiring, never executed")
 
 
 class _Subsystem(Kind):
@@ -747,9 +729,6 @@ class _Subsystem(Kind):
             probs.append("control_port is only meaningful for triggered/enabled Subsystems")
         return p
 
-    def output(self, params, in_specs, out_specs, state, ins):
-        raise AssertionError("Subsystem execution is handled by the engines")
-
 
 class _EnableSource(Kind):
     """Synthetic actor created during translation: broadcasts the truth
@@ -763,9 +742,9 @@ class _EnableSource(Kind):
     def arity(self, params):
         return 1, None
 
-    def output(self, params, in_specs, out_specs, state, ins):
-        v = truth(ins[0])
-        return [v for _ in out_specs]
+    def bind(self, params, in_specs, out_specs):
+        n = len(out_specs)
+        return _stateless(out_specs, lambda state, ins: [truth(ins[0])] * n)
 
 
 KINDS: dict[str, Kind] = {k.name: k for k in (

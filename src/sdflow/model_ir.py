@@ -309,35 +309,43 @@ def _check_kinds(sub: Block, path: str, data_stores: list[str]):
 
 
 def _resolve_sample_times(sub: Block, base: Fraction):
-    """Forward propagation from drivers; whatever stays unresolved falls
-    back to the solver base step."""
+    """Forward propagation from drivers: a block without a sample time takes
+    the fastest period of its drivers once every one of them is known;
+    whatever stays unresolved falls back to the solver base step.  A
+    worklist visits each connection once."""
     by_id = {c.id: c for c in sub.children}
-    changed = True
-    while changed:
-        changed = False
-        for c in sub.children:
-            if c.sample_time is not None:
-                continue
-            drivers = [by_id[conn.src[0]] for conn in sub.connections if conn.dst[0] == c.id]
-            known = [d.period for d in drivers if d.sample_time is not None]
-            if known and len(known) == len(drivers):
-                c.sample_time = SampleTime(min(known))
-                changed = True
-    for c in sub.children:
-        if c.sample_time is None:
-            c.sample_time = SampleTime(base)
-    for c in sub.children:
-        if not c.is_subsystem():
-            continue
-        # An inner Inport is driven by the outer signal feeding that port.
-        for conn in sub.connections:
-            if conn.dst[0] != c.id:
-                continue
-            for inner in c.children:
-                if (inner.kind == "Inport" and inner.sample_time is None
-                        and inner.params.get("index") == conn.dst[1]):
-                    inner.sample_time = SampleTime(by_id[conn.src[0]].period)
-        _resolve_sample_times(c, base)
+    # the drivers and consumers of each block without a sample time
+    drivers: dict[str, list[Block]] = {c.id: [] for c in sub.children if c.sample_time is None}
+    consumers: dict[str, list[Block]] = {bid: [] for bid in drivers}
+    for conn in sub.connections:
+        if conn.dst[0] in drivers:
+            drivers[conn.dst[0]].append(by_id[conn.src[0]])
+        if conn.src[0] in consumers:
+            consumers[conn.src[0]].append(by_id[conn.dst[0]])
+    # each of them with drivers -> how many of those are unknown
+    waiting = {bid: sum(d.sample_time is None for d in ds) for bid, ds in drivers.items() if ds}
+    ready = [by_id[bid] for bid, n in waiting.items() if n == 0]
+    while ready:
+        c = ready.pop()
+        c.sample_time = SampleTime(min(d.period for d in drivers[c.id]))
+        for d in consumers[c.id]:
+            if d.sample_time is None:
+                waiting[d.id] -= 1
+                if waiting[d.id] == 0:
+                    ready.append(d)
+    for bid in drivers:
+        if by_id[bid].sample_time is None:
+            by_id[bid].sample_time = SampleTime(base)
+    # An inner Inport is driven by the outer signal feeding that port.
+    inports = {c.id: {i.params.get("index"): i for i in c.children if i.kind == "Inport"}
+               for c in sub.children if c.is_subsystem()}
+    for conn in sub.connections:
+        if conn.dst[0] in inports:
+            inner = inports[conn.dst[0]].get(conn.dst[1])
+            if inner is not None and inner.sample_time is None:
+                inner.sample_time = SampleTime(by_id[conn.src[0]].period)
+    for bid in inports:
+        _resolve_sample_times(by_id[bid], base)
 
 
 def load_model(doc: dict) -> BlockModel:

@@ -432,10 +432,20 @@ def _canon_params(a: Actor) -> dict:
         raise SchemaError(f"actor {a.id}: malformed params ({type(e).__name__}: {e})") from None
 
 
+def _period(a: dict) -> Fraction:
+    """An actor's period: [num, den], both positive integers."""
+    p = a["state"]["period"]
+    if not (isinstance(p, list) and len(p) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in p)):
+        raise SchemaError(f"actor {a['id']}: period must be [num, den] with "
+                          f"two positive integers, got {p!r}")
+    return Fraction(*p)
+
+
 def load_sdfg(doc: dict) -> Sdfg:
     g = Sdfg(doc["name"])
     for a in doc["actors"]:
-        period = Fraction(a["state"]["period"][0], a["state"]["period"][1])
+        period = _period(a)
         in_ports = [Port(p["dtype"], p["width"], p.get("origin", 0), p.get("event", False))
                     for p in a["ports"]["in"]]
         out_ports = [Port(p["dtype"], p["width"], p.get("origin", 0), p.get("event", False))

@@ -159,6 +159,7 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
             dtype=c.spec.dtype, width=c.spec.width))
 
     ci = len(conns)
+    actor_of = {a.id: a for a in g.actors}
     for gi, (t, members) in enumerate(groups):
         ctrl = by_id[t.control[0]]
         spec = ctrl.out_ports[t.control[1]]
@@ -173,7 +174,7 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
         report.control_channels += 1
         ci += 1
         for k, mid in enumerate(members):
-            ma = g.actor(mid)
+            ma = actor_of[mid]
             slot = len(ma.in_ports)
             ma.in_ports.append(Port("bool", 1, origin=slot, event=True))
             es.out_ports.append(Port("bool", 1))

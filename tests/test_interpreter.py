@@ -16,11 +16,11 @@ from model_gen import random_model
 
 from sdflow import (AlgebraicLoopError, InconsistentError, SdflowError, ShapeError,
                     SignalTypeError, Trace, UnderflowError, build_schedule,
-                    compare_traces, load_model, normalize, run_mil, run_sil,
-                    sil_span, translate)
+                    compare_traces, load_model, load_sdfg, normalize, run_mil,
+                    run_sil, save_sdfg, sil_span, translate)
 from sdflow import kinds
 from sdflow.interpreter import (Comparison, DiagramEngine, _activation, _replay,
-                                _scalar_close, fmt_value)
+                                _scalar_close, fmt_value, resolve_wiring)
 
 F1 = {"dtype": "f64", "width": 1}
 I1 = {"dtype": "i32", "width": 1}
@@ -370,6 +370,52 @@ def test_activation_lists_match_the_modulo_rule():
             assert [st[0] for st in active(step)] == want, f"{name} step {step}"
 
 
+def test_trigger_gating_matches_the_member_scan():
+    """Each leaf keeps its own enable chain, then gains the control of every
+    trigger group with a member equal to or above it, in trigger and member
+    order."""
+    for name, m in activation_models():
+        n = normalize(m).model
+        plain = resolve_wiring(n.root).controls
+        for path, chain in resolve_wiring(n.root, n.triggers).controls.items():
+            want = plain[path] + [tg.control for tg in n.triggers for mid in tg.members
+                                  if path == mid or path.startswith(mid + "/")]
+            assert chain == want, f"{name} {path}"
+
+
+def _resorted_order(res):
+    """The former evaluation order, kept as the oracle: pop the first ready
+    leaf, re-sort the ready list on every release."""
+    deps = {p: set() for p in res.leaves}
+    for p, leaf in res.leaves.items():
+        if kinds.KINDS[leaf.kind].feedthrough:
+            deps[p].update(src for src, _ in res.producers[p] if src != p)
+        deps[p].update(src for src, _ in res.controls[p] if src != p)
+    ready = sorted(p for p in deps if not deps[p])
+    consumers = {p: [c for c in deps if p in deps[c]] for p in deps}
+    pending = {p: len(ds) for p, ds in deps.items()}
+    order = []
+    while ready:
+        p = ready.pop(0)
+        order.append(p)
+        freed = []
+        for c in consumers[p]:
+            pending[c] -= 1
+            if pending[c] == 0:
+                freed.append(c)
+        if freed:
+            ready = sorted(ready + freed)
+    return order
+
+
+def test_evaluation_order_matches_the_resorted_list():
+    for name, m in activation_models():
+        flat = normalize(m).model
+        for root, triggers in ((m.root, ()), (flat.root, flat.triggers)):
+            res = resolve_wiring(root, triggers)
+            assert res.order == _resorted_order(res), name
+
+
 def test_offgrid_periods_run_on_their_own_grid():
     # base 1/2: c fires at t = 0, 3/4 ... only where a base step lands
     # (steps 0, 3, 6), g at steps 0, 5; y and d every second step
@@ -469,6 +515,52 @@ def test_absent_stimulus_reads_zero(transmission):
     assert tr.samples["high"][0][1] is False
     gear0 = tr.samples["gear"][0][1]
     assert tr.samples["torque"][0][1] == 800.0 * gear0
+
+
+# ---------------------------------------------------------------------------
+# binding
+
+
+def test_actor_with_every_output_dropped_only_consumes():
+    """The graph gate skips the params behind an unconsumed output, so
+    run_sil must not run them: a Chart whose only output no channel reads
+    keeps an unknown transition op and the graph still replays."""
+    chart = {"states": ["a", "b"], "initial": "a",
+             "transitions": [{"from": "a", "to": "b", "input": 0, "op": ">", "value": 0.5}],
+             "outputs": {"a": [0.0], "b": [1.0]}}
+    m = model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+               blk("ch", "Chart", chart, st=1, ins=[F1], outs=[F1]),
+               blk("y", "Outport", {"index": 0}, st=1, ins=[F1])],
+              [conn(("c", 0), ("ch", 0)), conn(("c", 0), ("y", 0))])
+    doc = save_sdfg(translate(normalize(m))[0])
+    act = next(a for a in doc["actors"] if a["kind"] == "Chart")
+    assert act["ports"]["out"] == []
+    act["state"]["params"]["transitions"][0]["op"] = "=~"
+    assert out_values(run_sil(load_sdfg(doc), 3)) == [1.0] * 3
+
+
+def test_each_leaf_and_actor_is_bound_once_per_run(transmission, monkeypatch):
+    g, _ = translate(normalize(transmission))
+    period = sil_span(g)
+    leaves = len(DiagramEngine(transmission.root, transmission.triggers).res.leaves)
+    actors = sum(1 for a in g.actors if a.out_ports and a.kind != "Outport")
+    binds = 0
+    for k in kinds.KINDS.values():
+        def counted(*args, _bind=k.bind):
+            nonlocal binds
+            binds += 1
+            return _bind(*args)
+        monkeypatch.setattr(k, "bind", counted)
+
+    def bound(run, *args) -> int:
+        nonlocal binds
+        binds = 0
+        run(*args)
+        return binds
+
+    for steps in (64, 128):
+        assert bound(run_mil, transmission, steps) == leaves
+        assert bound(run_sil, g, int(steps / period)) == actors
 
 
 # ---------------------------------------------------------------------------

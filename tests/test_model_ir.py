@@ -3,16 +3,20 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sdflow import (Block, ResolutionError, SchemaError, SignalTypeError,
-                    load_model, save_model)
+from model_gen import random_document
+
+from sdflow import (Block, ResolutionError, SampleTime, SchemaError, SignalTypeError,
+                    load_model, model_ir, save_model)
 from sdflow.model_ir import iter_blocks, model_height
 
 F1 = {"dtype": "f64", "width": 1}
@@ -360,6 +364,75 @@ def test_inner_inport_inherits_outer_signal_rate():
             [conn(("c", 0), ("sub", 0)), conn(("sub", 0), ("y", 0))])
     m = load_model(d)
     assert m.root.child("sub").child("i").period == 4
+
+
+def _scan_sample_times(sub: Block, base: Fraction):
+    """The former fixpoint scan, kept as the oracle: it re-scans every
+    connection for every unresolved child until nothing changes."""
+    by_id = {c.id: c for c in sub.children}
+    changed = True
+    while changed:
+        changed = False
+        for c in sub.children:
+            if c.sample_time is not None:
+                continue
+            drivers = [by_id[conn.src[0]] for conn in sub.connections if conn.dst[0] == c.id]
+            known = [d.period for d in drivers if d.sample_time is not None]
+            if known and len(known) == len(drivers):
+                c.sample_time = SampleTime(min(known))
+                changed = True
+    for c in sub.children:
+        if c.sample_time is None:
+            c.sample_time = SampleTime(base)
+    for c in sub.children:
+        if not c.is_subsystem():
+            continue
+        for conn in sub.connections:
+            if conn.dst[0] != c.id:
+                continue
+            for inner in c.children:
+                if (inner.kind == "Inport" and inner.sample_time is None
+                        and inner.params.get("index") == conn.dst[1]):
+                    inner.sample_time = SampleTime(by_id[conn.src[0]].period)
+        _scan_sample_times(c, base)
+
+
+def _strip_sample_times(block: dict, rng: random.Random):
+    """Drop some sample times and reverse some child lists, in place."""
+    for c in block.get("children", []):
+        if rng.random() < 0.6:
+            c["sample_time"] = None
+        _strip_sample_times(c, rng)
+    if rng.random() < 0.5:
+        block.get("children", []).reverse()
+
+
+def test_sample_times_match_the_fixpoint_scan(monkeypatch):
+    rng = random.Random(9)
+    for seed in range(200):
+        d = random_document(seed)
+        _strip_sample_times(d["root"], rng)
+        got = load_model(copy.deepcopy(d))
+        with monkeypatch.context() as mp:
+            mp.setattr(model_ir, "_resolve_sample_times", _scan_sample_times)
+            want = load_model(d)
+        assert ([(path, b.period) for path, b, _ in iter_blocks(got.root)] ==
+                [(path, b.period) for path, b, _ in iter_blocks(want.root)]), f"seed {seed}"
+
+
+def test_inherited_periods_load_in_linear_time():
+    # a 1600-Gain chain inheriting its source's period, children listed
+    # against the signal flow, so a scan in document order resolves one
+    # block per pass
+    ids = ["c"] + [f"g{i}" for i in range(1600)] + ["y"]
+    children = ([blk("c", "Constant", {"value": 1.0}, st=2, outs=[F1])]
+                + [blk(g, "Gain", {"gain": 1.0}, ins=[F1], outs=[F1]) for g in ids[1:-1]]
+                + [blk("y", "Outport", {"index": 0}, ins=[F1])])
+    d = doc(children[::-1], [conn((a, 0), (b, 0)) for a, b in zip(ids, ids[1:])])
+    start = time.perf_counter()
+    m = load_model(d)
+    assert time.perf_counter() - start < 2.0
+    assert {c.period for c in m.root.children} == {2}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -314,6 +315,16 @@ def test_malformed_params_fail_at_load(source, kind, edit, problem):
     doc, act = _translated_doc(model, kind)
     act["state"]["params"] = edit(act["state"]["params"])
     with pytest.raises(SchemaError, match=f"actor {act['id']}: .*{problem}"):
+        load_sdfg(doc)
+
+
+@pytest.mark.parametrize("period", [[0, 1], [-2, 1], [1, 0]],
+                         ids=["zero", "negative", "zero_denominator"])
+def test_non_positive_period_fails_at_load(period):
+    doc = save_sdfg(translate(normalize(load_fixture("multirate")))[0])
+    act = doc["actors"][-1]
+    act["state"]["period"] = period
+    with pytest.raises(SchemaError, match=f"actor {re.escape(act['id'])}: period must be"):
         load_sdfg(doc)
 
 
