@@ -381,10 +381,15 @@ class _Emitter:
         has_events = any(p.event for p in a.in_ports)
 
         decls: list[str] = [f"/* ---- {a.kind} {a.id.replace('*/', '* /')} ---- */"]
+        if not (live or a.kind == "Outport"):
+            # nothing observes the outputs or state of an actor with no
+            # out-port: as in the schedule interpreter, it only pops
+            body = self._fire_body(a, ai, data_specs, out_full, live, False)
+            return decls + ["", f"void fire_{ai}(void) {{"] + body + ["}", ""]
         if a.kind == "Chart":
             idx = a.params["states"].index(a.params["initial"])
             decls.append(f"static int st_{ai} = {idx};")
-        if a.kind in ("UnitDelay", "DataStoreMemory") and a.out_ports:
+        if a.kind in ("UnitDelay", "DataStoreMemory"):
             d, w = out_full[0]
             init = _c_token(d, w, a.params["initial"])
             decls.append(f"static {CTYPE[d]} st_{ai}[{w}] = {init};")
@@ -406,10 +411,9 @@ class _Emitter:
             decls.append(f"static const {CTYPE[d]} stim_{ai}[{self._total(a)}][{w}] = {{\n"
                          f"    {rows}\n}};")
         if a.kind == "Outport":
-            times = ", ".join(_c_str(time_str(n * a.period))
-                              for n in range(self._total(a)))
-            decls.append(f"static const char *const tm_{ai}[{self._total(a)}] = "
-                         "{ " + times + " };")
+            times = self.plan.times[a.id][:self._total(a)]
+            decls.append(f"static const char *const tm_{ai}[{len(times)}] = "
+                         "{ " + ", ".join(_c_str(time_str(t)) for t in times) + " };")
         if a.kind == "Outport" or (a.kind == "Inport" and a.id in self.plan.stim):
             decls.append(f"static long n_{ai};")
 
@@ -426,7 +430,7 @@ class _Emitter:
             c = self.plan.ch_in[(a.id, slot)]
             qn = f"q_{self.cident[c.id]}"
             ct = CTYPE[p.dtype]
-            if p.event:
+            if p.event and has_events:
                 ev = f"e{n_ev}"
                 n_ev += 1
                 body.append(f"    {ct} {ev}[{p.width}];")
@@ -459,6 +463,8 @@ class _Emitter:
             body.append(f"    sdf_record(tm_{ai}[n_{ai}], {_c_str(a.id)}, "
                         f"{DTCODE[d]}, {w}, u0);")
             body.append(f"    n_{ai} += 1;")
+            return body
+        if not live:
             return body
 
         for j in live:
@@ -495,8 +501,8 @@ class _Emitter:
 
     def _update_lines(self, a, ai, data_specs) -> list[str]:
         if a.kind in ("UnitDelay", "DataStoreMemory"):
-            if not (data_specs and a.out_ports):
-                return []  # a store nothing accesses keeps no runtime state
+            if not data_specs:
+                return []  # a store nothing writes keeps its initial
             return [f"    memcpy(st_{ai}, u0, sizeof st_{ai});"]
         if a.kind == "Chart":
             lines = ["    do {"]
@@ -513,8 +519,6 @@ class _Emitter:
         return []
 
     def _compute_lines(self, a, ai, data_specs, out_full, live) -> list[str]:
-        if not live:
-            return []
         p = a.params
         kind = a.kind
         d, w = out_full[live[0]]

@@ -16,12 +16,13 @@ the normalizer:
   built on first use and reused, and each base step walks one such list.
 * run_sil replays a dataflow schedule with plain FIFO queues, one token
   at a time.  Each actor is bound once per run to a firing tuple
-  specialised by kind: its input FIFOs and rates, its output FIFOs with
-  their origins, its state cell and its kind's bound functions.  An actor
-  whose every output was dropped only consumes its input tokens.  The
-  replay walks those tuples in schedule order.  The stimulus rows of
-  every Inport firing are built before the replay, one division per
-  sample.
+  specialised by kind: its input FIFOs, rates and kept token (the last of
+  a multi-token read for a RateTransition, else the first), its output
+  FIFOs with their origins, its state cell and its kind's bound
+  functions.  An actor whose every output was dropped only consumes its
+  input tokens.  The replay walks those tuples in schedule order.  The
+  firing plan, shared with the C emitter, holds every Inport firing's
+  stimulus row and every Outport firing's time.
 
 Both produce a Trace: per output signal, (time, value) samples with the
 signal's type and width; a time is an int when whole, else a reduced
@@ -32,7 +33,7 @@ bool/i32 and within a relative tolerance for f64.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isinf, isnan, lcm
@@ -182,8 +183,7 @@ class Trace:
             "name": sig,
             "dtype": self.specs[sig][0],
             "width": self.specs[sig][1],
-            "samples": [[[t.numerator, t.denominator],
-                         list(v) if isinstance(v, tuple) else v]
+            "samples": [[[t.numerator, t.denominator], kinds.json_value(v)]
                         for t, v in pts],
         } for sig, pts in self.samples.items()]}
 
@@ -293,12 +293,14 @@ def _join(scope: str, bid: str) -> str:
 def resolve_wiring(top: Block, triggers=()) -> Resolution:
     res = Resolution()
     scopes: dict[str, Block] = {"": top}
+    outports: dict[str, dict[int, Block]] = {}  # scope path -> its Outports by number
     scope_of: dict[str, str] = {}
     blocks: dict[str, Block] = {}
     gotos: dict[str, str] = {}
     writers: dict[str, str] = {}
 
     def collect(scope_path: str, sub: Block):
+        outs = outports[scope_path] = {}
         for c in sub.children:
             path = _join(scope_path, c.id)
             blocks[path] = c
@@ -306,6 +308,8 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
             if c.is_subsystem():
                 scopes[path] = c
                 collect(path, c)
+            elif c.kind == "Outport":
+                outs[c.port_index()] = c
             elif c.kind == "Goto":
                 gotos[c.params["tag"]] = path
             elif c.kind == "DataStoreWrite":
@@ -341,17 +345,15 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
             path = _join(scope_path, bid)
             b = blocks[path]
             if b.is_subsystem():
-                inner = next(c for c in b.children
-                             if c.kind == "Outport" and c.params.get("index", 0) == port)
                 scope_path = path
-                bid, port = driver(scope_path, inner.id, 0)
+                bid, port = driver(scope_path, outports[path][port].id, 0)
             elif b.kind == "Inport" and scope_path != "":
                 # strip the parent prefix to recover the subsystem's block
                 # id; flattened ids may themselves contain '/'
                 sub_path = scope_path
                 scope_path = scope_of[sub_path]
                 sub_id = sub_path[len(scope_path) + 1:] if scope_path else sub_path
-                bid, port = driver(scope_path, sub_id, b.params.get("index", 0))
+                bid, port = driver(scope_path, sub_id, b.port_index())
             elif b.kind == "From":
                 tag = b.params["tag"]
                 if tag not in gotos:
@@ -480,7 +482,7 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
 # Block-diagram engine
 
 
-_EVAL, _INPORT, _OUTPORT, _RATE, _EMBED, _SINK = range(6)  # step roles, MIL and SIL
+_EVAL, _INPORT, _OUTPORT, _EMBED, _SINK = range(5)  # step roles, MIL and SIL
 
 
 class DiagramEngine:
@@ -573,25 +575,33 @@ def _stim_table(stimulus: "Trace | None", units: dict[str, Fraction]):
 @dataclass
 class _FiringPlan:
     """What run_sil and the C emitter both replay: the channel into each
-    in-port, each actor's out-channels and specs, and the stimulus token of
-    every Inport firing (an Inport without a signal reads zero)."""
+    in-port, each actor's out-channels and specs, the stimulus token of
+    every Inport firing (an Inport without a signal reads zero) and the
+    time of every Outport firing (one list per period, shared)."""
 
     ch_in: dict[tuple[str, int], Channel]
     ch_out: dict[str, list[Channel]]
     data_specs: dict[str, list[tuple[str, int]]]
     out_specs: dict[str, list[tuple[str, int]]]
     stim: dict[str, list]
+    times: dict[str, list[int | Fraction]]
 
 
 def _firing_plan(g: Sdfg, sched: Schedule, periods: int,
                  stimulus: Trace | None) -> _FiringPlan:
     table = _stim_table(stimulus, {a.id: a.period for a in g.actors if a.kind == "Inport"})
-    data_specs, out_specs, stim = {}, {}, {}
+    data_specs, out_specs, stim, times = {}, {}, {}, {}
+    by_period: dict[Fraction, list] = {}
     for a in g.actors:
         if a.kind not in kinds.KINDS:
             raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
         data_specs[a.id] = [(p.dtype, p.width) for p in a.in_ports if not p.event]
         out_specs[a.id] = a.full_out_specs()
+        if a.kind == "Outport":
+            ts = times[a.id] = by_period.setdefault(a.period, [])
+            unit = canon_time(a.period)
+            ts.extend(canon_time(n * unit)
+                      for n in range(len(ts), sched.repetition[a.id] * periods))
         if a.kind != "Inport" or a.id not in table or not a.out_ports:
             continue
         (d, w), (sd, sw) = out_specs[a.id][0], stimulus.specs[a.id]
@@ -605,7 +615,7 @@ def _firing_plan(g: Sdfg, sched: Schedule, periods: int,
             raise SdflowError(f"stimulus for {a.id!r} has no sample "
                               f"at t={e.args[0] * a.period}") from None
     return _FiringPlan({c.dst: c for c in g.channels}, g.out_channels(),
-                       data_specs, out_specs, stim)
+                       data_specs, out_specs, stim, times)
 
 
 def _activation(eng: DiagramEngine, base: Fraction):
@@ -677,12 +687,9 @@ class EmbeddedDiagram:
 
     def __init__(self, block: Block):
         self.eng = DiagramEngine(block)
-        self.in_index: dict[int, str] = {}
-        for path in self.eng.res.inports:
-            self.in_index[self.eng.res.leaves[path].params.get("index", 0)] = path
-        by_index = {}
-        for path in self.eng.res.outports:
-            by_index[self.eng.res.leaves[path].params.get("index", 0)] = path
+        leaves = self.eng.res.leaves
+        self.in_index = {leaves[path].port_index(): path for path in self.eng.res.inports}
+        by_index = {leaves[path].port_index(): path for path in self.eng.res.outports}
         self.out_refs = [self.eng.res.producers[by_index[j]][0]
                          for j in range(len(block.out_ports))]
 
@@ -709,11 +716,12 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
     """run_sil for a graph already scheduled as `sched`.
 
     Each actor is bound once to a tuple: its role, id, in-port reads (FIFO,
-    rate, event flag, channel id) in slot order, out-channel writes (FIFO,
-    output index, rate), a [firings, held outputs, state] cell, the output
-    and update functions bound from its kind (None where unused), and a
-    role-specific extra: an Inport's stimulus rows, an Outport's
-    timestamps and sample list, a Subsystem's diagram and control slot.
+    rate, event flag, channel id, kept token index) in slot order,
+    out-channel writes (FIFO, output index, rate), a [firings, held
+    outputs, state] cell, the output and update functions bound from its
+    kind (None where unused), and a role-specific extra: an Inport's
+    stimulus rows, an Outport's firing times and sample list, a
+    Subsystem's diagram and control slot.
     An actor with no out-port is a sink: nothing can observe its outputs
     or state, so it is not bound and only consumes its input tokens.  The
     firing loop walks those tuples in schedule order.
@@ -721,8 +729,6 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
     plan = _firing_plan(g, sched, periods, stimulus)
     fifos = {c.id: deque(c.initial_values) for c in g.channels}
     trace = Trace()
-    fires = Counter(sched.firings)
-    stamps: dict[Fraction, list] = {}   # per period, shared by Outports
     bound = {}
     for a in g.actors:
         cell = [0, None, None]
@@ -738,21 +744,19 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
         elif a.kind == "Outport":
             role = _OUTPORT
             trace.declare(a.id, *plan.data_specs[a.id][0])
-            ts = stamps.setdefault(a.period, [])
-            unit = canon_time(a.period)
-            ts.extend(canon_time(n * unit) for n in range(len(ts), fires[a.id] * periods))
-            extra = (ts, trace.samples[a.id].append)
+            extra = (plan.times[a.id], trace.samples[a.id].append)
         elif not a.out_ports:
             role = _SINK
         else:
-            role = {"Inport": _INPORT, "RateTransition": _RATE}.get(a.kind, _EVAL)
+            role = _INPORT if a.kind == "Inport" else _EVAL
             cell[2], cell[1], output, update = kinds.KINDS[a.kind].bind(
                 a.params, plan.data_specs[a.id], plan.out_specs[a.id])
             extra = plan.stim.get(a.id)
+        keep = -1 if a.kind == "RateTransition" else 0
         reads = []
         for slot, port in enumerate(a.in_ports):
             c = plan.ch_in[(a.id, slot)]
-            reads.append((fifos[c.id], c.rate_dst, port.event, c.id))
+            reads.append((fifos[c.id], c.rate_dst, port.event, c.id, keep))
         writes = tuple((fifos[c.id], a.out_ports[c.src[1]].origin, c.rate_src)
                        for c in plan.ch_out[a.id])
         bound[a.id] = (role, a.id, tuple(reads), writes, cell, output, update, extra)
@@ -764,7 +768,7 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
         for role, aid, reads, writes, cell, output, update, extra in seq:
             vals = []
             enabled = True
-            for f, r, event, cid in reads:
+            for f, r, event, cid, keep in reads:
                 if r == 1:
                     try:
                         v = f.popleft()
@@ -781,7 +785,7 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
                                          f"found {len(f)}")
                 toks = [f.popleft() for _ in range(r)]
                 if not event:
-                    vals.append(toks[-1] if role == _RATE else toks[0])  # freshest for RT
+                    vals.append(toks[keep])
                 elif enabled:
                     enabled = all(truth(x) for x in toks)
 
@@ -802,10 +806,6 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
             elif role == _INPORT:
                 if enabled and extra is not None:
                     cell[1] = [extra[cell[0]]]
-                produced = cell[1]
-            elif role == _RATE:
-                if enabled:
-                    cell[1] = [vals[0]]
                 produced = cell[1]
             else:
                 diagram, control = extra

@@ -9,7 +9,8 @@ calls only the closures that bind returns.
 
 Tokens are plain Python values: a scalar for width 1, a tuple for wider
 signals.  f64 tokens are floats, i32 tokens are ints wrapped to 32 bits,
-bool tokens are bools.
+bool tokens are bools.  json_value is the one JSON form of a canonical
+value (tuples become lists), used by both savers and Trace.to_json.
 """
 
 from __future__ import annotations
@@ -89,6 +90,15 @@ def canon_token(dtype: str, width: int, v):
     if not isinstance(v, (list, tuple)) or len(v) != width:
         raise SchemaError(f"expected list of {width} literals, got {v!r}")
     return tuple(canon_scalar(dtype, x) for x in v)
+
+
+def json_value(v):
+    """The JSON form of a canonical value: tuples become lists, at any depth."""
+    if isinstance(v, (tuple, list)):
+        return [json_value(x) for x in v]
+    if isinstance(v, dict):
+        return {k: json_value(x) for k, x in v.items()}
+    return v
 
 
 def token_elems(v, width: int):
@@ -593,7 +603,8 @@ class _Chart(Kind):
 class _RateTransition(Kind):
     """Period adapter.  In the block diagram it is a latch activating at the
     slow side's period; in the dataflow graph its ports carry the period
-    ratio as a token rate (the engines special-case it)."""
+    ratio as a token rate, and a firing that reads several tokens keeps
+    the last of them where every other kind keeps the first."""
 
     name = "RateTransition"
     n_in, n_out = 1, 1
@@ -615,12 +626,9 @@ class _DataStoreMemory(Kind):
     independent of evaluation order."""
 
     name = "DataStoreMemory"
-    n_in, n_out = None, None
+    n_in, n_out = None, None  # 0/0 before routing removal, 1/1 after
     keys = ("store", "initial")
     feedthrough = False
-
-    def arity(self, params):
-        return None, None  # 0/0 before routing removal, 1/1 after
 
     def _canon(self, params, in_specs, out_specs, probs):
         if not isinstance(params.get("store"), str) or not params.get("store"):
@@ -681,9 +689,6 @@ class _BusCreator(Kind):
     name = "BusCreator"
     n_in, n_out = None, 1
 
-    def arity(self, params):
-        return None, 1
-
     def _canon(self, params, in_specs, out_specs, probs):
         if len(in_specs) < 1:
             probs.append("BusCreator needs at least one input")
@@ -695,9 +700,6 @@ class _BusSelector(Kind):
     n_in, n_out = 1, None
     keys = ("indices",)
     feedthrough = False
-
-    def arity(self, params):
-        return 1, None
 
     def _canon(self, params, in_specs, out_specs, probs):
         idx = params.get("indices")
@@ -711,9 +713,6 @@ class _Subsystem(Kind):
     name = "Subsystem"
     n_in, n_out = None, None
     keys = ("mode", "control_port")
-
-    def arity(self, params):
-        return None, None
 
     def _canon(self, params, in_specs, out_specs, probs):
         p = {"mode": params.get("mode", "normal")}
@@ -738,9 +737,6 @@ class _EnableSource(Kind):
     name = "EnableSource"
     n_in, n_out = 1, None
     keys = ("mode",)
-
-    def arity(self, params):
-        return 1, None
 
     def bind(self, params, in_specs, out_specs):
         n = len(out_specs)

@@ -89,6 +89,10 @@ class Block:
     def mode(self) -> str:
         return self.params.get("mode", "normal") if self.is_subsystem() else "normal"
 
+    def port_index(self) -> int:
+        """An Inport or Outport's number: its `index`, 0 when omitted."""
+        return self.params.get("index", 0)
+
 
 @dataclass(frozen=True)
 class TriggerGroup:
@@ -260,7 +264,7 @@ def _check_boundary(sub: Block, path: str, is_root: bool):
     out_seen: dict[int, str] = {}
     for c in sub.children:
         if c.kind == "Inport":
-            idx = c.params.get("index", 0)
+            idx = c.port_index()
             if idx >= len(sub.in_ports):
                 raise ResolutionError(f"{path}/{c.id}: index {idx} exceeds the in-port list")
             if idx == control:
@@ -273,7 +277,7 @@ def _check_boundary(sub: Block, path: str, is_root: bool):
                 raise SignalTypeError(f"{path}/{c.id}: spec {c.out_ports[0]} does not match "
                                       f"subsystem in-port {idx} {sub.in_ports[idx]}")
         elif c.kind == "Outport":
-            idx = c.params.get("index", 0)
+            idx = c.port_index()
             if idx >= len(sub.out_ports):
                 raise ResolutionError(f"{path}/{c.id}: index {idx} exceeds the out-port list")
             if idx in out_seen:
@@ -337,7 +341,7 @@ def _resolve_sample_times(sub: Block, base: Fraction):
         if by_id[bid].sample_time is None:
             by_id[bid].sample_time = SampleTime(base)
     # An inner Inport is driven by the outer signal feeding that port.
-    inports = {c.id: {i.params.get("index"): i for i in c.children if i.kind == "Inport"}
+    inports = {c.id: {i.port_index(): i for i in c.children if i.kind == "Inport"}
                for c in sub.children if c.is_subsystem()}
     for conn in sub.connections:
         if conn.dst[0] in inports:
@@ -390,22 +394,8 @@ def load_model_file(path) -> BlockModel:
 # Saving
 
 
-def _token_json(v):
-    return list(v) if isinstance(v, tuple) else v
-
-
-def _params_json(b: Block) -> dict:
-    out = {}
-    for k, v in sorted(b.params.items()):
-        out[k] = _token_json(v)
-    if b.kind == "Chart":
-        out["outputs"] = {s: [_token_json(t) for t in row]
-                          for s, row in sorted(b.params["outputs"].items())}
-    return out
-
-
 def _block_json(b: Block) -> dict:
-    obj = {"id": b.id, "kind": b.kind, "params": _params_json(b)}
+    obj = {"id": b.id, "kind": b.kind, "params": kinds.json_value(b.params)}
     obj["sample_time"] = b.sample_time.to_json() if b.sample_time else None
     obj["ports"] = {"in": [{"dtype": s.dtype, "width": s.width} for s in b.in_ports],
                     "out": [{"dtype": s.dtype, "width": s.width} for s in b.out_ports]}

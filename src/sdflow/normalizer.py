@@ -59,10 +59,10 @@ def _collect(sub: Block, prefix: str, depth: int, is_root: bool, out: _Flat):
     for c in sub.children:
         qual = prefix + c.id
         if not is_root and c.kind == "Inport":
-            local[c.id] = ("p_in", bpath, c.params.get("index", 0))
+            local[c.id] = ("p_in", bpath, c.port_index())
             continue
         if not is_root and c.kind == "Outport":
-            local[c.id] = ("p_out", bpath, c.params.get("index", 0))
+            local[c.id] = ("p_out", bpath, c.port_index())
             continue
         if c.is_subsystem() and depth > 0:
             first = len(out.blocks)

@@ -375,7 +375,7 @@ def save_sdfg(g: Sdfg) -> dict:
             "kind": a.kind,
             "ports": {"in": [_port_json(p) for p in a.in_ports],
                       "out": [_port_json(p) for p in a.out_ports]},
-            "state": {"params": _params_json(a.params),
+            "state": {"params": kinds.json_value(a.params),
                       "period": [a.period.numerator, a.period.denominator]},
         } for a in g.actors],
         "channels": [{
@@ -387,22 +387,9 @@ def save_sdfg(g: Sdfg) -> dict:
             "delay": c.delay,
             "dtype": c.dtype,
             "width": c.width,
-            "initial_values": [list(v) if isinstance(v, tuple) else v
-                               for v in c.initial_values],
+            "initial_values": kinds.json_value(c.initial_values),
         } for c in g.channels],
     }
-
-
-def _params_json(params: dict):
-    def conv(v):
-        if isinstance(v, tuple):
-            return list(v)
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [conv(x) for x in v]
-        return v
-    return {k: conv(v) for k, v in params.items()}
 
 
 def _canon_params(a: Actor) -> dict:

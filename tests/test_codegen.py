@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sdflow import (SdflowError, SignalTypeError, Trace, UnsupportedKindError,
-                    compare_traces, emit_bundle, load_model, normalize,
-                    run_sil, sil_span, translate)
+                    compare_traces, emit_bundle, load_model, load_sdfg, normalize,
+                    run_sil, save_sdfg, sil_span, translate)
 from conftest import c_trace, compile_and_run
 
 F1 = {"dtype": "f64", "width": 1}
@@ -183,3 +183,73 @@ def test_empty_model_prints_header_only(tmp_path):
               [conn(("c", 0), ("g", 0))], name="mute")
     out = compile_and_run(emit_bundle(graph_of(m), periods=2), tmp_path)
     assert out == "time,signal,value\n"
+
+
+def test_actor_with_no_out_port_only_pops(tmp_path):
+    # the graph gate leaves the params behind an unconsumed output
+    # unchecked, so C must not emit them: here a transition op "=~"
+    chart = {"states": ["a", "b"], "initial": "a",
+             "transitions": [{"from": "a", "to": "b", "input": 0, "op": ">", "value": 0.5}],
+             "outputs": {"a": [0.0], "b": [1.0]}}
+    m = model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+               blk("ch", "Chart", chart, st=1, ins=[F1], outs=[F1]),
+               blk("y", "Outport", {"index": 0}, st=1, ins=[F1])],
+              [conn(("c", 0), ("ch", 0)), conn(("c", 0), ("y", 0))], name="sink")
+    doc = save_sdfg(graph_of(m))
+    act = next(a for a in doc["actors"] if a["kind"] == "Chart")
+    assert act["ports"]["out"] == []
+    act["state"]["params"]["transitions"][0]["op"] = "=~"
+    g = load_sdfg(doc)
+    b = emit_bundle(g, periods=3)
+    section = b.files["actors_sink.c"].split("/* ---- Chart ch ---- */")[1]
+    body = section.split("{", 1)[1].split("}", 1)[0]
+    # no state, no compute, no transition: one buffer and its pop
+    assert [ln.split("(")[0].strip() for ln in body.splitlines() if ln] == \
+        ["double u0[1];", "sdf_queue_pop"]
+    ref = run_sil(g, 3)
+    got = c_trace(b, tmp_path, ref.specs)
+    assert compare_traces(ref, got).ok and got.to_csv() == ref.to_csv()
+
+
+def _port(dtype="f64", event=False):
+    return {"dtype": dtype, "width": 1, "origin": 0, "event": event}
+
+
+def _actor(aid, kind, params, period, ins=(), outs=()):
+    return {"id": aid, "kind": kind, "ports": {"in": list(ins), "out": list(outs)},
+            "state": {"params": params, "period": [period, 1]}}
+
+
+def _channel(src, dst, rate_dst, dtype="f64"):
+    return {"id": f"{src[0]}->{dst[0]}", "src": list(src), "dst": list(dst),
+            "rate_src": 1, "rate_dst": rate_dst, "delay": 0,
+            "dtype": dtype, "width": 1, "initial_values": []}
+
+
+def test_multi_token_reads_keep_the_first_data_token(tmp_path):
+    # Gains at period 2 read two period-1 tokens per firing: g keeps the
+    # first, and h runs only when both of its two event tokens are true
+    doc = {"name": "multi", "actors": [
+        _actor("u", "Inport", {"index": 0}, 1, outs=[_port(), _port()]),
+        _actor("e", "Inport", {"index": 1}, 1, outs=[_port("bool")]),
+        _actor("g", "Gain", {"gain": 10.0}, 2, ins=[_port()], outs=[_port()]),
+        _actor("h", "Gain", {"gain": 10.0}, 2, ins=[_port(), _port("bool", True)],
+               outs=[_port()]),
+        _actor("yg", "Outport", {"index": 0}, 2, ins=[_port()]),
+        _actor("yh", "Outport", {"index": 1}, 2, ins=[_port()]),
+    ], "channels": [
+        _channel(("u", 0), ("g", 0), 2), _channel(("u", 1), ("h", 0), 2),
+        _channel(("e", 0), ("h", 1), 2, "bool"),
+        _channel(("g", 0), ("yg", 0), 1), _channel(("h", 0), ("yh", 0), 1),
+    ]}
+    g = load_sdfg(doc)
+    stim = ramp("u", 1, 8, lambda k: float(k + 1))          # 1 .. 8
+    stim.declare("e", "bool", 1)
+    for k, bit in enumerate([1, 1, 0, 1, 1, 0, 1, 1]):
+        stim.add("e", k, bool(bit))
+    ref = run_sil(g, 4, stim)
+    # reads [1,2] [3,4] [5,6] [7,8]; events [1,1] [0,1] [1,0] [1,1]
+    assert ref.samples["yg"] == [(0, 10.0), (2, 30.0), (4, 50.0), (6, 70.0)]
+    assert ref.samples["yh"] == [(0, 10.0), (2, 10.0), (4, 10.0), (6, 70.0)]
+    got = c_trace(emit_bundle(g, periods=4, stimulus=stim), tmp_path, ref.specs)
+    assert got.to_csv() == ref.to_csv()

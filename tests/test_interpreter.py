@@ -5,8 +5,10 @@ each case show the arithmetic.
 """
 
 import dataclasses
+import gc
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -248,6 +250,40 @@ def test_conditional_gating_survives_flattening():
     a = run_mil(m, 8, stim)
     b = run_mil(normalize(m).model, 8, stim)
     assert compare_traces(a, b).ok
+
+
+def wide_pass_through(n):
+    """n Constants through one Subsystem of n Inport -> Outport pairs."""
+    sub = blk("sub", "Subsystem", {"mode": "normal"}, ins=[F1] * n, outs=[F1] * n,
+              children=[blk(f"i{k}", "Inport", {"index": k}, outs=[F1]) for k in range(n)]
+              + [blk(f"o{k}", "Outport", {"index": k}, ins=[F1]) for k in range(n)],
+              connections=[conn((f"i{k}", 0), (f"o{k}", 0)) for k in range(n)])
+    return model([blk(f"c{k}", "Constant", {"value": float(k)}, st=1, outs=[F1])
+                  for k in range(n)] + [sub]
+                 + [blk(f"y{k}", "Outport", {"index": k}, ins=[F1]) for k in range(n)],
+                 [conn((f"c{k}", 0), ("sub", k)) for k in range(n)]
+                 + [conn(("sub", k), (f"y{k}", 0)) for k in range(n)])
+
+
+def test_mil_setup_is_linear_in_subsystem_width():
+    # linear set-up gives a ratio near 4; scanning a subsystem's children
+    # at each out-port crossing gives about 16
+    def setup_s(m) -> float:
+        best = math.inf
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                start = time.perf_counter()
+                run_mil(m, 0)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+        return best
+    small, large = wide_pass_through(2000), wide_pass_through(8000)
+    assert run_mil(small, 1).samples["y1234"] == [(0, 1234.0)]
+    ratio = setup_s(large) / setup_s(small)
+    assert ratio < 10, f"8000 ports took {ratio:.1f}x as long as 2000"
 
 
 # ---------------------------------------------------------------------------

@@ -354,15 +354,25 @@ def test_multiple_drivers_take_fastest():
     assert m.root.child("s").period == 2
 
 
-def test_inner_inport_inherits_outer_signal_rate():
+def pass_through_doc(inport_params):
+    """A period-4 Constant through a one-port pass-through Subsystem."""
     sub = blk("sub", "Subsystem", {"mode": "normal"}, ins=[F1], outs=[F1],
-              children=[blk("i", "Inport", {"index": 0}, outs=[F1]),
+              children=[blk("i", "Inport", inport_params, outs=[F1]),
                         blk("o", "Outport", {"index": 0}, ins=[F1])],
               connections=[conn(("i", 0), ("o", 0))])
-    d = doc([blk("c", "Constant", {"value": 1.0}, st=4, outs=[F1]), sub,
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("c", 0), ("sub", 0)), conn(("sub", 0), ("y", 0))])
-    m = load_model(d)
+    return doc([blk("c", "Constant", {"value": 1.0}, st=4, outs=[F1]), sub,
+                blk("y", "Outport", {"index": 0}, ins=[F1])],
+               [conn(("c", 0), ("sub", 0)), conn(("sub", 0), ("y", 0))])
+
+
+def test_inner_inport_inherits_outer_signal_rate():
+    m = load_model(pass_through_doc({"index": 0}))
+    assert m.root.child("sub").child("i").period == 4
+
+
+def test_inner_inport_without_index_inherits_too():
+    # an omitted index is port 0 for inheritance as for wiring
+    m = load_model(pass_through_doc({}))
     assert m.root.child("sub").child("i").period == 4
 
 
@@ -392,7 +402,7 @@ def _scan_sample_times(sub: Block, base: Fraction):
                 continue
             for inner in c.children:
                 if (inner.kind == "Inport" and inner.sample_time is None
-                        and inner.params.get("index") == conn.dst[1]):
+                        and inner.port_index() == conn.dst[1]):
                     inner.sample_time = SampleTime(by_id[conn.src[0]].period)
         _scan_sample_times(c, base)
 

@@ -345,3 +345,158 @@ def test_violation_json_shape():
     j = v.to_json()
     assert set(j) == {"rule", "location", "message"}
     assert str(v).startswith(f"{j['rule']} at {j['location']}:")
+
+
+# ---------------------------------------------------------------------------
+# one case per remaining rule branch
+
+
+def store_model(writers=1, readers=1, memories=1):
+    children = [blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1])]
+    conns = []
+    for k in range(writers):
+        children.append(blk(f"w{k}", "DataStoreWrite", {"store": "s"}, ins=[F1]))
+        conns.append(conn(("c", 0), (f"w{k}", 0)))
+    for k in range(readers):
+        children += [blk(f"r{k}", "DataStoreRead", {"store": "s"}, outs=[F1]),
+                     blk(f"y{k}", "Outport", {"index": k}, ins=[F1])]
+        conns.append(conn((f"r{k}", 0), (f"y{k}", 0)))
+    for k in range(memories):
+        children.append(blk(f"m{k}", "DataStoreMemory", {"store": "s", "initial": 0.0}, st=1))
+    return model(children, conns, stores=["s"])
+
+
+def duplicate_gotos():
+    return model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+                  blk("g1", "Goto", {"tag": "t"}, ins=[F1]),
+                  blk("g2", "Goto", {"tag": "t"}, ins=[F1]),
+                  blk("f", "From", {"tag": "t"}, outs=[F1]),
+                  blk("y", "Outport", {"index": 0}, ins=[F1])],
+                 [conn(("c", 0), ("g1", 0)), conn(("c", 0), ("g2", 0)),
+                  conn(("f", 0), ("y", 0))])
+
+
+def lone_from():
+    return model([blk("f", "From", {"tag": "t"}, st=1, outs=[F1]),
+                  blk("y", "Outport", {"index": 0}, ins=[F1])],
+                 [conn(("f", 0), ("y", 0))])
+
+
+def vector_switch_control():
+    return model([blk("a", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+                  blk("t", "Constant", {"value": [1.0, 0.0]}, st=1, outs=[F2]),
+                  blk("sw", "Switch", {"threshold": 0.0}, ins=[F1, F2, F1], outs=[F1]),
+                  blk("y", "Outport", {"index": 0}, ins=[F1])],
+                 [conn(("a", 0), ("sw", 0)), conn(("t", 0), ("sw", 1), F2),
+                  conn(("a", 0), ("sw", 2)), conn(("sw", 0), ("y", 0))])
+
+
+def mixed_rate_members():
+    sub = blk("sub", "Subsystem", {"mode": "enabled", "control_port": 1},
+              st=2, ins=[F1, B1], outs=[F1],
+              children=[blk("i", "Inport", {"index": 0}, st=2, outs=[F1]),
+                        blk("g", "Gain", {"gain": 2.0}, st=2, ins=[F1], outs=[F1]),
+                        blk("h", "Gain", {"gain": 2.0}, st=4, ins=[F1], outs=[F1]),
+                        blk("o", "Outport", {"index": 0}, st=4, ins=[F1])],
+              connections=[conn(("i", 0), ("g", 0)), conn(("g", 0), ("h", 0)),
+                           conn(("h", 0), ("o", 0))])
+    return model([blk("c", "Constant", {"value": 1.0}, st=2, outs=[F1]),
+                  blk("en", "Constant", {"value": True}, st=2, outs=[B1]), sub,
+                  blk("y", "Outport", {"index": 0}, st=4, ins=[F1])],
+                 [conn(("c", 0), ("sub", 0)), conn(("en", 0), ("sub", 1), B1),
+                  conn(("sub", 0), ("y", 0))])
+
+
+def selector_model(feed, indices):
+    children = [blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+                blk("bs", "BusSelector", {"indices": indices}, ins=[F1], outs=[F1]),
+                blk("y", "Outport", {"index": 0}, ins=[F1])]
+    conns = [conn(("bs", 0), ("y", 0))]
+    if feed == "BusCreator":
+        children.append(blk("bc", "BusCreator", {}, ins=[F1], outs=[F1]))
+        conns += [conn(("c", 0), ("bc", 0)), conn(("bc", 0), ("bs", 0))]
+    else:
+        conns.append(conn(("c", 0), ("bs", 0)))
+    return model(children, conns)
+
+
+def opaque_model(inner, inner_conns, outer=(), outer_conns=(), stores=()):
+    """A normal subsystem `sub` passing one signal, around `inner`."""
+    sub = blk("sub", "Subsystem", {"mode": "normal"}, st=1, ins=[F1], outs=[F1],
+              children=[blk("i", "Inport", {"index": 0}, outs=[F1]), *inner,
+                        blk("o", "Outport", {"index": 0}, ins=[F1])],
+              connections=inner_conns)
+    return model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]), sub,
+                  blk("y", "Outport", {"index": 0}, ins=[F1]), *outer],
+                 [conn(("c", 0), ("sub", 0)), conn(("sub", 0), ("y", 0)), *outer_conns],
+                 stores)
+
+
+def multirate_opaque():
+    return opaque_model([blk("g", "Gain", {"gain": 1.0}, st=2, ins=[F1], outs=[F1])],
+                        [conn(("i", 0), ("g", 0)), conn(("g", 0), ("o", 0))])
+
+
+def goto_inside_from_outside():
+    return opaque_model([blk("gt", "Goto", {"tag": "t"}, ins=[F1])],
+                        [conn(("i", 0), ("gt", 0)), conn(("i", 0), ("o", 0))],
+                        [blk("f", "From", {"tag": "t"}, st=1, outs=[F1]),
+                         blk("y2", "Outport", {"index": 1}, ins=[F1])],
+                        [conn(("f", 0), ("y2", 0))])
+
+
+def store_inside_and_outside():
+    return opaque_model([blk("w", "DataStoreWrite", {"store": "s"}, ins=[F1])],
+                        [conn(("i", 0), ("w", 0)), conn(("i", 0), ("o", 0))],
+                        [blk("m", "DataStoreMemory", {"store": "s", "initial": 0.0}, st=1),
+                         blk("r", "DataStoreRead", {"store": "s"}, st=1, outs=[F1]),
+                         blk("y2", "Outport", {"index": 1}, ins=[F1])],
+                        [conn(("r", 0), ("y2", 0))], stores=["s"])
+
+
+def opaque_wiring_cycle():
+    # an inner pass-through subsystem whose output feeds its own input
+    loop = blk("loop", "Subsystem", {"mode": "normal"}, ins=[F1], outs=[F1],
+               children=[blk("li", "Inport", {"index": 0}, outs=[F1]),
+                         blk("lo", "Outport", {"index": 0}, ins=[F1])],
+               connections=[conn(("li", 0), ("lo", 0))])
+    return opaque_model([loop, blk("g", "Gain", {"gain": 1.0}, ins=[F1], outs=[F1])],
+                        [conn(("loop", 0), ("loop", 0)), conn(("loop", 0), ("g", 0)),
+                         conn(("g", 0), ("o", 0))])
+
+
+BRANCHES = [
+    ("duplicate_goto_writers", duplicate_gotos, None, "E3_1_DanglingRouting", "g2",
+     "tag 't' has 2 Goto writers"),
+    ("from_without_goto", lone_from, None, "E3_1_DanglingRouting", "f",
+     "From tag 't' has no Goto writer"),
+    ("store_write_without_read", lambda: store_model(readers=0), None,
+     "E3_1_DanglingRouting", "w0", "DataStoreWrite 's' has no DataStoreRead"),
+    ("two_store_writers", lambda: store_model(writers=2), None,
+     "E3_1_DanglingRouting", "w1", "store 's' has 2 writers"),
+    ("two_store_memories", lambda: store_model(memories=2), None,
+     "E3_1_DanglingRouting", "m1", "store 's' has 2 memories"),
+    ("vector_switch_control", vector_switch_control, None, "E2_VariableSize", "sw",
+     "Switch control input must be scalar"),
+    ("members_at_mixed_periods", mixed_rate_members, None, "HarmonicRates", "sub",
+     "enabled subsystem members span several periods (2, 4)"),
+    ("selector_fed_by_non_creator", lambda: selector_model("Constant", [0]), None,
+     "E3_2_BusPairing", "c -> bs", "BusSelector must be fed by a BusCreator, found Constant"),
+    ("selector_missing_element", lambda: selector_model("BusCreator", [1]), None,
+     "E3_2_BusPairing", "bc -> bs", "selector output 0 asks for bus element 1, bus has 1"),
+    ("multirate_opaque_subsystem", multirate_opaque, 0, "HarmonicRates", "sub/g",
+     "block inside the opaque subsystem 'sub' runs at 2, the subsystem at 1"),
+    ("goto_inside_from_outside", goto_inside_from_outside, 0, "E1_Hierarchy", "sub",
+     "tag 't' is written inside this opaque subsystem and read outside it"),
+    ("store_inside_and_outside", store_inside_and_outside, 0, "E1_Hierarchy", "sub",
+     "store 's' is accessed both inside and outside this opaque subsystem"),
+    ("opaque_wiring_cycle", opaque_wiring_cycle, 0, "E3_1_DanglingRouting", "sub",
+     "wiring could not be resolved: pass-through wiring cycle at ('p_out', 'loop', 0)"),
+]
+
+
+@pytest.mark.parametrize("build, depth, rule, location, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in BRANCHES])
+def test_rule_branch(build, depth, rule, location, message):
+    got = [(v.rule, v.location, v.message) for v in check_requirements(build(), depth)]
+    assert (rule, location, message) in got
