@@ -6,6 +6,9 @@ is the same time,signal,value CSV the schedule interpreter produces.
 Generated arithmetic replays the Python kind implementations operation
 for operation, so with contraction disabled (build.sh passes
 -ffp-contract=off) double results match the interpreter bit for bit.
+build.sh compiles the four translation units as concurrent jobs, waits
+for every one of them, and links only if all succeeded; each object file
+is left in the bundle, next to its source.
 
 Stimulus values and firing timestamps are resolved at emission time and
 baked into the sources as literals; the binary takes no inputs.
@@ -356,17 +359,25 @@ class _Emitter:
 
     def _build_script(self) -> str:
         n = self.name
-        defines = "" if self.asserts else " -DSDF_NO_ASSERT"
+        flags = "-std=c99 -O2 -ffp-contract=off -I. -Iruntime"
+        if not self.asserts:
+            flags += " -DSDF_NO_ASSERT"
+        # largest unit first, so it is not the one left running alone
+        units = [f"actors_{n}", f"sdfg_{n}", f"harness_{n}", "runtime/sdf_queue"]
         return "\n".join([
             "#!/bin/sh",
+            "# Compiles the translation units concurrently, then links them.",
             "# -ffp-contract=off keeps double arithmetic identical to the",
             "# reference interpreter (no fused multiply-add).",
-            "set -e",
-            'cd "$(dirname "$0")"',
+            "# No set -e: every started compiler is waited for before exit.",
+            'cd "$(dirname "$0")" || exit 1',
             ': "${CC:=cc}"',
-            f"exec $CC -std=c99 -O2 -ffp-contract=off -I. -Iruntime{defines} \\",
-            f"    runtime/sdf_queue.c sdfg_{n}.c actors_{n}.c harness_{n}.c \\",
-            f"    -lm -o sdfg_{n}",
+            "pids=",
+            *(f'$CC {flags} -c {u}.c -o {u}.o & pids="$pids $!"' for u in units),
+            "status=0",
+            'for p in $pids; do wait "$p" || status=1; done',
+            '[ "$status" = 0 ] || exit 1',
+            f"exec $CC {' '.join(u + '.o' for u in units)} -lm -o sdfg_{n}",
             "",
         ])
 

@@ -234,12 +234,17 @@ def _scalar_close(dtype: str, x, y, tol: float):
 
 
 def compare_traces(a: Trace, b: Trace, tol: float = 0.0) -> Comparison:
+    """Compare two traces sample by sample.  Each signal is compared up to
+    its first sample that is not close; the divergence reported is the
+    earliest of those by time, ties broken by signal name.  `samples`
+    counts the samples compared."""
     if set(a.samples) != set(b.samples):
         only_a = sorted(set(a.samples) - set(b.samples))
         only_b = sorted(set(b.samples) - set(a.samples))
         raise ShapeError(f"signal sets differ (only left: {only_a}, only right: {only_b})")
     total = 0
     max_rel = 0.0
+    earliest = None  # (time, signal, divergence)
     for sig, pa in a.samples.items():
         d, w = spec = a.specs[sig]
         if sig in b.specs and b.specs[sig] != spec:
@@ -247,6 +252,7 @@ def compare_traces(a: Trace, b: Trace, tol: float = 0.0) -> Comparison:
         pb = b.samples[sig]
         if len(pa) != len(pb):
             raise ShapeError(f"signal {sig!r} has {len(pa)} vs {len(pb)} samples")
+        n = len(pa)
         for i, ((ta, va), (tb, vb)) in enumerate(zip(pa, pb)):
             if ta != tb:
                 raise ShapeError(f"signal {sig!r} sample {i} at t={ta} vs t={tb}")
@@ -256,11 +262,19 @@ def compare_traces(a: Trace, b: Trace, tol: float = 0.0) -> Comparison:
                 eq, rel = _scalar_close(d, x, y, tol)
                 max_rel = max(max_rel, rel)
                 if not eq:
-                    return Comparison(False, total + i + 1, max_rel, {
-                        "signal": sig, "time": str(ta), "index": i,
-                        "a": fmt_value(d, w, va), "b": fmt_value(d, w, vb)})
-        total += len(pa)
-    return Comparison(True, total, max_rel)
+                    break
+            else:
+                continue  # every element is close
+            n = i + 1
+            if earliest is None or (ta, sig) < earliest[:2]:
+                earliest = (ta, sig, {
+                    "signal": sig, "time": str(ta), "index": i,
+                    "a": fmt_value(d, w, va), "b": fmt_value(d, w, vb)})
+            break
+        total += n
+    if earliest is None:
+        return Comparison(True, total, max_rel)
+    return Comparison(False, total, max_rel, earliest[2])
 
 
 # ---------------------------------------------------------------------------

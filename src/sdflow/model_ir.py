@@ -176,7 +176,13 @@ def _parse_endpoint(obj, where: str) -> tuple[str, int]:
     return obj[0], obj[1]
 
 
-def _parse_block(obj, where: str) -> Block:
+# Subsystems may nest at most this many levels below the root.  The later
+# stages walk the hierarchy recursively; 256 levels leave them headroom
+# under Python's default recursion limit.
+MAX_NESTING = 256
+
+
+def _parse_block(obj, where: str, depth: int = 0) -> Block:
     _require_fields(obj, where, ("id", "kind"),
                     ("params", "sample_time", "ports", "children", "connections"))
     bid = obj["id"]
@@ -190,6 +196,8 @@ def _parse_block(obj, where: str) -> Block:
     if not isinstance(kind, str) or not kind:
         raise SchemaError(f"{where}: kind must be a non-empty string")
     here = f"{where}/{bid}" if where else bid
+    if depth > MAX_NESTING and kind == "Subsystem":
+        raise SchemaError(f"{here}: subsystems nest more than {MAX_NESTING} levels deep")
 
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -204,7 +212,7 @@ def _parse_block(obj, where: str) -> Block:
     in_ports = [_parse_spec(p, f"{here}.ports.in[{i}]") for i, p in enumerate(ports.get("in", []))]
     out_ports = [_parse_spec(p, f"{here}.ports.out[{i}]") for i, p in enumerate(ports.get("out", []))]
 
-    children = [_parse_block(c, here) for c in obj.get("children", [])]
+    children = [_parse_block(c, here, depth + 1) for c in obj.get("children", [])]
     raw_conns = obj.get("connections", [])
     if (children or raw_conns) and kind != "Subsystem":
         raise SchemaError(f"{here}: only Subsystem blocks may carry children/connections")
@@ -387,6 +395,8 @@ def load_model_file(path) -> BlockModel:
             raise
         except ValueError as e:  # not UTF-8, or an integer literal too long to parse
             raise SchemaError(f"{path}: {e}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply to parse") from None
     return load_model(doc)
 
 

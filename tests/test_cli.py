@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from sdflow import Trace
+from sdflow.model_ir import MAX_NESTING
 
 MODELS = Path(__file__).parent / "models"
 
@@ -170,6 +171,53 @@ def test_unparsable_model_file_is_a_schema_error(tmp_path, case):
     rc, out, err = run_cli("check", path)
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1, err
+
+
+def nested_text(levels):
+    """A chain of `levels` nested normal subsystems, each passing its input
+    through, as JSON text: json.dumps recurses once per nesting level."""
+    f1 = {"dtype": "f64", "width": 1}
+
+    def blk(bid, kind, ins=(), outs=(), **params):
+        return json.dumps({"id": bid, "kind": kind, "params": params,
+                           "ports": {"in": list(ins), "out": list(outs)}})
+
+    def scope(head, children, wires):
+        conns = json.dumps([{"src": [s, 0], "dst": [d, 0], **f1} for s, d in wires])
+        return (f'{head[:-1]}, "children": [{", ".join(children)}], '
+                f'"connections": {conns}}}')
+
+    sub = blk("s", "Subsystem", [f1], [f1], mode="normal")
+    ends = blk("i", "Inport", outs=[f1], index=0), blk("o", "Outport", ins=[f1], index=0)
+    text = scope(sub, ends, [("i", "o")])
+    for _ in range(levels - 1):
+        text = scope(sub, [ends[0], text, ends[1]], [("i", "s"), ("s", "o")])
+    const = blk("c", "Constant", outs=[f1], value=1.0)
+    root = scope(blk("deep", "Subsystem", mode="normal"),
+                 [const, text, blk("y", "Outport", ins=[f1], index=0)],
+                 [("c", "s"), ("s", "y")])
+    return f'{{"name": "deep", "base_step": {{"num": 1, "den": 1}}, "root": {root}}}'
+
+
+def test_nesting_at_the_limit_verifies(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(nested_text(MAX_NESTING))
+    rc, out, err = run_cli("verify", path)
+    assert rc == 0 and out.startswith("PASS") and err == "", err
+
+
+@pytest.mark.parametrize("cmd", ["check", "verify"])
+@pytest.mark.parametrize("levels, message", [
+    (MAX_NESTING + 1, f"subsystems nest more than {MAX_NESTING} levels deep"),
+    (600, "JSON nested too deeply to parse"),
+])
+def test_nesting_beyond_the_limit_is_a_schema_error(tmp_path, cmd, levels, message):
+    path = tmp_path / "deep.json"
+    path.write_text(nested_text(levels))
+    rc, out, err = run_cli(cmd, path)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err[-500:]
 
 
 @pytest.mark.parametrize("cmd", ["check", "translate", "schedule", "simulate-sil",

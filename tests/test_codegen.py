@@ -1,6 +1,9 @@
 """C source emission: bundle layout, compile-and-run equivalence, and the
 refusal cases.  Compilation tests shell out to cc via build.sh."""
 
+import os
+import shutil
+import subprocess
 from fractions import Fraction
 
 import pytest
@@ -60,7 +63,6 @@ def test_bundle_manifest(multirate_rt):
 
 
 def test_bundle_write_marks_script_executable(multirate_rt, tmp_path):
-    import os
     b = emit_bundle(graph_of(multirate_rt), periods=1)
     b.write(str(tmp_path))
     assert os.access(tmp_path / "build.sh", os.X_OK)
@@ -76,10 +78,15 @@ def test_no_asserts_flag():
     m = model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
                blk("y", "Outport", {"index": 0}, ins=[F1])],
               [conn(("c", 0), ("y", 0))])
-    on = emit_bundle(graph_of(m), asserts=True)
-    off = emit_bundle(graph_of(m), asserts=False)
-    assert "-DSDF_NO_ASSERT" not in on.files["build.sh"]
-    assert "-DSDF_NO_ASSERT" in off.files["build.sh"]
+    on = emit_bundle(graph_of(m), asserts=True).files["build.sh"]
+    off = emit_bundle(graph_of(m), asserts=False).files["build.sh"]
+    assert "-DSDF_NO_ASSERT" not in on
+    for script in (on, off):
+        compiles = [ln.split() for ln in script.splitlines() if " -c " in ln]
+        assert len(compiles) == 4
+        for words in compiles:
+            assert {"-std=c99", "-O2", "-ffp-contract=off"} <= set(words)
+            assert ("-DSDF_NO_ASSERT" in words) == (script is off)
 
 
 def test_rejected_graphs(climate):
@@ -96,6 +103,92 @@ def test_stimulus_spec_must_match(transmission):
     st.add("throttle", Fraction(0), 1)
     with pytest.raises(SignalTypeError):
         emit_bundle(graph_of(transmission), periods=1, stimulus=st)
+
+
+# ---------------------------------------------------------------------------
+# build.sh
+
+
+def run_build(workdir, *shell, env=None, **kw):
+    cmd = list(shell or ["sh"]) + ["build.sh"]
+    return subprocess.run(cmd, cwd=workdir, env=env and {**os.environ, **env}, **kw)
+
+
+def test_a_failing_unit_fails_the_build(multirate_rt, tmp_path):
+    b = emit_bundle(graph_of(multirate_rt), periods=1)
+    b.write(str(tmp_path))
+    with open(tmp_path / "actors_multirate_rt.c", "a") as f:
+        f.write("#error injected failure\n")
+    p = run_build(tmp_path, capture_output=True, text=True)
+    assert p.returncode != 0
+    assert "injected failure" in p.stderr
+    assert not (tmp_path / "sdfg_multirate_rt").exists()
+
+
+def marking_cc(tmp_path, slow):
+    """A CC that leaves <unit>.start and <unit>.done in tmp_path/marks around
+    each compile, sleeping first when it compiles `slow`."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    cc = tmp_path / "marking-cc"
+    cc.write_text(f"""#!/bin/sh
+unit=
+for a; do case $a in *.c) unit=${{a##*/}};; esac; done
+[ -n "$unit" ] || exec cc "$@"
+: > "{marks}/$unit.start"
+[ "$unit" != {slow} ] || sleep 0.3
+cc "$@"
+rc=$?
+: > "{marks}/$unit.done"
+exit $rc
+""")
+    cc.chmod(0o755)
+    return str(cc), marks
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["success", "failure"])
+def test_build_returns_only_after_every_compiler(multirate_rt, tmp_path, fail):
+    bundle = tmp_path / "bundle"
+    emit_bundle(graph_of(multirate_rt), periods=1).write(str(bundle))
+    if fail:
+        with open(bundle / "actors_multirate_rt.c", "a") as f:
+            f.write("#error injected failure\n")
+    cc, marks = marking_cc(tmp_path, slow="sdf_queue.c")
+    # no pipes: a compiler left running would hold them open past the
+    # script's exit and hide it
+    p = run_build(bundle, env={"CC": cc},
+                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    started = {f.stem for f in marks.glob("*.start")}
+    done = {f.stem for f in marks.glob("*.done")}
+    assert (p.returncode != 0) == fail
+    assert len(started) == 4 and done == started
+    assert (bundle / "sdfg_multirate_rt").exists() != fail
+
+
+def test_cc_with_arguments(multirate_rt, tmp_path):
+    g = graph_of(multirate_rt)
+    ref = run_sil(g, 4)
+    emit_bundle(g, periods=4).write(str(tmp_path))
+    assert run_build(tmp_path, env={"CC": "cc -pipe"}).returncode == 0
+    out = subprocess.run([str(tmp_path / "sdfg_multirate_rt")],
+                         capture_output=True, text=True, check=True).stdout
+    assert Trace.from_csv(out, ref.specs).to_csv() == ref.to_csv()
+
+
+def test_build_script_is_posix(multirate_rt, tmp_path):
+    shells = [s for s in (["dash"], ["bash", "--posix"]) if shutil.which(s[0])]
+    if not shells:
+        pytest.skip("neither dash nor bash is installed")
+    b = emit_bundle(graph_of(multirate_rt), periods=4)
+    outs = []
+    for shell in shells:
+        d = tmp_path / shell[0]
+        b.write(str(d))
+        assert run_build(d, "sh", "-n").returncode == 0
+        assert run_build(d, *shell, capture_output=True).returncode == 0
+        outs.append(subprocess.run([str(d / "sdfg_multirate_rt")],
+                                   capture_output=True, check=True).stdout)
+    assert outs[0] and outs.count(outs[0]) == len(outs)
 
 
 # ---------------------------------------------------------------------------

@@ -710,16 +710,47 @@ def test_divergence_report_contents():
     assert "diverge" in str(r)
 
 
+def test_divergence_reports_the_earliest_time_across_signals():
+    a, b = Trace(), Trace()
+    for tr in (a, b):
+        for sig in ("A", "B"):
+            tr.declare(sig, "f64", 1)
+            for t in range(8):
+                tr.add(sig, t, 0.0)
+    a.samples["A"][5] = (5, 1.0)
+    a.samples["B"][1] = (1, 1.0)
+    r = compare_traces(a, b)
+    assert (r.divergence["signal"], r.divergence["time"]) == ("B", "1")
+    assert "diverge at B t=1 " in str(r)
+
+
+def test_divergence_ties_are_broken_by_signal_name():
+    a, b = Trace(), Trace()
+    for tr in (a, b):
+        for sig in ("z", "m", "q"):
+            tr.declare(sig, "i32", 1)
+            tr.add(sig, 0, 0)
+            tr.add(sig, 1, 0)
+    for sig in ("z", "q"):
+        a.samples[sig][1] = (1, 7)
+    r = compare_traces(a, b)
+    assert (r.divergence["signal"], r.divergence["time"]) == ("q", "1")
+    # every sample of m and the first two of z and q were compared
+    assert r.samples == 6
+
+
 def _reference_compare(a, b, tol=0.0):
     """compare_traces as it was before it split elements once per signal:
-    token_elems and _scalar_close on every sample.  compare_traces must
-    return the same Comparison and raise the same ShapeError."""
+    token_elems and _scalar_close on every sample, each signal up to its
+    first divergence.  compare_traces must return the same Comparison and
+    raise the same ShapeError."""
     if set(a.samples) != set(b.samples):
         only_a = sorted(set(a.samples) - set(b.samples))
         only_b = sorted(set(b.samples) - set(a.samples))
         raise ShapeError(f"signal sets differ (only left: {only_a}, only right: {only_b})")
     total = 0
     max_rel = 0.0
+    found = []
     for sig in a.samples:
         d, w = a.specs[sig]
         if sig in b.specs and b.specs[sig] != (d, w):
@@ -733,14 +764,21 @@ def _reference_compare(a, b, tol=0.0):
             total += 1
             xs = kinds.token_elems(va, w)
             ys = kinds.token_elems(vb, w)
+            diverged = False
             for x, y in zip(xs, ys):
                 eq, rel = _scalar_close(d, x, y, tol)
                 max_rel = max(max_rel, rel)
                 if not eq:
-                    return Comparison(False, total, max_rel, {
-                        "signal": sig, "time": str(ta), "index": i,
-                        "a": fmt_value(d, w, va), "b": fmt_value(d, w, vb)})
-    return Comparison(True, total, max_rel)
+                    diverged = True
+                    break
+            if diverged:
+                found.append((ta, sig, {
+                    "signal": sig, "time": str(ta), "index": i,
+                    "a": fmt_value(d, w, va), "b": fmt_value(d, w, vb)}))
+                break
+    if not found:
+        return Comparison(True, total, max_rel)
+    return Comparison(False, total, max_rel, min(found, key=lambda f: f[:2])[2])
 
 
 F64_VALUES = [0.0, -0.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-9, -1.0, 1e300, 5e-324,
