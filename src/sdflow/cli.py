@@ -55,9 +55,12 @@ def _count_arg(s: str) -> int:
 
 
 def _tol_arg(s: str) -> float:
-    v = float(s)
-    if v < 0:
-        raise argparse.ArgumentTypeError("tolerance must be >= 0")
+    try:
+        v = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {s!r}")
+    if not v >= 0:  # NaN compares false
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {s}")
     return v
 
 

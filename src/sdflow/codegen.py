@@ -388,13 +388,13 @@ class _Emitter:
         ai = self.aident[a.id]
         data_specs = self.plan.data_specs[a.id]
         out_full = self.plan.out_specs[a.id]
-        live = sorted({p.origin for p in a.out_ports})
+        live = sorted({c.src[1] for c in self.plan.ch_out[a.id]})
         has_events = any(p.event for p in a.in_ports)
 
         decls: list[str] = [f"/* ---- {a.kind} {a.id.replace('*/', '* /')} ---- */"]
         if not (live or a.kind == "Outport"):
             # nothing observes the outputs or state of an actor with no
-            # out-port: as in the schedule interpreter, it only pops
+            # out-channel: as in the schedule interpreter, it only pops
             body = self._fire_body(a, ai, data_specs, out_full, live, False)
             return decls + ["", f"void fire_{ai}(void) {{"] + body + ["}", ""]
         if a.kind == "Chart":
@@ -499,13 +499,12 @@ class _Emitter:
             body += update
 
         for c in self.plan.ch_out[a.id]:
-            origin = a.out_ports[c.src[1]].origin
             qn = f"q_{self.cident[c.id]}"
             if c.rate_src == 1:
-                body.append(f"    sdf_queue_push(&{qn}, o{origin});")
+                body.append(f"    sdf_queue_push(&{qn}, o{c.src[1]});")
             else:
                 body.append(f"    for (int k = 0; k < {c.rate_src}; ++k) "
-                            f"sdf_queue_push(&{qn}, o{origin});")
+                            f"sdf_queue_push(&{qn}, o{c.src[1]});")
         if a.kind == "Inport" and a.id in self.plan.stim:
             body.append(f"    n_{ai} += 1;")
         return body

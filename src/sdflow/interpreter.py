@@ -18,9 +18,9 @@ the normalizer:
   at a time.  Each actor is bound once per run to a firing tuple
   specialised by kind: its input FIFOs, rates and kept token (the last of
   a multi-token read for a RateTransition, else the first), its output
-  FIFOs with their origins, its state cell and its kind's bound
-  functions.  An actor whose every output was dropped only consumes its
-  input tokens.  The replay walks those tuples in schedule order.  The
+  FIFOs with the out-port each one leaves, its state cell and its kind's
+  bound functions.  An actor with no out-channel only consumes its input
+  tokens.  The replay walks those tuples in schedule order.  The
   firing plan, shared with the C emitter, holds every Inport firing's
   stimulus row and every Outport firing's time.
 
@@ -604,19 +604,20 @@ class _FiringPlan:
 def _firing_plan(g: Sdfg, sched: Schedule, periods: int,
                  stimulus: Trace | None) -> _FiringPlan:
     table = _stim_table(stimulus, {a.id: a.period for a in g.actors if a.kind == "Inport"})
+    ch_out = g.out_channels()
     data_specs, out_specs, stim, times = {}, {}, {}, {}
     by_period: dict[Fraction, list] = {}
     for a in g.actors:
         if a.kind not in kinds.KINDS:
             raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
         data_specs[a.id] = [(p.dtype, p.width) for p in a.in_ports if not p.event]
-        out_specs[a.id] = a.full_out_specs()
+        out_specs[a.id] = [(p.dtype, p.width) for p in a.out_ports]
         if a.kind == "Outport":
             ts = times[a.id] = by_period.setdefault(a.period, [])
             unit = canon_time(a.period)
             ts.extend(canon_time(n * unit)
                       for n in range(len(ts), sched.repetition[a.id] * periods))
-        if a.kind != "Inport" or a.id not in table or not a.out_ports:
+        if a.kind != "Inport" or a.id not in table or not ch_out[a.id]:
             continue
         (d, w), (sd, sw) = out_specs[a.id][0], stimulus.specs[a.id]
         if (sd, sw) != (d, w):
@@ -628,7 +629,7 @@ def _firing_plan(g: Sdfg, sched: Schedule, periods: int,
         except KeyError as e:
             raise SdflowError(f"stimulus for {a.id!r} has no sample "
                               f"at t={e.args[0] * a.period}") from None
-    return _FiringPlan({c.dst: c for c in g.channels}, g.out_channels(),
+    return _FiringPlan({c.dst: c for c in g.channels}, ch_out,
                        data_specs, out_specs, stim, times)
 
 
@@ -731,14 +732,14 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
 
     Each actor is bound once to a tuple: its role, id, in-port reads (FIFO,
     rate, event flag, channel id, kept token index) in slot order,
-    out-channel writes (FIFO, output index, rate), a [firings, held
+    out-channel writes (FIFO, out-port index, rate), a [firings, held
     outputs, state] cell, the output and update functions bound from its
     kind (None where unused), and a role-specific extra: an Inport's
     stimulus rows, an Outport's firing times and sample list, a
     Subsystem's diagram and control slot.
-    An actor with no out-port is a sink: nothing can observe its outputs
-    or state, so it is not bound and only consumes its input tokens.  The
-    firing loop walks those tuples in schedule order.
+    An actor with no out-channel is a sink: nothing can observe its
+    outputs or state, so it is not bound and only consumes its input
+    tokens.  The firing loop walks those tuples in schedule order.
     """
     plan = _firing_plan(g, sched, periods, stimulus)
     fifos = {c.id: deque(c.initial_values) for c in g.channels}
@@ -759,7 +760,7 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
             role = _OUTPORT
             trace.declare(a.id, *plan.data_specs[a.id][0])
             extra = (plan.times[a.id], trace.samples[a.id].append)
-        elif not a.out_ports:
+        elif not plan.ch_out[a.id]:
             role = _SINK
         else:
             role = _INPORT if a.kind == "Inport" else _EVAL
@@ -771,8 +772,7 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
         for slot, port in enumerate(a.in_ports):
             c = plan.ch_in[(a.id, slot)]
             reads.append((fifos[c.id], c.rate_dst, port.event, c.id, keep))
-        writes = tuple((fifos[c.id], a.out_ports[c.src[1]].origin, c.rate_src)
-                       for c in plan.ch_out[a.id])
+        writes = tuple((fifos[c.id], c.src[1], c.rate_src) for c in plan.ch_out[a.id])
         bound[a.id] = (role, a.id, tuple(reads), writes, cell, output, update, extra)
     seq = [bound[aid] for aid in sched.firings]
     boundary = [(fifos[c.id], c.delay, c.id) for c in g.channels]
@@ -826,11 +826,11 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
                 if control is not None and enabled:
                     enabled = truth(vals[control])
                 produced = diagram.fire(vals, enabled)
-            for f, origin, r in writes:
+            for f, j, r in writes:
                 if r == 1:
-                    f.append(produced[origin])
+                    f.append(produced[j])
                 else:
-                    f.extend([produced[origin]] * r)
+                    f.extend([produced[j]] * r)
             cell[0] += 1
         for f, delay, cid in boundary:
             if len(f) != delay:

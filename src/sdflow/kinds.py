@@ -730,17 +730,16 @@ class _Subsystem(Kind):
 
 
 class _EnableSource(Kind):
-    """Synthetic actor created during translation: broadcasts the truth
-    value of a control signal to every member of a dissolved conditional
-    subsystem.  Never appears in source documents."""
+    """Synthetic actor created during translation: its one out-port
+    carries the truth value of a control signal to every member of a
+    dissolved conditional subsystem.  Never appears in source documents."""
 
     name = "EnableSource"
-    n_in, n_out = 1, None
+    n_in = 1
     keys = ("mode",)
 
     def bind(self, params, in_specs, out_specs):
-        n = len(out_specs)
-        return _stateless(out_specs, lambda state, ins: [truth(ins[0])] * n)
+        return _stateless(out_specs, lambda state, ins: [truth(ins[0])])
 
 
 KINDS: dict[str, Kind] = {k.name: k for k in (

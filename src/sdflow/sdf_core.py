@@ -29,17 +29,20 @@ Endpoint = tuple[str, int]  # (actor id, port slot)
 
 @dataclass
 class Port:
-    """One bound port slot.  origin is the pre-replication port index of
-    the source block, so replicated fanout slots share an origin."""
+    """One port of an actor: the token spec of the block port at the same
+    index, and whether it is an enable (event) input."""
 
     dtype: str
     width: int
-    origin: int = 0
     event: bool = False
 
 
 @dataclass
 class Actor:
+    """One block as an actor: its ports are the block's ports, in block
+    order.  An in-port is bound to exactly one channel; an out-port feeds
+    any number of channels, none included."""
+
     id: str
     kind: str
     params: dict
@@ -50,16 +53,6 @@ class Actor:
     # schedule interpreter can run their diagram.  Not serialized; a graph
     # loaded from JSON must be re-translated if it contains subsystems.
     impl: object = field(default=None, compare=False, repr=False)
-
-    def full_out_specs(self) -> list[tuple[str, int]]:
-        """Out specs indexed by the original (pre-replication) port index.
-        Dropped ports get a placeholder spec; their values are never used."""
-        if self.kind == "Subsystem" and self.impl is not None:
-            return [tuple(s) for s in self.impl.out_ports]
-        specs = [("f64", 1)] * (1 + max((p.origin for p in self.out_ports), default=-1))
-        for p in self.out_ports:
-            specs[p.origin] = (p.dtype, p.width)
-        return specs
 
 
 @dataclass
@@ -100,7 +93,9 @@ class Sdfg:
         return out
 
     def check_wellformed(self):
-        """Structural sanity; raises SchemaError on the first problem."""
+        """Structural sanity; raises SchemaError on the first problem.
+        Every in-port is bound exactly once; an out-port may feed any
+        number of channels."""
         ids = [a.id for a in self.actors]
         if len(set(ids)) != len(ids):
             raise SchemaError("duplicate actor ids")
@@ -117,21 +112,19 @@ class Sdfg:
                 ports = getattr(actors[aid], plist)
                 if slot >= len(ports):
                     raise SchemaError(f"channel {c.id}: {aid!r} has no {label} slot {slot}")
-                key = (label, aid, slot)
-                if key in bound:
-                    raise SchemaError(f"channel {c.id}: port {key} bound twice")
-                bound.add(key)
                 if (ports[slot].dtype, ports[slot].width) != (c.dtype, c.width):
                     raise SchemaError(f"channel {c.id}: token spec mismatch at {label}")
+            if c.dst in bound:
+                raise SchemaError(f"channel {c.id}: in-port {c.dst} bound twice")
+            bound.add(c.dst)
             if c.rate_src < 1 or c.rate_dst < 1:
                 raise SchemaError(f"channel {c.id}: rates must be >= 1")
             if c.delay < 0 or len(c.initial_values) != c.delay:
                 raise SchemaError(f"channel {c.id}: needs exactly delay={c.delay} initial values")
         for a in self.actors:
-            for label, plist in (("in", a.in_ports), ("out", a.out_ports)):
-                for slot in range(len(plist)):
-                    if (("dst" if label == "in" else "src"), a.id, slot) not in bound:
-                        raise SchemaError(f"actor {a.id}: unbound {label} port {slot}")
+            for slot in range(len(a.in_ports)):
+                if (a.id, slot) not in bound:
+                    raise SchemaError(f"actor {a.id}: unbound in port {slot}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +357,7 @@ def export_dot(g: Sdfg) -> str:
 
 
 def _port_json(p: Port) -> dict:
-    return {"dtype": p.dtype, "width": p.width, "origin": p.origin, "event": p.event}
+    return {"dtype": p.dtype, "width": p.width, "event": p.event}
 
 
 def save_sdfg(g: Sdfg) -> dict:
@@ -394,23 +387,18 @@ def save_sdfg(g: Sdfg) -> dict:
 
 def _canon_params(a: Actor) -> dict:
     """Run a loaded actor through the model loader's gate, against its
-    recorded specs.  An output no channel consumes records no spec, and no
-    engine reads the params behind it, so such an actor keeps its params
-    as loaded, as do actors of unknown kinds."""
+    recorded specs.  Actors of unknown kinds keep their params as loaded."""
     if not isinstance(a.params, dict):
         raise SchemaError(f"actor {a.id}: params must be an object")
     k = kinds.KINDS.get(a.kind)
     if k is None:
         return dict(a.params)
-    specs = a.full_out_specs()
-    n_out = k.arity(a.params)[1]
-    if {p.origin for p in a.out_ports} != set(range(len(specs) if n_out is None else n_out)):
-        return dict(a.params)
+    specs = [(p.dtype, p.width) for p in a.out_ports]
     data_in = [(p.dtype, p.width) for p in a.in_ports if not p.event]
     if a.kind == "DataStoreMemory":
-        # Routing removal gives the register one spec on both sides; the
-        # side without a writer, or without a reader, is absent here.
-        data_in, specs = data_in or specs, specs or data_in
+        # Routing removal gives a register without a writer no in-port;
+        # its out-spec stands for both sides.
+        data_in = data_in or specs
     try:
         return k.canon_params(a.params, data_in, specs)
     except SchemaError as e:
@@ -433,9 +421,9 @@ def load_sdfg(doc: dict) -> Sdfg:
     g = Sdfg(doc["name"])
     for a in doc["actors"]:
         period = _period(a)
-        in_ports = [Port(p["dtype"], p["width"], p.get("origin", 0), p.get("event", False))
+        in_ports = [Port(p["dtype"], p["width"], p.get("event", False))
                     for p in a["ports"]["in"]]
-        out_ports = [Port(p["dtype"], p["width"], p.get("origin", 0), p.get("event", False))
+        out_ports = [Port(p["dtype"], p["width"], p.get("event", False))
                      for p in a["ports"]["out"]]
         actor = Actor(a["id"], a["kind"], a["state"].get("params", {}), period,
                       in_ports, out_ports)

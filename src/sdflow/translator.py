@@ -1,28 +1,31 @@
 """Mapping a flat block model onto a synchronous dataflow graph.
 
-Every leaf block becomes one actor with the same id, kind, params and
-period.  Every connection becomes one channel; fanout is handled by
-replicating the producing out-port so each channel owns a unique pair
-of port slots (replicated slots share an `origin` and receive identical
-tokens per firing).  Port rates are 1 except at RateTransition actors,
-where the period ratio of the neighbouring blocks appears as a token
-rate; the fast-to-slow direction additionally preloads its input channel
-with ratio-1 zero tokens so the first slow firing does not have to wait
-a full slow period.
+Every leaf block becomes one actor with the same id, kind, params,
+period and ports.  Every connection becomes one channel from the
+producing out-port to the consuming in-port: fan-out is several channels
+leaving one out-port, each receiving the same tokens per firing, and an
+out-port nothing consumes feeds no channel.  Port rates are 1 except at
+RateTransition actors, where the period ratio of the neighbouring blocks
+appears as a token rate; the fast-to-slow direction additionally
+preloads its input channel with ratio-1 zero tokens so the first slow
+firing does not have to wait a full slow period.
 
 Conditional subsystems dissolved during flattening come back as one
 EnableSource actor each: it taps the original control signal and
-broadcasts its truth value over a boolean rate-1 channel to every member
-actor, which gains one extra event in-port per enclosing subsystem.
+broadcasts its truth value from its one out-port over a boolean rate-1
+channel to every member actor, which gains one extra event in-port per
+enclosing subsystem.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kinds
 from .errors import NonHarmonicError, NormalizationError
+from .model_ir import Connection
 from .normalizer import NormalizedModel
 from .sdf_core import Actor, Channel, Port, Sdfg
 
@@ -35,7 +38,7 @@ class TranslationReport:
     channels: int = 0
     event_channels: int = 0    # EnableSource -> member taps
     control_channels: int = 0  # control signal -> EnableSource
-    replicated_ports: int = 0  # extra slots added beyond one per consumer
+    replicated_ports: int = 0  # consumers beyond the first, per out-port
     dropped_ports: int = 0     # out-ports nobody consumes
     rate_transitions: list[dict] = field(default_factory=list)
     channel_rates: list[dict] = field(default_factory=list)
@@ -92,34 +95,29 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
         if members:
             groups.append((t, members))
 
-    # Consumer entries per producing (block id, out port): data connections
-    # in wiring order, then one control tap per conditional subsystem.
-    consumers: dict[tuple[str, int], list] = {}
-    for i, c in enumerate(conns):
-        consumers.setdefault(c.src, []).append(("conn", i))
-    for gi, (t, _) in enumerate(groups):
+    # Consumers per producing (block id, out port): data connections, then
+    # one control tap per conditional subsystem.  A RateTransition's rates
+    # come from its first data reader.
+    taps = Counter(c.src for c in conns)
+    first_reader: dict[tuple[str, int], Connection] = {}
+    for c in conns:
+        first_reader.setdefault(c.src, c)
+    for t, _ in groups:
         if t.control[0] not in by_id:
             raise NormalizationError(
                 f"{t.path}: control signal source {t.control[0]!r} is not a leaf block")
-        consumers.setdefault(t.control, []).append(("event", gi))
+        taps[t.control] += 1
 
     report = TranslationReport()
     g = Sdfg(m.name)
-    slot_for: dict[tuple, int] = {}
     for b in leaves:
-        in_ports = [Port(s.dtype, s.width, origin=i) for i, s in enumerate(b.in_ports)]
-        out_ports: list[Port] = []
-        for o, s in enumerate(b.out_ports):
-            taps = consumers.get((b.id, o), [])
-            if not taps:
-                report.dropped_ports += 1
-                continue
-            report.replicated_ports += len(taps) - 1
-            for entry in taps:
-                slot_for[entry] = len(out_ports)
-                out_ports.append(Port(s.dtype, s.width, origin=o))
+        for o in range(len(b.out_ports)):
+            n = taps[(b.id, o)]
+            report.replicated_ports += max(n - 1, 0)
+            report.dropped_ports += not n
         g.actors.append(Actor(b.id, b.kind, dict(b.params), b.period,
-                              in_ports, out_ports,
+                              [Port(s.dtype, s.width) for s in b.in_ports],
+                              [Port(s.dtype, s.width) for s in b.out_ports],
                               impl=b if b.is_subsystem() else None))
 
     # Token rates at RateTransition actors, from the neighbouring periods.
@@ -132,8 +130,8 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
             continue
         drv = driver_of.get((b.id, 0))
         p_src = by_id[drv.src[0]].period if drv else b.period
-        tap = next((e for e in consumers.get((b.id, 0), []) if e[0] == "conn"), None)
-        p_dst = by_id[conns[tap[1]].dst[0]].period if tap else p_src
+        tap = first_reader.get((b.id, 0))
+        p_dst = by_id[tap.dst[0]].period if tap else p_src
         ri, ro, d = rate_transition_rates(p_src, p_dst)
         if ri > 1:
             in_rate[b.id] = ri
@@ -152,7 +150,7 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
         d = preload.get(c.dst[0], 0) if c.dst[1] == 0 else 0
         vals = [kinds.zero_token(c.spec.dtype, c.spec.width) for _ in range(d)]
         g.channels.append(Channel(
-            f"ch_{i}", (c.src[0], slot_for[("conn", i)]), (c.dst[0], c.dst[1]),
+            f"ch_{i}", c.src, c.dst,
             rate_src=out_rate.get(c.src[0], 1),
             rate_dst=in_rate.get(c.dst[0], 1) if c.dst[1] == 0 else 1,
             delay=d, initial_values=vals,
@@ -160,25 +158,24 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
 
     ci = len(conns)
     actor_of = {a.id: a for a in g.actors}
-    for gi, (t, members) in enumerate(groups):
+    for t, members in groups:
         ctrl = by_id[t.control[0]]
         spec = ctrl.out_ports[t.control[1]]
         if spec.width != 1:
             raise NormalizationError(f"{t.path}: control signal must be scalar")
         es = Actor(f"{t.path}/enable", "EnableSource", {"mode": t.mode},
                    by_id[members[0]].period,
-                   in_ports=[Port(spec.dtype, spec.width)], out_ports=[])
+                   in_ports=[Port(spec.dtype, spec.width)], out_ports=[Port("bool", 1)])
         g.actors.append(es)
-        g.channels.append(Channel(f"ch_{ci}", (ctrl.id, slot_for[("event", gi)]),
-                                  (es.id, 0), 1, 1, 0, [], spec.dtype, spec.width))
+        g.channels.append(Channel(f"ch_{ci}", t.control, (es.id, 0),
+                                  1, 1, 0, [], spec.dtype, spec.width))
         report.control_channels += 1
         ci += 1
-        for k, mid in enumerate(members):
+        for mid in members:
             ma = actor_of[mid]
             slot = len(ma.in_ports)
-            ma.in_ports.append(Port("bool", 1, origin=slot, event=True))
-            es.out_ports.append(Port("bool", 1))
-            g.channels.append(Channel(f"ch_{ci}", (es.id, k), (mid, slot),
+            ma.in_ports.append(Port("bool", 1, event=True))
+            g.channels.append(Channel(f"ch_{ci}", (es.id, 0), (mid, slot),
                                       1, 1, 0, [], "bool", 1))
             report.event_channels += 1
             ci += 1

@@ -398,6 +398,17 @@ def test_counts_must_be_positive(tmp_path, cmd, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    ("nan", "tolerance must be >= 0, got nan"),
+    ("abc", "expected a number, got 'abc'"),
+    ("-1", "tolerance must be >= 0, got -1"),
+])
+def test_tolerance_must_be_a_number_at_least_zero(value, message):
+    rc, out, err = run_cli("verify", MODELS / "transmission.json", "--tol", value)
+    assert rc == 2 and out == ""
+    assert f"argument --tol: {message}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd", ["simulate-sil", "verify", "codegen"])
 def test_each_run_solves_the_vector_once(tmp_path, monkeypatch, capsys, cmd):
     from sdflow import cli, codegen, interpreter, sdf_core

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from sdflow import (SdflowError, SignalTypeError, Trace, UnsupportedKindError,
+from sdflow import (SchemaError, SdflowError, SignalTypeError, Trace, UnsupportedKindError,
                     compare_traces, emit_bundle, load_model, load_sdfg, normalize,
                     run_sil, save_sdfg, sil_span, translate)
 from conftest import c_trace, compile_and_run
@@ -278,9 +278,9 @@ def test_empty_model_prints_header_only(tmp_path):
     assert out == "time,signal,value\n"
 
 
-def test_actor_with_no_out_port_only_pops(tmp_path):
-    # the graph gate leaves the params behind an unconsumed output
-    # unchecked, so C must not emit them: here a transition op "=~"
+def test_actor_with_no_out_channel_only_pops(tmp_path):
+    # a Chart whose one output no channel reads: the graph gate still
+    # checks its params, and C emits none of them
     chart = {"states": ["a", "b"], "initial": "a",
              "transitions": [{"from": "a", "to": "b", "input": 0, "op": ">", "value": 0.5}],
              "outputs": {"a": [0.0], "b": [1.0]}}
@@ -290,8 +290,12 @@ def test_actor_with_no_out_port_only_pops(tmp_path):
               [conn(("c", 0), ("ch", 0)), conn(("c", 0), ("y", 0))], name="sink")
     doc = save_sdfg(graph_of(m))
     act = next(a for a in doc["actors"] if a["kind"] == "Chart")
-    assert act["ports"]["out"] == []
+    assert len(act["ports"]["out"]) == 1
+    assert not [c for c in doc["channels"] if c["src"][0] == "ch"]
     act["state"]["params"]["transitions"][0]["op"] = "=~"
+    with pytest.raises(SchemaError, match=r"actor ch: Chart transition 0 op"):
+        load_sdfg(doc)
+    act["state"]["params"]["transitions"][0]["op"] = ">"
     g = load_sdfg(doc)
     b = emit_bundle(g, periods=3)
     section = b.files["actors_sink.c"].split("/* ---- Chart ch ---- */")[1]
@@ -304,8 +308,32 @@ def test_actor_with_no_out_port_only_pops(tmp_path):
     assert compare_traces(ref, got).ok and got.to_csv() == ref.to_csv()
 
 
+def test_partly_unconsumed_chart_is_gated_at_load(tmp_path):
+    # a two-output Chart whose output 0 no channel reads: every param is
+    # still checked, and the live output runs the transitions
+    chart = {"states": ["a", "b"], "initial": "a",
+             "transitions": [{"from": "a", "to": "b", "input": 0, "op": ">", "value": 0.5}],
+             "outputs": {"a": [0.0, 2.0], "b": [1.0, 3.0]}}
+    m = model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+               blk("ch", "Chart", chart, st=1, ins=[F1], outs=[F1, F1]),
+               blk("y", "Outport", {"index": 0}, st=1, ins=[F1])],
+              [conn(("c", 0), ("ch", 0)), conn(("ch", 1), ("y", 0))], name="part")
+    doc = save_sdfg(graph_of(m))
+    act = next(a for a in doc["actors"] if a["kind"] == "Chart")
+    assert [c["src"] for c in doc["channels"] if c["src"][0] == "ch"] == [["ch", 1]]
+    act["state"]["params"]["transitions"][0]["op"] = "=~"
+    with pytest.raises(SchemaError, match=r"actor ch: Chart transition 0 op"):
+        load_sdfg(doc)
+    act["state"]["params"]["transitions"][0]["op"] = ">"
+    g = load_sdfg(doc)
+    ref = run_sil(g, 3)
+    assert [v for _, v in ref.samples["y"]] == [2.0, 3.0, 3.0]
+    got = c_trace(emit_bundle(g, periods=3), tmp_path, ref.specs)
+    assert got.to_csv() == ref.to_csv()
+
+
 def _port(dtype="f64", event=False):
-    return {"dtype": dtype, "width": 1, "origin": 0, "event": event}
+    return {"dtype": dtype, "width": 1, "event": event}
 
 
 def _actor(aid, kind, params, period, ins=(), outs=()):
@@ -323,7 +351,7 @@ def test_multi_token_reads_keep_the_first_data_token(tmp_path):
     # Gains at period 2 read two period-1 tokens per firing: g keeps the
     # first, and h runs only when both of its two event tokens are true
     doc = {"name": "multi", "actors": [
-        _actor("u", "Inport", {"index": 0}, 1, outs=[_port(), _port()]),
+        _actor("u", "Inport", {"index": 0}, 1, outs=[_port()]),
         _actor("e", "Inport", {"index": 1}, 1, outs=[_port("bool")]),
         _actor("g", "Gain", {"gain": 10.0}, 2, ins=[_port()], outs=[_port()]),
         _actor("h", "Gain", {"gain": 10.0}, 2, ins=[_port(), _port("bool", True)],
@@ -331,7 +359,7 @@ def test_multi_token_reads_keep_the_first_data_token(tmp_path):
         _actor("yg", "Outport", {"index": 0}, 2, ins=[_port()]),
         _actor("yh", "Outport", {"index": 1}, 2, ins=[_port()]),
     ], "channels": [
-        _channel(("u", 0), ("g", 0), 2), _channel(("u", 1), ("h", 0), 2),
+        _channel(("u", 0), ("g", 0), 2), _channel(("u", 0), ("h", 0), 2),
         _channel(("e", 0), ("h", 1), 2, "bool"),
         _channel(("g", 0), ("yg", 0), 1), _channel(("h", 0), ("yh", 0), 1),
     ]}

@@ -16,8 +16,8 @@ import pytest
 from conftest import load_fixture
 from model_gen import random_model
 
-from sdflow import (AlgebraicLoopError, InconsistentError, SdflowError, ShapeError,
-                    SignalTypeError, Trace, UnderflowError, build_schedule,
+from sdflow import (AlgebraicLoopError, InconsistentError, SchemaError, SdflowError,
+                    ShapeError, SignalTypeError, Trace, UnderflowError, build_schedule,
                     compare_traces, load_model, load_sdfg, normalize, run_mil,
                     run_sil, save_sdfg, sil_span, translate)
 from sdflow import kinds
@@ -280,10 +280,10 @@ def test_mil_setup_is_linear_in_subsystem_width():
         finally:
             gc.enable()
         return best
-    small, large = wide_pass_through(2000), wide_pass_through(8000)
-    assert run_mil(small, 1).samples["y1234"] == [(0, 1234.0)]
+    small, large = wide_pass_through(1000), wide_pass_through(4000)
+    assert run_mil(small, 1).samples["y123"] == [(0, 123.0)]
     ratio = setup_s(large) / setup_s(small)
-    assert ratio < 10, f"8000 ports took {ratio:.1f}x as long as 2000"
+    assert ratio < 10, f"4000 ports took {ratio:.1f}x as long as 1000"
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +557,9 @@ def test_absent_stimulus_reads_zero(transmission):
 # binding
 
 
-def test_actor_with_every_output_dropped_only_consumes():
-    """The graph gate skips the params behind an unconsumed output, so
-    run_sil must not run them: a Chart whose only output no channel reads
-    keeps an unknown transition op and the graph still replays."""
+def test_actor_with_every_output_dropped_only_consumes(monkeypatch):
+    """A Chart whose only output no channel reads still has its params
+    checked at load, and run_sil does not bind them: it only consumes."""
     chart = {"states": ["a", "b"], "initial": "a",
              "transitions": [{"from": "a", "to": "b", "input": 0, "op": ">", "value": 0.5}],
              "outputs": {"a": [0.0], "b": [1.0]}}
@@ -570,9 +569,16 @@ def test_actor_with_every_output_dropped_only_consumes():
               [conn(("c", 0), ("ch", 0)), conn(("c", 0), ("y", 0))])
     doc = save_sdfg(translate(normalize(m))[0])
     act = next(a for a in doc["actors"] if a["kind"] == "Chart")
-    assert act["ports"]["out"] == []
+    assert not [c for c in doc["channels"] if c["src"][0] == "ch"]
     act["state"]["params"]["transitions"][0]["op"] = "=~"
-    assert out_values(run_sil(load_sdfg(doc), 3)) == [1.0] * 3
+    with pytest.raises(SchemaError, match=r"actor ch: Chart transition 0 op"):
+        load_sdfg(doc)
+    act["state"]["params"]["transitions"][0]["op"] = ">"
+    g = load_sdfg(doc)
+    binds = []
+    monkeypatch.setattr(kinds.KINDS["Chart"], "bind", lambda *args: binds.append(args))
+    assert out_values(run_sil(g, 3)) == [1.0] * 3
+    assert binds == []
 
 
 def test_each_leaf_and_actor_is_bound_once_per_run(transmission, monkeypatch):

@@ -127,13 +127,13 @@ def test_multirate_report_summary(multirate_rt):
 # fanout and dropped ports
 
 
-def test_fanout_replicates_the_source_port(multirate):
+def test_fanout_is_one_port_feeding_several_channels(multirate):
     g, report = translated(multirate)
     chart = g.actor("Chart")
-    assert [p.origin for p in chart.out_ports] == [0, 0]
+    assert len(chart.out_ports) == 1
     assert report.replicated_ports == 1
-    # both replicas carry their own channel
-    assert len([c for c in g.channels if c.src[0] == "Chart"]) == 2
+    # one out-port, one channel per consumer
+    assert [c.src for c in g.channels if c.src[0] == "Chart"] == [("Chart", 0)] * 2
 
 
 def test_unconsumed_output_is_dropped():
@@ -144,8 +144,10 @@ def test_unconsumed_output_is_dropped():
               [conn(("c", 0), ("d", 0)), conn(("c", 0), ("y", 0))])
     g, report = translated(m)
     assert report.dropped_ports == 1
-    assert g.actor("d").out_ports == []
-    g.check_wellformed()   # no dangling slots left behind
+    # the port stays, in block order, and feeds no channel
+    assert [(p.dtype, p.width) for p in g.actor("d").out_ports] == [("f64", 1)]
+    assert not [c for c in g.channels if c.src[0] == "d"]
+    g.check_wellformed()
 
 
 # ---------------------------------------------------------------------------
