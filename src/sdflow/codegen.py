@@ -1,14 +1,22 @@
 """C99 emission for a translated dataflow graph.
 
-The bundle is self contained: a generic ring-buffer queue runtime, the
-per-actor step functions, the static schedule, and a harness whose stdout
-is the same time,signal,value CSV the schedule interpreter produces.
+The bundle is self contained and has two translation units.  The model
+unit, sdfg_<name>.c, holds everything specific to the graph: the channel
+buffers and one table of the channels that sdfg_init and sdfg_check loop
+over, each actor's static data, each actor's firing as one case of a
+dispatch switch (64 cases to a function, reached by index / 64), the
+schedule as an array of actor indices, and the iteration count.  The
+fixed runtime, runtime/sdf_runtime.c, is byte-identical in every bundle:
+the ring-buffer queue, the trace printer and main(), whose stdout is the
+same time,signal,value CSV the schedule interpreter produces.
+
 Generated arithmetic replays the Python kind implementations operation
 for operation, so with contraction disabled (build.sh passes
 -ffp-contract=off) double results match the interpreter bit for bit.
-build.sh compiles the four translation units as concurrent jobs, waits
-for every one of them, and links only if all succeeded; each object file
-is left in the bundle, next to its source.
+build.sh compiles the two units as concurrent jobs, waits for both, and
+links only if both succeeded; each object file is left in the bundle,
+next to its source.  The cost of compiling the model unit grows with the
+number of its functions more than with its size, hence the switch.
 
 Stimulus values and firing timestamps are resolved at emission time and
 baked into the sources as literals; the binary takes no inputs.
@@ -85,12 +93,15 @@ def _ident_table(names) -> dict[str, str]:
     return table
 
 
-_QUEUE_H = """\
-/* Fixed-capacity FIFO of fixed-size tokens, backed by caller storage. */
-#ifndef SDF_QUEUE_H
-#define SDF_QUEUE_H
+_RUNTIME_H = """\
+/* The fixed runtime of every bundle: a FIFO of fixed-size tokens over
+ * caller storage, the trace printer and main().  The model unit defines
+ * the sdfg_ names declared at the end. */
+#ifndef SDF_RUNTIME_H
+#define SDF_RUNTIME_H
 
 #include <stddef.h>
+#include <stdint.h>
 
 #ifndef SDF_NO_ASSERT
 #include <assert.h>
@@ -98,6 +109,10 @@ _QUEUE_H = """\
 #else
 #define SDF_ASSERT(x) ((void)0)
 #endif
+
+#define SDF_F64 0
+#define SDF_I32 1
+#define SDF_BOOL 2
 
 typedef struct {
     unsigned char *buf;
@@ -107,46 +122,114 @@ typedef struct {
     size_t len;
 } sdf_queue;
 
-void sdf_queue_init(sdf_queue *q, void *storage, size_t elem_size, size_t capacity);
-void sdf_queue_push(sdf_queue *q, const void *token);
-void sdf_queue_pop(sdf_queue *q, void *token_out);
+/* One channel: its queue, the storage whose first `delay` tokens hold
+ * the channel's initial values, the token size and the capacity. */
+typedef struct {
+    sdf_queue *q;
+    void *buf;
+    size_t elem;
+    size_t cap;
+    size_t delay;
+} sdf_channel;
+
+void sdf_queue_init(sdf_queue *q, void *storage, size_t elem_size,
+                    size_t capacity, size_t len);
+/* Appends n copies of token. */
+void sdf_queue_push_n(sdf_queue *q, const void *token, size_t n);
+/* Removes n tokens and copies the last of them to token_out. */
+void sdf_queue_pop_n(sdf_queue *q, void *token_out, size_t n);
+/* Removes n tokens. */
+void sdf_queue_drop(sdf_queue *q, size_t n);
 size_t sdf_queue_len(const sdf_queue *q);
 
-#endif /* SDF_QUEUE_H */
+/* One CSV row per traced token. */
+void sdf_record(const char *t, const char *signal, int dtype,
+                int width, const void *token);
+
+extern const long sdfg_iterations;
+void sdfg_init(void);
+void sdfg_step(void);
+/* Every queue must be back at its delay once an iteration ends. */
+void sdfg_check(void);
+
+#endif /* SDF_RUNTIME_H */
 """
 
-_QUEUE_C = """\
-#include "sdf_queue.h"
+_RUNTIME_C = """\
+#include "sdf_runtime.h"
 
+#include <stdio.h>
 #include <string.h>
 
-void sdf_queue_init(sdf_queue *q, void *storage, size_t elem_size, size_t capacity) {
+void sdf_queue_init(sdf_queue *q, void *storage, size_t elem_size,
+                    size_t capacity, size_t len) {
+    SDF_ASSERT(len <= capacity);
     q->buf = (unsigned char *)storage;
     q->elem = elem_size;
     q->cap = capacity;
     q->head = 0;
-    q->len = 0;
+    q->len = len;
 }
 
-void sdf_queue_push(sdf_queue *q, const void *token) {
-    size_t tail;
-    SDF_ASSERT(q->len < q->cap);
-    tail = (q->head + q->len) % q->cap;
-    memcpy(q->buf + tail * q->elem, token, q->elem);
-    q->len += 1;
+void sdf_queue_push_n(sdf_queue *q, const void *token, size_t n) {
+    size_t i;
+    SDF_ASSERT(q->len + n <= q->cap);
+    for (i = 0; i < n; ++i) {
+        memcpy(q->buf + (q->head + q->len) % q->cap * q->elem, token, q->elem);
+        q->len += 1;
+    }
 }
 
-void sdf_queue_pop(sdf_queue *q, void *token_out) {
-    SDF_ASSERT(q->len > 0);
-    memcpy(token_out, q->buf + q->head * q->elem, q->elem);
-    q->head = (q->head + 1) % q->cap;
-    q->len -= 1;
+void sdf_queue_pop_n(sdf_queue *q, void *token_out, size_t n) {
+    SDF_ASSERT(n > 0 && q->len >= n);
+    memcpy(token_out, q->buf + (q->head + n - 1) % q->cap * q->elem, q->elem);
+    q->head = (q->head + n) % q->cap;
+    q->len -= n;
+}
+
+void sdf_queue_drop(sdf_queue *q, size_t n) {
+    SDF_ASSERT(q->len >= n);
+    q->head = (q->head + n) % q->cap;
+    q->len -= n;
 }
 
 size_t sdf_queue_len(const sdf_queue *q) {
     return q->len;
 }
+
+void sdf_record(const char *t, const char *signal, int dtype,
+                int width, const void *token) {
+    printf("%s,%s,", t, signal);
+    for (int i = 0; i < width; ++i) {
+        if (i) {
+            putchar(';');
+        }
+        if (dtype == SDF_F64) {
+            printf("%.17g", ((const double *)token)[i]);
+        } else if (dtype == SDF_I32) {
+            printf("%ld", (long)((const int32_t *)token)[i]);
+        } else {
+            putchar(((const unsigned char *)token)[i] ? '1' : '0');
+        }
+    }
+    putchar('\\n');
+}
+
+int main(void) {
+    long it;
+    sdfg_init();
+    printf("time,signal,value\\n");
+    for (it = 0; it < sdfg_iterations; ++it) {
+        sdfg_step();
+        sdfg_check();
+    }
+    return 0;
+}
 """
+
+# Actors per dispatch function: one switch over every actor grows
+# super-linearly in compile time, many tiny functions cost ~3 ms each.
+_CHUNK = 64
 
 
 @dataclass
@@ -203,6 +286,7 @@ class _Emitter:
         self.name = _sanitize(g.name)
         self.aident = _ident_table([a.id for a in g.actors])
         self.cident = _ident_table([c.id for c in g.channels])
+        self.tm: dict[int, str] = {}  # id of a shared Outport time list -> table
 
     def _total(self, a) -> int:
         return self.sched.repetition[a.id] * self.periods
@@ -213,91 +297,16 @@ class _Emitter:
     def files(self) -> dict[str, str]:
         n = self.name
         return {
-            "runtime/sdf_queue.h": _QUEUE_H,
-            "runtime/sdf_queue.c": _QUEUE_C,
-            f"sdfg_{n}.h": self._graph_header(),
-            f"sdfg_{n}.c": self._graph_source(),
-            f"actors_{n}.h": self._actors_header(),
-            f"actors_{n}.c": self._actors_source(),
-            f"harness_{n}.c": self._harness_source(),
+            "runtime/sdf_runtime.h": _RUNTIME_H,
+            "runtime/sdf_runtime.c": _RUNTIME_C,
+            f"sdfg_{n}.c": self._model_source(),
             "build.sh": self._build_script(),
         }
 
-    def _graph_header(self) -> str:
-        guard = f"SDFG_{self.name.upper()}_H"
-        lines = [f"#ifndef {guard}", f"#define {guard}", "",
-                 '#include "sdf_queue.h"', ""]
-        for c in self.g.channels:
-            lines.append(f"extern sdf_queue q_{self.cident[c.id]};")
-        lines += ["", "void sdfg_init(void);",
-                  "void sdfg_step(void);",
-                  "void sdfg_check(void);", "",
-                  f"#endif /* {guard} */", ""]
-        return "\n".join(lines)
-
-    def _graph_source(self) -> str:
-        n = self.name
-        lines = [f'#include "sdfg_{n}.h"', f'#include "actors_{n}.h"', ""]
-        for c in self.g.channels:
-            ci = self.cident[c.id]
-            cap = max(self.sched.peaks[c.id], 1)
-            lines.append(f"static {CTYPE[c.dtype]} buf_{ci}[{cap}][{c.width}];")
-            lines.append(f"sdf_queue q_{ci};")
-        lines.append("")
-        lines.append("void sdfg_init(void) {")
-        for c in self.g.channels:
-            ci = self.cident[c.id]
-            cap = max(self.sched.peaks[c.id], 1)
-            lines.append(f"    sdf_queue_init(&q_{ci}, buf_{ci}, "
-                         f"sizeof buf_{ci}[0], {cap});")
-            for tok in c.initial_values:
-                lit = _c_token(c.dtype, c.width, tok)
-                lines.append(f"    sdf_queue_push(&q_{ci}, "
-                             f"(const {CTYPE[c.dtype]}[{c.width}]){lit});")
-        lines.append("}")
-        lines.append("")
-        if self.sched.firings:
-            lines.append(f"static void (*const schedule[{len(self.sched.firings)}])(void) = {{")
-            for aid in self.sched.firings:
-                lines.append(f"    fire_{self.aident[aid]},")
-            lines.append("};")
-            lines.append("")
-            lines.append("void sdfg_step(void) {")
-            lines.append("    size_t i;")
-            lines.append("    for (i = 0; i < sizeof schedule / sizeof schedule[0]; ++i) {")
-            lines.append("        schedule[i]();")
-            lines.append("    }")
-            lines.append("}")
-        else:
-            lines.append("void sdfg_step(void) {")
-            lines.append("}")
-        lines.append("")
-        lines.append("/* Every queue must be back at its delay once an iteration ends. */")
-        lines.append("void sdfg_check(void) {")
-        for c in self.g.channels:
-            lines.append(f"    SDF_ASSERT(sdf_queue_len(&q_{self.cident[c.id]}) == {c.delay});")
-        lines.append("}")
-        lines.append("")
-        return "\n".join(lines)
-
-    def _actors_header(self) -> str:
-        guard = f"ACTORS_{self.name.upper()}_H"
-        lines = [f"#ifndef {guard}", f"#define {guard}", "",
-                 "#include <stdint.h>", "",
-                 "#define SDF_F64 0", "#define SDF_I32 1", "#define SDF_BOOL 2", "",
-                 "/* Implemented by the harness: one CSV row per traced token. */",
-                 "void sdf_record(const char *t, const char *signal, int dtype,",
-                 "                int width, const void *token);", ""]
-        for a in self.g.actors:
-            lines.append(f"void fire_{self.aident[a.id]}(void);")
-        lines += ["", f"#endif /* {guard} */", ""]
-        return "\n".join(lines)
-
-    def _actors_source(self) -> str:
-        n = self.name
+    def _model_source(self) -> str:
         lines = ["#include <math.h>", "#include <string.h>", "",
-                 '#include "sdf_queue.h"', f'#include "sdfg_{n}.h"',
-                 f'#include "actors_{n}.h"', "",
+                 '#include "sdf_runtime.h"', "",
+                 f"const long sdfg_iterations = {self.periods}L;", "",
                  "/* Two's-complement wraparound, the reference arithmetic for i32. */",
                  "static int32_t sdf_wrap32(int64_t v) {",
                  "    uint32_t u = (uint32_t)v;",
@@ -311,64 +320,95 @@ class _Emitter:
                  "    return sdf_wrap32((int64_t)a / (int64_t)b);",
                  "}",
                  ""]
-        for a in self.g.actors:
-            lines += self._actor_section(a)
+        lines += self._channels()
+        cases = []
+        for k, a in enumerate(self.g.actors):
+            decls, body = self._actor_section(a)
+            lines += decls
+            # the body one level deeper, inside its case
+            body.append("    break;")
+            cases.append(f"    case {k}: {{ /* {a.kind} {a.id.replace('*/', '* /')} */\n    "
+                         + "\n    ".join(body) + "\n    }")
+        lines.append("")
+        lines += self._dispatch(cases)
         return "\n".join(lines)
 
-    def _harness_source(self) -> str:
-        n = self.name
-        return "\n".join([
-            "#include <stdio.h>",
-            "#include <stdint.h>",
-            "",
-            f'#include "sdfg_{n}.h"',
-            f'#include "actors_{n}.h"',
-            "",
-            f"#define SDF_ITERATIONS {self.periods}L",
-            "",
-            "void sdf_record(const char *t, const char *signal, int dtype,",
-            "                int width, const void *token) {",
-            '    printf("%s,%s,", t, signal);',
-            "    for (int i = 0; i < width; ++i) {",
-            "        if (i) {",
-            "            putchar(';');",
-            "        }",
-            "        if (dtype == SDF_F64) {",
-            '            printf("%.17g", ((const double *)token)[i]);',
-            "        } else if (dtype == SDF_I32) {",
-            '            printf("%ld", (long)((const int32_t *)token)[i]);',
-            "        } else {",
-            "            putchar(((const unsigned char *)token)[i] ? '1' : '0');",
-            "        }",
+    def _channels(self) -> list[str]:
+        """Channel storage, its initial tokens, and sdfg_init and sdfg_check
+        as loops over one table of the channels."""
+        lines, table = [], []
+        for c in self.g.channels:
+            ci = self.cident[c.id]
+            cap = max(self.sched.peaks[c.id], 1)
+            init = ""
+            if c.initial_values:
+                init = " = { " + ", ".join(_c_token(c.dtype, c.width, tok)
+                                           for tok in c.initial_values) + " }"
+            lines.append(f"static {CTYPE[c.dtype]} buf_{ci}[{cap}][{c.width}]{init};")
+            lines.append(f"static sdf_queue q_{ci};")
+            table.append(f"    {{ &q_{ci}, buf_{ci}, sizeof buf_{ci}[0], {cap}, {c.delay} }},")
+        lines.append("")
+        if not table:
+            return lines + ["void sdfg_init(void) {", "}", "",
+                            "void sdfg_check(void) {", "}", ""]
+        return lines + [
+            f"static const sdf_channel channels[{len(table)}] = {{", *table, "};", "",
+            "void sdfg_init(void) {",
+            "    size_t i;",
+            "    for (i = 0; i < sizeof channels / sizeof channels[0]; ++i) {",
+            "        const sdf_channel *c = &channels[i];",
+            "        sdf_queue_init(c->q, c->buf, c->elem, c->cap, c->delay);",
             "    }",
-            "    putchar('\\n');",
             "}",
             "",
-            "int main(void) {",
-            "    long it;",
-            "    sdfg_init();",
-            '    printf("time,signal,value\\n");',
-            "    for (it = 0; it < SDF_ITERATIONS; ++it) {",
-            "        sdfg_step();",
-            "        sdfg_check();",
+            "void sdfg_check(void) {",
+            "    size_t i;",
+            "    for (i = 0; i < sizeof channels / sizeof channels[0]; ++i) {",
+            "        SDF_ASSERT(sdf_queue_len(channels[i].q) == channels[i].delay);",
             "    }",
-            "    return 0;",
             "}",
-            "",
-        ])
+            ""]
+
+    def _dispatch(self, cases: list[str]) -> list[str]:
+        """The cases, _CHUNK to a function switching on the actor's index,
+        and sdfg_step walking the schedule."""
+        lines: list[str] = []
+        for lo in range(0, len(cases), _CHUNK):
+            lines += [f"static void fire_{lo // _CHUNK}(int actor) {{", "    switch (actor) {",
+                      *cases[lo:lo + _CHUNK], "    }", "}", ""]
+        if not self.sched.firings:
+            return lines + ["void sdfg_step(void) {", "}", ""]
+        index = {a.id: str(k) for k, a in enumerate(self.g.actors)}
+        order = [index[aid] for aid in self.sched.firings]
+        n_fire = -(-len(cases) // _CHUNK)
+        lines.append(f"static void (*const fire[{n_fire}])(int) = {{ " +
+                     ", ".join(f"fire_{i}" for i in range(n_fire)) + " };")
+        lines.append("")
+        lines.append(f"static const int schedule[{len(order)}] = {{")
+        lines += ["    " + ", ".join(order[i:i + 16]) + ","
+                  for i in range(0, len(order), 16)]
+        lines += ["};", "",
+                  "void sdfg_step(void) {",
+                  "    size_t i;",
+                  "    for (i = 0; i < sizeof schedule / sizeof schedule[0]; ++i) {",
+                  f"        fire[schedule[i] / {_CHUNK}](schedule[i]);",
+                  "    }",
+                  "}",
+                  ""]
+        return lines
 
     def _build_script(self) -> str:
         n = self.name
-        flags = "-std=c99 -O2 -ffp-contract=off -I. -Iruntime"
+        flags = "-std=c99 -O2 -ffp-contract=off -Iruntime"
         if not self.asserts:
             flags += " -DSDF_NO_ASSERT"
-        # largest unit first, so it is not the one left running alone
-        units = [f"actors_{n}", f"sdfg_{n}", f"harness_{n}", "runtime/sdf_queue"]
+        # the model unit first: it is the larger
+        units = [f"sdfg_{n}", "runtime/sdf_runtime"]
         return "\n".join([
             "#!/bin/sh",
-            "# Compiles the translation units concurrently, then links them.",
-            "# -ffp-contract=off keeps double arithmetic identical to the",
-            "# reference interpreter (no fused multiply-add).",
+            "# Compiles the model unit and the fixed runtime concurrently, then",
+            "# links them. -ffp-contract=off keeps double arithmetic identical",
+            "# to the reference interpreter (no fused multiply-add).",
             "# No set -e: every started compiler is waited for before exit.",
             'cd "$(dirname "$0")" || exit 1',
             ': "${CC:=cc}"',
@@ -384,19 +424,19 @@ class _Emitter:
     # ------------------------------------------------------------------
     # per-actor emission
 
-    def _actor_section(self, a) -> list[str]:
+    def _actor_section(self, a) -> tuple[list[str], list[str]]:
+        """The actor's static data and the body of its case."""
         ai = self.aident[a.id]
         data_specs = self.plan.data_specs[a.id]
         out_full = self.plan.out_specs[a.id]
         live = sorted({c.src[1] for c in self.plan.ch_out[a.id]})
         has_events = any(p.event for p in a.in_ports)
 
-        decls: list[str] = [f"/* ---- {a.kind} {a.id.replace('*/', '* /')} ---- */"]
+        decls: list[str] = []
         if not (live or a.kind == "Outport"):
             # nothing observes the outputs or state of an actor with no
             # out-channel: as in the schedule interpreter, it only pops
-            body = self._fire_body(a, ai, data_specs, out_full, live, False)
-            return decls + ["", f"void fire_{ai}(void) {{"] + body + ["}", ""]
+            return decls, self._fire_body(a, ai, data_specs, out_full, live, False)
         if a.kind == "Chart":
             idx = a.params["states"].index(a.params["initial"])
             decls.append(f"static int st_{ai} = {idx};")
@@ -422,14 +462,16 @@ class _Emitter:
             decls.append(f"static const {CTYPE[d]} stim_{ai}[{self._total(a)}][{w}] = {{\n"
                          f"    {rows}\n}};")
         if a.kind == "Outport":
-            times = self.plan.times[a.id][:self._total(a)]
-            decls.append(f"static const char *const tm_{ai}[{len(times)}] = "
-                         "{ " + ", ".join(_c_str(time_str(t)) for t in times) + " };")
+            # Outports of one period share one list of firing times
+            times = self.plan.times[a.id]
+            if id(times) not in self.tm:
+                self.tm[id(times)] = tm = f"tm_{len(self.tm)}"
+                decls.append(f"static const char *const {tm}[{len(times)}] = "
+                             "{ " + ", ".join(_c_str(time_str(t)) for t in times) + " };")
         if a.kind == "Outport" or (a.kind == "Inport" and a.id in self.plan.stim):
             decls.append(f"static long n_{ai};")
 
-        body = self._fire_body(a, ai, data_specs, out_full, live, has_events)
-        return decls + ["", f"void fire_{ai}(void) {{"] + body + ["}", ""]
+        return decls, self._fire_body(a, ai, data_specs, out_full, live, has_events)
 
     def _fire_body(self, a, ai, data_specs, out_full, live, has_events):
         body: list[str] = []
@@ -446,32 +488,28 @@ class _Emitter:
                 n_ev += 1
                 body.append(f"    {ct} {ev}[{p.width}];")
                 if c.rate_dst == 1:
-                    body.append(f"    sdf_queue_pop(&{qn}, {ev});")
+                    body.append(f"    sdf_queue_pop_n(&{qn}, {ev}, 1);")
                     body.append(f"    en = en && ({ev}[0] != 0);")
                 else:
                     body.append(f"    for (int k = 0; k < {c.rate_dst}; ++k) {{")
-                    body.append(f"        sdf_queue_pop(&{qn}, {ev});")
+                    body.append(f"        sdf_queue_pop_n(&{qn}, {ev}, 1);")
                     body.append(f"        en = en && ({ev}[0] != 0);")
                     body.append("    }")
                 continue
             u = f"u{len(data_names)}"
             data_names.append(u)
             body.append(f"    {ct} {u}[{p.width}];")
-            if c.rate_dst == 1:
-                body.append(f"    sdf_queue_pop(&{qn}, {u});")
-            elif a.kind == "RateTransition":
-                # keep the freshest of the consumed tokens
-                body.append(f"    for (int k = 0; k < {c.rate_dst}; ++k) "
-                            f"sdf_queue_pop(&{qn}, {u});")
+            if c.rate_dst == 1 or a.kind == "RateTransition":
+                # a RateTransition keeps the freshest of the consumed tokens
+                body.append(f"    sdf_queue_pop_n(&{qn}, {u}, {c.rate_dst});")
             else:
-                body.append(f"    sdf_queue_pop(&{qn}, {u});")
-                body.append(f"    {{ {ct} skip[{p.width}]; "
-                            f"for (int k = 1; k < {c.rate_dst}; ++k) "
-                            f"sdf_queue_pop(&{qn}, skip); }}")
+                body.append(f"    sdf_queue_pop_n(&{qn}, {u}, 1);")
+                body.append(f"    sdf_queue_drop(&{qn}, {c.rate_dst - 1});")
 
         if a.kind == "Outport":
             d, w = data_specs[0]
-            body.append(f"    sdf_record(tm_{ai}[n_{ai}], {_c_str(a.id)}, "
+            tm = self.tm[id(self.plan.times[a.id])]
+            body.append(f"    sdf_record({tm}[n_{ai}], {_c_str(a.id)}, "
                         f"{DTCODE[d]}, {w}, u0);")
             body.append(f"    n_{ai} += 1;")
             return body
@@ -499,12 +537,8 @@ class _Emitter:
             body += update
 
         for c in self.plan.ch_out[a.id]:
-            qn = f"q_{self.cident[c.id]}"
-            if c.rate_src == 1:
-                body.append(f"    sdf_queue_push(&{qn}, o{c.src[1]});")
-            else:
-                body.append(f"    for (int k = 0; k < {c.rate_src}; ++k) "
-                            f"sdf_queue_push(&{qn}, o{c.src[1]});")
+            body.append(f"    sdf_queue_push_n(&q_{self.cident[c.id]}, "
+                        f"o{c.src[1]}, {c.rate_src});")
         if a.kind == "Inport" and a.id in self.plan.stim:
             body.append(f"    n_{ai} += 1;")
         return body

@@ -407,33 +407,92 @@ def _canon_params(a: Actor) -> dict:
         raise SchemaError(f"actor {a.id}: malformed params ({type(e).__name__}: {e})") from None
 
 
-def _period(a: dict) -> Fraction:
+def _field(obj: dict, key: str, where: str, what: str, ok):
+    """obj[key], which `ok` must accept; else a SchemaError naming `where`."""
+    if key not in obj:
+        raise SchemaError(f"{where}: missing {key!r}")
+    v = obj[key]
+    if not ok(v):
+        raise SchemaError(f"{where}: {key!r} must be {what}, got {v!r}")
+    return v
+
+
+def _count(lo: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _of(t: type):
+    return lambda v: isinstance(v, t)
+
+
+def _is_dtype(v) -> bool:
+    return isinstance(v, str) and v in kinds.DTYPES
+
+
+def _is_slot(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and isinstance(v[0], str) and _count(0)(v[1])
+
+
+def _entries(doc: dict, key: str, what: str):
+    """(entry, its name for messages) for each entry of the list doc[key]."""
+    for i, e in enumerate(_field(doc, key, "graph", "a list", _of(list))):
+        if not isinstance(e, dict):
+            raise SchemaError(f"{what} #{i}: must be an object, got {e!r}")
+        yield e, f"{what} {_field(e, 'id', f'{what} #{i}', 'a string', _of(str))}"
+
+
+def _ports(ports: dict, key: str, where: str) -> list[Port]:
+    out = []
+    for p in _field(ports, key, where, "a list", _of(list)):
+        pw = f"{where}: {key} port {len(out)}"
+        if not isinstance(p, dict):
+            raise SchemaError(f"{pw}: must be an object, got {p!r}")
+        out.append(Port(_field(p, "dtype", pw, f"one of {kinds.DTYPES}", _is_dtype),
+                        _field(p, "width", pw, "an integer >= 1", _count(1)),
+                        _field(p, "event", pw, "a boolean",
+                               _of(bool)) if "event" in p else False))
+    return out
+
+
+def _period(state: dict, where: str) -> Fraction:
     """An actor's period: [num, den], both positive integers."""
-    p = a["state"]["period"]
-    if not (isinstance(p, list) and len(p) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in p)):
-        raise SchemaError(f"actor {a['id']}: period must be [num, den] with "
+    p = state.get("period")
+    if not (isinstance(p, list) and len(p) == 2 and all(_count(1)(x) for x in p)):
+        raise SchemaError(f"{where}: period must be [num, den] with "
                           f"two positive integers, got {p!r}")
     return Fraction(*p)
 
 
 def load_sdfg(doc: dict) -> Sdfg:
-    g = Sdfg(doc["name"])
-    for a in doc["actors"]:
-        period = _period(a)
-        in_ports = [Port(p["dtype"], p["width"], p.get("event", False))
-                    for p in a["ports"]["in"]]
-        out_ports = [Port(p["dtype"], p["width"], p.get("event", False))
-                     for p in a["ports"]["out"]]
-        actor = Actor(a["id"], a["kind"], a["state"].get("params", {}), period,
-                      in_ports, out_ports)
+    """The graph `save_sdfg` wrote.  A document of another shape, or
+    params that fail their kind's gate, raise a SchemaError naming the
+    actor or channel."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"graph: must be an object, got {type(doc).__name__}")
+    g = Sdfg(_field(doc, "name", "graph", "a string", _of(str)))
+    for a, where in _entries(doc, "actors", "actor"):
+        ports = _field(a, "ports", where, "an object", _of(dict))
+        state = _field(a, "state", where, "an object", _of(dict))
+        actor = Actor(a["id"], _field(a, "kind", where, "a string", _of(str)),
+                      state.get("params", {}), _period(state, where),
+                      _ports(ports, "in", where), _ports(ports, "out", where))
         actor.params = _canon_params(actor)
         g.actors.append(actor)
-    for c in doc["channels"]:
-        vals = [kinds.canon_token(c["dtype"], c["width"], v) for v in c["initial_values"]]
-        g.channels.append(Channel(c["id"], tuple(c["src"]), tuple(c["dst"]),
-                                  c["rate_src"], c["rate_dst"], c["delay"], vals,
-                                  c["dtype"], c["width"]))
+    for c, where in _entries(doc, "channels", "channel"):
+        src, dst = (_field(c, k, where, "[actor id, port index]", _is_slot)
+                    for k in ("src", "dst"))
+        rates = [_field(c, k, where, "an integer >= 1", _count(1))
+                 for k in ("rate_src", "rate_dst")]
+        delay = _field(c, "delay", where, "an integer >= 0", _count(0))
+        dtype = _field(c, "dtype", where, f"one of {kinds.DTYPES}", _is_dtype)
+        width = _field(c, "width", where, "an integer >= 1", _count(1))
+        init = _field(c, "initial_values", where, "a list", _of(list))
+        try:
+            vals = [kinds.canon_token(dtype, width, v) for v in init]
+        except SchemaError as e:
+            raise SchemaError(f"{where}: initial value: {e}") from None
+        g.channels.append(Channel(c["id"], tuple(src), tuple(dst), *rates, delay, vals,
+                                  dtype, width))
     g.check_wellformed()
     return g
 

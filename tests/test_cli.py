@@ -472,7 +472,7 @@ def test_codegen_writes_bundle(tmp_path):
                          "--periods", 4, "--out", outdir, "--json")
     assert rc == 0
     files = json.loads(out)["files"]
-    assert len(files) == 8
+    assert len(files) == 4
     assert (outdir / "build.sh").exists()
     assert (outdir / "sdfg_multirate_rt.c").exists()
 

@@ -2,6 +2,7 @@
 refusal cases.  Compilation tests shell out to cc via build.sh."""
 
 import os
+import re
 import shutil
 import subprocess
 from fractions import Fraction
@@ -54,19 +55,53 @@ def test_bundle_manifest(multirate_rt):
     b = emit_bundle(graph_of(multirate_rt), periods=4)
     assert b.name == "multirate_rt"
     assert sorted(b.files) == [
-        "actors_multirate_rt.c", "actors_multirate_rt.h",
-        "build.sh", "harness_multirate_rt.c",
-        "runtime/sdf_queue.c", "runtime/sdf_queue.h",
-        "sdfg_multirate_rt.c", "sdfg_multirate_rt.h"]
+        "build.sh", "runtime/sdf_runtime.c", "runtime/sdf_runtime.h",
+        "sdfg_multirate_rt.c"]
     for text in b.files.values():
         assert text.endswith("\n")
+
+
+def test_runtime_is_the_same_in_every_bundle(multirate_rt, transmission):
+    a = emit_bundle(graph_of(multirate_rt), periods=4).files
+    b = emit_bundle(graph_of(transmission), periods=1, asserts=False).files
+    runtime = sorted(f for f in a if f.startswith("runtime/"))
+    assert runtime == sorted(f for f in b if f.startswith("runtime/")) != []
+    assert all(a[f] == b[f] for f in runtime)
+    assert a[f"sdfg_{multirate_rt.name}.c"] != b[f"sdfg_{transmission.name}.c"]
+
+
+@pytest.mark.parametrize("name", ["transmission", "climate"])
+def test_one_time_table_per_outport_period(name, request):
+    g = graph_of(request.getfixturevalue(name))
+    src = emit_bundle(g, periods=2).files[f"sdfg_{g.name}.c"]
+    tables = re.findall(r"static const char \*const tm_\w+\[", src)
+    assert len(tables) == len({a.period for a in g.actors if a.kind == "Outport"})
+
+
+def test_model_unit_defines_one_function_per_64_actors():
+    # 800 Gains whose periods alternate, so a RateTransition sits between
+    # each pair: 1601 actors
+    n = 800
+    blocks = [blk("in", "Inport", {"index": 0}, st=1, outs=[F1])]
+    blocks += [blk(f"g{k}", "Gain", {"gain": 1.5}, st=1 + k % 2, ins=[F1], outs=[F1])
+               for k in range(n)]
+    blocks.append(blk("out", "Outport", {"index": 0}, ins=[F1]))
+    ids = [b["id"] for b in blocks]
+    g = graph_of(model(blocks, [conn((u, 0), (v, 0)) for u, v in zip(ids, ids[1:])],
+                       name="chain"))
+    assert len(g.actors) == 2 * n + 1
+    files = emit_bundle(g, periods=2).files
+    src = "".join(text for f, text in files.items()
+                  if f.endswith(".c") and not f.startswith("runtime/"))
+    defined = [ln for ln in src.splitlines() if re.match(r"[a-z].*\)\s*\{$", ln)]
+    assert len(defined) <= -(-len(g.actors) // 64) + 6, defined
 
 
 def test_bundle_write_marks_script_executable(multirate_rt, tmp_path):
     b = emit_bundle(graph_of(multirate_rt), periods=1)
     b.write(str(tmp_path))
     assert os.access(tmp_path / "build.sh", os.X_OK)
-    assert (tmp_path / "runtime" / "sdf_queue.h").exists()
+    assert (tmp_path / "runtime" / "sdf_runtime.h").exists()
 
 
 def test_emission_is_deterministic(multirate_rt):
@@ -83,7 +118,7 @@ def test_no_asserts_flag():
     assert "-DSDF_NO_ASSERT" not in on
     for script in (on, off):
         compiles = [ln.split() for ln in script.splitlines() if " -c " in ln]
-        assert len(compiles) == 4
+        assert len(compiles) == 2
         for words in compiles:
             assert {"-std=c99", "-O2", "-ffp-contract=off"} <= set(words)
             assert ("-DSDF_NO_ASSERT" in words) == (script is off)
@@ -117,7 +152,7 @@ def run_build(workdir, *shell, env=None, **kw):
 def test_a_failing_unit_fails_the_build(multirate_rt, tmp_path):
     b = emit_bundle(graph_of(multirate_rt), periods=1)
     b.write(str(tmp_path))
-    with open(tmp_path / "actors_multirate_rt.c", "a") as f:
+    with open(tmp_path / "sdfg_multirate_rt.c", "a") as f:
         f.write("#error injected failure\n")
     p = run_build(tmp_path, capture_output=True, text=True)
     assert p.returncode != 0
@@ -151,9 +186,9 @@ def test_build_returns_only_after_every_compiler(multirate_rt, tmp_path, fail):
     bundle = tmp_path / "bundle"
     emit_bundle(graph_of(multirate_rt), periods=1).write(str(bundle))
     if fail:
-        with open(bundle / "actors_multirate_rt.c", "a") as f:
+        with open(bundle / "sdfg_multirate_rt.c", "a") as f:
             f.write("#error injected failure\n")
-    cc, marks = marking_cc(tmp_path, slow="sdf_queue.c")
+    cc, marks = marking_cc(tmp_path, slow="sdf_runtime.c")
     # no pipes: a compiler left running would hold them open past the
     # script's exit and hide it
     p = run_build(bundle, env={"CC": cc},
@@ -161,8 +196,28 @@ def test_build_returns_only_after_every_compiler(multirate_rt, tmp_path, fail):
     started = {f.stem for f in marks.glob("*.start")}
     done = {f.stem for f in marks.glob("*.done")}
     assert (p.returncode != 0) == fail
-    assert len(started) == 4 and done == started
+    assert len(started) == 2 and done == started
     assert (bundle / "sdfg_multirate_rt").exists() != fail
+
+
+def test_build_compiles_every_unit_once_and_links_every_object(multirate_rt, tmp_path):
+    bundle = tmp_path / "bundle"
+    b = emit_bundle(graph_of(multirate_rt), periods=1)
+    b.write(str(bundle))
+    log = tmp_path / "cc.log"
+    cc = tmp_path / "logging-cc"
+    cc.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\nexec cc "$@"\n')
+    cc.chmod(0o755)
+    assert run_build(bundle, env={"CC": str(cc)}).returncode == 0
+    calls = [ln.split() for ln in log.read_text().splitlines()]
+    compiles = [w for w in calls if "-c" in w]
+    units = sorted(w[w.index("-c") + 1] for w in compiles)
+    assert units == sorted(f for f in b.files if f.endswith(".c"))
+    objects = sorted(w[w.index("-o") + 1] for w in compiles)
+    assert objects == [u[:-2] + ".o" for u in units]
+    [link] = [w for w in calls if "-c" not in w]
+    assert sorted(w for w in link if w.endswith(".o")) == objects
+    assert link[link.index("-o") + 1] == "sdfg_multirate_rt"
 
 
 def test_cc_with_arguments(multirate_rt, tmp_path):
@@ -298,11 +353,12 @@ def test_actor_with_no_out_channel_only_pops(tmp_path):
     act["state"]["params"]["transitions"][0]["op"] = ">"
     g = load_sdfg(doc)
     b = emit_bundle(g, periods=3)
-    section = b.files["actors_sink.c"].split("/* ---- Chart ch ---- */")[1]
-    body = section.split("{", 1)[1].split("}", 1)[0]
+    src = b.files["sdfg_sink.c"]
+    body = src.split("/* Chart ch */", 1)[1].split("break;", 1)[0]
     # no state, no compute, no transition: one buffer and its pop
-    assert [ln.split("(")[0].strip() for ln in body.splitlines() if ln] == \
-        ["double u0[1];", "sdf_queue_pop"]
+    assert [ln.split("(")[0].strip() for ln in body.splitlines() if ln.strip()] == \
+        ["double u0[1];", "sdf_queue_pop_n"]
+    assert "st_ch" not in src
     ref = run_sil(g, 3)
     got = c_trace(b, tmp_path, ref.specs)
     assert compare_traces(ref, got).ok and got.to_csv() == ref.to_csv()

@@ -345,6 +345,36 @@ def test_non_positive_period_fails_at_load(period):
         load_sdfg(doc)
 
 
+def _set(key, value):
+    return lambda obj: obj.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("target, edit, problem", [
+    ("channel", lambda c: c.__setitem__("src", [c["src"][0], "0"]),
+     r"'src' must be \[actor id, port index\]"),
+    ("channel", _set("delay", "1"), "'delay' must be an integer >= 0"),
+    ("channel", lambda c: c.pop("rate_src"), "missing 'rate_src'"),
+    ("channel", lambda c: c.pop("initial_values"), "missing 'initial_values'"),
+    ("channel", _set("dtype", "f32"), "'dtype' must be one of"),
+    ("actor", lambda a: a.pop("ports"), "missing 'ports'"),
+    ("actor", lambda a: a["ports"]["out"][0].__setitem__("width", "1"),
+     "out port 0: 'width' must be an integer >= 1"),
+    ("actor", _set("state", None), "'state' must be an object"),
+    ("graph", _set("actors", {}), "graph: 'actors' must be a list"),
+    ("graph", lambda d: d["channels"].__setitem__(0, "x"), "channel #0: must be an object"),
+], ids=["src_slot_string", "delay_string", "no_rate_src", "no_initial_values",
+        "unknown_dtype", "no_ports", "port_width_string", "state_null",
+        "actors_object", "channel_not_object"])
+def test_malformed_graph_documents_are_schema_errors(target, edit, problem):
+    doc = save_sdfg(translate(normalize(load_fixture("multirate")))[0])
+    obj = {"graph": doc, "actor": doc["actors"][-1],
+           "channel": next(c for c in doc["channels"] if c["delay"])}[target]
+    where = "" if target == "graph" else f"{target} {re.escape(obj['id'])}: "
+    edit(obj)
+    with pytest.raises(SchemaError, match=where + problem):
+        load_sdfg(doc)
+
+
 def test_export_dot_is_stable():
     g = graph([actor("b", n_in=1), actor("a", n_out=1)],
               [chan("c0", ("a", 0), ("b", 0), 2, 1, delay=1)])
