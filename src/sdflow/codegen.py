@@ -462,7 +462,7 @@ class _Emitter:
             decls.append(f"static const {CTYPE[d]} stim_{ai}[{self._total(a)}][{w}] = {{\n"
                          f"    {rows}\n}};")
         if a.kind == "Outport":
-            # Outports of one period share one list of firing times
+            # Outports of one period share one sequence of firing times
             times = self.plan.times[a.id]
             if id(times) not in self.tm:
                 self.tm[id(times)] = tm = f"tm_{len(self.tm)}"

@@ -28,6 +28,16 @@ Both produce a Trace: per output signal, (time, value) samples with the
 signal's type and width; a time is an int when whole, else a reduced
 Fraction.  compare_traces checks two traces sample by sample, exactly for
 bool/i32 and within a relative tolerance for f64.
+
+Per-sample work is one typed pass, with every per-signal choice made
+once.  Trace.to_csv makes each time canonical so whole times sort as
+ints, and formats values with one function per signal; Trace.from_csv
+parses with one function per signal, which also range-checks i32, so
+every token it returns is canonical.  The stimulus lookup passes a
+signal's tokens through when all are canonical by exact type and indexes
+them by time directly when the grid unit is 1.  With a whole base step
+MIL records times as step * unit; with a whole period the Outport times
+of the firing plan are a range.
 """
 
 from __future__ import annotations
@@ -36,7 +46,9 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isinf, isnan, lcm
+from operator import eq, itemgetter
 
 from . import kinds
 from .errors import (AlgebraicLoopError, InconsistentError, NormalizationError,
@@ -44,6 +56,8 @@ from .errors import (AlgebraicLoopError, InconsistentError, NormalizationError,
                      UnderflowError, UnsupportedKindError)
 from .model_ir import Block, BlockModel
 from .sdf_core import Channel, Schedule, Sdfg, build_schedule
+
+_first, _second = itemgetter(0), itemgetter(1)
 
 # ---------------------------------------------------------------------------
 # Trace
@@ -75,37 +89,66 @@ def parse_time(s: str) -> int | Fraction:
     return canon_time(Fraction(s))
 
 
-def _fmt_scalar(dtype: str, v) -> str:
-    if dtype == "bool":
-        return "1" if v else "0"
-    if dtype == "i32":
-        return str(v)
-    return repr(v)
+def _fmt_bool(v) -> str:
+    return "1" if v else "0"
+
+
+def _formatter(dtype: str, width: int):
+    """fmt_value for one spec, as a function of the value alone."""
+    scalar = {"bool": _fmt_bool, "i32": str}.get(dtype, repr)
+    if width == 1:
+        return scalar
+    return lambda v: ";".join(map(scalar, v))
 
 
 def fmt_value(dtype: str, width: int, v) -> str:
+    return _formatter(dtype, width)(v)
+
+
+_I32_MIN, _I32_END = -2 ** 31, 2 ** 31
+
+
+def _parse_bool(s: str) -> bool:
+    if s not in ("0", "1"):
+        raise SchemaError(f"bool sample must be 0 or 1, got {s!r}")
+    return s == "1"
+
+
+def _parse_i32(s: str) -> int:
+    v = int(s)
+    if not _I32_MIN <= v < _I32_END:
+        raise SchemaError(f"i32 literal out of range: {v}")
+    return v
+
+
+def _parser(dtype: str, width: int):
+    """The canonical token of one CSV value of this spec, as a function of
+    the text alone."""
+    scalar = {"bool": _parse_bool, "i32": _parse_i32}.get(dtype, float)
     if width == 1:
-        return _fmt_scalar(dtype, v)
-    return ";".join(_fmt_scalar(dtype, e) for e in v)
+        return scalar
+
+    def parse(s: str) -> tuple:
+        parts = s.split(";")
+        if len(parts) != width:
+            raise SchemaError(f"expected {width} elements, got {len(parts)}")
+        return tuple(map(scalar, parts))
+    return parse
 
 
-def _parse_scalar(dtype: str, s: str):
-    if dtype == "bool":
-        if s not in ("0", "1"):
-            raise SchemaError(f"bool sample must be 0 or 1, got {s!r}")
-        return s == "1"
-    if dtype == "i32":
-        return int(s)
-    return float(s)
-
-
-def parse_value(dtype: str, width: int, s: str):
-    if width == 1:
-        return _parse_scalar(dtype, s)
-    parts = s.split(";")
-    if len(parts) != width:
-        raise SchemaError(f"expected {width} elements, got {len(parts)}")
-    return tuple(_parse_scalar(dtype, p) for p in parts)
+def _reject_repeat(rows, start: int, signals: set[str]):
+    """Raise for the first of `rows`, numbered from `start`, that repeats
+    the signal and time of an earlier row, looking only at `signals`.
+    Trace.from_csv has parsed every row already."""
+    seen = set()
+    for n, ln in enumerate(rows, start):
+        fields = ln.split(",", 2)
+        if len(fields) == 3 and fields[1] in signals:
+            key = (fields[1], parse_time(fields[0]))
+            if key in seen:
+                raise SchemaError(f"trace CSV line {n}: a second sample of "
+                                  f"{key[0]!r} at t={time_str(key[1])}")
+            seen.add(key)
 
 
 class Trace:
@@ -140,42 +183,61 @@ class Trace:
         return out
 
     def to_csv(self) -> str:
-        rows = ["time,signal,value"]
+        """Rows sorted by time, then signal; samples of one signal at one
+        time keep their order.  Times are made canonical before the sort,
+        so whole times compare as ints."""
         merged = []
         for sig, pts in self.samples.items():
-            d, w = self.specs[sig]
-            merged.extend((t, sig, fmt_value(d, w, v)) for t, v in pts)
-        merged.sort(key=lambda r: (r[0], r[1]))
-        rows.extend(f"{time_str(t)},{sig},{val}" for t, sig, val in merged)
+            fmt = _formatter(*self.specs[sig])
+            merged.extend([(t if type(t) is int else canon_time(t), sig, fmt(v))
+                           for t, v in pts])
+        merged.sort(key=itemgetter(0, 1))
+        rows = ["time,signal,value"]
+        rows.extend([f"{t if type(t) is int else time_str(t)},{sig},{val}"
+                     for t, sig, val in merged])
         return "\n".join(rows) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, specs: dict[str, tuple[str, int]]) -> "Trace":
-        """Specs come from the reference side; CSV itself is untyped."""
+        """Specs come from the reference side; CSV itself is untyped.  Blank
+        lines are skipped; the first other line is the header.  Every token
+        is canonical: an i32 outside its range is an error, and so is a
+        second row for one signal and time, reported at that row's line once
+        every row has parsed."""
         tr = cls()
-        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-        if not lines or lines[0][1] != "time,signal,value":
+        lines = text.splitlines()
+        first = next((n for n, ln in enumerate(lines) if ln.strip()), None)
+        if first is None or lines[first] != "time,signal,value":
             raise SchemaError("trace CSV must start with 'time,signal,value'")
-        columns = {}  # signal -> (append to its samples, dtype, width)
-        for n, ln in lines[1:]:
+        columns = {}  # signal -> (append to its samples, value parser)
+        rows = islice(lines, first + 1, None)
+        for n, ln in enumerate(rows, first + 2):
             fields = ln.split(",", 2)
             if len(fields) != 3:
+                if not ln.strip():
+                    continue
                 raise SchemaError(f"trace CSV line {n}: expected time,signal,value")
             ts, sig, val = fields
             col = columns.get(sig)
             if col is None:
                 if sig not in specs:
                     raise ShapeError(f"trace CSV mentions unknown signal {sig!r}")
-                d, w = specs[sig]
-                tr.declare(sig, d, w)
-                col = columns[sig] = (tr.samples[sig].append, d, w)
-            add, d, w = col
-            try:
-                add((parse_time(ts), parse_value(d, w, val)))
+                tr.declare(sig, *specs[sig])
+                col = columns[sig] = (tr.samples[sig].append, _parser(*specs[sig]))
+            add, parse = col
+            try:  # parse_time, inline
+                add((int(ts) if ts.isdigit() and ts.isascii() else canon_time(Fraction(ts)),
+                     parse(val)))
             except (SchemaError, ValueError, ZeroDivisionError) as e:
                 raise SchemaError(f"trace CSV line {n}: {e}") from None
-        for pts in tr.samples.values():
-            pts.sort(key=lambda p: p[0])
+        repeated = set()
+        for sig, pts in tr.samples.items():
+            pts.sort(key=_first)
+            times = list(map(_first, pts))
+            if any(map(eq, times, islice(times, 1, None))):
+                repeated.add(sig)
+        if repeated:
+            _reject_repeat(islice(lines, first + 1, None), first + 2, repeated)
         return tr
 
     def to_json(self) -> dict:
@@ -543,8 +605,14 @@ class DiagramEngine:
         recorded, latch = [], []
         for st in steps:
             path, role, controls, refs, output, update = st
-            if controls and not all(truth(last[p][i]) for p, i in controls):
-                continue
+            if controls:
+                for p, i in controls:
+                    if not truth(last[p][i]):
+                        break
+                else:
+                    controls = None  # every control is on
+                if controls:
+                    continue  # a control is off: the leaf holds
             if role == _EVAL:
                 last[path] = output(state[path], [last[p][i] for p, i in refs])
             elif role == _OUTPORT:
@@ -564,6 +632,19 @@ class DiagramEngine:
             state[path] = update(state[path], [last[p][i] for p, i in refs])
 
 
+_CANON_TYPE = {"f64": float, "i32": int, "bool": bool}
+
+
+def _canon_tokens(dtype: str, width: int, values: list) -> list:
+    """kinds.canon_token of each value.  Width-1 values all of the dtype's
+    exact type (an i32 within its range) are canonical already and pass
+    straight through."""
+    if width == 1 and set(map(type, values)) == {_CANON_TYPE.get(dtype)}:
+        if dtype != "i32" or (_I32_MIN <= min(values) and max(values) < _I32_END):
+            return values
+    return [kinds.canon_token(dtype, width, v) for v in values]
+
+
 def _stim_table(stimulus: "Trace | None", units: dict[str, Fraction]):
     """The canonical tokens of each stimulus signal named in `units`, by
     sample index: the sample at time t sits at index t / units[signal]
@@ -573,13 +654,16 @@ def _stim_table(stimulus: "Trace | None", units: dict[str, Fraction]):
         return {}
     table = {}
     for sig, pts in stimulus.samples.items():
-        d, w = stimulus.specs[sig]
-        toks = [(t, kinds.canon_token(d, w, v)) for t, v in pts]
+        times = list(map(_first, pts))
+        toks = _canon_tokens(*stimulus.specs[sig], list(map(_second, pts)))
         unit = units.get(sig)
         if unit is None:
             continue
+        if unit == 1 and set(map(type, times)) == {int}:
+            table[sig] = dict(zip(times, toks))
+            continue
         rows = table[sig] = {}
-        for t, tok in toks:
+        for t, tok in zip(times, toks):
             n, r = divmod(t.numerator * unit.denominator, t.denominator * unit.numerator)
             if not r:
                 rows[n] = tok
@@ -591,14 +675,14 @@ class _FiringPlan:
     """What run_sil and the C emitter both replay: the channel into each
     in-port, each actor's out-channels and specs, the stimulus token of
     every Inport firing (an Inport without a signal reads zero) and the
-    time of every Outport firing (one list per period, shared)."""
+    time of every Outport firing (one sequence per period, shared)."""
 
     ch_in: dict[tuple[str, int], Channel]
     ch_out: dict[str, list[Channel]]
     data_specs: dict[str, list[tuple[str, int]]]
     out_specs: dict[str, list[tuple[str, int]]]
     stim: dict[str, list]
-    times: dict[str, list[int | Fraction]]
+    times: dict[str, range | list[int | Fraction]]
 
 
 def _firing_plan(g: Sdfg, sched: Schedule, periods: int,
@@ -606,17 +690,25 @@ def _firing_plan(g: Sdfg, sched: Schedule, periods: int,
     table = _stim_table(stimulus, {a.id: a.period for a in g.actors if a.kind == "Inport"})
     ch_out = g.out_channels()
     data_specs, out_specs, stim, times = {}, {}, {}, {}
-    by_period: dict[Fraction, list] = {}
+    # Outports of one period share one sequence of firing times, as long
+    # as the longest of them needs; a range when the period is whole
+    firings: dict[Fraction, int] = {}
+    for a in g.actors:
+        if a.kind == "Outport":
+            firings[a.period] = max(firings.get(a.period, 0),
+                                    sched.repetition[a.id] * periods)
+    by_period = {}
+    for period, count in firings.items():
+        unit = canon_time(period)
+        by_period[period] = (range(0, count * unit, unit) if type(unit) is int
+                             else [canon_time(n * unit) for n in range(count)])
     for a in g.actors:
         if a.kind not in kinds.KINDS:
             raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
         data_specs[a.id] = [(p.dtype, p.width) for p in a.in_ports if not p.event]
         out_specs[a.id] = [(p.dtype, p.width) for p in a.out_ports]
         if a.kind == "Outport":
-            ts = times[a.id] = by_period.setdefault(a.period, [])
-            unit = canon_time(a.period)
-            ts.extend(canon_time(n * unit)
-                      for n in range(len(ts), sched.repetition[a.id] * periods))
+            times[a.id] = by_period[a.period]
         if a.kind != "Inport" or a.id not in table or not ch_out[a.id]:
             continue
         (d, w), (sd, sw) = out_specs[a.id][0], stimulus.specs[a.id]
@@ -685,12 +777,14 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
 
     active = _activation(eng, base)
     unit = canon_time(base)
+    whole = type(unit) is int
+    append = {path: trace.samples[path].append for path in eng.res.outports}
     for step in range(steps):
         recorded, latch = eng.tick(active(step), stim)
         if recorded:
-            t = canon_time(step * unit)
+            t = step * unit if whole else canon_time(step * unit)
             for path, v in recorded:
-                trace.add(path, t, v)
+                append[path]((t, v))
         eng.update(latch)
     return trace
 
@@ -775,7 +869,8 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
         writes = tuple((fifos[c.id], c.src[1], c.rate_src) for c in plan.ch_out[a.id])
         bound[a.id] = (role, a.id, tuple(reads), writes, cell, output, update, extra)
     seq = [bound[aid] for aid in sched.firings]
-    boundary = [(fifos[c.id], c.delay, c.id) for c in g.channels]
+    queues = [fifos[c.id] for c in g.channels]
+    delays = [c.delay for c in g.channels]
     truth = kinds.truth
 
     for _ in range(max(0, periods)):
@@ -832,8 +927,8 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
                 else:
                     f.extend([produced[j]] * r)
             cell[0] += 1
-        for f, delay, cid in boundary:
-            if len(f) != delay:
-                raise InconsistentError(f"channel {cid} holds {len(f)} "
-                                        "tokens at the iteration boundary")
+        if list(map(len, queues)) != delays:
+            c, f = next((c, f) for c, f in zip(g.channels, queues) if len(f) != c.delay)
+            raise InconsistentError(f"channel {c.id} holds {len(f)} "
+                                    "tokens at the iteration boundary")
     return trace

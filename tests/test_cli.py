@@ -371,6 +371,38 @@ def test_malformed_stimulus_is_a_schema_error(tmp_path, cmd, row, line):
     assert line in err
 
 
+def gain_doc(dtype):
+    """u -> Gain 2 -> y on `dtype`."""
+    s = {"dtype": dtype, "width": 1}
+    return {"name": "gain2", "base_step": {"num": 1, "den": 1}, "data_stores": [],
+            "root": {"id": "gain2", "kind": "Subsystem", "params": {"mode": "normal"},
+                     "ports": {"in": [], "out": []},
+                     "children": [
+                         {"id": "u", "kind": "Inport", "params": {"index": 0},
+                          "sample_time": {"num": 1, "den": 1},
+                          "ports": {"in": [], "out": [s]}},
+                         {"id": "g", "kind": "Gain", "params": {"gain": 2},
+                          "ports": {"in": [s], "out": [s]}},
+                         {"id": "y", "kind": "Outport", "params": {"index": 0},
+                          "ports": {"in": [s], "out": []}}],
+                     "connections": [
+                         {"src": ["u", 0], "dst": ["g", 0], "dtype": dtype, "width": 1},
+                         {"src": ["g", 0], "dst": ["y", 0], "dtype": dtype, "width": 1}]}}
+
+
+@pytest.mark.parametrize("cmd", ["simulate-mil", "simulate-sil", "verify"])
+@pytest.mark.parametrize("rows, message", [
+    ("0,u,2147483648\n1,u,1", "trace CSV line 2: i32 literal out of range: 2147483648"),
+    ("0,u,1\n1,u,3\n0,u,7", "trace CSV line 4: a second sample of 'u' at t=0"),
+], ids=["i32_out_of_range", "repeated_row"])
+def test_stimulus_rows_are_checked_with_their_line(tmp_path, cmd, rows, message):
+    path = write_model(tmp_path, gain_doc("i32"))
+    stim = tmp_path / "stim.csv"
+    stim.write_text(f"time,signal,value\n{rows}\n")
+    rc, out, err = run_cli(cmd, path, "--steps", 2, "--stimulus", stim)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("cmd", ["simulate-mil", "simulate-sil", "verify", "codegen"])
 def test_non_utf8_stimulus_is_a_schema_error(tmp_path, cmd):
     stim = tmp_path / "bad.csv"

@@ -22,7 +22,8 @@ from sdflow import (AlgebraicLoopError, InconsistentError, SchemaError, SdflowEr
                     run_sil, save_sdfg, sil_span, translate)
 from sdflow import kinds
 from sdflow.interpreter import (Comparison, DiagramEngine, _activation, _replay,
-                                _scalar_close, fmt_value, resolve_wiring)
+                                _scalar_close, _stim_table, canon_time, fmt_value,
+                                resolve_wiring, time_str)
 
 F1 = {"dtype": "f64", "width": 1}
 I1 = {"dtype": "i32", "width": 1}
@@ -847,6 +848,347 @@ def test_compare_matches_the_per_sample_reference():
         verdicts[type(want).__name__ if isinstance(want, str) else want.ok] += 1
     # matches, divergences and shape errors were all exercised
     assert min(verdicts[True], verdicts[False], verdicts["str"]) > 100, verdicts
+
+
+# ---------------------------------------------------------------------------
+# trace CSV and stimulus lookup against their per-sample references
+
+
+def _ref_fmt_scalar(dtype, v):
+    if dtype == "bool":
+        return "1" if v else "0"
+    if dtype == "i32":
+        return str(v)
+    return repr(v)
+
+
+def _ref_to_csv(tr):
+    """Trace.to_csv as it was before it made times canonical ahead of one
+    sort and bound each signal's formatter once."""
+    rows = ["time,signal,value"]
+    merged = []
+    for sig, pts in tr.samples.items():
+        d, w = tr.specs[sig]
+        merged.extend((t, sig, _ref_fmt_scalar(d, v) if w == 1 else
+                       ";".join(_ref_fmt_scalar(d, e) for e in v)) for t, v in pts)
+    merged.sort(key=lambda r: (r[0], r[1]))
+    rows.extend(f"{time_str(t)},{sig},{val}" for t, sig, val in merged)
+    return "\n".join(rows) + "\n"
+
+
+def _ref_parse_value(dtype, width, s):
+    def scalar(s):
+        if dtype == "bool":
+            if s not in ("0", "1"):
+                raise SchemaError(f"bool sample must be 0 or 1, got {s!r}")
+            return s == "1"
+        if dtype == "i32":
+            return int(s)
+        return float(s)
+    if width == 1:
+        return scalar(s)
+    parts = s.split(";")
+    if len(parts) != width:
+        raise SchemaError(f"expected {width} elements, got {len(parts)}")
+    return tuple(scalar(p) for p in parts)
+
+
+def _ref_parse_time(s):
+    if s.isdigit() and s.isascii():
+        return int(s)
+    return canon_time(Fraction(s))
+
+
+def _ref_from_csv(text, specs):
+    """Trace.from_csv as it was before it bound each signal's parser once:
+    no i32 range check, and two rows for one signal and time both kept."""
+    tr = Trace()
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != "time,signal,value":
+        raise SchemaError("trace CSV must start with 'time,signal,value'")
+    for n, ln in lines[1:]:
+        fields = ln.split(",", 2)
+        if len(fields) != 3:
+            raise SchemaError(f"trace CSV line {n}: expected time,signal,value")
+        ts, sig, val = fields
+        if sig not in tr.specs:
+            if sig not in specs:
+                raise ShapeError(f"trace CSV mentions unknown signal {sig!r}")
+            tr.declare(sig, *specs[sig])
+        try:
+            tr.add(sig, _ref_parse_time(ts), _ref_parse_value(*specs[sig], val))
+        except (SchemaError, ValueError, ZeroDivisionError) as e:
+            raise SchemaError(f"trace CSV line {n}: {e}") from None
+    for pts in tr.samples.values():
+        pts.sort(key=lambda p: p[0])
+    return tr
+
+
+def _ref_stim_table(stimulus, units):
+    """_stim_table as it was before canonical tokens passed straight
+    through: kinds.canon_token on every sample, divmod on every time."""
+    if stimulus is None:
+        return {}
+    table = {}
+    for sig, pts in stimulus.samples.items():
+        d, w = stimulus.specs[sig]
+        toks = [(t, kinds.canon_token(d, w, v)) for t, v in pts]
+        unit = units.get(sig)
+        if unit is None:
+            continue
+        rows = table[sig] = {}
+        for t, tok in toks:
+            n, r = divmod(t.numerator * unit.denominator, t.denominator * unit.numerator)
+            if not r:
+                rows[n] = tok
+    return table
+
+
+def _typed(x):
+    """`x` with the type of every scalar in it, floats by repr, so that
+    equal results compare equal including NaN, -0.0, int and Fraction."""
+    if isinstance(x, (tuple, list)):
+        return (type(x).__name__, [_typed(e) for e in x])
+    if isinstance(x, dict):
+        return [(_typed(k), _typed(v)) for k, v in x.items()]
+    return (type(x).__name__, repr(x))
+
+
+def _typed_trace(tr):
+    return tr.specs, _typed(tr.samples)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SdflowError as e:
+        return (type(e).__name__, str(e))
+
+
+I32_EDGES = [0, -1, 7, 2**31 - 1, -2**31, 2**31, -2**31 - 1]
+
+
+def _random_trace(rng):
+    """A trace as engines, tests and the benchmark build it: whole times as
+    ints or Fractions, non-whole Fractions, samples added out of order and
+    now and then twice for one time; every dtype and width, i32 at and past
+    its range, NaN and infinities, an int now and then on an f64 signal."""
+    tr = Trace()
+    for sig in rng.sample(["s0", "y", "b", "s10", "a"], rng.randint(1, 3)):
+        d, w = rng.choice(["f64", "f64", "i32", "bool"]), rng.choice([1, 1, 2, 3])
+        pick = {"f64": lambda: rng.choice(F64_VALUES + [rng.uniform(-1e3, 1e3), 3]),
+                "i32": lambda: rng.choice(I32_EDGES if rng.random() < 0.1 else I32_EDGES[:5]),
+                "bool": lambda: rng.random() < 0.5}[d]
+        tr.declare(sig, d, w)
+        den = rng.choice([1, 1, 2, 3, 4, 10])
+        whole = rng.choice([int, Fraction])
+        pts = []
+        for n in range(rng.randint(0, 12)):
+            t = Fraction(n, den)
+            pts.append((whole(t) if t.denominator == 1 else t,
+                        pick() if w == 1 else tuple(pick() for _ in range(w))))
+        if pts and rng.random() < 0.1:
+            pts.append((rng.choice(pts)[0], pts[0][1]))
+        if rng.random() < 0.5:
+            rng.shuffle(pts)
+        for t, v in pts:
+            tr.add(sig, t, v)
+    return tr
+
+
+def _is_i32(s):
+    try:
+        return -2**31 <= int(s) < 2**31
+    except ValueError:
+        return False
+
+
+def _first_repeat(text):
+    """(line, signal, time) of the first row repeating an earlier row's
+    signal and time, in a CSV the reference accepts; None if there is none."""
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()][1:]
+    seen = set()
+    for n, ln in rows:
+        ts, sig, _ = ln.split(",", 2)
+        key = (sig, _ref_parse_time(ts))
+        if key in seen:
+            return (n, *key)
+        seen.add(key)
+    return None
+
+
+def _from_csv_outcome_is_the_reference(text, specs):
+    """Trace.from_csv gives what the reference gives, or one of the two
+    errors the reference lacks, each at the first line that earns it."""
+    want = _outcome(_ref_from_csv, text, specs)
+    got = _outcome(Trace.from_csv, text, specs)
+    if not isinstance(got, tuple):
+        assert isinstance(want, Trace) and _typed_trace(got) == _typed_trace(want)
+        return "ok"
+    if "i32 literal out of range" in got[1]:
+        # the reference accepts every row before that line, and the first
+        # element there that is no i32 is an int out of range
+        lines = text.splitlines()
+        n = int(got[1].split()[3].rstrip(":"))
+        assert isinstance(_ref_from_csv("\n".join(lines[:n - 1]), specs), Trace)
+        _, _, val = lines[n - 1].split(",", 2)
+        bad = int(next(x for x in val.split(";") if not _is_i32(x)))
+        assert not -2**31 <= bad < 2**31
+        assert got == ("SchemaError", f"trace CSV line {n}: i32 literal out of range: {bad}")
+        return "i32"
+    if "a second sample of" in got[1]:
+        # the reference accepts every row, and keeps both samples
+        assert isinstance(want, Trace)
+        n, sig, t = _first_repeat(text)
+        assert got == ("SchemaError", f"trace CSV line {n}: a second sample of "
+                                      f"{sig!r} at t={time_str(t)}")
+        return "repeat"
+    assert got == want
+    return "error"
+
+
+def test_to_csv_matches_the_reference():
+    rng = random.Random(11)
+    for _ in range(600):
+        tr = _random_trace(rng)
+        assert tr.to_csv() == _ref_to_csv(tr)
+
+
+def test_from_csv_matches_the_reference():
+    rng = random.Random(12)
+    kinds_seen = Counter()
+    for _ in range(600):
+        tr = _random_trace(rng)
+        kinds_seen[_from_csv_outcome_is_the_reference(_ref_to_csv(tr), tr.specs)] += 1
+    assert min(kinds_seen[k] for k in ("ok", "i32", "repeat")) > 10, kinds_seen
+
+
+BAD_TIMES = ["x", "", "1/0", "-", "1.5.2", " 3", "+2", "-1", "1e3", "0x10", "\u0661",
+             "1_0", "2/4", "0.25", "nan", "inf"]
+BAD_VALUES = ["", "abc", "nan", "-inf", "2", "-1", "1;2", "0;1;1", "0.5", "True", " 1 ",
+              "2147483648", "-2147483649", "1_000", "1e400", "\u0662"]
+
+
+def _malformed(rng, text):
+    """`text` with one to three edits that a hand-written CSV might have."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines) + 1)
+        edit = rng.random()
+        if edit < 0.1:
+            lines.insert(i, rng.choice(["", "  ", "\t", "no commas", "a,b"]))
+        elif edit < 0.15:
+            lines[0] = rng.choice(["time,signal", "Time,signal,value", " time,signal,value", ""])
+        elif i == 0 or i == len(lines):
+            lines.append(rng.choice(["", "0,s0,1", "0,nope,1", "0,s0"]))
+        else:
+            ts, sig, val = (lines[i].split(",", 2) + ["", ""])[:3]
+            if edit < 0.4:
+                ts = rng.choice(BAD_TIMES)
+            elif edit < 0.8:
+                val = rng.choice(BAD_VALUES)
+            elif edit < 0.9:
+                sig = rng.choice(["nope", "", "s9"])
+            else:
+                val += rng.choice([",", ",1", ";"])
+            lines[i] = f"{ts},{sig},{val}"
+    return "\r\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+
+
+def test_from_csv_matches_the_reference_on_malformed_text():
+    rng = random.Random(13)
+    kinds_seen = Counter()
+    for _ in range(1500):
+        tr = _random_trace(rng)
+        text = _malformed(rng, _ref_to_csv(tr))
+        kinds_seen[_from_csv_outcome_is_the_reference(text, tr.specs)] += 1
+    assert min(kinds_seen.values()) > 10 and len(kinds_seen) == 4, kinds_seen
+
+
+def test_stim_table_matches_the_reference():
+    rng = random.Random(14)
+    verdicts = Counter()
+    for _ in range(600):
+        tr = _random_trace(rng)
+        if rng.random() < 0.2:  # a width-1 token may come as a one-element list
+            sig = rng.choice(tr.signals())
+            tr.samples[sig] = [(t, [v] if tr.specs[sig][1] == 1 else list(v))
+                               for t, v in tr.samples[sig]]
+        units = {sig: rng.choice([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2)])
+                 for sig in tr.signals() if rng.random() < 0.8}
+        want = _outcome(_ref_stim_table, tr, units)
+        got = _outcome(_stim_table, tr, units)
+        assert _typed(got) == _typed(want)
+        verdicts[isinstance(want, tuple)] += 1
+    assert min(verdicts.values()) > 50, verdicts
+
+
+def test_trace_csv_rejects_an_i32_out_of_range():
+    specs = {"u": ("i32", 1), "v": ("i32", 2)}
+    for row, n in [("1,u,2147483648", 3), ("0,v,1;-2147483649", 2)]:
+        text = f"time,signal,value\n{'0,u,-2147483648' if n == 3 else row}\n{row}\n"
+        with pytest.raises(SchemaError, match=f"^trace CSV line {n}: i32 literal out of range"):
+            Trace.from_csv(text, specs)
+    tr = Trace.from_csv("time,signal,value\n0,u,2147483647\n0,v,-2147483648;0\n", specs)
+    assert tr.samples == {"u": [(0, 2**31 - 1)], "v": [(0, (-2**31, 0))]}
+
+
+def test_trace_csv_rejects_a_second_row_for_one_time():
+    specs = {"u": ("f64", 1), "v": ("f64", 1)}
+    text = "time,signal,value\n0,u,1\n1/2,v,2\n1,u,3\n\n0.5,v,4\n0/1,u,7\n"
+    with pytest.raises(SchemaError, match=r"^trace CSV line 6: a second sample of 'v' at t=0.5$"):
+        Trace.from_csv(text, specs)
+    # a parse error anywhere comes first: repeats are found once every row parsed
+    with pytest.raises(SchemaError, match="^trace CSV line 8: could not convert"):
+        Trace.from_csv(text + "2,u,x\n", specs)
+
+
+def test_stimulus_lookup_canonicalises_no_canonical_sample(transmission, monkeypatch):
+    """Both engines on a stimulus read from CSV: the kinds.canon_token
+    calls do not grow with the run length."""
+    g, _ = translate(normalize(transmission))
+    period = sil_span(g)
+
+    def canon_calls(steps):
+        stim = Trace.from_csv(ramp("throttle", Fraction(1), steps).to_csv(),
+                              {"throttle": ("f64", 1)})
+        calls = 0
+        canon = kinds.canon_token
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return canon(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(kinds, "canon_token", counted)
+            run_mil(transmission, steps, stim)
+            run_sil(g, int(steps / period), stim)
+        return calls
+
+    assert canon_calls(64) == canon_calls(128)
+
+
+def test_to_csv_compares_no_fraction_per_sample(monkeypatch):
+    """A trace whose whole times are Fractions writes its CSV without
+    Fraction comparisons growing with its length."""
+    def comparisons(steps):
+        tr = ramp("u", Fraction(1), steps)
+        tr.declare("v", "i32", 1)
+        for k in reversed(range(steps)):
+            tr.add("v", Fraction(k), k)
+        count = 0
+        with monkeypatch.context() as mp:
+            for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+                def counted(a, b, op=getattr(Fraction, name)):
+                    nonlocal count
+                    count += 1
+                    return op(a, b)
+                mp.setattr(Fraction, name, counted)
+            text = tr.to_csv()
+        assert text == _ref_to_csv(tr)
+        return count
+
+    assert comparisons(64) == comparisons(128)
 
 
 def test_sil_stimulus_spec_must_match(transmission):
