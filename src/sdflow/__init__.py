@@ -11,8 +11,8 @@ from .validator import Violation, check_requirements
 from .normalizer import NormalizedModel, normalize
 from .sdf_core import (Actor, Channel, ConsistencyReport, Port, Schedule, Sdfg,
                        aligned_repetition, build_schedule, check_consistency,
-                       export_dot, load_sdfg, repetition_vector, save_sdfg,
-                       sil_span)
+                       check_schedule, export_dot, load_sdfg, repetition_vector,
+                       save_sdfg, sil_span)
 from .translator import TranslationReport, rate_transition_rates, translate
 from .interpreter import Comparison, Trace, compare_traces, run_mil, run_sil
 from .codegen import SourceBundle, emit_bundle
@@ -26,8 +26,9 @@ __all__ = [
     "ShapeError", "SignalSpec", "SignalTypeError", "SourceBundle", "Trace",
     "TranslationReport", "UnderflowError", "UnsupportedKindError",
     "ValidationFailed", "Violation", "aligned_repetition", "build_schedule",
-    "check_consistency", "check_requirements", "compare_traces", "emit_bundle",
-    "export_dot", "load_model", "load_model_file", "load_sdfg",
-    "normalize", "rate_transition_rates", "repetition_vector", "run_mil",
-    "run_sil", "save_model", "save_sdfg", "sil_span", "translate",
+    "check_consistency", "check_requirements", "check_schedule",
+    "compare_traces", "emit_bundle", "export_dot", "load_model",
+    "load_model_file", "load_sdfg", "normalize", "rate_transition_rates",
+    "repetition_vector", "run_mil", "run_sil", "save_model", "save_sdfg",
+    "sil_span", "translate",
 ]

@@ -28,7 +28,7 @@ from math import ceil
 from . import codegen as codegen_mod
 from . import normalizer, sdf_core, translator, validator
 from .errors import SchemaError, SdflowError, ValidationFailed
-from .interpreter import Trace, _replay, compare_traces, run_mil
+from .interpreter import Trace, compare_traces, run_mil, run_sil
 from .model_ir import BlockModel, dump_model_file, load_model_file
 
 
@@ -205,7 +205,7 @@ def cmd_simulate_sil(args) -> int:
     m = load_model_file(args.model)
     _, (g, _) = _translate(m, args.depth)
     sched, _, periods = _schedule(args, m, g)
-    trace = _replay(g, sched, periods, _load_stimulus(args.stimulus, m))
+    trace = run_sil(g, periods, _load_stimulus(args.stimulus, m), schedule=sched)
     _write_or_print(_trace_text(trace, args.json), args.out)
     return 0
 
@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
     _, (g, _) = _translate(m, args.depth)
     sched, span, periods = _schedule(args, m, g)
     mil = run_mil(m, args.steps, stimulus=stim)
-    sil = _replay(g, sched, periods, stim)
+    sil = run_sil(g, periods, stim, schedule=sched)
     cmp = compare_traces(mil.clip(span), sil.clip(span), tol=args.tol)
     if args.json:
         print(json.dumps({"pass": cmp.ok, "samples": cmp.samples,
@@ -234,8 +234,8 @@ def cmd_codegen(args) -> int:
     m = load_model_file(args.model)
     _, (g, _) = _translate(m, args.depth)
     sched, _, periods = _schedule(args, m, g)
-    bundle = codegen_mod._emit(g, sched, periods, _load_stimulus(args.stimulus, m),
-                               asserts=not args.no_asserts)
+    bundle = codegen_mod.emit_bundle(g, periods, _load_stimulus(args.stimulus, m),
+                                     asserts=not args.no_asserts, schedule=sched)
     outdir = args.out or f"codegen_{m.name}"
     paths = bundle.write(outdir)
     if args.json:

@@ -32,7 +32,7 @@ from math import isinf, isnan
 from . import kinds
 from .errors import SdflowError, UnsupportedKindError
 from .interpreter import Trace, _firing_plan, time_str
-from .sdf_core import Schedule, Sdfg, build_schedule
+from .sdf_core import Schedule, Sdfg, build_schedule, check_schedule
 
 CTYPE = {"f64": "double", "i32": "int32_t", "bool": "unsigned char"}
 DTCODE = {"f64": "SDF_F64", "i32": "SDF_I32", "bool": "SDF_BOOL"}
@@ -256,23 +256,22 @@ class SourceBundle:
 
 
 def emit_bundle(g: Sdfg, periods: int = 1, stimulus: Trace | None = None,
-                asserts: bool = True) -> SourceBundle:
-    """Emit C sources replaying `periods` schedule iterations."""
+                asserts: bool = True, *, schedule: Schedule | None = None) -> SourceBundle:
+    """Emit C sources replaying `periods` iterations of `schedule`: the
+    schedule built for `g` when None, else one `check_schedule` accepts."""
     g.check_wellformed()
     if periods < 1:
         raise SdflowError("periods must be at least 1")
-    return _emit(g, build_schedule(g), periods, stimulus, asserts)
-
-
-def _emit(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None,
-          asserts: bool) -> SourceBundle:
-    """emit_bundle for a graph already scheduled as `sched`."""
+    if schedule is None:
+        schedule = build_schedule(g)
+    else:
+        check_schedule(g, schedule)
     for a in g.actors:
         if a.kind == "Subsystem":
             raise UnsupportedKindError(
                 f"actor {a.id}: subsystem actors have no C form; "
                 "translate the model fully flattened instead")
-    em = _Emitter(g, sched, _firing_plan(g, sched, periods, stimulus), periods, asserts)
+    em = _Emitter(g, schedule, _firing_plan(g, schedule, periods, stimulus), periods, asserts)
     return SourceBundle(em.name, em.files())
 
 

@@ -55,7 +55,7 @@ from .errors import (AlgebraicLoopError, InconsistentError, NormalizationError,
                      SchemaError, SdflowError, ShapeError, SignalTypeError,
                      UnderflowError, UnsupportedKindError)
 from .model_ir import Block, BlockModel
-from .sdf_core import Channel, Schedule, Sdfg, build_schedule
+from .sdf_core import Channel, Schedule, Sdfg, build_schedule, check_schedule
 
 _first, _second = itemgetter(0), itemgetter(1)
 
@@ -523,11 +523,11 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
             res.mem_spec[mp] = tuple(blocks[mp].out_ports[0])
 
     # Output-phase order: a feedthrough leaf needs all its producers first,
-    # and every leaf needs its enable chain first.
+    # itself included, and every leaf needs its enable chain first.
     deps: dict[str, set[str]] = {p: set() for p in res.leaves}
     for p, leaf in res.leaves.items():
         if kinds.KINDS[leaf.kind].feedthrough:
-            deps[p].update(src for src, _ in res.producers[p] if src != p)
+            deps[p].update(src for src, _ in res.producers[p])
         deps[p].update(src for src, _ in res.controls[p] if src != p)
     # Among the leaves whose dependencies are met, the smallest path goes first.
     ready = [p for p in deps if not deps[p]]
@@ -815,14 +815,10 @@ class EmbeddedDiagram:
 # Dataflow engine
 
 
-def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None) -> Trace:
-    """Replay `periods` iterations of the schedule with FIFO queues."""
-    g.check_wellformed()
-    return _replay(g, build_schedule(g), periods, stimulus)
-
-
-def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> Trace:
-    """run_sil for a graph already scheduled as `sched`.
+def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
+            schedule: Schedule | None = None) -> Trace:
+    """Replay `periods` iterations of `schedule` with FIFO queues: the
+    schedule built for `g` when None, else one `check_schedule` accepts.
 
     Each actor is bound once to a tuple: its role, id, in-port reads (FIFO,
     rate, event flag, channel id, kept token index) in slot order,
@@ -835,7 +831,14 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
     outputs or state, so it is not bound and only consumes its input
     tokens.  The firing loop walks those tuples in schedule order.
     """
-    plan = _firing_plan(g, sched, periods, stimulus)
+    g.check_wellformed()
+    if periods < 1:
+        raise SdflowError("periods must be at least 1")
+    if schedule is None:
+        schedule = build_schedule(g)
+    else:
+        check_schedule(g, schedule)
+    plan = _firing_plan(g, schedule, periods, stimulus)
     fifos = {c.id: deque(c.initial_values) for c in g.channels}
     trace = Trace()
     bound = {}
@@ -868,12 +871,12 @@ def _replay(g: Sdfg, sched: Schedule, periods: int, stimulus: Trace | None) -> T
             reads.append((fifos[c.id], c.rate_dst, port.event, c.id, keep))
         writes = tuple((fifos[c.id], c.src[1], c.rate_src) for c in plan.ch_out[a.id])
         bound[a.id] = (role, a.id, tuple(reads), writes, cell, output, update, extra)
-    seq = [bound[aid] for aid in sched.firings]
+    seq = [bound[aid] for aid in schedule.firings]
     queues = [fifos[c.id] for c in g.channels]
     delays = [c.delay for c in g.channels]
     truth = kinds.truth
 
-    for _ in range(max(0, periods)):
+    for _ in range(periods):
         for role, aid, reads, writes, cell, output, update, extra in seq:
             vals = []
             enabled = True

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import kinds
-from .errors import DeadlockError, InconsistentError, SchemaError
+from .errors import DeadlockError, InconsistentError, SchemaError, UnderflowError
 
 Endpoint = tuple[str, int]  # (actor id, port slot)
 
@@ -284,6 +284,48 @@ def build_schedule(g: Sdfg, q: dict[str, int] | None = None) -> Schedule:
             raise InconsistentError(f"channel {c.id} holds {tokens[c.id]} tokens after "
                                     f"one iteration, not its delay {c.delay}")
     return Schedule(firings, peaks, q, span)
+
+
+def check_schedule(g: Sdfg, sched: Schedule) -> None:
+    """Raise unless `sched` is an iteration of `g` that the engines can
+    replay as given: its `repetition` is a positive aligned vector with
+    `span` as its span; its firings never underflow a channel, leave every
+    channel at its delay and fire each actor `repetition` times; and its
+    `peaks` are the occupancy those firings reach, since the C buffers are
+    sized from them.  Neither solves nor builds a schedule."""
+    q = sched.repetition
+    _check_counts(g, q)
+    if aligned_repetition(g, q) != (q, sched.span):
+        raise InconsistentError(f"schedule repetition and span {sched.span} are "
+                                "not an aligned iteration")
+    ins, outs = g.in_channels(), g.out_channels()
+    tokens = {c.id: c.delay for c in g.channels}
+    peaks = dict(tokens)
+    fired = dict.fromkeys(q, 0)
+    for aid in sched.firings:
+        if aid not in fired:
+            raise InconsistentError(f"schedule fires unknown actor {aid!r}")
+        for c in ins[aid]:
+            if tokens[c.id] < c.rate_dst:
+                raise UnderflowError(f"firing {aid} needs {c.rate_dst} tokens on "
+                                     f"{c.id}, found {tokens[c.id]}")
+            tokens[c.id] -= c.rate_dst
+        for c in outs[aid]:
+            tokens[c.id] += c.rate_src
+            peaks[c.id] = max(peaks[c.id], tokens[c.id])
+        fired[aid] += 1
+    for c in g.channels:
+        if tokens[c.id] != c.delay:
+            raise InconsistentError(f"channel {c.id} holds {tokens[c.id]} "
+                                    "tokens at the iteration boundary")
+    for aid, n in fired.items():
+        if n != q[aid]:
+            raise InconsistentError(f"actor {aid} fires {n} times, not its "
+                                    f"repetition {q[aid]}")
+    for cid in (*peaks, *sched.peaks):
+        if sched.peaks.get(cid) != peaks.get(cid):
+            raise InconsistentError(f"channel {cid}: schedule peak {sched.peaks.get(cid)}, "
+                                    f"but its firings reach {peaks.get(cid)}")
 
 
 def _check_counts(g: Sdfg, q: dict[str, int]) -> None:

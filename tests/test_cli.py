@@ -300,6 +300,18 @@ def test_schedule_prints_what_runs_across_components(tmp_path):
     assert all(firings[o] == n for o, n in rows.items())
 
 
+def test_self_loop_is_an_algebraic_loop(tmp_path):
+    doc = cyclic_doc()
+    root = doc["root"]
+    root["children"] = [c for c in root["children"] if c["id"] != "g2"]
+    root["connections"] = [
+        {"src": ["g1", 0], "dst": ["g1", 0], "dtype": "f64", "width": 1},
+        {"src": ["g1", 0], "dst": ["y", 0], "dtype": "f64", "width": 1}]
+    rc, out, err = run_cli("simulate-mil", write_model(tmp_path, doc), "--steps", 3)
+    assert (rc, out) == (1, "")
+    assert err == "error: zero-delay feedthrough cycle through: g1, y\n"
+
+
 def test_schedule_flags_deadlock(tmp_path):
     path = write_model(tmp_path, cyclic_doc())
     rc, out, _ = run_cli("schedule", path)

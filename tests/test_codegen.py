@@ -130,6 +130,10 @@ def test_rejected_graphs(climate):
         emit_bundle(g)
     with pytest.raises(SdflowError, match="at least 1"):
         emit_bundle(graph_of(climate), periods=0)
+    # the schedule interpreter refuses the same counts instead of running none
+    for periods in (0, -3):
+        with pytest.raises(SdflowError, match="at least 1"):
+            run_sil(graph_of(climate), periods=periods)
 
 
 def test_stimulus_spec_must_match(transmission):

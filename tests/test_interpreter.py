@@ -21,7 +21,7 @@ from sdflow import (AlgebraicLoopError, InconsistentError, SchemaError, SdflowEr
                     compare_traces, load_model, load_sdfg, normalize, run_mil,
                     run_sil, save_sdfg, sil_span, translate)
 from sdflow import kinds
-from sdflow.interpreter import (Comparison, DiagramEngine, _activation, _replay,
+from sdflow.interpreter import (Comparison, DiagramEngine, _activation,
                                 _scalar_close, _stim_table, canon_time, fmt_value,
                                 resolve_wiring, time_str)
 
@@ -308,6 +308,15 @@ def test_feedthrough_cycle_is_rejected():
         run_mil(loop_model(break_with_delay=False), 1)
 
 
+def test_feedthrough_self_loop_is_rejected():
+    # y = 2*y has no value to evaluate against: a cycle of one block
+    m = model([blk("b0", "Gain", {"gain": 2.0}, st=1, ins=[F1], outs=[F1]),
+               blk("y", "Outport", {"index": 0}, ins=[F1])],
+              [conn(("b0", 0), ("b0", 0)), conn(("b0", 0), ("y", 0))])
+    with pytest.raises(AlgebraicLoopError, match="cycle through: b0, y$"):
+        run_mil(m, 3)
+
+
 def test_delay_breaks_algebraic_loop():
     # y[k] = 1 + d[k], d[k+1] = y[k]: 1, 2, 3, ...
     tr = run_mil(loop_model(break_with_delay=True), 3)
@@ -534,7 +543,7 @@ def test_sil_underflow_is_an_error(multirate):
     s = build_schedule(g)
     early = dataclasses.replace(s, firings=list(reversed(s.firings)))
     with pytest.raises(UnderflowError, match=f"firing {early.firings[0]} needs"):
-        _replay(g, early, 1, None)
+        run_sil(g, 1, schedule=early)
 
 
 def test_sil_token_count_is_checked_at_the_iteration_boundary(multirate):
@@ -543,7 +552,7 @@ def test_sil_token_count_is_checked_at_the_iteration_boundary(multirate):
     source = next(a for a in g.actors if not a.in_ports)
     extra = dataclasses.replace(s, firings=s.firings + [source.id])
     with pytest.raises(InconsistentError, match="at the iteration boundary"):
-        _replay(g, extra, 1, None)
+        run_sil(g, 1, schedule=extra)
 
 
 def test_absent_stimulus_reads_zero(transmission):

@@ -22,10 +22,11 @@ import pytest
 from conftest import load_fixture
 from model_gen import random_model
 from sdflow import (Actor, Channel, DeadlockError, InconsistentError, Port,
-                    Schedule, SchemaError, Sdfg, aligned_repetition,
+                    Schedule, SchemaError, Sdfg, UnderflowError, aligned_repetition,
                     build_schedule, check_consistency, check_requirements,
-                    export_dot, load_sdfg, normalize, repetition_vector,
-                    save_sdfg, translate)
+                    check_schedule, emit_bundle, export_dot, load_sdfg, normalize,
+                    repetition_vector, run_sil, save_sdfg, translate)
+from sdflow import codegen, interpreter
 
 
 def actor(aid, period=1, n_in=0, n_out=0, kind="Gain"):
@@ -230,6 +231,96 @@ def test_aligned_repetition_connected_is_identity():
     q = repetition_vector(g)
     scaled, h = aligned_repetition(g, q)
     assert scaled == q and h == Fraction(4)
+
+
+# ---------------------------------------------------------------------------
+# schedules passed in
+
+
+@pytest.mark.filterwarnings("ignore:flatten depth")
+@pytest.mark.parametrize("name", ["multirate", "multirate_rt", "transmission", "climate"])
+@pytest.mark.parametrize("depth", [None, 0, 1])
+def test_built_schedules_are_admissible(name, depth):
+    g, _ = translate(normalize(load_fixture(name), depth=depth))
+    check_schedule(g, build_schedule(g))
+
+
+def test_built_schedules_of_random_graphs_are_admissible():
+    rng = random.Random(13)
+    for _ in range(100):
+        g = random_schedulable_graph(rng)
+        check_schedule(g, build_schedule(g))
+
+
+def _reversed(g, s):
+    s.firings.reverse()
+
+
+def _short(g, s):
+    s.firings.pop()
+
+
+def _extra(g, s):
+    s.firings.append(s.firings[0])
+
+
+def _peak_lowered(g, s):
+    s.peaks[next(cid for cid, n in s.peaks.items() if n > 0)] -= 1
+
+
+def _one_count_scaled(g, s):
+    s.repetition[g.actors[0].id] *= 2
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (_reversed, UnderflowError, r"firing \S+ needs \d+ tokens on \S+, found \d+"),
+    (_short, InconsistentError, "at the iteration boundary"),
+    (_extra, InconsistentError, "at the iteration boundary"),
+    (_peak_lowered, InconsistentError, "schedule peak"),
+    (_one_count_scaled, InconsistentError, "not an aligned iteration"),
+], ids=["reversed", "short", "extra", "peak_lowered", "one_count_scaled"])
+@pytest.mark.parametrize("engine", ["run_sil", "emit_bundle"])
+def test_inadmissible_schedule_is_rejected_before_any_run(monkeypatch, multirate,
+                                                          engine, edit, error, message):
+    g, _ = translate(normalize(multirate))
+    s = build_schedule(g)
+    bad = Schedule(list(s.firings), dict(s.peaks), dict(s.repetition), s.span)
+    edit(g, bad)
+    with pytest.raises(error, match=message):
+        check_schedule(g, bad)
+
+    def no_plan(*_):
+        raise AssertionError("the schedule was replayed or emitted")
+    for mod in (interpreter, codegen):
+        monkeypatch.setattr(mod, "_firing_plan", no_plan)
+    with pytest.raises(error, match=message):
+        if engine == "run_sil":
+            run_sil(g, 1, schedule=bad)
+        else:
+            emit_bundle(g, 1, asserts=False, schedule=bad)
+
+
+def test_schedule_of_another_graph_is_rejected():
+    g = graph([actor("a", n_out=1), actor("b", n_in=1)],
+              [chan("c0", ("a", 0), ("b", 0), 1, 1)])
+    s = build_schedule(g)
+    with pytest.raises(InconsistentError, match="unknown actor 'z'"):
+        check_schedule(g, Schedule(s.firings + ["z"], s.peaks, s.repetition, s.span))
+    with pytest.raises(InconsistentError, match="names unknown actor z"):
+        check_schedule(g, Schedule(s.firings, s.peaks, {**s.repetition, "z": 1}, s.span))
+    with pytest.raises(InconsistentError, match="not an aligned iteration"):
+        check_schedule(g, Schedule(s.firings, s.peaks, s.repetition, 2 * s.span))
+
+
+def test_firing_counts_must_match_the_repetition():
+    # periods do not follow the rates, so a's span 1 is below b's span 2
+    # and doubling q[a] leaves the vector aligned
+    g = graph([actor("a", n_out=1), actor("b", n_in=1)],
+              [chan("c0", ("a", 0), ("b", 0), 2, 1)])
+    s = build_schedule(g)
+    assert s.repetition == {"a": 1, "b": 2} and s.span == 2
+    with pytest.raises(InconsistentError, match="actor a fires 1 times, not its repetition 2"):
+        check_schedule(g, Schedule(s.firings, s.peaks, {"a": 2, "b": 2}, s.span))
 
 
 # ---------------------------------------------------------------------------
