@@ -14,7 +14,9 @@ from .sdf_core import (Actor, Channel, ConsistencyReport, Port, Schedule, Sdfg,
                        check_schedule, export_dot, load_sdfg, repetition_vector,
                        save_sdfg, sil_span)
 from .translator import TranslationReport, rate_transition_rates, translate
-from .interpreter import Comparison, Trace, compare_traces, run_mil, run_sil
+from .trace import Comparison, Trace, compare_traces
+from .mil import run_mil
+from .sil import run_sil
 from .codegen import SourceBundle, emit_bundle
 
 __all__ = [

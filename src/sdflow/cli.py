@@ -28,8 +28,10 @@ from math import ceil
 from . import codegen as codegen_mod
 from . import normalizer, sdf_core, translator, validator
 from .errors import SchemaError, SdflowError, ValidationFailed
-from .interpreter import Trace, compare_traces, run_mil, run_sil
+from .mil import run_mil
 from .model_ir import BlockModel, dump_model_file, load_model_file
+from .sil import run_sil
+from .trace import Trace, compare_traces
 
 
 def _depth_arg(s: str):

@@ -31,8 +31,8 @@ from math import isinf, isnan
 
 from . import kinds
 from .errors import SdflowError, UnsupportedKindError
-from .interpreter import Trace, _firing_plan, time_str
-from .sdf_core import Schedule, Sdfg, build_schedule, check_schedule
+from .sdf_core import Schedule, Sdfg, build_schedule, check_schedule, firing_plan
+from .trace import Trace, time_str
 
 CTYPE = {"f64": "double", "i32": "int32_t", "bool": "unsigned char"}
 DTCODE = {"f64": "SDF_F64", "i32": "SDF_I32", "bool": "SDF_BOOL"}
@@ -271,7 +271,7 @@ def emit_bundle(g: Sdfg, periods: int = 1, stimulus: Trace | None = None,
             raise UnsupportedKindError(
                 f"actor {a.id}: subsystem actors have no C form; "
                 "translate the model fully flattened instead")
-    em = _Emitter(g, schedule, _firing_plan(g, schedule, periods, stimulus), periods, asserts)
+    em = _Emitter(g, schedule, firing_plan(g, schedule, periods, stimulus), periods, asserts)
     return SourceBundle(em.name, em.files())
 
 

@@ -8,6 +8,9 @@ build the one flat iteration schedule that every engine runs (recording
 peak queue occupancy), classify a graph, and render Graphviz text.  No
 block semantics appear at this level.
 
+The firing plan, the data that SIL and the C emitter both replay from one
+schedule, lives here too.
+
 Balance equation per channel c: q[src] * rate_src == q[dst] * rate_dst.
 The repetition vector is the smallest positive integer solution, solved
 per weakly-connected component.
@@ -22,7 +25,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import kinds
-from .errors import DeadlockError, InconsistentError, SchemaError, UnderflowError
+from .errors import (DeadlockError, InconsistentError, SchemaError, SdflowError,
+                     SignalTypeError, UnderflowError, UnsupportedKindError)
+from .trace import Trace, canon_time, stimulus_table
 
 Endpoint = tuple[str, int]  # (actor id, port slot)
 
@@ -342,6 +347,61 @@ def _check_counts(g: Sdfg, q: dict[str, int]) -> None:
         if type(n) is not int or n < 1:
             raise InconsistentError(f"actor {aid}: repetition count must be a "
                                     f"positive integer, got {n!r}")
+
+
+@dataclass
+class FiringPlan:
+    """What run_sil and the C emitter both replay: the channel into each
+    in-port, each actor's out-channels and specs, the stimulus token of
+    every Inport firing (an Inport without a signal reads zero) and the
+    time of every Outport firing (one sequence per period, shared)."""
+
+    ch_in: dict[tuple[str, int], Channel]
+    ch_out: dict[str, list[Channel]]
+    data_specs: dict[str, list[tuple[str, int]]]
+    out_specs: dict[str, list[tuple[str, int]]]
+    stim: dict[str, list]
+    times: dict[str, range | list[int | Fraction]]
+
+
+def firing_plan(g: Sdfg, sched: Schedule, periods: int,
+                stimulus: Trace | None) -> FiringPlan:
+    table = stimulus_table(stimulus, {a.id: a.period for a in g.actors if a.kind == "Inport"})
+    ch_out = g.out_channels()
+    data_specs, out_specs, stim, times = {}, {}, {}, {}
+    # Outports of one period share one sequence of firing times, as long
+    # as the longest of them needs; a range when the period is whole
+    firings: dict[Fraction, int] = {}
+    for a in g.actors:
+        if a.kind == "Outport":
+            firings[a.period] = max(firings.get(a.period, 0),
+                                    sched.repetition[a.id] * periods)
+    by_period = {}
+    for period, count in firings.items():
+        unit = canon_time(period)
+        by_period[period] = (range(0, count * unit, unit) if type(unit) is int
+                             else [canon_time(n * unit) for n in range(count)])
+    for a in g.actors:
+        if a.kind not in kinds.KINDS:
+            raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
+        data_specs[a.id] = [(p.dtype, p.width) for p in a.in_ports if not p.event]
+        out_specs[a.id] = [(p.dtype, p.width) for p in a.out_ports]
+        if a.kind == "Outport":
+            times[a.id] = by_period[a.period]
+        if a.kind != "Inport" or a.id not in table or not ch_out[a.id]:
+            continue
+        (d, w), (sd, sw) = out_specs[a.id][0], stimulus.specs[a.id]
+        if (sd, sw) != (d, w):
+            raise SignalTypeError(
+                f"stimulus {a.id!r} is ({sd} x{sw}), the port wants ({d} x{w})")
+        samples = table[a.id]
+        try:
+            stim[a.id] = [samples[n] for n in range(sched.repetition[a.id] * periods)]
+        except KeyError as e:
+            raise SdflowError(f"stimulus for {a.id!r} has no sample "
+                              f"at t={e.args[0] * a.period}") from None
+    return FiringPlan({c.dst: c for c in g.channels}, ch_out,
+                      data_specs, out_specs, stim, times)
 
 
 @dataclass

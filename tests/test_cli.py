@@ -455,7 +455,7 @@ def test_tolerance_must_be_a_number_at_least_zero(value, message):
 
 @pytest.mark.parametrize("cmd", ["simulate-sil", "verify", "codegen"])
 def test_each_run_solves_the_vector_once(tmp_path, monkeypatch, capsys, cmd):
-    from sdflow import cli, codegen, interpreter, sdf_core
+    from sdflow import cli, codegen, sdf_core, sil
     calls = Counter()
 
     def counted(name, fn):
@@ -467,7 +467,7 @@ def test_each_run_solves_the_vector_once(tmp_path, monkeypatch, capsys, cmd):
     monkeypatch.setattr(sdf_core, "repetition_vector",
                         counted("repetition_vector", sdf_core.repetition_vector))
     build = counted("build_schedule", sdf_core.build_schedule)
-    for mod in (sdf_core, interpreter, codegen):
+    for mod in (sdf_core, sil, codegen):
         monkeypatch.setattr(mod, "build_schedule", build)
     args = [cmd, str(MODELS / "multirate_rt.json")]
     if cmd == "codegen":

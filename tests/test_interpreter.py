@@ -8,6 +8,7 @@ import dataclasses
 import gc
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -21,9 +22,9 @@ from sdflow import (AlgebraicLoopError, InconsistentError, SchemaError, SdflowEr
                     compare_traces, load_model, load_sdfg, normalize, run_mil,
                     run_sil, save_sdfg, sil_span, translate)
 from sdflow import kinds
-from sdflow.interpreter import (Comparison, DiagramEngine, _activation,
-                                _scalar_close, _stim_table, canon_time, fmt_value,
-                                resolve_wiring, time_str)
+from sdflow.mil import DiagramEngine, _activation, resolve_wiring
+from sdflow.trace import (Comparison, _scalar_close, canon_time, fmt_value,
+                          stimulus_table, time_str)
 
 F1 = {"dtype": "f64", "width": 1}
 I1 = {"dtype": "i32", "width": 1}
@@ -646,6 +647,34 @@ def test_trace_json_round_trip():
     assert compare_traces(tr, back).ok
 
 
+def _json_signal(**edit) -> dict:
+    s = {"name": "y", "dtype": "f64", "width": 1,
+         "samples": [[[0, 1], 0.5], [[1, 1], 1.5]]}
+    s.update(edit)
+    return {"signals": [s]}
+
+
+@pytest.mark.parametrize("doc, outcome", [
+    ({}, "trace JSON must hold a 'signals' list"),
+    (_json_signal(samples=[[[1, 0], 0.5]]), "signal 'y': "),
+    (_json_signal(samples=[[1, 0.5]]), "signal 'y': "),
+    (_json_signal(samples=[[[1, 1], 0.5], [[1, 1], 1.5]]),
+     "signal 'y': a second sample at t=1"),
+    (_json_signal(dtype="q"), "signal 'y': "),
+    (_json_signal(width=0), "signal 'y': "),
+    (_json_signal(name=5), "signal 5: the name must be a string"),
+    # rows out of time order are sorted, as from_csv sorts them
+    (_json_signal(samples=[[[1, 1], 1.5], [[0, 1], 0.5]]), [(0, 0.5), (1, 1.5)]),
+], ids=["no_signals", "zero_denominator", "bare_int_time", "repeated_time",
+        "unknown_dtype", "zero_width", "name_not_a_string", "out_of_order"])
+def test_trace_json_rejects_what_csv_rejects(doc, outcome):
+    if isinstance(outcome, list):
+        assert Trace.from_json(doc).samples["y"] == outcome
+    else:
+        with pytest.raises(SchemaError, match=re.escape(outcome)):
+            Trace.from_json(doc)
+
+
 def test_csv_header_is_required():
     with pytest.raises(Exception, match="time,signal,value"):
         Trace.from_csv("nope\n", {})
@@ -934,7 +963,7 @@ def _ref_from_csv(text, specs):
 
 
 def _ref_stim_table(stimulus, units):
-    """_stim_table as it was before canonical tokens passed straight
+    """stimulus_table as it was before canonical tokens passed straight
     through: kinds.canon_token on every sample, divmod on every time."""
     if stimulus is None:
         return {}
@@ -1126,7 +1155,7 @@ def test_stim_table_matches_the_reference():
         units = {sig: rng.choice([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2)])
                  for sig in tr.signals() if rng.random() < 0.8}
         want = _outcome(_ref_stim_table, tr, units)
-        got = _outcome(_stim_table, tr, units)
+        got = _outcome(stimulus_table, tr, units)
         assert _typed(got) == _typed(want)
         verdicts[isinstance(want, tuple)] += 1
     assert min(verdicts.values()) > 50, verdicts

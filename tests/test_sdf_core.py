@@ -26,7 +26,7 @@ from sdflow import (Actor, Channel, DeadlockError, InconsistentError, Port,
                     build_schedule, check_consistency, check_requirements,
                     check_schedule, emit_bundle, export_dot, load_sdfg, normalize,
                     repetition_vector, run_sil, save_sdfg, translate)
-from sdflow import codegen, interpreter
+from sdflow import codegen, sil
 
 
 def actor(aid, period=1, n_in=0, n_out=0, kind="Gain"):
@@ -291,8 +291,8 @@ def test_inadmissible_schedule_is_rejected_before_any_run(monkeypatch, multirate
 
     def no_plan(*_):
         raise AssertionError("the schedule was replayed or emitted")
-    for mod in (interpreter, codegen):
-        monkeypatch.setattr(mod, "_firing_plan", no_plan)
+    for mod in (sil, codegen):
+        monkeypatch.setattr(mod, "firing_plan", no_plan)
     with pytest.raises(error, match=message):
         if engine == "run_sil":
             run_sil(g, 1, schedule=bad)

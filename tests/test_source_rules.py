@@ -24,9 +24,25 @@ def test_no_assert_and_no_copy_module():
 PRIVATE_USES = {
     ("cli", "validator", "_check"),
     ("cli", "normalizer", "_lower"),
-    ("codegen", "interpreter", "_firing_plan"),
     ("validator", "normalizer", "_flatten"),
 }
+
+
+def import_edges(tree: ast.AST) -> set[tuple[str, str]]:
+    """(owner, name) for each name a module imports from another sdflow
+    module with `from .owner import name`; `from . import owner` imports
+    the whole module, named "*"."""
+    edges = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 and node.module is None:
+            edges.update((a.name, "*") for a in node.names)
+        elif node.level == 1:
+            edges.update((node.module, a.name) for a in node.names)
+        elif node.level == 0 and (node.module or "").startswith("sdflow."):
+            edges.update((node.module.removeprefix("sdflow."), a.name) for a in node.names)
+    return edges
 
 
 def private_uses(path: Path) -> set[tuple[str, str, str]]:
@@ -36,21 +52,11 @@ def private_uses(path: Path) -> set[tuple[str, str, str]]:
         return name.startswith("_") and not name.startswith("__")
 
     user = path.stem
-    found, modules = set(), {}
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        if node.level == 1 and node.module is None:
-            modules.update((a.asname or a.name, a.name) for a in node.names)
-            continue
-        if node.level == 1:
-            owner = node.module
-        elif node.level == 0 and (node.module or "").startswith("sdflow."):
-            owner = node.module.removeprefix("sdflow.")
-        else:
-            continue
-        found.update((user, owner, a.name) for a in node.names if private(a.name))
+    found = {(user, owner, name) for owner, name in import_edges(tree) if private(name)}
+    modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for a in node.names}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and private(node.attr)):
@@ -63,3 +69,60 @@ def test_private_names_stay_in_their_module():
     assert sorted(uses - PRIVATE_USES) == []
     # an entry no module needs any more leaves the list
     assert sorted(PRIVATE_USES - uses) == []
+
+
+# The sdflow modules each module may import.  A module without an entry
+# fails the rule, so a new module must declare what it may import.
+_ALL = {"codegen", "errors", "kinds", "mil", "model_ir", "normalizer", "sdf_core",
+        "sil", "trace", "translator", "validator"}
+IMPORTS = {
+    "__init__": _ALL,
+    "cli": _ALL,
+    "codegen": {"errors", "kinds", "sdf_core", "trace"},
+    "errors": set(),
+    "kinds": {"errors"},
+    "mil": {"errors", "kinds", "model_ir", "trace"},
+    "model_ir": {"errors", "kinds"},
+    "normalizer": {"errors", "kinds", "model_ir"},
+    "sdf_core": {"errors", "kinds", "trace"},
+    "sil": {"errors", "kinds", "mil", "sdf_core", "trace"},
+    "trace": {"errors", "kinds"},
+    "translator": {"errors", "kinds", "model_ir", "normalizer", "sdf_core"},
+    "validator": {"errors", "kinds", "model_ir", "normalizer"},
+}
+
+# The verification boundary.  MIL runs the block diagram, SIL replays the
+# schedule and codegen emits C from it; their traces agree only as
+# evidence that the translation is right if no engine borrows another's
+# plumbing or the front end's.
+NEVER = {
+    "mil": {"normalizer", "sdf_core", "sil", "translator"},
+    "sil": {"mil", "model_ir", "normalizer"},
+    "codegen": {"mil", "model_ir", "normalizer", "sil"},
+}
+# Edges across the boundary that remain, by name: SIL fires an opaque
+# subsystem through MIL's engine until subsystems become nested graphs.
+CROSSINGS = {("sil", "mil", "EmbeddedDiagram")}
+
+
+def edges_by_module() -> dict[str, set[tuple[str, str]]]:
+    return {p.stem: import_edges(ast.parse(p.read_text(encoding="utf-8")))
+            for p in SRC.glob("*.py")}
+
+
+def test_every_module_declares_what_it_imports():
+    edges = edges_by_module()
+    assert sorted(edges) == sorted(IMPORTS)
+    undeclared = sorted((user, owner) for user, es in edges.items()
+                        for owner, _ in es if owner not in IMPORTS[user])
+    assert undeclared == []
+
+
+def test_engines_stay_independent():
+    edges = edges_by_module()
+    assert {owner for owner, _ in edges["trace"]} <= {"errors", "kinds"}
+    crossings = {(user, owner, name) for user, es in edges.items()
+                 for owner, name in es if owner in NEVER.get(user, ())}
+    assert sorted(crossings - CROSSINGS) == []
+    # a crossing no module makes any more leaves the list
+    assert sorted(CROSSINGS - crossings) == []
