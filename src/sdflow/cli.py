@@ -27,7 +27,8 @@ from math import ceil
 
 from . import codegen as codegen_mod
 from . import normalizer, sdf_core, translator, validator
-from .errors import SchemaError, SdflowError, ValidationFailed
+from .errors import (DeadlockError, InconsistentError, SchemaError, SdflowError,
+                     ValidationFailed)
 from .mil import run_mil
 from .model_ir import BlockModel, dump_model_file, load_model_file
 from .sil import run_sil
@@ -170,16 +171,18 @@ def cmd_translate(args) -> int:
 def cmd_schedule(args) -> int:
     m = load_model_file(args.model)
     _, (g, _) = _translate(m, args.depth)
-    report = sdf_core.check_consistency(g)
-    if not report.ok:
+    try:
+        sched = sdf_core.build_schedule(g)
+    except (InconsistentError, DeadlockError) as e:
+        status = "inconsistent" if isinstance(e, InconsistentError) else "deadlocked"
         if args.json:
-            print(json.dumps({"status": report.status, "detail": report.detail}, indent=2))
+            print(json.dumps({"status": status, "detail": str(e)}, indent=2))
         else:
-            print(f"{report.status}: {report.detail}")
+            print(f"{status}: {e}")
         return 1
-    sched, h = report.schedule, report.schedule.span
+    h = sched.span
     if args.json:
-        print(json.dumps({"status": report.status,
+        print(json.dumps({"status": "consistent",
                           "hyperperiod": [h.numerator, h.denominator],
                           "schedule": sched.to_json()}, indent=2))
     else:

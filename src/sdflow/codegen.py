@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from math import isinf, isnan
 
 from . import kinds
-from .errors import SdflowError, UnsupportedKindError
-from .sdf_core import Schedule, Sdfg, build_schedule, check_schedule, firing_plan
+from .errors import UnsupportedKindError
+from .sdf_core import Schedule, Sdfg, firing_plan
 from .trace import Trace, time_str
 
 CTYPE = {"f64": "double", "i32": "int32_t", "bool": "unsigned char"}
@@ -259,26 +259,20 @@ def emit_bundle(g: Sdfg, periods: int = 1, stimulus: Trace | None = None,
                 asserts: bool = True, *, schedule: Schedule | None = None) -> SourceBundle:
     """Emit C sources replaying `periods` iterations of `schedule`: the
     schedule built for `g` when None, else one `check_schedule` accepts."""
-    g.check_wellformed()
-    if periods < 1:
-        raise SdflowError("periods must be at least 1")
-    if schedule is None:
-        schedule = build_schedule(g)
-    else:
-        check_schedule(g, schedule)
+    plan = firing_plan(g, periods, stimulus, schedule)
     for a in g.actors:
         if a.kind == "Subsystem":
             raise UnsupportedKindError(
                 f"actor {a.id}: subsystem actors have no C form; "
                 "translate the model fully flattened instead")
-    em = _Emitter(g, schedule, firing_plan(g, schedule, periods, stimulus), periods, asserts)
+    em = _Emitter(g, plan, periods, asserts)
     return SourceBundle(em.name, em.files())
 
 
 class _Emitter:
-    def __init__(self, g, sched, plan, periods, asserts):
+    def __init__(self, g, plan, periods, asserts):
         self.g = g
-        self.sched = sched
+        self.sched = plan.schedule
         self.plan = plan
         self.periods = periods
         self.asserts = asserts

@@ -209,12 +209,12 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
             res.mem_spec[mp] = tuple(blocks[mp].out_ports[0])
 
     # Output-phase order: a feedthrough leaf needs all its producers first,
-    # itself included, and every leaf needs its enable chain first.
+    # and every leaf needs its enable chain first, itself included in both.
     deps: dict[str, set[str]] = {p: set() for p in res.leaves}
     for p, leaf in res.leaves.items():
         if kinds.KINDS[leaf.kind].feedthrough:
             deps[p].update(src for src, _ in res.producers[p])
-        deps[p].update(src for src, _ in res.controls[p] if src != p)
+        deps[p].update(src for src, _ in res.controls[p])
     # Among the leaves whose dependencies are met, the smallest path goes first.
     ready = [p for p in deps if not deps[p]]
     heapq.heapify(ready)
@@ -342,7 +342,8 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
     for path in eng.res.outports:
         trace.declare(path, *eng.res.leaves[path].in_ports[0])
     # stimulus samples by step number; an Inport without a signal reads zero
-    table = stimulus_table(stimulus, dict.fromkeys(eng.res.inports, base))
+    table = stimulus_table(stimulus, {path: (base, eng.res.leaves[path].out_ports[0])
+                                      for path in eng.res.inports})
     zeros = {path: kinds.zero_token(*eng.res.leaves[path].out_ports[0])
              for path in eng.res.inports}
 

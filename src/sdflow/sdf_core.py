@@ -5,11 +5,14 @@ rates of both endpoints and an initial token load (the delay).  The
 operations here are purely structural: solve the balance equations for
 the repetition vector, align it across components, play the token game to
 build the one flat iteration schedule that every engine runs (recording
-peak queue occupancy), classify a graph, and render Graphviz text.  No
-block semantics appear at this level.
+peak queue occupancy), and render Graphviz text.  An inconsistent or
+deadlocked graph has no schedule: build_schedule raises InconsistentError
+or DeadlockError, and that is the graph's verdict.  No block semantics
+appear at this level.
 
 The firing plan, the data that SIL and the C emitter both replay from one
-schedule, lives here too.
+schedule, lives here too.  firing_plan is where a replay gets its
+schedule: built for the graph, or a caller's checked by check_schedule.
 
 Balance equation per channel c: q[src] * rate_src == q[dst] * rate_dst.
 The repetition vector is the smallest positive integer solution, solved
@@ -26,7 +29,7 @@ from math import gcd, lcm
 
 from . import kinds
 from .errors import (DeadlockError, InconsistentError, SchemaError, SdflowError,
-                     SignalTypeError, UnderflowError, UnsupportedKindError)
+                     UnderflowError, UnsupportedKindError)
 from .trace import Trace, canon_time, stimulus_table
 
 Endpoint = tuple[str, int]  # (actor id, port slot)
@@ -351,11 +354,13 @@ def _check_counts(g: Sdfg, q: dict[str, int]) -> None:
 
 @dataclass
 class FiringPlan:
-    """What run_sil and the C emitter both replay: the channel into each
-    in-port, each actor's out-channels and specs, the stimulus token of
-    every Inport firing (an Inport without a signal reads zero) and the
-    time of every Outport firing (one sequence per period, shared)."""
+    """What run_sil and the C emitter both replay: the schedule, the
+    channel into each in-port, each actor's out-channels and specs, the
+    stimulus token of every Inport firing (an Inport without a signal
+    reads zero) and the time of every Outport firing (one sequence per
+    period, shared)."""
 
+    schedule: Schedule
     ch_in: dict[tuple[str, int], Channel]
     ch_out: dict[str, list[Channel]]
     data_specs: dict[str, list[tuple[str, int]]]
@@ -364,9 +369,22 @@ class FiringPlan:
     times: dict[str, range | list[int | Fraction]]
 
 
-def firing_plan(g: Sdfg, sched: Schedule, periods: int,
-                stimulus: Trace | None) -> FiringPlan:
-    table = stimulus_table(stimulus, {a.id: a.period for a in g.actors if a.kind == "Inport"})
+def firing_plan(g: Sdfg, periods: int, stimulus: Trace | None,
+                sched: Schedule | None) -> FiringPlan:
+    """The plan for `periods` iterations of `sched`: the schedule built
+    for `g` when None, else one `check_schedule` accepts.  A graph that is
+    not well formed, a count below 1 or an inadmissible schedule is
+    rejected before any of the plan is built."""
+    g.check_wellformed()
+    if periods < 1:
+        raise SdflowError("periods must be at least 1")
+    if sched is None:
+        sched = build_schedule(g)
+    else:
+        check_schedule(g, sched)
+    inports = {a.id: (a.period, (a.out_ports[0].dtype, a.out_ports[0].width))
+               for a in g.actors if a.kind == "Inport"}
+    table = stimulus_table(stimulus, inports)
     ch_out = g.out_channels()
     data_specs, out_specs, stim, times = {}, {}, {}, {}
     # Outports of one period share one sequence of firing times, as long
@@ -390,45 +408,14 @@ def firing_plan(g: Sdfg, sched: Schedule, periods: int,
             times[a.id] = by_period[a.period]
         if a.kind != "Inport" or a.id not in table or not ch_out[a.id]:
             continue
-        (d, w), (sd, sw) = out_specs[a.id][0], stimulus.specs[a.id]
-        if (sd, sw) != (d, w):
-            raise SignalTypeError(
-                f"stimulus {a.id!r} is ({sd} x{sw}), the port wants ({d} x{w})")
         samples = table[a.id]
         try:
             stim[a.id] = [samples[n] for n in range(sched.repetition[a.id] * periods)]
         except KeyError as e:
             raise SdflowError(f"stimulus for {a.id!r} has no sample "
                               f"at t={e.args[0] * a.period}") from None
-    return FiringPlan({c.dst: c for c in g.channels}, ch_out,
+    return FiringPlan(sched, {c.dst: c for c in g.channels}, ch_out,
                       data_specs, out_specs, stim, times)
-
-
-@dataclass
-class ConsistencyReport:
-    """`repetition` is the aligned vector (None when inconsistent);
-    `schedule` is the iteration built for a consistent graph."""
-
-    status: str  # "consistent" | "inconsistent" | "deadlocked"
-    detail: str
-    repetition: dict[str, int] | None
-    schedule: Schedule | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "consistent"
-
-
-def check_consistency(g: Sdfg) -> ConsistencyReport:
-    try:
-        q = repetition_vector(g)
-    except InconsistentError as e:
-        return ConsistencyReport("inconsistent", str(e), None)
-    try:
-        sched = build_schedule(g, q)
-    except DeadlockError as e:
-        return ConsistencyReport("deadlocked", str(e), aligned_repetition(g, q)[0])
-    return ConsistencyReport("consistent", "", sched.repetition, sched)
 
 
 # ---------------------------------------------------------------------------

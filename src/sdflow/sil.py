@@ -22,7 +22,7 @@ from collections import deque
 from . import kinds
 from .errors import SdflowError
 from .mil import EmbeddedDiagram
-from .sdf_core import Schedule, Sdfg, build_schedule, check_schedule, firing_plan
+from .sdf_core import Schedule, Sdfg, firing_plan
 from .trace import Trace
 
 _EVAL, _INPORT, _OUTPORT, _EMBED, _SINK = range(5)  # firing roles
@@ -43,18 +43,11 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
     An actor with no out-channel is a sink: nothing can observe its
     outputs or state, so it is not bound and only consumes its input
     tokens.  The firing loop walks those tuples in schedule order and
-    checks nothing: the schedule was built or checked above, and token
+    checks nothing: firing_plan built or checked the schedule, and token
     counts do not depend on token values, so no firing can underflow and
     every period ends with each channel back at its delay.
     """
-    g.check_wellformed()
-    if periods < 1:
-        raise SdflowError("periods must be at least 1")
-    if schedule is None:
-        schedule = build_schedule(g)
-    else:
-        check_schedule(g, schedule)
-    plan = firing_plan(g, schedule, periods, stimulus)
+    plan = firing_plan(g, periods, stimulus, schedule)
     fifos = {c.id: deque(c.initial_values) for c in g.channels}
     trace = Trace()
     bound = {}
@@ -87,7 +80,7 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
             reads.append((fifos[c.id], c.rate_dst, port.event, keep))
         writes = tuple((fifos[c.id], c.src[1], c.rate_src) for c in plan.ch_out[a.id])
         bound[a.id] = (role, tuple(reads), writes, cell, output, update, extra)
-    seq = [bound[aid] for aid in schedule.firings]
+    seq = [bound[aid] for aid in plan.schedule.firings]
     truth = kinds.truth
 
     for _ in range(periods):

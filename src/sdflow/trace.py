@@ -23,7 +23,7 @@ from math import isinf, isnan
 from operator import eq, itemgetter
 
 from . import kinds
-from .errors import SchemaError, ShapeError
+from .errors import SchemaError, ShapeError, SignalTypeError
 
 _first, _second = itemgetter(0), itemgetter(1)
 
@@ -338,20 +338,26 @@ def _canon_tokens(dtype: str, width: int, values: list) -> list:
     return [kinds.canon_token(dtype, width, v) for v in values]
 
 
-def stimulus_table(stimulus: Trace | None, units: dict[str, Fraction]):
-    """The canonical tokens of each stimulus signal named in `units`, by
-    sample index: the sample at time t sits at index t / units[signal]
-    when that is an integer.  Every sample is canonicalised, on that grid
-    or not."""
+def stimulus_table(stimulus: Trace | None,
+                   ports: dict[str, tuple[Fraction, tuple[str, int]]]):
+    """The canonical tokens of each stimulus signal named in `ports`, by
+    sample index: for ports[signal] = (unit, spec), the sample at time t
+    sits at index t / unit when that is an integer.  A signal whose spec
+    is not its port's is a SignalTypeError.  Every sample is
+    canonicalised, on that grid or not."""
     if stimulus is None:
         return {}
     table = {}
     for sig, pts in stimulus.samples.items():
+        sd, sw = stimulus.specs[sig]
         times = list(map(_first, pts))
-        toks = _canon_tokens(*stimulus.specs[sig], list(map(_second, pts)))
-        unit = units.get(sig)
-        if unit is None:
+        toks = _canon_tokens(sd, sw, list(map(_second, pts)))
+        if sig not in ports:
             continue
+        unit, (d, w) = ports[sig]
+        if (sd, sw) != (d, w):
+            raise SignalTypeError(
+                f"stimulus {sig!r} is ({sd} x{sw}), the port wants ({d} x{w})")
         if unit == 1 and set(map(type, times)) == {int}:
             table[sig] = dict(zip(times, toks))
             continue

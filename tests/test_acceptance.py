@@ -20,10 +20,9 @@ from test_validator import (bus_model, fixed_step_pair, goto_pair,
 import test_sdf_core as core
 
 from sdflow import (DeadlockError, DepthWarning, InconsistentError, Trace,
-                    build_schedule, check_consistency, check_requirements,
-                    compare_traces, emit_bundle, normalize,
-                    rate_transition_rates, repetition_vector, run_mil,
-                    run_sil, sil_span, translate)
+                    build_schedule, check_requirements, compare_traces,
+                    emit_bundle, normalize, rate_transition_rates,
+                    repetition_vector, run_mil, run_sil, translate)
 from conftest import c_trace
 
 import pytest
@@ -95,9 +94,10 @@ def test_criterion_3_case_studies_mil_vs_sil(transmission, climate, capsys):
         t0 = time.perf_counter()
         stim = _case_stimulus(m.name, steps)
         g, _ = translate(normalize(m))
-        periods = int(Fraction(steps) / sil_span(g))
+        sched = build_schedule(g)
+        periods = int(Fraction(steps) / sched.span)
         a = run_mil(m, steps, stim)
-        b = run_sil(g, periods, stim)
+        b = run_sil(g, periods, stim, schedule=sched)
         c = compare_traces(a, b, tol=1e-12)
         assert c.ok, f"{m.name}: {c.divergence}"
         assert c.samples >= steps
@@ -120,12 +120,12 @@ def test_criterion_4_compiled_code_matches_interpreter(
         g, _ = translate(normalize(m))
         steps = 48 if m.base_step == 1 else 96
         stim = random_stimulus(m, steps, seed=9000 + i)
-        span = sil_span(g)
-        periods = int(Fraction(steps) * m.base_step / span)
-        ref = run_sil(g, periods, stim)
+        sched = build_schedule(g)
+        periods = int(Fraction(steps) * m.base_step / sched.span)
+        ref = run_sil(g, periods, stim, schedule=sched)
         work = tmp_path / f"m{i}"
         work.mkdir()
-        got = c_trace(emit_bundle(g, periods=periods, stimulus=stim),
+        got = c_trace(emit_bundle(g, periods=periods, stimulus=stim, schedule=sched),
                       work, ref.specs)
         c = compare_traces(ref, got, tol=0.0)
         assert c.ok, f"{label}: {c.divergence}"
@@ -164,9 +164,9 @@ def test_criterion_5b_parallel_rate_mismatch(capsys):
                         (dst, len(g.actor(dst).in_ports)),
                         victim.rate_src * 2, victim.rate_dst)
         g.channels.append(bad)
-        with pytest.raises(InconsistentError):
-            repetition_vector(g)
-        assert check_consistency(g).status == "inconsistent"
+        for solve in (repetition_vector, build_schedule):
+            with pytest.raises(InconsistentError):
+                solve(g)
     dt = time.perf_counter() - t0
     assert dt < 120.0
     report(capsys, f"criterion 5b: PASS (500 mismatched parallel channels "
@@ -184,7 +184,7 @@ def test_criterion_5c_zero_delay_cycles_deadlock(capsys):
         g = core.graph(actors, chans)
         with pytest.raises(DeadlockError):
             build_schedule(g)
-        assert check_consistency(g).status == "deadlocked"
+        assert repetition_vector(g) == {a.id: 1 for a in actors}  # balance holds
     dt = time.perf_counter() - t0
     assert dt < 120.0
     report(capsys, f"criterion 5c: PASS (500 zero-delay cycles all "

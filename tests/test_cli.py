@@ -70,6 +70,55 @@ def cyclic_doc():
                          {"src": ["g2", 0], "dst": ["y", 0], "dtype": "f64", "width": 1}]}}
 
 
+def split_rate_doc():
+    """A user RateTransition u sized by its first reader r1 (period 2), whose
+    second reader r2 (period 4) also takes the source a through an inserted
+    RateTransition: q[u] = q[a]/2 on one path and q[a]/4 on the other."""
+    f1 = {"dtype": "f64", "width": 1}
+
+    def block(bid, kind, params, period, n_in, n_out):
+        return {"id": bid, "kind": kind, "params": params,
+                "sample_time": {"num": period, "den": 1},
+                "ports": {"in": [f1] * n_in, "out": [f1] * n_out}}
+
+    def wire(src, dst):
+        return {"src": list(src), "dst": list(dst), "dtype": "f64", "width": 1}
+    return {"name": "split", "base_step": {"num": 1, "den": 1}, "data_stores": [],
+            "root": {"id": "split", "kind": "Subsystem", "params": {"mode": "normal"},
+                     "ports": {"in": [], "out": []},
+                     "children": [
+                         block("a", "Constant", {"value": 1.0}, 1, 0, 1),
+                         block("u", "RateTransition", {}, 2, 1, 1),
+                         block("r1", "Gain", {"gain": 2.0}, 2, 1, 1),
+                         block("r2", "Sum", {"signs": "++"}, 4, 2, 1),
+                         block("y1", "Outport", {"index": 0}, 2, 1, 0),
+                         block("y2", "Outport", {"index": 1}, 4, 1, 0)],
+                     "connections": [
+                         wire(("a", 0), ("u", 0)), wire(("u", 0), ("r1", 0)),
+                         wire(("u", 0), ("r2", 0)), wire(("a", 0), ("r2", 1)),
+                         wire(("r1", 0), ("y1", 0)), wire(("r2", 0), ("y2", 0))]}}
+
+
+def self_gated_doc():
+    """An enabled subsystem s whose only output drives its own control port."""
+    f1 = {"dtype": "f64", "width": 1}
+    sub = {"id": "s", "kind": "Subsystem", "params": {"mode": "enabled", "control_port": 0},
+           "sample_time": {"num": 1, "den": 1}, "ports": {"in": [f1], "out": [f1]},
+           "children": [
+               {"id": "g", "kind": "Constant", "params": {"value": 1.0},
+                "ports": {"in": [], "out": [f1]}},
+               {"id": "o", "kind": "Outport", "params": {"index": 0},
+                "ports": {"in": [f1], "out": []}}],
+           "connections": [{"src": ["g", 0], "dst": ["o", 0], **f1}]}
+    return {"name": "gated", "base_step": {"num": 1, "den": 1}, "data_stores": [],
+            "root": {"id": "gated", "kind": "Subsystem", "params": {"mode": "normal"},
+                     "ports": {"in": [], "out": []},
+                     "children": [sub, {"id": "y", "kind": "Outport", "params": {"index": 0},
+                                        "ports": {"in": [f1], "out": []}}],
+                     "connections": [{"src": ["s", 0], "dst": ["s", 0], **f1},
+                                     {"src": ["s", 0], "dst": ["y", 0], **f1}]}}
+
+
 def two_rate_doc():
     """Two unconnected components, Constant@1 -> o1 and Constant@2 -> o2."""
     f1 = {"dtype": "f64", "width": 1}
@@ -312,11 +361,23 @@ def test_self_loop_is_an_algebraic_loop(tmp_path):
     assert err == "error: zero-delay feedthrough cycle through: g1, y\n"
 
 
-def test_schedule_flags_deadlock(tmp_path):
-    path = write_model(tmp_path, cyclic_doc())
-    rc, out, _ = run_cli("schedule", path)
-    assert rc == 1
-    assert out.startswith("deadlocked:")
+def test_leaf_gated_by_its_own_output_is_an_algebraic_loop(tmp_path):
+    rc, out, err = run_cli("simulate-mil", write_model(tmp_path, self_gated_doc()),
+                           "--steps", 3)
+    assert (rc, out) == (1, "")
+    assert err == "error: zero-delay feedthrough cycle through: s/g, y\n"
+
+
+@pytest.mark.parametrize("doc, status, detail", [
+    (cyclic_doc, "deadlocked", "no fireable actor; blocked: g1, g2, y"),
+    (split_rate_doc, "inconsistent",
+     "channel ch_2 (('u', 0) -> ('r2', 0), rates 1/1) contradicts the balance equations"),
+], ids=["deadlocked", "inconsistent"])
+def test_schedule_verdict_output(tmp_path, doc, status, detail):
+    path = write_model(tmp_path, doc())
+    assert run_cli("schedule", path) == (1, f"{status}: {detail}\n", "")
+    want = json.dumps({"status": status, "detail": detail}, indent=2) + "\n"
+    assert run_cli("schedule", path, "--json") == (1, want, "")
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +514,9 @@ def test_tolerance_must_be_a_number_at_least_zero(value, message):
     assert f"argument --tol: {message}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("cmd", ["simulate-sil", "verify", "codegen"])
+@pytest.mark.parametrize("cmd", ["schedule", "simulate-sil", "verify", "codegen"])
 def test_each_run_solves_the_vector_once(tmp_path, monkeypatch, capsys, cmd):
-    from sdflow import cli, codegen, sdf_core, sil
+    from sdflow import cli, sdf_core
     calls = Counter()
 
     def counted(name, fn):
@@ -466,9 +527,8 @@ def test_each_run_solves_the_vector_once(tmp_path, monkeypatch, capsys, cmd):
 
     monkeypatch.setattr(sdf_core, "repetition_vector",
                         counted("repetition_vector", sdf_core.repetition_vector))
-    build = counted("build_schedule", sdf_core.build_schedule)
-    for mod in (sdf_core, sil, codegen):
-        monkeypatch.setattr(mod, "build_schedule", build)
+    monkeypatch.setattr(sdf_core, "build_schedule",
+                        counted("build_schedule", sdf_core.build_schedule))
     args = [cmd, str(MODELS / "multirate_rt.json")]
     if cmd == "codegen":
         args += ["--out", str(tmp_path / "bundle")]

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from sdflow import (SchemaError, SdflowError, SignalTypeError, Trace, UnsupportedKindError,
-                    compare_traces, emit_bundle, load_model, load_sdfg, normalize,
-                    run_sil, save_sdfg, sil_span, translate)
+                    build_schedule, compare_traces, emit_bundle, load_model, load_sdfg,
+                    normalize, run_sil, save_sdfg, translate)
 from conftest import c_trace, compile_and_run
 
 F1 = {"dtype": "f64", "width": 1}
@@ -278,9 +278,10 @@ def test_compiled_climate_gating_matches(climate, tmp_path):
     stim.declare("sensor", "f64", 1)
     for k in range(24):
         stim.add("sensor", Fraction(k), 14.0 + (k * 3) % 12)
-    periods = int(Fraction(24) / sil_span(g))
-    ref = run_sil(g, periods, stim)
-    got = c_trace(emit_bundle(g, periods=periods, stimulus=stim),
+    sched = build_schedule(g)
+    periods = int(Fraction(24) / sched.span)
+    ref = run_sil(g, periods, stim, schedule=sched)
+    got = c_trace(emit_bundle(g, periods=periods, stimulus=stim, schedule=sched),
                   tmp_path, ref.specs)
     assert compare_traces(ref, got).ok
 

@@ -17,10 +17,10 @@ import pytest
 from conftest import load_fixture
 from model_gen import random_model
 
-from sdflow import (AlgebraicLoopError, InconsistentError, SchemaError, SdflowError,
-                    ShapeError, SignalTypeError, Trace, UnderflowError, build_schedule,
-                    compare_traces, load_model, load_sdfg, normalize, run_mil,
-                    run_sil, save_sdfg, sil_span, translate)
+from sdflow import (AlgebraicLoopError, DeadlockError, InconsistentError, SchemaError,
+                    SdflowError, ShapeError, SignalTypeError, Trace, UnderflowError,
+                    build_schedule, compare_traces, emit_bundle, load_model, load_sdfg,
+                    normalize, run_mil, run_sil, save_sdfg, translate)
 from sdflow import kinds
 from sdflow.mil import DiagramEngine, _activation, resolve_wiring
 from sdflow.trace import (Comparison, _scalar_close, canon_time, fmt_value,
@@ -318,6 +318,23 @@ def test_feedthrough_self_loop_is_rejected():
         run_mil(m, 3)
 
 
+def test_leaf_gated_by_its_own_output_is_rejected():
+    # an enabled subsystem whose only output drives its own control port:
+    # g's gate is g's output, a cycle of one block through the control edge
+    sub = blk("s", "Subsystem", {"mode": "enabled", "control_port": 0}, st=1,
+              ins=[F1], outs=[F1],
+              children=[blk("g", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+                        blk("o", "Outport", {"index": 0}, st=1, ins=[F1])],
+              connections=[conn(("g", 0), ("o", 0))])
+    m = model([sub, blk("y", "Outport", {"index": 0}, ins=[F1])],
+              [conn(("s", 0), ("s", 0)), conn(("s", 0), ("y", 0))])
+    for form in (m, normalize(m).model):
+        with pytest.raises(AlgebraicLoopError, match="cycle through: s/g, y$"):
+            run_mil(form, 3)
+    with pytest.raises(DeadlockError, match="blocked: s/enable, s/g, y$"):
+        run_sil(translate(normalize(m))[0])
+
+
 def test_delay_breaks_algebraic_loop():
     # y[k] = 1 + d[k], d[k+1] = y[k]: 1, 2, 3, ...
     tr = run_mil(loop_model(break_with_delay=True), 3)
@@ -338,16 +355,18 @@ def ramp(name, period, n, fn=float):
 
 def test_mil_equals_sil_on_multirate(multirate):
     g, _ = translate(normalize(multirate))
+    sched = build_schedule(g)
     a = run_mil(multirate, 16)
-    b = run_sil(g, int(Fraction(16) / sil_span(g)))
+    b = run_sil(g, int(Fraction(16) / sched.span), schedule=sched)
     assert compare_traces(a, b).ok
 
 
 def test_mil_equals_sil_on_transmission(transmission):
     g, _ = translate(normalize(transmission))
     stim = ramp("throttle", Fraction(1), 40, lambda k: (k * 7) % 100 / 2.0)
+    sched = build_schedule(g)
     a = run_mil(transmission, 40, stim)
-    b = run_sil(g, int(Fraction(40) / sil_span(g)), stim)
+    b = run_sil(g, int(Fraction(40) / sched.span), stim, schedule=sched)
     c = compare_traces(a, b)
     assert c.ok and c.max_rel == 0.0
 
@@ -358,8 +377,9 @@ def test_mil_equals_sil_on_climate(climate):
     stim.declare("sensor", "f64", 1)
     for k in range(24):
         stim.add("sensor", Fraction(k), 15.0 + k)
+    sched = build_schedule(g)
     a = run_mil(climate, 24, stim)
-    b = run_sil(g, int(Fraction(24) / sil_span(g)), stim)
+    b = run_sil(g, int(Fraction(24) / sched.span), stim, schedule=sched)
     assert compare_traces(a, b).ok
 
 
@@ -497,8 +517,9 @@ def test_trace_times_are_canonical():
     csv = "time,signal,value\n0,u,0.0\n2/4,u,1.0\n1.0,u,2.0\n3/2,u,3.0\n+2,u,4.0\n"
     doc = {"signals": [{"name": "u", "dtype": "f64", "width": 1,
                         "samples": [[[0, 1], 0.0], [[2, 4], 1.0], [[4, 4], 2.0]]}]}
+    sched = build_schedule(g)
     traces = {"run_mil": run_mil(m, 12, stim),
-              "run_sil": run_sil(g, int(Fraction(6) / sil_span(g)), stim),
+              "run_sil": run_sil(g, int(Fraction(6) / sched.span), stim, schedule=sched),
               "from_csv": Trace.from_csv(csv, {"u": ("f64", 1)}),
               "from_csv(to_csv)": Trace.from_csv(stim.to_csv(), stim.specs),
               "from_json": Trace.from_json(doc),
@@ -516,11 +537,12 @@ def test_whole_times_build_no_fraction_per_sample(transmission, monkeypatch):
     """Stimulus parse, both engines, clip and compare on whole times: the
     Fractions built do not grow with the run length."""
     g, _ = translate(normalize(transmission))
+    sched = build_schedule(g)
 
     def fractions_built(steps):
         text = ramp("throttle", Fraction(1), steps).to_csv()
         end = Fraction(steps)
-        periods = int(end / sil_span(g))
+        periods = int(end / sched.span)
         built = 0
         new = Fraction.__new__
 
@@ -532,7 +554,7 @@ def test_whole_times_build_no_fraction_per_sample(transmission, monkeypatch):
             mp.setattr(Fraction, "__new__", staticmethod(counted))
             stim = Trace.from_csv(text, {"throttle": ("f64", 1)})
             mil = run_mil(transmission, steps, stim)
-            sil = run_sil(g, periods, stim)
+            sil = run_sil(g, periods, stim, schedule=sched)
             assert compare_traces(mil.clip(end), sil.clip(end)).ok
         return built
 
@@ -594,7 +616,7 @@ def test_actor_with_every_output_dropped_only_consumes(monkeypatch):
 
 def test_each_leaf_and_actor_is_bound_once_per_run(transmission, monkeypatch):
     g, _ = translate(normalize(transmission))
-    period = sil_span(g)
+    sched = build_schedule(g)
     leaves = len(DiagramEngine(transmission.root, transmission.triggers).res.leaves)
     actors = sum(1 for a in g.actors if a.out_ports and a.kind != "Outport")
     binds = 0
@@ -605,15 +627,15 @@ def test_each_leaf_and_actor_is_bound_once_per_run(transmission, monkeypatch):
             return _bind(*args)
         monkeypatch.setattr(k, "bind", counted)
 
-    def bound(run, *args) -> int:
+    def bound(run, *args, **kwargs) -> int:
         nonlocal binds
         binds = 0
-        run(*args)
+        run(*args, **kwargs)
         return binds
 
     for steps in (64, 128):
         assert bound(run_mil, transmission, steps) == leaves
-        assert bound(run_sil, g, int(steps / period)) == actors
+        assert bound(run_sil, g, int(steps / sched.span), schedule=sched) == actors
 
 
 # ---------------------------------------------------------------------------
@@ -1155,7 +1177,8 @@ def test_stim_table_matches_the_reference():
         units = {sig: rng.choice([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2)])
                  for sig in tr.signals() if rng.random() < 0.8}
         want = _outcome(_ref_stim_table, tr, units)
-        got = _outcome(stimulus_table, tr, units)
+        got = _outcome(stimulus_table, tr,
+                       {sig: (unit, tr.specs[sig]) for sig, unit in units.items()})
         assert _typed(got) == _typed(want)
         verdicts[isinstance(want, tuple)] += 1
     assert min(verdicts.values()) > 50, verdicts
@@ -1185,7 +1208,7 @@ def test_stimulus_lookup_canonicalises_no_canonical_sample(transmission, monkeyp
     """Both engines on a stimulus read from CSV: the kinds.canon_token
     calls do not grow with the run length."""
     g, _ = translate(normalize(transmission))
-    period = sil_span(g)
+    sched = build_schedule(g)
 
     def canon_calls(steps):
         stim = Trace.from_csv(ramp("throttle", Fraction(1), steps).to_csv(),
@@ -1200,7 +1223,7 @@ def test_stimulus_lookup_canonicalises_no_canonical_sample(transmission, monkeyp
         with monkeypatch.context() as mp:
             mp.setattr(kinds, "canon_token", counted)
             run_mil(transmission, steps, stim)
-            run_sil(g, int(steps / period), stim)
+            run_sil(g, int(steps / sched.span), stim, schedule=sched)
         return calls
 
     assert canon_calls(64) == canon_calls(128)
@@ -1227,6 +1250,24 @@ def test_to_csv_compares_no_fraction_per_sample(monkeypatch):
         return count
 
     assert comparisons(64) == comparisons(128)
+
+
+@pytest.mark.parametrize("dtype, width, rows", [
+    ("i32", 1, "0,u,1\n1,u,2\n"),
+    ("f64", 2, "0,u,1;2\n1,u,3;4\n"),
+])
+def test_every_engine_rejects_a_stimulus_of_another_spec(dtype, width, rows):
+    m = model([blk("u", "Inport", {"index": 0}, st=1, outs=[F1]),
+               blk("g", "Gain", {"gain": 2.0}, st=1, ins=[F1], outs=[F1]),
+               blk("y", "Outport", {"index": 0}, ins=[F1])],
+              [conn(("u", 0), ("g", 0)), conn(("g", 0), ("y", 0))])
+    g, _ = translate(normalize(m))
+    st = Trace.from_csv("time,signal,value\n" + rows, {"u": (dtype, width)})
+    message = rf"^stimulus 'u' is \({dtype} x{width}\), the port wants \(f64 x1\)$"
+    for run in (lambda: run_mil(m, 2, st), lambda: run_sil(g, 2, st),
+                lambda: emit_bundle(g, 2, st)):
+        with pytest.raises(SignalTypeError, match=message):
+            run()
 
 
 def test_sil_stimulus_spec_must_match(transmission):

@@ -23,10 +23,10 @@ from conftest import load_fixture
 from model_gen import random_model
 from sdflow import (Actor, Channel, DeadlockError, InconsistentError, Port,
                     Schedule, SchemaError, Sdfg, UnderflowError, aligned_repetition,
-                    build_schedule, check_consistency, check_requirements,
-                    check_schedule, emit_bundle, export_dot, load_sdfg, normalize,
-                    repetition_vector, run_sil, save_sdfg, translate)
-from sdflow import codegen, sil
+                    build_schedule, check_requirements, check_schedule, emit_bundle,
+                    export_dot, load_sdfg, normalize, repetition_vector, run_sil,
+                    save_sdfg, sil_span, translate)
+from sdflow import sdf_core
 
 
 def actor(aid, period=1, n_in=0, n_out=0, kind="Gain"):
@@ -84,11 +84,9 @@ def test_parallel_mismatched_rates_inconsistent():
     g = graph([actor("a", n_out=2), actor("b", n_in=2)],
               [chan("c0", ("a", 0), ("b", 0), 1, 1),
                chan("c1", ("a", 1), ("b", 1), 2, 1)])
-    with pytest.raises(InconsistentError, match="balance equations"):
-        repetition_vector(g)
-    rep = check_consistency(g)
-    assert rep.status == "inconsistent" and not rep.ok
-    assert rep.repetition is None
+    for solve in (repetition_vector, build_schedule):
+        with pytest.raises(InconsistentError, match="balance equations"):
+            solve(g)
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +99,15 @@ def test_zero_delay_cycle_deadlocks():
                chan("c1", ("b", 0), ("a", 0), 1, 1)])
     with pytest.raises(DeadlockError, match="blocked: a, b"):
         build_schedule(g)
-    rep = check_consistency(g)
-    assert rep.status == "deadlocked"
-    assert rep.repetition == {"a": 1, "b": 1}   # balance itself is fine
+    # balance itself is fine
+    assert aligned_repetition(g, repetition_vector(g))[0] == {"a": 1, "b": 1}
 
 
 def test_delay_breaks_the_cycle():
     g = graph([actor("a", n_in=1, n_out=1), actor("b", n_in=1, n_out=1)],
               [chan("c0", ("a", 0), ("b", 0), 1, 1),
                chan("c1", ("b", 0), ("a", 0), 1, 1, delay=1)])
-    s = build_schedule(g)
-    assert s.firings == ["a", "b"]
-    assert check_consistency(g).ok
+    assert build_schedule(g).firings == ["a", "b"]
 
 
 def test_ties_break_by_actor_id():
@@ -289,15 +284,22 @@ def test_inadmissible_schedule_is_rejected_before_any_run(monkeypatch, multirate
     with pytest.raises(error, match=message):
         check_schedule(g, bad)
 
+    # the stimulus table is the first part of the plan built after the check
     def no_plan(*_):
         raise AssertionError("the schedule was replayed or emitted")
-    for mod in (sil, codegen):
-        monkeypatch.setattr(mod, "firing_plan", no_plan)
+    monkeypatch.setattr(sdf_core, "stimulus_table", no_plan)
     with pytest.raises(error, match=message):
         if engine == "run_sil":
             run_sil(g, 1, schedule=bad)
         else:
             emit_bundle(g, 1, asserts=False, schedule=bad)
+
+
+def test_sil_span_is_the_span_of_the_schedule():
+    # sil_span stays public for callers that want the span on its own
+    for seed in range(20):
+        g, _ = translate(normalize(random_model(seed)))
+        assert sil_span(g) == build_schedule(g).span
 
 
 def test_schedule_of_another_graph_is_rejected():

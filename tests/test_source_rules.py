@@ -126,3 +126,17 @@ def test_engines_stay_independent():
     assert sorted(crossings - CROSSINGS) == []
     # a crossing no module makes any more leaves the list
     assert sorted(CROSSINGS - crossings) == []
+
+
+def test_only_sdf_core_and_cli_build_or_check_a_schedule():
+    # a replay gets its schedule from sdf_core.firing_plan, so the engines
+    # take the one the caller built or checked instead of deciding again
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("build_schedule", "check_schedule"):
+                    callers.add(path.stem)
+    assert sorted(callers - {"cli", "sdf_core"}) == []
