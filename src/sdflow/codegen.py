@@ -3,12 +3,17 @@
 The bundle is self contained and has two translation units.  The model
 unit, sdfg_<name>.c, holds everything specific to the graph: the channel
 buffers and one table of the channels that sdfg_init and sdfg_check loop
-over, each actor's static data, each actor's firing as one case of a
-dispatch switch (64 cases to a function, reached by index / 64), the
-schedule as an array of actor indices, and the iteration count.  The
-fixed runtime, runtime/sdf_runtime.c, is byte-identical in every bundle:
-the ring-buffer queue, the trace printer and main(), whose stdout is the
-same time,signal,value CSV the schedule interpreter produces.
+over, each actor's firing as one case of a dispatch switch (64 cases to
+a function, reached by index / 64), the schedule as an array of actor
+indices, and the iteration count.  The fixed runtime,
+runtime/sdf_runtime.c, is byte-identical in every bundle: the
+ring-buffer queue, the trace printer and main(), whose stdout is the same
+time,signal,value CSV the schedule interpreter produces.
+
+No model id becomes a C identifier: channels are buf_<k> and q_<k> by
+position, an actor's static data is declared at the top of its own case,
+and ids appear only in string literals and case comments.  The sources
+compile without a warning under -Wall -Wextra -pedantic.
 
 Generated arithmetic replays the Python kind implementations operation
 for operation, so with contraction disabled (build.sh passes
@@ -77,20 +82,6 @@ def _sanitize(s: str) -> str:
     if not out or out[0].isdigit():
         out = "_" + out
     return out
-
-
-def _ident_table(names) -> dict[str, str]:
-    used: set[str] = set()
-    table = {}
-    for n in names:
-        base = _sanitize(n)
-        cand, k = base, 1
-        while cand in used:
-            k += 1
-            cand = f"{base}_{k}"
-        used.add(cand)
-        table[n] = cand
-    return table
 
 
 _RUNTIME_H = """\
@@ -277,12 +268,8 @@ class _Emitter:
         self.periods = periods
         self.asserts = asserts
         self.name = _sanitize(g.name)
-        self.aident = _ident_table([a.id for a in g.actors])
-        self.cident = _ident_table([c.id for c in g.channels])
-        self.tm: dict[int, str] = {}  # id of a shared Outport time list -> table
-
-    def _total(self, a) -> int:
-        return self.sched.repetition[a.id] * self.periods
+        self.chan = {c.id: k for k, c in enumerate(g.channels)}  # id -> its name in C
+        self.tm: dict = {}  # Outport period -> its time table
 
     # ------------------------------------------------------------------
     # bundle assembly
@@ -301,26 +288,27 @@ class _Emitter:
                  '#include "sdf_runtime.h"', "",
                  f"const long sdfg_iterations = {self.periods}L;", "",
                  "/* Two's-complement wraparound, the reference arithmetic for i32. */",
-                 "static int32_t sdf_wrap32(int64_t v) {",
+                 "static inline int32_t sdf_wrap32(int64_t v) {",
                  "    uint32_t u = (uint32_t)v;",
                  "    int32_t r;",
                  "    memcpy(&r, &u, sizeof r);",
                  "    return r;",
                  "}",
                  "",
-                 "static int32_t sdf_div32(int32_t a, int32_t b) {",
+                 "static inline int32_t sdf_div32(int32_t a, int32_t b) {",
                  "    SDF_ASSERT(b != 0);",
                  "    return sdf_wrap32((int64_t)a / (int64_t)b);",
                  "}",
                  ""]
         lines += self._channels()
+        lines += self._time_tables()
         cases = []
         for k, a in enumerate(self.g.actors):
-            decls, body = self._actor_section(a)
-            lines += decls
-            # the body one level deeper, inside its case
-            body.append("    break;")
-            cases.append(f"    case {k}: {{ /* {a.kind} {a.id.replace('*/', '* /')} */\n    "
+            body = self._actor_section(a) + ["    break;"]
+            # an id reaches C only here and in string literals, and a
+            # comment may hold neither "*/" nor "/*"
+            note = a.id.replace("*/", "* /").replace("/*", "/ *")
+            cases.append(f"    case {k}: {{ /* {a.kind} {note} */\n    "
                          + "\n    ".join(body) + "\n    }")
         lines.append("")
         lines += self._dispatch(cases)
@@ -330,16 +318,15 @@ class _Emitter:
         """Channel storage, its initial tokens, and sdfg_init and sdfg_check
         as loops over one table of the channels."""
         lines, table = [], []
-        for c in self.g.channels:
-            ci = self.cident[c.id]
+        for k, c in enumerate(self.g.channels):
             cap = max(self.sched.peaks[c.id], 1)
             init = ""
             if c.initial_values:
                 init = " = { " + ", ".join(_c_token(c.dtype, c.width, tok)
                                            for tok in c.initial_values) + " }"
-            lines.append(f"static {CTYPE[c.dtype]} buf_{ci}[{cap}][{c.width}]{init};")
-            lines.append(f"static sdf_queue q_{ci};")
-            table.append(f"    {{ &q_{ci}, buf_{ci}, sizeof buf_{ci}[0], {cap}, {c.delay} }},")
+            lines.append(f"static {CTYPE[c.dtype]} buf_{k}[{cap}][{c.width}]{init};")
+            lines.append(f"static sdf_queue q_{k};")
+            table.append(f"    {{ &q_{k}, buf_{k}, sizeof buf_{k}[0], {cap}, {c.delay} }},")
         lines.append("")
         if not table:
             return lines + ["void sdfg_init(void) {", "}", "",
@@ -361,6 +348,18 @@ class _Emitter:
             "    }",
             "}",
             ""]
+
+    def _time_tables(self) -> list[str]:
+        """One table of firing times per Outport period, which every
+        Outport of that period indexes by its own firing count."""
+        lines = []
+        for a in self.g.actors:
+            if a.kind == "Outport" and a.period not in self.tm:
+                self.tm[a.period] = tm = f"tm_{len(self.tm)}"
+                times = self.plan.times[a.id]
+                lines.append(f"static const char *const {tm}[{len(times)}] = "
+                             "{ " + ", ".join(_c_str(time_str(t)) for t in times) + " };")
+        return lines
 
     def _dispatch(self, cases: list[str]) -> list[str]:
         """The cases, _CHUNK to a function switching on the actor's index,
@@ -417,64 +416,55 @@ class _Emitter:
     # ------------------------------------------------------------------
     # per-actor emission
 
-    def _actor_section(self, a) -> tuple[list[str], list[str]]:
-        """The actor's static data and the body of its case."""
-        ai = self.aident[a.id]
+    def _actor_section(self, a) -> list[str]:
+        """The body of the actor's case: its static data, then its firing."""
         data_specs = self.plan.data_specs[a.id]
         out_full = self.plan.out_specs[a.id]
         live = sorted({c.src[1] for c in self.plan.ch_out[a.id]})
         has_events = any(p.event for p in a.in_ports)
 
-        decls: list[str] = []
         if not (live or a.kind == "Outport"):
             # nothing observes the outputs or state of an actor with no
             # out-channel: as in the schedule interpreter, it only pops
-            return decls, self._fire_body(a, ai, data_specs, out_full, live, False)
+            return self._fire_body(a, data_specs, out_full, live, False)
+        statics: list[str] = []
         if a.kind == "Chart":
             idx = a.params["states"].index(a.params["initial"])
-            decls.append(f"static int st_{ai} = {idx};")
+            statics.append(f"static int st = {idx};")
         if a.kind in ("UnitDelay", "DataStoreMemory"):
             d, w = out_full[0]
             init = _c_token(d, w, a.params["initial"])
-            decls.append(f"static {CTYPE[d]} st_{ai}[{w}] = {init};")
+            statics.append(f"static {CTYPE[d]} st[{w}] = {init};")
         if a.kind == "Lookup1D":
             bp, tab = a.params["breakpoints"], a.params["table"]
-            decls.append(f"static const double bp_{ai}[{len(bp)}] = "
-                         "{ " + ", ".join(_c_f64(x) for x in bp) + " };")
-            decls.append(f"static const double tab_{ai}[{len(tab)}] = "
-                         "{ " + ", ".join(_c_f64(x) for x in tab) + " };")
+            statics.append(f"static const double bp[{len(bp)}] = "
+                           "{ " + ", ".join(_c_f64(x) for x in bp) + " };")
+            statics.append(f"static const double tab[{len(tab)}] = "
+                           "{ " + ", ".join(_c_f64(x) for x in tab) + " };")
         if has_events and live:
             init_out = kinds.KINDS[a.kind].bind(a.params, data_specs, out_full)[1]
             for j in live:
                 d, w = out_full[j]
                 lit = _c_token(d, w, init_out[j])
-                decls.append(f"static {CTYPE[d]} held_{ai}_{j}[{w}] = {lit};")
-        if a.kind == "Inport" and a.id in self.plan.stim:
+                statics.append(f"static {CTYPE[d]} held{j}[{w}] = {lit};")
+        if a.id in self.plan.stim:  # an Inport with a signal
             d, w = out_full[0]
-            rows = ",\n    ".join(_c_token(d, w, tok) for tok in self.plan.stim[a.id])
-            decls.append(f"static const {CTYPE[d]} stim_{ai}[{self._total(a)}][{w}] = {{\n"
-                         f"    {rows}\n}};")
-        if a.kind == "Outport":
-            # Outports of one period share one sequence of firing times
-            times = self.plan.times[a.id]
-            if id(times) not in self.tm:
-                self.tm[id(times)] = tm = f"tm_{len(self.tm)}"
-                decls.append(f"static const char *const {tm}[{len(times)}] = "
-                             "{ " + ", ".join(_c_str(time_str(t)) for t in times) + " };")
-        if a.kind == "Outport" or (a.kind == "Inport" and a.id in self.plan.stim):
-            decls.append(f"static long n_{ai};")
+            stim = self.plan.stim[a.id]  # one token per firing of the run
+            rows = ", ".join(_c_token(d, w, tok) for tok in stim)
+            statics.append(f"static const {CTYPE[d]} stim[{len(stim)}][{w}] = {{ {rows} }};")
+        if a.kind == "Outport" or a.id in self.plan.stim:
+            statics.append("static long n;")
+        return (["    " + ln for ln in statics]
+                + self._fire_body(a, data_specs, out_full, live, has_events))
 
-        return decls, self._fire_body(a, ai, data_specs, out_full, live, has_events)
-
-    def _fire_body(self, a, ai, data_specs, out_full, live, has_events):
+    def _fire_body(self, a, data_specs, out_full, live, has_events):
         body: list[str] = []
         if has_events:
             body.append("    int en = 1;")
-        data_names: list[str] = []
         n_ev = 0
         for slot, p in enumerate(a.in_ports):
             c = self.plan.ch_in[(a.id, slot)]
-            qn = f"q_{self.cident[c.id]}"
+            qn = f"q_{self.chan[c.id]}"
             ct = CTYPE[p.dtype]
             if p.event and has_events:
                 ev = f"e{n_ev}"
@@ -489,8 +479,7 @@ class _Emitter:
                     body.append(f"        en = en && ({ev}[0] != 0);")
                     body.append("    }")
                 continue
-            u = f"u{len(data_names)}"
-            data_names.append(u)
+            u = f"u{slot - n_ev}"
             body.append(f"    {ct} {u}[{p.width}];")
             if c.rate_dst == 1 or a.kind == "RateTransition":
                 # a RateTransition keeps the freshest of the consumed tokens
@@ -501,10 +490,9 @@ class _Emitter:
 
         if a.kind == "Outport":
             d, w = data_specs[0]
-            tm = self.tm[id(self.plan.times[a.id])]
-            body.append(f"    sdf_record({tm}[n_{ai}], {_c_str(a.id)}, "
+            body.append(f"    sdf_record({self.tm[a.period]}[n], {_c_str(a.id)}, "
                         f"{DTCODE[d]}, {w}, u0);")
-            body.append(f"    n_{ai} += 1;")
+            body.append("    n += 1;")
             return body
         if not live:
             return body
@@ -513,34 +501,34 @@ class _Emitter:
             d, w = out_full[j]
             body.append(f"    {CTYPE[d]} o{j}[{w}];")
 
-        compute = self._compute_lines(a, ai, data_specs, out_full, live)
-        update = self._update_lines(a, ai, data_specs)
+        compute = self._compute_lines(a, data_specs, out_full, live)
+        update = self._update_lines(a, data_specs)
         if has_events:
             body.append("    if (en) {")
             body += ["    " + ln for ln in compute]
             for j in live:
-                body.append(f"        memcpy(held_{ai}_{j}, o{j}, sizeof o{j});")
+                body.append(f"        memcpy(held{j}, o{j}, sizeof o{j});")
             body += ["    " + ln for ln in update]
             body.append("    } else {")
             for j in live:
-                body.append(f"        memcpy(o{j}, held_{ai}_{j}, sizeof o{j});")
+                body.append(f"        memcpy(o{j}, held{j}, sizeof o{j});")
             body.append("    }")
         else:
             body += compute
             body += update
 
         for c in self.plan.ch_out[a.id]:
-            body.append(f"    sdf_queue_push_n(&q_{self.cident[c.id]}, "
+            body.append(f"    sdf_queue_push_n(&q_{self.chan[c.id]}, "
                         f"o{c.src[1]}, {c.rate_src});")
-        if a.kind == "Inport" and a.id in self.plan.stim:
-            body.append(f"    n_{ai} += 1;")
+        if a.id in self.plan.stim:
+            body.append("    n += 1;")
         return body
 
-    def _update_lines(self, a, ai, data_specs) -> list[str]:
+    def _update_lines(self, a, data_specs) -> list[str]:
         if a.kind in ("UnitDelay", "DataStoreMemory"):
             if not data_specs:
                 return []  # a store nothing writes keeps its initial
-            return [f"    memcpy(st_{ai}, u0, sizeof st_{ai});"]
+            return ["    memcpy(st, u0, sizeof st);"]
         if a.kind == "Chart":
             lines = ["    do {"]
             for tr in a.params["transitions"]:
@@ -548,14 +536,14 @@ class _Emitter:
                 t = a.params["states"].index(tr["to"])
                 gd = "f64" if data_specs[tr["input"]][0] == "f64" else "i32"
                 lit = _c_scalar(gd, tr["value"])
-                lines.append(f"        if (st_{ai} == {f} && "
+                lines.append(f"        if (st == {f} && "
                              f"(u{tr['input']}[{tr['element']}] {tr['op']} {lit})) "
-                             f"{{ st_{ai} = {t}; break; }}")
+                             f"{{ st = {t}; break; }}")
             lines.append("    } while (0);")
             return lines
         return []
 
-    def _compute_lines(self, a, ai, data_specs, out_full, live) -> list[str]:
+    def _compute_lines(self, a, data_specs, out_full, live) -> list[str]:
         p = a.params
         kind = a.kind
         d, w = out_full[live[0]]
@@ -567,7 +555,7 @@ class _Emitter:
 
         if kind == "Inport":
             if a.id in self.plan.stim:
-                return [f"    memcpy(o0, stim_{ai}[n_{ai}], sizeof o0);"]
+                return ["    memcpy(o0, stim[n], sizeof o0);"]
             return [f"    for (int i = 0; i < {w}; ++i) o0[i] = 0;"]
 
         if kind == "Gain":
@@ -578,42 +566,23 @@ class _Emitter:
                         f"o0[i] = sdf_wrap32((int64_t){g} * (int64_t)u0[i]);"]
             return [f"    for (int i = 0; i < {w}; ++i) o0[i] = {g} * u0[i];"]
 
-        if kind == "Sum":
+        if kind in ("Sum", "Product"):
+            # one fold whose symbols are the C operators
+            syms, unit = (p["signs"], 0) if kind == "Sum" else (p["ops"], 1)
             lines = [f"    for (int i = 0; i < {w}; ++i) {{"]
             if d == "i32":
-                lines.append("        int32_t acc = 0;")
-                for n, s in enumerate(p["signs"]):
-                    op = "+" if s == "+" else "-"
-                    lines.append(f"        acc = sdf_wrap32((int64_t)acc "
-                                 f"{op} (int64_t)u{n}[i]);")
+                lines.append(f"        int32_t acc = {unit};")
+                lines += [f"        acc = sdf_div32(acc, u{n}[i]);" if s == "/" else
+                          f"        acc = sdf_wrap32((int64_t)acc {s} (int64_t)u{n}[i]);"
+                          for n, s in enumerate(syms)]
             else:
-                lines.append("        double acc = 0.0;")
-                for n, s in enumerate(p["signs"]):
-                    op = "+" if s == "+" else "-"
-                    lines.append(f"        acc = acc {op} u{n}[i];")
-            lines += ["        o0[i] = acc;", "    }"]
-            return lines
-
-        if kind == "Product":
-            lines = [f"    for (int i = 0; i < {w}; ++i) {{"]
-            if d == "i32":
-                lines.append("        int32_t acc = 1;")
-                for n, o in enumerate(p["ops"]):
-                    if o == "*":
-                        lines.append(f"        acc = sdf_wrap32((int64_t)acc "
-                                     f"* (int64_t)u{n}[i]);")
-                    else:
-                        lines.append(f"        acc = sdf_div32(acc, u{n}[i]);")
-            else:
-                lines.append("        double acc = 1.0;")
-                for n, o in enumerate(p["ops"]):
-                    op = "*" if o == "*" else "/"
-                    lines.append(f"        acc = acc {op} u{n}[i];")
+                lines.append(f"        double acc = {unit}.0;")
+                lines += [f"        acc = acc {s} u{n}[i];" for n, s in enumerate(syms)]
             lines += ["        o0[i] = acc;", "    }"]
             return lines
 
         if kind in ("UnitDelay", "DataStoreMemory"):
-            return [f"    memcpy(o0, st_{ai}, sizeof o0);"]
+            return ["    memcpy(o0, st, sizeof o0);"]
 
         if kind == "Saturation":
             sd = "i32" if d == "i32" else "f64"
@@ -661,23 +630,23 @@ class _Emitter:
             return [f"    for (int i = 0; i < {w}; ++i) {{",
                     "        double u = u0[i];",
                     "        double y;",
-                    f"        if (u <= bp_{ai}[0]) {{",
-                    f"            y = tab_{ai}[0];",
-                    f"        }} else if (u >= bp_{ai}[{n - 1}]) {{",
-                    f"            y = tab_{ai}[{n - 1}];",
+                    "        if (u <= bp[0]) {",
+                    "            y = tab[0];",
+                    f"        }} else if (u >= bp[{n - 1}]) {{",
+                    f"            y = tab[{n - 1}];",
                     "        } else {",
                     "            int j = 0;",
-                    f"            while (u >= bp_{ai}[j + 1]) {{",
+                    "            while (u >= bp[j + 1]) {",
                     "                j++;",
                     "            }",
-                    f"            {{ double t = (u - bp_{ai}[j]) / (bp_{ai}[j + 1] - bp_{ai}[j]);",
-                    f"              y = tab_{ai}[j] + t * (tab_{ai}[j + 1] - tab_{ai}[j]); }}",
+                    "            { double t = (u - bp[j]) / (bp[j + 1] - bp[j]);",
+                    "              y = tab[j] + t * (tab[j + 1] - tab[j]); }",
                     "        }",
                     "        o0[i] = y;",
                     "    }"]
 
         if kind == "Chart":
-            lines = [f"    switch (st_{ai}) {{"]
+            lines = ["    switch (st) {"]
             for si, sname in enumerate(a.params["states"]):
                 lines.append(f"    case {si}:")
                 row = a.params["outputs"][sname]

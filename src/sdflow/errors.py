@@ -49,7 +49,7 @@ class UnderflowError(SdflowError):
 
 
 class AlgebraicLoopError(SdflowError):
-    """Zero-delay feedthrough cycle in the block diagram."""
+    """Zero-delay cycle in the block diagram, through data or control edges."""
 
 
 class UnsupportedKindError(SdflowError):

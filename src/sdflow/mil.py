@@ -231,10 +231,24 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
             if pending_count[c] == 0:
                 heapq.heappush(ready, c)
     if len(res.order) != len(deps):
-        loop = sorted(p for p in deps if pending_count[p] > 0)
-        raise AlgebraicLoopError(
-            "zero-delay feedthrough cycle through: " + ", ".join(loop))
+        raise AlgebraicLoopError("zero-delay cycle: " + " -> ".join(
+            _one_cycle(deps, pending_count)))
     return res
+
+
+def _one_cycle(deps: dict[str, set[str]], pending_count: dict[str, int]) -> list[str]:
+    """One cycle among the leaves still waiting, in dataflow order from its
+    smallest member back to it.  Every waiting leaf waits on a waiting
+    dependency, so the walk from the smallest one through its smallest
+    waiting dependency must close a cycle."""
+    at: dict[str, int] = {}  # the walk so far, each leaf at its step
+    p = min(q for q, n in pending_count.items() if n > 0)
+    while p not in at:
+        at[p] = len(at)
+        p = min(d for d in deps[p] if pending_count[d] > 0)
+    cycle = list(at)[at[p]:][::-1]
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k + 1]
 
 
 _EVAL, _INPORT, _OUTPORT = range(3)  # step roles

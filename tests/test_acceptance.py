@@ -16,14 +16,14 @@ from fractions import Fraction
 from model_gen import random_model, random_stimulus
 from test_validator import (bus_model, fixed_step_pair, goto_pair,
                             harmonic_pair, hierarchy_pair, rules_at,
-                            switch_pair, vocab_pair, F1, F2)
+                            switch_pair, vocab_pair)
 import test_sdf_core as core
 
 from sdflow import (DeadlockError, DepthWarning, InconsistentError, Trace,
                     build_schedule, check_requirements, compare_traces,
                     emit_bundle, normalize, rate_transition_rates,
                     repetition_vector, run_mil, run_sil, translate)
-from conftest import c_trace
+from conftest import F1, F2, c_trace
 
 import pytest
 

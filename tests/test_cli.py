@@ -358,14 +358,14 @@ def test_self_loop_is_an_algebraic_loop(tmp_path):
         {"src": ["g1", 0], "dst": ["y", 0], "dtype": "f64", "width": 1}]
     rc, out, err = run_cli("simulate-mil", write_model(tmp_path, doc), "--steps", 3)
     assert (rc, out) == (1, "")
-    assert err == "error: zero-delay feedthrough cycle through: g1, y\n"
+    assert err == "error: zero-delay cycle: g1 -> g1\n"
 
 
 def test_leaf_gated_by_its_own_output_is_an_algebraic_loop(tmp_path):
     rc, out, err = run_cli("simulate-mil", write_model(tmp_path, self_gated_doc()),
                            "--steps", 3)
     assert (rc, out) == (1, "")
-    assert err == "error: zero-delay feedthrough cycle through: s/g, y\n"
+    assert err == "error: zero-delay cycle: s/g -> s/g\n"
 
 
 @pytest.mark.parametrize("doc, status, detail", [

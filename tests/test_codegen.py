@@ -10,36 +10,9 @@ from fractions import Fraction
 import pytest
 
 from sdflow import (SchemaError, SdflowError, SignalTypeError, Trace, UnsupportedKindError,
-                    build_schedule, compare_traces, emit_bundle, load_model, load_sdfg,
+                    build_schedule, compare_traces, emit_bundle, load_sdfg,
                     normalize, run_sil, save_sdfg, translate)
-from conftest import c_trace, compile_and_run
-
-F1 = {"dtype": "f64", "width": 1}
-I1 = {"dtype": "i32", "width": 1}
-
-
-def blk(bid, kind, params=None, st=None, ins=(), outs=(), **rest):
-    b = {"id": bid, "kind": kind, "params": params or {},
-         "ports": {"in": list(ins), "out": list(outs)}}
-    if st is not None:
-        b["sample_time"] = {"num": st, "den": 1}
-    b.update(rest)
-    return b
-
-
-def conn(src, dst, spec=F1):
-    return {"src": list(src), "dst": list(dst),
-            "dtype": spec["dtype"], "width": spec["width"]}
-
-
-def model(children, connections, name="cg"):
-    return load_model({"name": name, "base_step": {"num": 1, "den": 1},
-                       "data_stores": [],
-                       "root": {"id": "root", "kind": "Subsystem",
-                                "params": {"mode": "normal"},
-                                "ports": {"in": [], "out": []},
-                                "children": children,
-                                "connections": connections}})
+from conftest import F1, I1, blk, c_trace, compile_and_run, conn, model
 
 
 def graph_of(m):
@@ -304,22 +277,35 @@ def test_compiled_i32_wraps(tmp_path):
 
 
 def test_hostile_ids_reach_c_unchanged(tmp_path):
-    # "??=" is the '#' trigraph under -std=c99; the flattened id "s*/g"
-    # would close a C comment
-    sub = blk("s*", "Subsystem", ins=[F1], outs=[F1],
-              children=[blk("i", "Inport", {"index": 0}, outs=[F1]),
-                        blk("g", "Gain", {"gain": 2.0}, ins=[F1], outs=[F1]),
-                        blk("o", "Outport", {"index": 0}, ins=[F1])],
-              connections=[conn(("i", 0), ("g", 0)), conn(("g", 0), ("o", 0))])
-    m = model([blk("c", "Constant", {"value": 1.5}, st=1, outs=[F1]), sub,
-               blk("y??=x", "Outport", {"index": 0}, ins=[F1])],
-              [conn(("c", 0), ("s*", 0)), conn(("s*", 0), ("y??=x", 0))],
+    # "??=" is the '#' trigraph under -std=c99; the flattened ids "s*/g"
+    # and "p/*q" would close and open a C comment; "a-b", "a_b" and "a b"
+    # would all sanitize to one identifier; "int", "main" and "sdf_record"
+    # name C and runtime entities
+    def wrap(sid, inner):
+        return blk(sid, "Subsystem", ins=[F1], outs=[F1],
+                   children=[blk("i", "Inport", {"index": 0}, outs=[F1]),
+                             blk(inner, "Gain", {"gain": 2.0}, ins=[F1], outs=[F1]),
+                             blk("o", "Outport", {"index": 0}, ins=[F1])],
+                   connections=[conn(("i", 0), (inner, 0)), conn((inner, 0), ("o", 0))])
+    chain = ["c", "a-b", "a_b", "a b", "s*", "p", "int", "main", "sdf_record"]
+    m = model([blk("c", "Constant", {"value": 1.5}, st=1, outs=[F1]),
+               *(blk(b, "Gain", {"gain": -1.0}, ins=[F1], outs=[F1])
+                 for b in ("a-b", "a_b", "a b")),
+               wrap("s*", "g"), wrap("p", "*q"),
+               blk("int", "UnitDelay", {"initial": 0.5}, ins=[F1], outs=[F1]),
+               blk("main", "Gain", {"gain": 3.0}, ins=[F1], outs=[F1]),
+               blk("sdf_record", "Outport", {"index": 0}, ins=[F1]),
+               blk("y??=x", "Outport", {"index": 1}, ins=[F1])],
+              [*(conn((u, 0), (v, 0)) for u, v in zip(chain, chain[1:])),
+               conn(("s*", 0), ("y??=x", 0))],
               name="ids")
     g = graph_of(m)
-    ref = run_sil(g, 2)
-    got = c_trace(emit_bundle(g, periods=2), tmp_path, ref.specs)
-    assert list(got.samples) == ["y??=x"]
-    assert compare_traces(ref, got).ok
+    assert {"s*/g", "p/*q"} <= {a.id for a in g.actors}
+    ref = run_sil(g, 3)
+    # compile_and_run builds with -Werror, so -Wcomment would fail it
+    got = c_trace(emit_bundle(g, periods=3), tmp_path, ref.specs)
+    assert sorted(got.samples) == ["sdf_record", "y??=x"]
+    assert got.to_csv() == ref.to_csv()
 
 
 def test_unstimulated_inport_reads_zero(transmission, tmp_path):
@@ -360,10 +346,10 @@ def test_actor_with_no_out_channel_only_pops(tmp_path):
     b = emit_bundle(g, periods=3)
     src = b.files["sdfg_sink.c"]
     body = src.split("/* Chart ch */", 1)[1].split("break;", 1)[0]
-    # no state, no compute, no transition: one buffer and its pop
+    # no state (it would be a static of this case), no compute, no
+    # transition: one buffer and its pop
     assert [ln.split("(")[0].strip() for ln in body.splitlines() if ln.strip()] == \
         ["double u0[1];", "sdf_queue_pop_n"]
-    assert "st_ch" not in src
     ref = run_sil(g, 3)
     got = c_trace(b, tmp_path, ref.specs)
     assert compare_traces(ref, got).ok and got.to_csv() == ref.to_csv()

@@ -13,41 +13,16 @@ from pathlib import Path
 
 import pytest
 
+from conftest import B1, F1, I1, blk, conn, model_doc
 from model_gen import random_document
 
 from sdflow import (Block, ResolutionError, SampleTime, SchemaError, SignalTypeError,
                     load_model, model_ir, save_model)
 from sdflow.model_ir import iter_blocks, model_height
 
-F1 = {"dtype": "f64", "width": 1}
-I1 = {"dtype": "i32", "width": 1}
-B1 = {"dtype": "bool", "width": 1}
-
-
-def blk(bid, kind, params=None, st=None, ins=(), outs=(), **rest):
-    b = {"id": bid, "kind": kind, "params": params or {},
-         "ports": {"in": list(ins), "out": list(outs)}}
-    if st is not None:
-        b["sample_time"] = {"num": st, "den": 1}
-    b.update(rest)
-    return b
-
-
-def conn(src, dst, spec=F1):
-    return {"src": list(src), "dst": list(dst),
-            "dtype": spec["dtype"], "width": spec["width"]}
-
-
-def doc(children, connections, stores=(), name="m"):
-    return {"name": name, "base_step": {"num": 1, "den": 1},
-            "data_stores": list(stores),
-            "root": {"id": "root", "kind": "Subsystem", "params": {"mode": "normal"},
-                     "ports": {"in": [], "out": []},
-                     "children": children, "connections": connections}}
-
 
 def tiny():
-    return doc(
+    return model_doc(
         [blk("src", "Constant", {"value": 2.5}, st=1, outs=[F1]),
          blk("g", "Gain", {"gain": 3.0}, ins=[F1], outs=[F1]),
          blk("y", "Outport", {"index": 0}, ins=[F1])],
@@ -208,18 +183,18 @@ def test_inputs_must_be_driven():
 
 
 def test_literals_canonicalized():
-    d = doc([blk("c", "Constant", {"value": 3}, st=1, outs=[F1]),
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("c", 0), ("y", 0))])
+    d = model_doc([blk("c", "Constant", {"value": 3}, st=1, outs=[F1]),
+                   blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("c", 0), ("y", 0))])
     m = load_model(d)
     v = m.root.child("c").params["value"]
     assert isinstance(v, float) and v == 3.0
 
 
 def test_i32_rejects_fractions_and_overflow():
-    d = doc([blk("c", "Constant", {"value": 2.5}, st=1, outs=[I1]),
-             blk("y", "Outport", {"index": 0}, ins=[I1])],
-            [conn(("c", 0), ("y", 0), I1)])
+    d = model_doc([blk("c", "Constant", {"value": 2.5}, st=1, outs=[I1]),
+                   blk("y", "Outport", {"index": 0}, ins=[I1])],
+                  [conn(("c", 0), ("y", 0), I1)])
     with pytest.raises(SchemaError):
         load_model(d)
     d["root"]["children"][0]["params"]["value"] = 2 ** 31
@@ -228,27 +203,27 @@ def test_i32_rejects_fractions_and_overflow():
 
 
 def test_f64_rejects_integers_beyond_double_range():
-    d = doc([blk("c", "Constant", {"value": 10 ** 400}, st=1, outs=[F1]),
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("c", 0), ("y", 0))])
+    d = model_doc([blk("c", "Constant", {"value": 10 ** 400}, st=1, outs=[F1]),
+                   blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("c", 0), ("y", 0))])
     with pytest.raises(SchemaError, match="c: Constant value: f64 literal out of range"):
         load_model(d)
 
 
 def test_vector_literal_width_checked():
-    d = doc([blk("c", "Constant", {"value": [1.0, 2.0]}, st=1,
-                 outs=[{"dtype": "f64", "width": 3}]),
-             blk("y", "Outport", {"index": 0}, ins=[{"dtype": "f64", "width": 3}])],
-            [conn(("c", 0), ("y", 0), {"dtype": "f64", "width": 3})])
+    d = model_doc([blk("c", "Constant", {"value": [1.0, 2.0]}, st=1,
+                       outs=[{"dtype": "f64", "width": 3}]),
+                   blk("y", "Outport", {"index": 0}, ins=[{"dtype": "f64", "width": 3}])],
+                  [conn(("c", 0), ("y", 0), {"dtype": "f64", "width": 3})])
     with pytest.raises(SchemaError):
         load_model(d)
 
 
 def test_kind_arity_enforced():
-    d = doc([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
-             blk("s", "Sum", {"signs": "+-"}, ins=[F1], outs=[F1]),
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("c", 0), ("s", 0)), conn(("s", 0), ("y", 0))])
+    d = model_doc([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+                   blk("s", "Sum", {"signs": "+-"}, ins=[F1], outs=[F1]),
+                   blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("c", 0), ("s", 0)), conn(("s", 0), ("y", 0))])
     with pytest.raises(SchemaError, match="2 inputs"):
         load_model(d)
 
@@ -258,10 +233,10 @@ def test_chart_table_validated():
              "transitions": [{"from": "a", "to": "missing", "input": 0,
                               "op": ">", "value": 1.0}],
              "outputs": {"a": [0.0], "b": [1.0]}}
-    d = doc([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
-             blk("ch", "Chart", chart, st=1, ins=[F1], outs=[F1]),
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("c", 0), ("ch", 0)), conn(("ch", 0), ("y", 0))])
+    d = model_doc([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+                   blk("ch", "Chart", chart, st=1, ins=[F1], outs=[F1]),
+                   blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("c", 0), ("ch", 0)), conn(("ch", 0), ("y", 0))])
     with pytest.raises(SchemaError, match="unknown state"):
         load_model(d)
 
@@ -295,10 +270,10 @@ def test_malformed_param_types_are_schema_errors(name, path, edit, problem):
 
 
 def test_store_must_be_declared():
-    d = doc([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
-             blk("w", "DataStoreWrite", {"store": "x"}, st=1, ins=[F1]),
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("c", 0), ("w", 0)), conn(("c", 0), ("y", 0))])
+    d = model_doc([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+                   blk("w", "DataStoreWrite", {"store": "x"}, st=1, ins=[F1]),
+                   blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("c", 0), ("w", 0)), conn(("c", 0), ("y", 0))])
     with pytest.raises(ResolutionError, match="data_stores"):
         load_model(d)
 
@@ -344,12 +319,12 @@ def test_period_falls_back_to_base_step():
 
 
 def test_multiple_drivers_take_fastest():
-    d = doc([blk("a", "Constant", {"value": 1.0}, st=2, outs=[F1]),
-             blk("b", "Constant", {"value": 2.0}, st=4, outs=[F1]),
-             blk("s", "Sum", {"signs": "++"}, ins=[F1, F1], outs=[F1]),
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("a", 0), ("s", 0)), conn(("b", 0), ("s", 1)),
-             conn(("s", 0), ("y", 0))])
+    d = model_doc([blk("a", "Constant", {"value": 1.0}, st=2, outs=[F1]),
+                   blk("b", "Constant", {"value": 2.0}, st=4, outs=[F1]),
+                   blk("s", "Sum", {"signs": "++"}, ins=[F1, F1], outs=[F1]),
+                   blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("a", 0), ("s", 0)), conn(("b", 0), ("s", 1)),
+                   conn(("s", 0), ("y", 0))])
     m = load_model(d)
     assert m.root.child("s").period == 2
 
@@ -360,9 +335,9 @@ def pass_through_doc(inport_params):
               children=[blk("i", "Inport", inport_params, outs=[F1]),
                         blk("o", "Outport", {"index": 0}, ins=[F1])],
               connections=[conn(("i", 0), ("o", 0))])
-    return doc([blk("c", "Constant", {"value": 1.0}, st=4, outs=[F1]), sub,
-                blk("y", "Outport", {"index": 0}, ins=[F1])],
-               [conn(("c", 0), ("sub", 0)), conn(("sub", 0), ("y", 0))])
+    return model_doc([blk("c", "Constant", {"value": 1.0}, st=4, outs=[F1]), sub,
+                      blk("y", "Outport", {"index": 0}, ins=[F1])],
+                     [conn(("c", 0), ("sub", 0)), conn(("sub", 0), ("y", 0))])
 
 
 def test_inner_inport_inherits_outer_signal_rate():
@@ -438,7 +413,7 @@ def test_inherited_periods_load_in_linear_time():
     children = ([blk("c", "Constant", {"value": 1.0}, st=2, outs=[F1])]
                 + [blk(g, "Gain", {"gain": 1.0}, ins=[F1], outs=[F1]) for g in ids[1:-1]]
                 + [blk("y", "Outport", {"index": 0}, ins=[F1])])
-    d = doc(children[::-1], [conn((a, 0), (b, 0)) for a, b in zip(ids, ids[1:])])
+    d = model_doc(children[::-1], [conn((a, 0), (b, 0)) for a, b in zip(ids, ids[1:])])
     start = time.perf_counter()
     m = load_model(d)
     assert time.perf_counter() - start < 2.0
@@ -454,9 +429,9 @@ def test_subsystem_outport_must_exist():
               children=[blk("i", "Inport", {"index": 0}, outs=[F1]),
                         blk("g", "Gain", {"gain": 1.0}, ins=[F1], outs=[F1])],
               connections=[conn(("i", 0), ("g", 0))])
-    d = doc([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]), sub,
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("c", 0), ("sub", 0)), conn(("sub", 0), ("y", 0))])
+    d = model_doc([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]), sub,
+                   blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("c", 0), ("sub", 0)), conn(("sub", 0), ("y", 0))])
     with pytest.raises(ResolutionError, match="lack inner Outports"):
         load_model(d)
 
@@ -466,9 +441,9 @@ def test_boundary_spec_mismatch():
               children=[blk("i", "Inport", {"index": 0}, outs=[F1]),
                         blk("o", "Outport", {"index": 0}, ins=[F1])],
               connections=[conn(("i", 0), ("o", 0))])
-    d = doc([blk("c", "Constant", {"value": 1}, st=1, outs=[I1]), sub,
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("c", 0), ("sub", 0), I1), conn(("sub", 0), ("y", 0))])
+    d = model_doc([blk("c", "Constant", {"value": 1}, st=1, outs=[I1]), sub,
+                   blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("c", 0), ("sub", 0), I1), conn(("sub", 0), ("y", 0))])
     with pytest.raises(SignalTypeError):
         load_model(d)
 
@@ -480,9 +455,9 @@ def test_control_port_has_no_inner_inport():
                         blk("k", "Constant", {"value": 1.0}, outs=[F1]),
                         blk("o", "Outport", {"index": 0}, ins=[F1])],
               connections=[conn(("k", 0), ("o", 0))])
-    d = doc([blk("b", "Constant", {"value": True}, st=1, outs=[B1]), sub,
-             blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("b", 0), ("sub", 0), B1), conn(("sub", 0), ("y", 0))])
+    d = model_doc([blk("b", "Constant", {"value": True}, st=1, outs=[B1]), sub,
+                   blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("b", 0), ("sub", 0), B1), conn(("sub", 0), ("y", 0))])
     with pytest.raises(SchemaError, match="control port"):
         load_model(d)
 
@@ -496,8 +471,8 @@ def test_iter_blocks_and_height():
     mid = blk("mid", "Subsystem", {"mode": "normal"}, outs=[F1],
               children=[inner, blk("o", "Outport", {"index": 0}, ins=[F1])],
               connections=[conn(("leaf", 0), ("o", 0))])
-    d = doc([mid, blk("y", "Outport", {"index": 0}, ins=[F1])],
-            [conn(("mid", 0), ("y", 0))])
+    d = model_doc([mid, blk("y", "Outport", {"index": 0}, ins=[F1])],
+                  [conn(("mid", 0), ("y", 0))])
     m = load_model(d)
     paths = [p for p, _, _ in iter_blocks(m.root)]
     assert paths == ["mid", "mid/leaf", "mid/o", "y"]

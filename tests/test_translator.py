@@ -5,34 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from sdflow import (NonHarmonicError, build_schedule, load_model, normalize,
+from conftest import F1, blk, conn, model
+from sdflow import (NonHarmonicError, build_schedule, normalize,
                     rate_transition_rates, repetition_vector, translate)
-
-F1 = {"dtype": "f64", "width": 1}
-
-
-def blk(bid, kind, params=None, st=None, ins=(), outs=(), **rest):
-    b = {"id": bid, "kind": kind, "params": params or {},
-         "ports": {"in": list(ins), "out": list(outs)}}
-    if st is not None:
-        b["sample_time"] = {"num": st, "den": 1}
-    b.update(rest)
-    return b
-
-
-def conn(src, dst, spec=F1):
-    return {"src": list(src), "dst": list(dst),
-            "dtype": spec["dtype"], "width": spec["width"]}
-
-
-def model(children, connections):
-    return load_model({"name": "m", "base_step": {"num": 1, "den": 1},
-                       "data_stores": [],
-                       "root": {"id": "root", "kind": "Subsystem",
-                                "params": {"mode": "normal"},
-                                "ports": {"in": [], "out": []},
-                                "children": children,
-                                "connections": connections}})
 
 
 # ---------------------------------------------------------------------------

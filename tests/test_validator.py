@@ -3,36 +3,8 @@ and a passing sibling that differs only in the offending detail."""
 
 import pytest
 
-from sdflow import check_requirements, load_model
-
-F1 = {"dtype": "f64", "width": 1}
-F2 = {"dtype": "f64", "width": 2}
-I1 = {"dtype": "i32", "width": 1}
-B1 = {"dtype": "bool", "width": 1}
-
-
-def blk(bid, kind, params=None, st=None, ins=(), outs=(), **rest):
-    b = {"id": bid, "kind": kind, "params": params or {},
-         "ports": {"in": list(ins), "out": list(outs)}}
-    if st is not None:
-        b["sample_time"] = {"num": st, "den": 1}
-    b.update(rest)
-    return b
-
-
-def conn(src, dst, spec=F1):
-    return {"src": list(src), "dst": list(dst),
-            "dtype": spec["dtype"], "width": spec["width"]}
-
-
-def model(children, connections, stores=()):
-    return load_model({"name": "m", "base_step": {"num": 1, "den": 1},
-                       "data_stores": list(stores),
-                       "root": {"id": "root", "kind": "Subsystem",
-                                "params": {"mode": "normal"},
-                                "ports": {"in": [], "out": []},
-                                "children": children,
-                                "connections": connections}})
+from conftest import B1, F1, F2, I1, blk, conn, model
+from sdflow import check_requirements
 
 
 def rules_at(m, depth=None):
