@@ -137,42 +137,63 @@ def model_height(m: BlockModel) -> int:
 # Loading
 
 
-def _require_fields(obj: dict, where: str, required: tuple, optional: tuple):
+def _fields(required: tuple, optional: tuple = ()):
+    """A rule for _require_fields: required names in order and as a set, and all allowed."""
+    return required, frozenset(required), frozenset(required + optional)
+
+
+_MODEL = _fields(("name", "base_step", "root"), ("data_stores",))
+_BLOCK = _fields(("id", "kind"), ("params", "sample_time", "ports", "children", "connections"))
+_PORTS = _fields((), ("in", "out"))
+_RATIONAL = _fields(("num", "den"))
+_SPEC = _fields(("dtype", "width"))
+_CONNECTION = _fields(("src", "dst", "dtype", "width"))
+
+
+def _at(where) -> str:
+    """A location: a string, or a tuple of parts joined only for an error."""
+    return where if isinstance(where, str) else "".join(map(str, where))
+
+
+def _require_fields(obj, where, fields):
+    order, required, allowed = fields
+    if isinstance(obj, dict) and allowed.issuperset(obj) and obj.keys() >= required:
+        return
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(required) - set(optional)
+        raise SchemaError(f"{_at(where)}: expected an object, got {type(obj).__name__}")
+    unknown = set(obj) - allowed
     if unknown:
-        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = [f for f in required if f not in obj]
-    if missing:
-        raise SchemaError(f"{where}: missing fields {missing}")
+        raise SchemaError(f"{_at(where)}: unknown fields {sorted(unknown)}")
+    raise SchemaError(f"{_at(where)}: missing fields {[f for f in order if f not in obj]}")
 
 
-def _parse_rational(obj, where: str) -> Fraction:
-    _require_fields(obj, where, ("num", "den"), ())
+def _parse_period(obj, where, shared: dict) -> SampleTime:
+    _require_fields(obj, where, _RATIONAL)
     num, den = obj["num"], obj["den"]
     for label, v in (("num", num), ("den", den)):
         if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaError(f"{where}.{label}: expected an integer")
+            raise SchemaError(f"{_at(where)}.{label}: expected an integer")
     if den <= 0 or num <= 0:
-        raise SchemaError(f"{where}: period must be positive")
-    return Fraction(num, den)
+        raise SchemaError(f"{_at(where)}: period must be positive")
+    return shared.get((num, den)) or shared.setdefault((num, den),
+                                                       SampleTime(Fraction(num, den)))
 
 
-def _parse_spec(obj, where: str) -> SignalSpec:
-    _require_fields(obj, where, ("dtype", "width"), ())
-    if obj["dtype"] not in kinds.DTYPES:
-        raise SchemaError(f"{where}: dtype must be one of {kinds.DTYPES}")
-    w = obj["width"]
+def _parse_spec(obj, where, shared: dict, fields=_SPEC) -> SignalSpec:
+    """A port's spec, or with `fields` a connection's; one object per spec."""
+    _require_fields(obj, where, fields)
+    dtype, w = obj["dtype"], obj["width"]
+    if dtype not in kinds.DTYPES:
+        raise SchemaError(f"{_at(where)}: dtype must be one of {kinds.DTYPES}")
     if isinstance(w, bool) or not isinstance(w, int) or w < 1:
-        raise SchemaError(f"{where}: width must be an integer >= 1")
-    return SignalSpec(obj["dtype"], w)
+        raise SchemaError(f"{_at(where)}: width must be an integer >= 1")
+    return shared.get((dtype, w)) or shared.setdefault((dtype, w), SignalSpec(dtype, w))
 
 
-def _parse_endpoint(obj, where: str) -> tuple[str, int]:
+def _parse_endpoint(obj, where) -> tuple[str, int]:
     if (not isinstance(obj, list) or len(obj) != 2 or not isinstance(obj[0], str)
             or isinstance(obj[1], bool) or not isinstance(obj[1], int) or obj[1] < 0):
-        raise SchemaError(f"{where}: endpoint must be [block_id, port_index]")
+        raise SchemaError(f"{_at(where)}: endpoint must be [block_id, port_index]")
     return obj[0], obj[1]
 
 
@@ -182,9 +203,10 @@ def _parse_endpoint(obj, where: str) -> tuple[str, int]:
 MAX_NESTING = 256
 
 
-def _parse_block(obj, where: str, depth: int = 0) -> Block:
-    _require_fields(obj, where, ("id", "kind"),
-                    ("params", "sample_time", "ports", "children", "connections"))
+def _parse_block(obj, where: str, depth: int, shared: dict) -> Block:
+    """One block and its subtree; `shared` holds this load's SignalSpec
+    and SampleTime values by their fields, so blocks share equal ones."""
+    _require_fields(obj, where, _BLOCK)
     bid = obj["id"]
     if not isinstance(bid, str) or not bid:
         raise SchemaError(f"{where}: id must be a non-empty string")
@@ -203,40 +225,35 @@ def _parse_block(obj, where: str, depth: int = 0) -> Block:
     if not isinstance(params, dict):
         raise SchemaError(f"{here}: params must be an object")
 
-    st = None
-    if obj.get("sample_time") is not None:
-        st = SampleTime(_parse_rational(obj["sample_time"], f"{here}.sample_time"))
+    raw = obj.get("sample_time")
+    st = None if raw is None else _parse_period(raw, (here, ".sample_time"), shared)
 
     ports = obj.get("ports", {})
-    _require_fields(ports, f"{here}.ports", (), ("in", "out"))
-    in_ports = [_parse_spec(p, f"{here}.ports.in[{i}]") for i, p in enumerate(ports.get("in", []))]
-    out_ports = [_parse_spec(p, f"{here}.ports.out[{i}]") for i, p in enumerate(ports.get("out", []))]
+    _require_fields(ports, (here, ".ports"), _PORTS)
+    in_ports, out_ports = ([_parse_spec(p, (here, ".ports.", d, "[", i, "]"), shared)
+                            for i, p in enumerate(ports.get(d, []))] for d in ("in", "out"))
 
-    children = [_parse_block(c, here, depth + 1) for c in obj.get("children", [])]
+    children = [_parse_block(c, here, depth + 1, shared) for c in obj.get("children", [])]
     raw_conns = obj.get("connections", [])
     if (children or raw_conns) and kind != "Subsystem":
         raise SchemaError(f"{here}: only Subsystem blocks may carry children/connections")
 
     conns = []
     for i, c in enumerate(raw_conns):
-        cw = f"{here}.connections[{i}]"
-        _require_fields(c, cw, ("src", "dst", "dtype", "width"), ())
-        spec = _parse_spec({"dtype": c["dtype"], "width": c["width"]}, cw)
-        conns.append(Connection(_parse_endpoint(c["src"], f"{cw}.src"),
-                                _parse_endpoint(c["dst"], f"{cw}.dst"), spec))
+        cw = (here, ".connections[", i, "]")
+        spec = _parse_spec(c, cw, shared, _CONNECTION)
+        conns.append(Connection(_parse_endpoint(c["src"], (*cw, ".src")),
+                                _parse_endpoint(c["dst"], (*cw, ".dst")), spec))
 
     return Block(bid, kind, dict(params), st, in_ports, out_ports, children, conns)
 
 
 def _check_scope(sub: Block, path: str):
     """Sibling-level structural checks for one subsystem's diagram."""
-    seen = set()
+    by_id: dict[str, Block] = {}
     for c in sub.children:
-        if c.id in seen:
+        if by_id.setdefault(c.id, c) is not c:
             raise ResolutionError(f"{path}: duplicate block id {c.id!r}")
-        seen.add(c.id)
-
-    by_id = {c.id: c for c in sub.children}
     driven: dict[tuple[str, int], Connection] = {}
     for conn in sub.connections:
         for label, (bid, port), plist in (("src", conn.src, "out_ports"),
@@ -268,34 +285,25 @@ def _check_boundary(sub: Block, path: str, is_root: bool):
         return
 
     control = sub.params.get("control_port")
-    in_seen: dict[int, str] = {}
-    out_seen: dict[int, str] = {}
+    seen: dict[str, dict[int, str]] = {"Inport": {}, "Outport": {}}
     for c in sub.children:
-        if c.kind == "Inport":
-            idx = c.port_index()
-            if idx >= len(sub.in_ports):
-                raise ResolutionError(f"{path}/{c.id}: index {idx} exceeds the in-port list")
-            if idx == control:
-                raise SchemaError(f"{path}/{c.id}: the control port has no inner Inport")
-            if idx in in_seen:
-                raise ResolutionError(f"{path}: in-port {idx} has two Inports "
-                                      f"({in_seen[idx]!r}, {c.id!r})")
-            in_seen[idx] = c.id
-            if c.out_ports[0] != sub.in_ports[idx]:
-                raise SignalTypeError(f"{path}/{c.id}: spec {c.out_ports[0]} does not match "
-                                      f"subsystem in-port {idx} {sub.in_ports[idx]}")
-        elif c.kind == "Outport":
-            idx = c.port_index()
-            if idx >= len(sub.out_ports):
-                raise ResolutionError(f"{path}/{c.id}: index {idx} exceeds the out-port list")
-            if idx in out_seen:
-                raise ResolutionError(f"{path}: out-port {idx} has two Outports "
-                                      f"({out_seen[idx]!r}, {c.id!r})")
-            out_seen[idx] = c.id
-            if c.in_ports[0] != sub.out_ports[idx]:
-                raise SignalTypeError(f"{path}/{c.id}: spec {c.in_ports[0]} does not match "
-                                      f"subsystem out-port {idx} {sub.out_ports[idx]}")
-    missing = set(range(len(sub.out_ports))) - set(out_seen)
+        if c.kind not in seen:
+            continue
+        side, spec, specs = (("in", c.out_ports[0], sub.in_ports) if c.kind == "Inport"
+                             else ("out", c.in_ports[0], sub.out_ports))
+        idx = c.port_index()
+        if idx >= len(specs):
+            raise ResolutionError(f"{path}/{c.id}: index {idx} exceeds the {side}-port list")
+        if side == "in" and idx == control:
+            raise SchemaError(f"{path}/{c.id}: the control port has no inner Inport")
+        if idx in seen[c.kind]:
+            raise ResolutionError(f"{path}: {side}-port {idx} has two {c.kind}s "
+                                  f"({seen[c.kind][idx]!r}, {c.id!r})")
+        seen[c.kind][idx] = c.id
+        if spec != specs[idx]:
+            raise SignalTypeError(f"{path}/{c.id}: spec {spec} does not match "
+                                  f"subsystem {side}-port {idx} {specs[idx]}")
+    missing = set(range(len(sub.out_ports))) - set(seen["Outport"])
     if missing:
         raise ResolutionError(f"{path}: out-ports {sorted(missing)} lack inner Outports")
 
@@ -362,11 +370,12 @@ def _resolve_sample_times(sub: Block, base: Fraction):
 
 def load_model(doc: dict) -> BlockModel:
     """Build a BlockModel from a parsed JSON document."""
-    _require_fields(doc, "model", ("name", "base_step", "root"), ("data_stores",))
+    _require_fields(doc, "model", _MODEL)
     name = doc["name"]
     if not isinstance(name, str) or not name:
         raise SchemaError("model.name must be a non-empty string")
-    base = _parse_rational(doc["base_step"], "model.base_step")
+    shared: dict = {}
+    base = _parse_period(doc["base_step"], "model.base_step", shared).period
 
     stores = doc.get("data_stores", [])
     if not isinstance(stores, list) or any(not isinstance(s, str) or not s for s in stores):
@@ -374,7 +383,7 @@ def load_model(doc: dict) -> BlockModel:
     if len(set(stores)) != len(stores):
         raise SchemaError("model.data_stores contains duplicates")
 
-    root = _parse_block(doc["root"], "")
+    root = _parse_block(doc["root"], "", 0, shared)
     if root.kind != "Subsystem" or root.mode() != "normal":
         raise SchemaError("model.root must be a normal Subsystem")
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 from .errors import DepthWarning, NormalizationError, SignalTypeError
 from .kinds import ROUTING_KINDS, canon_token
-from .model_ir import (Block, BlockModel, Connection, SampleTime, SignalSpec,
-                       TriggerGroup, model_height)
+from .model_ir import (Block, BlockModel, Connection, SignalSpec, TriggerGroup,
+                       model_height)
 
 
 @dataclass
@@ -76,7 +76,7 @@ def _collect(sub: Block, prefix: str, depth: int, is_root: bool, out: _Flat):
                     "members": tuple(b.id for b in out.blocks[first:]),
                 })
             continue
-        out.blocks.append(replace(c, id=qual))
+        out.blocks.append(c if qual == c.id else replace(c, id=qual))
         local[c.id] = ("blk", qual)
 
     for conn in sub.connections:
@@ -90,7 +90,7 @@ def _collect(sub: Block, prefix: str, depth: int, is_root: bool, out: _Flat):
         dst = (("blk", dtag[1], dp) if dtag[0] == "blk"
                else ("p_in", dtag[1], dp) if dtag[0] == "sub"
                else dtag)  # p_out: feeding this scope's boundary output
-        out.edges.append((src, dst, conn.spec))
+        out.edges.append((src, dst, conn))
 
 
 def _resolve(src, incoming: dict) -> tuple:
@@ -125,11 +125,12 @@ def _flatten(m: BlockModel, depth: int | None) -> tuple[BlockModel, int]:
 
     incoming = {dst: src for src, dst, _ in out.edges if dst[0] != "blk"}
     conns = []
-    for src, dst, spec in out.edges:
+    for src, dst, conn in out.edges:
         if dst[0] != "blk":
             continue
         rsrc = _resolve(src, incoming)
-        conns.append(Connection((rsrc[1], rsrc[2]), (dst[1], dst[2]), spec))
+        ends = (rsrc[1], rsrc[2]), (dst[1], dst[2])
+        conns.append(conn if ends == (conn.src, conn.dst) else Connection(*ends, conn.spec))
 
     triggers = list(m.triggers)
     for t in out.triggers:
@@ -231,7 +232,7 @@ def remove_routing(m: BlockModel) -> BlockModel:
         if sblk.out_ports[src[1]] != c.spec:
             raise SignalTypeError(f"routing chain into {c.dst} resolves to {src} "
                                   f"of spec {sblk.out_ports[src[1]]}, expected {c.spec}")
-        conns.append(Connection(src, c.dst, c.spec))
+        conns.append(c if src == c.src else Connection(src, c.dst, c.spec))
     for store in sorted(mem_spec):
         for w in writers.get(store, []):
             src = chase(driver[(w.id, 0)])
@@ -260,19 +261,17 @@ def insert_rate_transitions(m: BlockModel) -> BlockModel:
     new_blocks: list[Block] = []
 
     for c in root.connections:
-        sper = by_id[c.src[0]].period
-        dper = by_id[c.dst[0]].period
-        if sper == dper or by_id[c.src[0]].kind == "RateTransition" \
-                or by_id[c.dst[0]].kind == "RateTransition":
+        sblk, dblk = by_id[c.src[0]], by_id[c.dst[0]]
+        (sn, sd), (dn, dd) = sblk.period.as_integer_ratio(), dblk.period.as_integer_ratio()
+        if (sn, sd) == (dn, dd) or "RateTransition" in (sblk.kind, dblk.kind):
             conns.append(c)
             continue
         while f"rt_{counter}" in by_id:
             counter += 1
         rid = f"rt_{counter}"
-        rt = Block(rid, "RateTransition",
-                   {"src_period": [sper.numerator, sper.denominator],
-                    "dst_period": [dper.numerator, dper.denominator]},
-                   SampleTime(max(sper, dper)), [c.spec], [c.spec])
+        rt = Block(rid, "RateTransition", {"src_period": [sn, sd], "dst_period": [dn, dd]},
+                   sblk.sample_time if sn * dd > dn * sd else dblk.sample_time,  # the slower
+                   [c.spec], [c.spec])
         new_blocks.append(rt)
         by_id[rid] = rt
         conns.append(Connection(c.src, (rid, 0), c.spec))
@@ -293,17 +292,11 @@ def normalize(m: BlockModel, depth: int | None = None) -> NormalizedModel:
 def _lower(flat: BlockModel, depth: int) -> NormalizedModel:
     """The passes after flatten, on the flat model `flatten` built at `depth`."""
     flat = remove_routing(flat)
-    before = {c.id for c in flat.root.children}
+    prov = {c.id: c.id for c in flat.root.children}
     flat = insert_rate_transitions(flat)
-    into, out_of = {}, {}
-    for x in flat.root.connections:  # first match per endpoint
-        into.setdefault(x.dst, x)
-        out_of.setdefault(x.src, x)
-    prov = {}
-    for c in flat.root.children:
-        if c.id in before:
-            prov[c.id] = c.id
-        else:  # inserted RateTransition
-            up, down = into[(c.id, 0)], out_of[(c.id, 0)]
-            prov[c.id] = f"{up.src[0]}:{up.src[1]} -> {down.dst[0]}:{down.dst[1]}"
+    for x in flat.root.connections:  # an inserted RateTransition's wire in, then out
+        if x.dst[0] not in prov:
+            up = x.src
+        elif x.src[0] not in prov:
+            prov[x.src[0]] = f"{up[0]}:{up[1]} -> {x.dst[0]}:{x.dst[1]}"
     return NormalizedModel(flat, depth, prov)

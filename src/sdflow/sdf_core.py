@@ -16,7 +16,10 @@ schedule: built for the graph, or a caller's checked by check_schedule.
 
 Balance equation per channel c: q[src] * rate_src == q[dst] * rate_dst.
 The repetition vector is the smallest positive integer solution, solved
-per weakly-connected component.
+per weakly-connected component.  Solving, aligning and the token game run
+on integer indices (an actor's rank by id): one depth-first walk finds the
+components and solves them, and the game counts each actor's inputs short
+of a firing.  An iteration over MAX_ITERATION firings is refused first.
 """
 
 from __future__ import annotations
@@ -34,8 +37,12 @@ from .trace import Trace, canon_time, stimulus_table
 
 Endpoint = tuple[str, int]  # (actor id, port slot)
 
+# An iteration fires at most this many times, and a channel starts with at
+# most this many tokens: a period ratio of 10**30 fails before any such work.
+MAX_ITERATION = 1_000_000
 
-@dataclass
+
+@dataclass(frozen=True)
 class Port:
     """One port of an actor: the token spec of the block port at the same
     index, and whether it is an enable (event) input."""
@@ -104,23 +111,20 @@ class Sdfg:
         """Structural sanity; raises SchemaError on the first problem.
         Every in-port is bound exactly once; an out-port may feed any
         number of channels."""
-        ids = [a.id for a in self.actors]
-        if len(set(ids)) != len(ids):
-            raise SchemaError("duplicate actor ids")
-        cids = [c.id for c in self.channels]
-        if len(set(cids)) != len(cids):
-            raise SchemaError("duplicate channel ids")
         actors = {a.id: a for a in self.actors}
+        if len(actors) != len(self.actors):
+            raise SchemaError("duplicate actor ids")
+        if len({c.id for c in self.channels}) != len(self.channels):
+            raise SchemaError("duplicate channel ids")
         bound: set[tuple] = set()
         for c in self.channels:
-            for label, (aid, slot), plist in (("src", c.src, "out_ports"),
-                                              ("dst", c.dst, "in_ports")):
+            for label, (aid, slot), out in (("src", c.src, True), ("dst", c.dst, False)):
                 if aid not in actors:
                     raise SchemaError(f"channel {c.id}: unknown actor {aid!r}")
-                ports = getattr(actors[aid], plist)
+                ports = actors[aid].out_ports if out else actors[aid].in_ports
                 if slot >= len(ports):
                     raise SchemaError(f"channel {c.id}: {aid!r} has no {label} slot {slot}")
-                if (ports[slot].dtype, ports[slot].width) != (c.dtype, c.width):
+                if ports[slot].dtype != c.dtype or ports[slot].width != c.width:
                     raise SchemaError(f"channel {c.id}: token spec mismatch at {label}")
             if c.dst in bound:
                 raise SchemaError(f"channel {c.id}: in-port {c.dst} bound twice")
@@ -139,46 +143,74 @@ class Sdfg:
 # balance equations
 
 
-def repetition_vector(g: Sdfg) -> dict[str, int]:
-    """Smallest positive integer solution of the balance equations,
-    normalized per weakly-connected component.  Counts relative to the
-    component's seed are reduced integer (num, den) pairs."""
-    neighbours: dict[str, list[tuple[str, int, int, Channel]]] = {a.id: [] for a in g.actors}
-    for c in g.channels:
-        s, t = c.src[0], c.dst[0]
-        neighbours[s].append((t, c.rate_src, c.rate_dst, c))
-        neighbours[t].append((s, c.rate_dst, c.rate_src, c))
-
-    q: dict[str, tuple[int, int]] = {}
-    out: dict[str, int] = {}
-    for seed in sorted(neighbours):
-        if seed in q:
+def _walk(g: Sdfg, solve: bool):
+    """One depth-first walk per component, seeds in index order.  Returns
+    the actors by index; each channel's end indices and rates; the actors
+    in visiting order and each one's component; and, with `solve`, each
+    actor's count (a contradicting channel raises InconsistentError)."""
+    actors = sorted(g.actors, key=lambda a: a.id)
+    pos = {a.id: i for i, a in enumerate(actors)}
+    src = [pos[c.src[0]] for c in g.channels]
+    dst = [pos[c.dst[0]] for c in g.channels]
+    rs, rd = [c.rate_src for c in g.channels], [c.rate_dst for c in g.channels]
+    adj: list[list[int]] = [[] for _ in actors]  # channel k, or ~k seen from its consumer
+    for k, s in enumerate(src):
+        adj[s].append(k)
+        adj[dst[k]].append(~k)
+    comp, num, den, order = [-1] * len(actors), [1] * len(actors), [1] * len(actors), []
+    for seed in range(len(actors)):
+        if comp[seed] >= 0:
             continue
-        q[seed] = (1, 1)
-        component = [seed]
-        stack = [seed]
+        comp[seed], first, stack = seed, len(order), [seed]
+        order.append(seed)
         while stack:
             a = stack.pop()
-            num, den = q[a]
-            for b, r_a, r_b, ch in neighbours[a]:
-                n, d = num * r_a, den * r_b
-                k = gcd(n, d)
-                want = (n // k, d // k)
-                if b in q:
-                    if q[b] != want:
-                        raise InconsistentError(
-                            f"channel {ch.id} ({ch.src} -> {ch.dst}, rates "
-                            f"{ch.rate_src}/{ch.rate_dst}) contradicts the balance equations")
-                else:
-                    q[b] = want
-                    component.append(b)
+            for k in adj[a]:
+                b, x, y = (dst[k], rs[k], rd[k]) if k >= 0 else (src[~k], rd[~k], rs[~k])
+                if solve:
+                    x, y = num[a] * x, den[a] * y
+                    f = gcd(x, y)
+                    x, y = x // f, y // f
+                if comp[b] < 0:
+                    comp[b], num[b], den[b] = seed, x, y
+                    order.append(b)
                     stack.append(b)
-        scale = lcm(*(q[a][1] for a in component))
-        counts = [q[a][0] * (scale // q[a][1]) for a in component]
-        norm = gcd(*counts)
-        for a, n in zip(component, counts):
-            out[a] = n // norm
-    return out
+                elif solve and (num[b] != x or den[b] != y):
+                    ch = g.channels[k if k >= 0 else ~k]
+                    raise InconsistentError(
+                        f"channel {ch.id} ({ch.src} -> {ch.dst}, rates "
+                        f"{ch.rate_src}/{ch.rate_dst}) contradicts the balance equations")
+        if solve:
+            members = order[first:]
+            scale = lcm(*[den[a] for a in members])
+            norm = gcd(*[num[a] * (scale // den[a]) for a in members])
+            for a in members:
+                num[a] = num[a] * (scale // den[a]) // norm
+    return actors, src, dst, rs, rd, order, comp, num
+
+
+def repetition_vector(g: Sdfg) -> dict[str, int]:
+    """Smallest positive integer solution of the balance equations, per
+    weakly-connected component, in the order `_walk` visits the actors."""
+    actors, *_, order, _, q = _walk(g, solve=True)
+    return {actors[a].id: q[a] for a in order}
+
+
+def _align(actors: list[Actor], comp: list[int], q: list[int]) -> tuple[list[int], Fraction]:
+    """aligned_repetition on `_walk`'s indices; an iteration over
+    MAX_ITERATION firings raises, naming its busiest actor."""
+    periods = [a.period.as_integer_ratio() for a in actors]
+    den = lcm(*{d for _, d in periods})
+    spans = [0] * len(actors)
+    for n, c, (pn, pd) in zip(q, comp, periods):
+        spans[c] = max(spans[c], n * pn * (den // pd))
+    h = lcm(*{s for s in spans if s})
+    scaled = [n * (h // spans[c]) for n, c in zip(q, comp)]
+    if sum(scaled) > MAX_ITERATION:
+        n, a = max(zip(scaled, actors), key=lambda x: x[0])
+        raise SdflowError(f"actor {a.id} fires {n} times in an iteration of "
+                          f"{sum(scaled)} firings; at most {MAX_ITERATION} are allowed")
+    return scaled, Fraction(h, den)
 
 
 def aligned_repetition(g: Sdfg, q: dict[str, int]) -> tuple[dict[str, int], Fraction]:
@@ -190,33 +222,16 @@ def aligned_repetition(g: Sdfg, q: dict[str, int]) -> tuple[dict[str, int], Frac
     already aligned vector comes back unchanged.  Spans are counted in
     units of 1/den, den the lcm of the period denominators; the common span
     is the lcm of the component spans, so each of them divides it."""
-    parent = {a.id: a.id for a in g.actors}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in g.channels:
-        a, b = find(c.src[0]), find(c.dst[0])
-        if a != b:
-            parent[a] = b
-    den = lcm(*(a.period.denominator for a in g.actors))
-    spans: dict[str, int] = {}
-    for a in g.actors:
-        root = find(a.id)
-        span = q[a.id] * a.period.numerator * (den // a.period.denominator)
-        spans[root] = max(spans.get(root, 0), span)
-    h = lcm(*spans.values())
-    scaled = {a.id: q[a.id] * (h // spans[find(a.id)]) for a in g.actors}
-    return scaled, Fraction(h, den)
+    actors, *_, comp, _ = _walk(g, solve=False)
+    scaled, span = _align(actors, comp, [q[a.id] for a in actors])
+    at = {a.id: n for a, n in zip(actors, scaled)}
+    return {a.id: at[a.id] for a in g.actors}, span
 
 
 def sil_span(g: Sdfg) -> Fraction:
     """Wall-clock time covered by one aligned schedule iteration."""
-    _, h = aligned_repetition(g, repetition_vector(g))
-    return h
+    actors, *_, comp, q = _walk(g, solve=True)
+    return _align(actors, comp, q)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,56 +257,60 @@ class Schedule:
 
 def build_schedule(g: Sdfg, q: dict[str, int] | None = None) -> Schedule:
     """The iteration every engine runs: the repetition vector (solved, or
-    `q`) aligned across components, ordered by the token game with ties
-    broken by ascending actor id.
+    `q`) aligned across the components `_walk` finds, ordered by the token
+    game with ties broken by ascending actor id.
 
-    The fireable actors wait in a heap, so each firing costs the fired
-    actor's in- and out-degree plus a heap operation, not a scan of every
-    actor.  A channel has one consumer, so a firing only adds tokens to
-    other actors' inputs: a queued actor stays fireable until it is
-    popped, and only the fired actor and its consumers need re-checking."""
+    Each actor counts its inputs short of a firing; one with firings left
+    and none short waits in a heap of indices.  A firing updates only its
+    own count and those of the consumers it fills (a channel has one)."""
     if q is None:
         q = repetition_vector(g)
     else:
         _check_counts(g, q)
-    q, span = aligned_repetition(g, q)
-    ins = g.in_channels()
-    outs = g.out_channels()
-    tokens = {c.id: c.delay for c in g.channels}
-    peaks = dict(tokens)
-    remaining = dict(q)
-    firings: list[str] = []
-
-    def fireable(aid: str) -> bool:
-        return remaining[aid] > 0 and all(tokens[c.id] >= c.rate_dst for c in ins[aid])
-
-    ready = [aid for aid in remaining if fireable(aid)]
+    actors, src, dst, rs, rd, _, comp, _ = _walk(g, solve=False)
+    remaining, span = _align(actors, comp, [q[a.id] for a in actors])
+    ids = [a.id for a in actors]
+    repetition = dict(zip(ids, remaining))  # in id order
+    tokens = [c.delay for c in g.channels]
+    peaks = tokens[:]
+    ins, outs = [[] for _ in ids], [[] for _ in ids]  # channel indices per actor
+    short = [0] * len(ids)
+    for k, t in enumerate(dst):
+        outs[src[k]].append(k)
+        ins[t].append(k)
+        short[t] += tokens[k] < rd[k]
+    ready = [a for a, n in enumerate(remaining) if n and not short[a]]
     heapq.heapify(ready)
-    queued = set(ready)
+    firings: list[str] = []
     while ready:
-        pick = heapq.heappop(ready)
-        queued.discard(pick)
-        for c in ins[pick]:
-            tokens[c.id] -= c.rate_dst
-        for c in outs[pick]:
-            tokens[c.id] += c.rate_src
-            if tokens[c.id] > peaks[c.id]:
-                peaks[c.id] = tokens[c.id]
-        remaining[pick] -= 1
-        firings.append(pick)
-        for aid in (pick, *(c.dst[0] for c in outs[pick])):
-            if aid not in queued and fireable(aid):
-                heapq.heappush(ready, aid)
-                queued.add(aid)
-    blocked = sorted(a for a in remaining if remaining[a] > 0)
+        a = heapq.heappop(ready)
+        for k in ins[a]:
+            tokens[k] -= rd[k]
+            short[a] += tokens[k] < rd[k]
+        again = not short[a]  # still fireable: the loop below re-queues only a refilled one
+        remaining[a] -= 1
+        for k in outs[a]:
+            n = tokens[k] + rs[k]
+            if tokens[k] < rd[k] <= n:
+                b = dst[k]
+                short[b] -= 1
+                if not short[b] and remaining[b]:
+                    heapq.heappush(ready, b)
+            tokens[k] = n
+            if n > peaks[k]:
+                peaks[k] = n
+        firings.append(ids[a])
+        if again and remaining[a]:
+            heapq.heappush(ready, a)
+    blocked = [ids[a] for a, n in enumerate(remaining) if n > 0]  # in id order
     if blocked:
         raise DeadlockError(f"no fireable actor; blocked: {', '.join(blocked)}")
 
-    for c in g.channels:
-        if tokens[c.id] != c.delay:
-            raise InconsistentError(f"channel {c.id} holds {tokens[c.id]} tokens after "
+    for c, n in zip(g.channels, tokens):
+        if n != c.delay:
+            raise InconsistentError(f"channel {c.id} holds {n} tokens after "
                                     f"one iteration, not its delay {c.delay}")
-    return Schedule(firings, peaks, q, span)
+    return Schedule(firings, dict(zip((c.id for c in g.channels), peaks)), repetition, span)
 
 
 def check_schedule(g: Sdfg, sched: Schedule) -> None:

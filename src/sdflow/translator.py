@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kinds
-from .errors import NonHarmonicError, NormalizationError
+from .errors import NonHarmonicError, NormalizationError, SdflowError
 from .model_ir import Connection
 from .normalizer import NormalizedModel
-from .sdf_core import Actor, Channel, Port, Sdfg
+from .sdf_core import MAX_ITERATION, Actor, Channel, Port, Sdfg
 
 
 @dataclass
@@ -44,16 +44,8 @@ class TranslationReport:
     channel_rates: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "actors": self.actors,
-            "channels": self.channels,
-            "event_channels": self.event_channels,
-            "control_channels": self.control_channels,
-            "replicated_ports": self.replicated_ports,
-            "dropped_ports": self.dropped_ports,
-            "rate_transitions": list(self.rate_transitions),
-            "channel_rates": list(self.channel_rates),
-        }
+        return {**vars(self), "rate_transitions": list(self.rate_transitions),
+                "channel_rates": list(self.channel_rates)}
 
     def summary(self) -> str:
         lines = [f"actors: {self.actors}",
@@ -70,17 +62,15 @@ class TranslationReport:
 def rate_transition_rates(src_period: Fraction, dst_period: Fraction):
     """(rate_in, rate_out, delay) for a RateTransition between the given
     neighbour periods.  Slow-to-fast duplicates the token, fast-to-slow
-    consumes a block of tokens and preloads the difference."""
-    if src_period == dst_period:
-        return 1, 1, 0
-    ratio = dst_period / src_period if dst_period > src_period else src_period / dst_period
-    if ratio.denominator != 1:
+    consumes a block of tokens and preloads the difference.  The periods
+    are compared over their common denominator, in integers."""
+    (sn, sd), (dn, dd) = src_period.as_integer_ratio(), dst_period.as_integer_ratio()
+    s, d = sn * dd, dn * sd
+    if max(s, d) % min(s, d):
         raise NonHarmonicError(
             f"periods {src_period} and {dst_period} do not divide one another")
-    r = int(ratio)
-    if dst_period > src_period:
-        return r, 1, r - 1
-    return 1, r, 0
+    r = max(s, d) // min(s, d)
+    return (r, 1, r - 1) if d > s else (1, r, 0)
 
 
 def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
@@ -108,17 +98,15 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
                 f"{t.path}: control signal source {t.control[0]!r} is not a leaf block")
         taps[t.control] += 1
 
-    report = TranslationReport()
+    report = TranslationReport(replicated_ports=sum(n - 1 for n in taps.values()),
+                               dropped_ports=sum(len(b.out_ports) for b in leaves) - len(taps))
     g = Sdfg(m.name)
+    ports: dict = {}  # one Port per spec: Ports are immutable, so actors share them
     for b in leaves:
-        for o in range(len(b.out_ports)):
-            n = taps[(b.id, o)]
-            report.replicated_ports += max(n - 1, 0)
-            report.dropped_ports += not n
         g.actors.append(Actor(b.id, b.kind, dict(b.params), b.period,
-                              [Port(s.dtype, s.width) for s in b.in_ports],
-                              [Port(s.dtype, s.width) for s in b.out_ports],
-                              impl=b if b.is_subsystem() else None))
+                              [ports.get(s) or ports.setdefault(s, Port(*s)) for s in b.in_ports],
+                              [ports.get(s) or ports.setdefault(s, Port(*s)) for s in b.out_ports],
+                              b if b.is_subsystem() else None))
 
     # Token rates at RateTransition actors, from the neighbouring periods.
     in_rate: dict[str, int] = {}
@@ -133,6 +121,9 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
         tap = first_reader.get((b.id, 0))
         p_dst = by_id[tap.dst[0]].period if tap else p_src
         ri, ro, d = rate_transition_rates(p_src, p_dst)
+        if d > MAX_ITERATION:
+            raise SdflowError(f"rate transition {b.id}: periods {p_src} and {p_dst} "
+                              f"need {d} initial tokens, more than {MAX_ITERATION}")
         if ri > 1:
             in_rate[b.id] = ri
             preload[b.id] = d
@@ -148,13 +139,11 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
 
     for i, c in enumerate(conns):
         d = preload.get(c.dst[0], 0) if c.dst[1] == 0 else 0
-        vals = [kinds.zero_token(c.spec.dtype, c.spec.width) for _ in range(d)]
         g.channels.append(Channel(
-            f"ch_{i}", c.src, c.dst,
-            rate_src=out_rate.get(c.src[0], 1),
-            rate_dst=in_rate.get(c.dst[0], 1) if c.dst[1] == 0 else 1,
-            delay=d, initial_values=vals,
-            dtype=c.spec.dtype, width=c.spec.width))
+            f"ch_{i}", c.src, c.dst, out_rate.get(c.src[0], 1),
+            in_rate.get(c.dst[0], 1) if c.dst[1] == 0 else 1, d,
+            [kinds.zero_token(c.spec.dtype, c.spec.width)] * d if d else [],  # immutable
+            c.spec.dtype, c.spec.width))
 
     ci = len(conns)
     actor_of = {a.id: a for a in g.actors}

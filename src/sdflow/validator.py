@@ -25,7 +25,6 @@ the adjacent block pairs that translation sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kinds
 from .errors import NormalizationError
@@ -50,11 +49,6 @@ class Violation:
         return f"{self.rule} at {self.location}: {self.message}"
 
 
-def _divides(a: Fraction, b: Fraction) -> bool:
-    r = b / a if b >= a else a / b
-    return r.denominator == 1
-
-
 def check_requirements(m: BlockModel, depth: int | None = None) -> list[Violation]:
     return _check(m, depth)[0]
 
@@ -64,10 +58,8 @@ def _check(m: BlockModel, depth: int | None):
     out: list[Violation] = []
     use = _routing_use(m.root)
 
-    _check_vocabulary(m, out)
-    _check_fixed_step(m, out)
+    _check_blocks(m, out)
     _check_dangling_routing(use, out)
-    _check_control_blocks(m, out)
 
     try:
         flat, flat_depth = _flatten(m, depth)
@@ -91,19 +83,31 @@ def _check(m: BlockModel, depth: int | None):
 # ---------------------------------------------------------------------------
 
 
-def _check_vocabulary(m: BlockModel, out: list[Violation]):
+def _check_blocks(m: BlockModel, out: list[Violation]):
+    """The one-block rules in one walk: vocabulary, fixed step, control sizes."""
+    bn, bd = m.base_step.as_integer_ratio()
     for path, b, _ in iter_blocks(m.root):
         if b.kind not in kinds.VOCABULARY:
             out.append(Violation("UnsupportedBlock", path,
                                  f"kind {b.kind!r} is outside the supported vocabulary"))
-
-
-def _check_fixed_step(m: BlockModel, out: list[Violation]):
-    for path, b, _ in iter_blocks(m.root):
-        if (b.period / m.base_step).denominator != 1:
+        pn, pd = b.period.as_integer_ratio()
+        if (pn * bd) % (pd * bn):  # period / base_step is not whole
             out.append(Violation("FixedStep", path,
                                  f"period {b.period} is not an integer multiple of the "
                                  f"base step {m.base_step}"))
+        if b.kind == "Switch":
+            if not (b.in_ports[0] == b.in_ports[2] == b.out_ports[0]):
+                out.append(Violation("E2_VariableSize", path,
+                                     "Switch data inputs and output must share one spec "
+                                     f"(got {b.in_ports[0]}, {b.in_ports[2]} -> {b.out_ports[0]})"))
+            if b.in_ports[1].width != 1:
+                out.append(Violation("E2_VariableSize", path,
+                                     "Switch control input must be scalar"))
+        elif b.is_subsystem() and b.mode() != "normal":
+            cp = b.params["control_port"]
+            if b.in_ports[cp].width != 1:
+                out.append(Violation("E2_VariableSize", path,
+                                     f"{b.mode()} subsystem control port must be scalar"))
 
 
 _STORE_KINDS = ("DataStoreWrite", "DataStoreRead", "DataStoreMemory")
@@ -149,28 +153,13 @@ def _check_dangling_routing(use: dict, out: list[Violation]):
             flag(where, f"store {name!r} has {len(where)} memories")
 
 
-def _check_control_blocks(m: BlockModel, out: list[Violation]):
-    for path, b, _ in iter_blocks(m.root):
-        if b.kind == "Switch":
-            if not (b.in_ports[0] == b.in_ports[2] == b.out_ports[0]):
-                out.append(Violation("E2_VariableSize", path,
-                                     "Switch data inputs and output must share one spec "
-                                     f"(got {b.in_ports[0]}, {b.in_ports[2]} -> {b.out_ports[0]})"))
-            if b.in_ports[1].width != 1:
-                out.append(Violation("E2_VariableSize", path,
-                                     "Switch control input must be scalar"))
-        elif b.is_subsystem() and b.mode() != "normal":
-            cp = b.params["control_port"]
-            if b.in_ports[cp].width != 1:
-                out.append(Violation("E2_VariableSize", path,
-                                     f"{b.mode()} subsystem control port must be scalar"))
-
-
 def _check_harmonic_flat(flat: BlockModel, out: list[Violation]):
+    """Over their common denominator, one period's numerator divides the other's."""
     by_id = {c.id: c for c in flat.root.children}
     for conn in flat.root.connections:
         src, dst = by_id[conn.src[0]], by_id[conn.dst[0]]
-        if not _divides(src.period, dst.period):
+        (sn, sd), (dn, dd) = src.period.as_integer_ratio(), dst.period.as_integer_ratio()
+        if max(sn * dd, dn * sd) % min(sn * dd, dn * sd):
             out.append(Violation("HarmonicRates", f"{conn.src[0]} -> {conn.dst[0]}",
                                  f"periods {src.period} and {dst.period} do not divide "
                                  "one another"))

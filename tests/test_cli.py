@@ -1,27 +1,57 @@
-"""End-to-end runs of the command line tool in a subprocess."""
+"""End-to-end runs of the command line tool.
 
+Most run `cli.main` in this process, with its output captured; a few run
+the installed entry point and `python -m sdflow.cli` in a subprocess, to
+cover what only a real process shows: the exit status, the warning and
+decoding paths of a fresh interpreter, and argparse's exit."""
+
+import contextlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sdflow import Trace
+from sdflow import Trace, cli
 from sdflow.model_ir import MAX_NESTING
 
 MODELS = Path(__file__).parent / "models"
 
 SDFLOW = shutil.which("sdflow")
-BASE = [SDFLOW] if SDFLOW else [sys.executable, "-m", "sdflow.cli"]
+MODULE = [sys.executable, "-m", "sdflow.cli"]
+BASE = [SDFLOW] if SDFLOW else MODULE
 
 
 def run_cli(*args, cwd=None):
-    p = subprocess.run(BASE + [str(a) for a in args],
-                       capture_output=True, text=True, cwd=cwd, timeout=120)
+    """(exit status, stdout, stderr) of `sdflow args` run in this process.
+    Any exception but SystemExit escapes, so what would be a traceback
+    fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main([str(a) for a in args])
+            except SystemExit as e:
+                rc = e.code
+    finally:
+        os.chdir(here)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def run_process(*args, base=BASE):
+    """The same, as a real process."""
+    p = subprocess.run(base + [str(a) for a in args],
+                       capture_output=True, text=True, timeout=120)
     return p.returncode, p.stdout, p.stderr
 
 
@@ -164,6 +194,14 @@ def test_check_reports_violations(tmp_path):
     rc, out, _ = run_cli("check", path)
     assert rc == 1
     assert "HarmonicRates at a -> g" in out
+    # the status reaches the shell through sys.exit
+    assert run_process("check", path) == (rc, out, "")
+
+
+@pytest.mark.parametrize("base", [BASE, MODULE], ids=["entry_point", "module"])
+def test_cli_runs_as_a_process(base):
+    assert run_process("check", MODELS / "multirate.json", base=base) == (
+        0, "ok: model satisfies the translation requirements\n", "")
 
 
 def test_missing_file_is_a_usage_error(tmp_path):
@@ -217,7 +255,7 @@ def test_unparsable_model_file_is_a_schema_error(tmp_path, case):
         path.write_text(text.replace('"value": 1.0', '"value": ' + "7" * 5001, 1))
     else:
         path.write_bytes(b"\xff\xfe{}")
-    rc, out, err = run_cli("check", path)
+    rc, out, err = (run_cli if case == "5001_digit_int" else run_process)("check", path)
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1, err
 
@@ -278,11 +316,15 @@ def test_depth_above_height_warns_once(tmp_path, cmd):
     rc, out, _ = run_cli(*args)
     assert run_cli(*args, "--depth", 99) == (
         rc, out, "warning: flatten depth 99 exceeds model height 1; clamped\n")
+    if cmd == "check":
+        assert run_process(*args, "--depth", 99) == (
+            rc, out, "warning: flatten depth 99 exceeds model height 1; clamped\n")
 
 
 def test_bad_depth_is_a_usage_error():
     rc, _, err = run_cli("check", MODELS / "multirate.json", "--depth", "-1")
     assert rc == 2 and "depth" in err
+    assert run_process("check", MODELS / "multirate.json", "--depth", "-1") == (rc, "", err)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +420,24 @@ def test_schedule_verdict_output(tmp_path, doc, status, detail):
     assert run_cli("schedule", path) == (1, f"{status}: {detail}\n", "")
     want = json.dumps({"status": status, "detail": detail}, indent=2) + "\n"
     assert run_cli("schedule", path, "--json") == (1, want, "")
+
+
+@pytest.mark.parametrize("cmd", ["schedule", "verify", "codegen"])
+def test_huge_period_ratio_is_refused_at_once(tmp_path, cmd):
+    # throttle at a period of 10**30 passes every requirement rule, but
+    # one iteration would fire 4 * 10**30 times
+    doc = json.loads((MODELS / "transmission.json").read_text())
+    throttle, = (b for b in doc["root"]["children"] if b["id"] == "throttle")
+    throttle["sample_time"] = {"num": 10 ** 30, "den": 1}
+    path = write_model(tmp_path, doc)
+    assert run_cli("check", path)[0] == 0
+    start = time.perf_counter()
+    rc, out, err = run_cli(cmd, path, *(["--out", tmp_path / "out"] if cmd == "codegen" else []))
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (1, "")
+    assert err == (f"error: actor high fires {10 ** 30} times in an iteration of "
+                   f"{4 * 10 ** 30 + 5} firings; at most 1000000 are allowed\n")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ randomized ones construct graphs whose answer is known by construction
 and replay the schedule with an independent token counter.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -22,10 +23,11 @@ import pytest
 from conftest import load_fixture
 from model_gen import random_model
 from sdflow import (Actor, Channel, DeadlockError, InconsistentError, Port,
-                    Schedule, SchemaError, Sdfg, UnderflowError, aligned_repetition,
+                    Schedule, SchemaError, Sdfg, SdflowError, UnderflowError,
+                    aligned_repetition,
                     build_schedule, check_requirements, check_schedule, emit_bundle,
-                    export_dot, load_sdfg, normalize, repetition_vector, run_sil,
-                    save_sdfg, sil_span, translate)
+                    export_dot, load_model, load_sdfg, normalize, repetition_vector,
+                    run_sil, save_sdfg, sil_span, translate)
 from sdflow import sdf_core
 
 
@@ -218,6 +220,33 @@ def test_supplied_vector_is_checked(q, names):
               [chan("c0", ("a", 0), ("b", 0), 1, 1)])
     with pytest.raises(InconsistentError, match=names):
         build_schedule(g, q)
+
+
+@pytest.mark.parametrize("edit", ["rate", "two_components", "supplied"])
+def test_iteration_size_is_bounded_before_the_game(edit):
+    # a rate of 10**30, a second component whose span forces the first
+    # one's counts up by 10**30, or a supplied vector that large: each
+    # fails before anything is allocated per firing
+    big = 10 ** 30
+    a, b = actor("a", n_out=1), actor("b", n_in=1)
+    q = None
+    if edit == "rate":
+        g = graph([a, b], [chan("c0", ("a", 0), ("b", 0), big, 1)])
+        busy, n, total = "b", big, big + 1
+    elif edit == "two_components":
+        g = graph([a, b, actor("x", big)], [chan("c0", ("a", 0), ("b", 0), 1, 1)])
+        busy, n, total = "a", big, 2 * big + 1
+    else:
+        g = graph([a, b], [chan("c0", ("a", 0), ("b", 0), 1, 1)])
+        q, busy, n, total = {"a": big, "b": big}, "a", big, 2 * big
+    message = (f"actor {busy} fires {n} times in an iteration of {total} firings; "
+               f"at most {sdf_core.MAX_ITERATION} are allowed")
+    with pytest.raises(SdflowError) as e:
+        build_schedule(g, q)
+    assert str(e.value) == message
+    if q is None:
+        with pytest.raises(SdflowError, match="^actor "):
+            aligned_repetition(g, repetition_vector(g))
 
 
 def test_aligned_repetition_connected_is_identity():
@@ -565,15 +594,17 @@ def test_random_schedules_replay_cleanly():
 
 
 # ---------------------------------------------------------------------------
-# the ready-heap token game against a full rescan per firing
+# the token game against an independent reference that rescans every actor
 
 
 def _scan_schedule(g, q=None):
-    """Reference token game: rescan every actor, in id order, for each
-    firing.  build_schedule must give exactly this schedule."""
+    """Reference token game: the vector solved and aligned in rationals,
+    then a rescan of every actor, in id order, for each firing; the
+    smallest fireable id fires.  build_schedule must give exactly this
+    schedule, and raise the same error where it raises one."""
     if q is None:
-        q = repetition_vector(g)
-    q, span = aligned_repetition(g, q)
+        q = _fraction_repetition_vector(g)
+    q, span = _fraction_aligned_repetition(g, q)
     ins, outs = g.in_channels(), g.out_channels()
     tokens = {c.id: c.delay for c in g.channels}
     peaks = dict(tokens)
@@ -599,14 +630,46 @@ def _scan_schedule(g, q=None):
     return Schedule(firings, peaks, q, span)
 
 
+def _same_schedule(g):
+    """build_schedule(g) and the reference agree: the same firings, peaks,
+    repetition and span."""
+    got, want = build_schedule(g), _scan_schedule(g)
+    assert (got.firings, got.peaks, got.repetition, got.span) == (
+        want.firings, want.peaks, want.repetition, want.span)
+
+
+def _chain_document(gains):
+    """bench/workloads.py's chain of `gains` Gains with alternating periods."""
+    name = "bench_workloads"
+    if name not in sys.modules:  # its dataclasses look their module up there
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).parent.parent / "bench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].chain_document(gains, random.Random(gains))
+
+
+@pytest.mark.filterwarnings("ignore:flatten depth")
+@pytest.mark.parametrize("name", ["multirate", "multirate_rt", "transmission", "climate"])
+@pytest.mark.parametrize("depth", [None, 0, 1])
+def test_schedule_matches_scan_on_fixtures(name, depth):
+    _same_schedule(translate(normalize(load_fixture(name), depth=depth))[0])
+
+
+@pytest.mark.parametrize("gains", [12, 200])
+def test_schedule_matches_scan_on_chains(gains):
+    g, _ = translate(normalize(load_model(_chain_document(gains))))
+    assert sum(build_schedule(g).repetition.values()) > 2 * gains
+    _same_schedule(g)
+
+
 def test_schedule_matches_scan_on_random_models():
     checked = 0
     for seed in range(200):
         m = random_model(seed)
         if check_requirements(m):
             continue
-        g, _ = translate(normalize(m))
-        assert build_schedule(g) == _scan_schedule(g), f"seed {seed}"
+        _same_schedule(translate(normalize(m))[0])
         checked += 1
     assert checked > 100
 
@@ -615,8 +678,7 @@ def test_schedule_matches_scan_on_random_graphs():
     # back and self edges with delays: actors re-enter the ready set
     rng = random.Random(12)
     for _ in range(300):
-        g = random_schedulable_graph(rng)
-        assert build_schedule(g) == _scan_schedule(g)
+        _same_schedule(random_schedulable_graph(rng))
 
 
 @pytest.mark.parametrize("g", [
@@ -642,6 +704,18 @@ def test_deadlock_message_matches_scan(g):
     with pytest.raises(DeadlockError) as scan:
         _scan_schedule(g)
     with pytest.raises(DeadlockError) as heap:
+        build_schedule(g)
+    assert str(heap.value) == str(scan.value)
+
+
+def test_inconsistent_message_matches_scan():
+    # the second of two parallel channels a -> b asks for q[b] = 2 q[a]
+    g = graph([actor("a", n_out=1), actor("b", n_in=2)],
+              [chan("c0", ("a", 0), ("b", 0), 1, 1),
+               chan("c1", ("a", 0), ("b", 1), 2, 1)])
+    with pytest.raises(InconsistentError) as scan:
+        _scan_schedule(g)
+    with pytest.raises(InconsistentError) as heap:
         build_schedule(g)
     assert str(heap.value) == str(scan.value)
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import F1, blk, conn, model
-from sdflow import (NonHarmonicError, build_schedule, normalize,
+from sdflow import (NonHarmonicError, SdflowError, build_schedule, normalize,
                     rate_transition_rates, repetition_vector, translate)
+from sdflow.sdf_core import MAX_ITERATION
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +33,17 @@ def test_fractional_periods_still_divide():
 def test_nonharmonic_periods_rejected():
     with pytest.raises(NonHarmonicError, match="do not divide"):
         rate_transition_rates(Fraction(2), Fraction(3))
+
+
+def test_preloaded_delay_is_bounded_before_allocation():
+    # fast to slow over a ratio of 10**30 would preload 10**30 - 1 zeros
+    m = model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+               blk("y", "Outport", {"index": 0}, st=10 ** 30, ins=[F1])],
+              [conn(("c", 0), ("y", 0))])
+    with pytest.raises(SdflowError) as e:
+        translate(normalize(m))
+    assert str(e.value) == (f"rate transition rt_0: periods 1 and {10 ** 30} need "
+                            f"{10 ** 30 - 1} initial tokens, more than {MAX_ITERATION}")
 
 
 # ---------------------------------------------------------------------------
