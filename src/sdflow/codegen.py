@@ -249,7 +249,7 @@ class SourceBundle:
 def emit_bundle(g: Sdfg, periods: int = 1, stimulus: Trace | None = None,
                 asserts: bool = True, *, schedule: Schedule | None = None) -> SourceBundle:
     """Emit C sources replaying `periods` iterations of `schedule`: the
-    schedule built for `g` when None, else one `check_schedule` accepts."""
+    graph's own schedule when None, else one `check_schedule` accepts."""
     plan = firing_plan(g, periods, stimulus, schedule)
     for a in g.actors:
         if a.kind == "Subsystem":
@@ -268,7 +268,6 @@ class _Emitter:
         self.periods = periods
         self.asserts = asserts
         self.name = _sanitize(g.name)
-        self.chan = {c.id: k for k, c in enumerate(g.channels)}  # id -> its name in C
         self.tm: dict = {}  # Outport period -> its time table
 
     # ------------------------------------------------------------------
@@ -304,7 +303,7 @@ class _Emitter:
         lines += self._time_tables()
         cases = []
         for k, a in enumerate(self.g.actors):
-            body = self._actor_section(a) + ["    break;"]
+            body = self._actor_section(k, a) + ["    break;"]
             # an id reaches C only here and in string literals, and a
             # comment may hold neither "*/" nor "/*"
             note = a.id.replace("*/", "* /").replace("/*", "/ *")
@@ -353,10 +352,10 @@ class _Emitter:
         """One table of firing times per Outport period, which every
         Outport of that period indexes by its own firing count."""
         lines = []
-        for a in self.g.actors:
+        for k, a in enumerate(self.g.actors):
             if a.kind == "Outport" and a.period not in self.tm:
                 self.tm[a.period] = tm = f"tm_{len(self.tm)}"
-                times = self.plan.times[a.id]
+                times = self.plan.times[k]
                 lines.append(f"static const char *const {tm}[{len(times)}] = "
                              "{ " + ", ".join(_c_str(time_str(t)) for t in times) + " };")
         return lines
@@ -370,8 +369,7 @@ class _Emitter:
                       *cases[lo:lo + _CHUNK], "    }", "}", ""]
         if not self.sched.firings:
             return lines + ["void sdfg_step(void) {", "}", ""]
-        index = {a.id: str(k) for k, a in enumerate(self.g.actors)}
-        order = [index[aid] for aid in self.sched.firings]
+        order = [str(k) for k in self.plan.steps]
         n_fire = -(-len(cases) // _CHUNK)
         lines.append(f"static void (*const fire[{n_fire}])(int) = {{ " +
                      ", ".join(f"fire_{i}" for i in range(n_fire)) + " };")
@@ -416,17 +414,19 @@ class _Emitter:
     # ------------------------------------------------------------------
     # per-actor emission
 
-    def _actor_section(self, a) -> list[str]:
-        """The body of the actor's case: its static data, then its firing."""
-        data_specs = self.plan.data_specs[a.id]
-        out_full = self.plan.out_specs[a.id]
-        live = sorted({c.src[1] for c in self.plan.ch_out[a.id]})
+    def _actor_section(self, k, a) -> list[str]:
+        """The body of the case of actor `a`, at position `k`: its static
+        data, then its firing."""
+        data_specs = self.plan.data_specs[k]
+        out_full = self.plan.out_specs[k]
+        live = sorted({self.g.channels[j].src[1] for j in self.plan.ch_out[k]})
         has_events = any(p.event for p in a.in_ports)
+        stim = self.plan.stim[k]  # an Inport's signal: one token per firing of the run
 
         if not (live or a.kind == "Outport"):
             # nothing observes the outputs or state of an actor with no
             # out-channel: as in the schedule interpreter, it only pops
-            return self._fire_body(a, data_specs, out_full, live, False)
+            return self._fire_body(k, a, data_specs, out_full, live, False)
         statics: list[str] = []
         if a.kind == "Chart":
             idx = a.params["states"].index(a.params["initial"])
@@ -447,24 +447,24 @@ class _Emitter:
                 d, w = out_full[j]
                 lit = _c_token(d, w, init_out[j])
                 statics.append(f"static {CTYPE[d]} held{j}[{w}] = {lit};")
-        if a.id in self.plan.stim:  # an Inport with a signal
+        if stim is not None:
             d, w = out_full[0]
-            stim = self.plan.stim[a.id]  # one token per firing of the run
             rows = ", ".join(_c_token(d, w, tok) for tok in stim)
             statics.append(f"static const {CTYPE[d]} stim[{len(stim)}][{w}] = {{ {rows} }};")
-        if a.kind == "Outport" or a.id in self.plan.stim:
+        if a.kind == "Outport" or stim is not None:
             statics.append("static long n;")
         return (["    " + ln for ln in statics]
-                + self._fire_body(a, data_specs, out_full, live, has_events))
+                + self._fire_body(k, a, data_specs, out_full, live, has_events))
 
-    def _fire_body(self, a, data_specs, out_full, live, has_events):
+    def _fire_body(self, k, a, data_specs, out_full, live, has_events):
         body: list[str] = []
         if has_events:
             body.append("    int en = 1;")
         n_ev = 0
         for slot, p in enumerate(a.in_ports):
-            c = self.plan.ch_in[(a.id, slot)]
-            qn = f"q_{self.chan[c.id]}"
+            j = self.plan.ch_in[k][slot]
+            c = self.g.channels[j]
+            qn = f"q_{j}"
             ct = CTYPE[p.dtype]
             if p.event and has_events:
                 ev = f"e{n_ev}"
@@ -501,7 +501,7 @@ class _Emitter:
             d, w = out_full[j]
             body.append(f"    {CTYPE[d]} o{j}[{w}];")
 
-        compute = self._compute_lines(a, data_specs, out_full, live)
+        compute = self._compute_lines(k, a, data_specs, out_full, live)
         update = self._update_lines(a, data_specs)
         if has_events:
             body.append("    if (en) {")
@@ -517,10 +517,10 @@ class _Emitter:
             body += compute
             body += update
 
-        for c in self.plan.ch_out[a.id]:
-            body.append(f"    sdf_queue_push_n(&q_{self.chan[c.id]}, "
-                        f"o{c.src[1]}, {c.rate_src});")
-        if a.id in self.plan.stim:
+        for j in self.plan.ch_out[k]:
+            c = self.g.channels[j]
+            body.append(f"    sdf_queue_push_n(&q_{j}, o{c.src[1]}, {c.rate_src});")
+        if self.plan.stim[k] is not None:
             body.append("    n += 1;")
         return body
 
@@ -543,7 +543,7 @@ class _Emitter:
             return lines
         return []
 
-    def _compute_lines(self, a, data_specs, out_full, live) -> list[str]:
+    def _compute_lines(self, k, a, data_specs, out_full, live) -> list[str]:
         p = a.params
         kind = a.kind
         d, w = out_full[live[0]]
@@ -554,7 +554,7 @@ class _Emitter:
             return [f"    o0[{i}] = {_c_scalar(d, e)};" for i, e in enumerate(elems)]
 
         if kind == "Inport":
-            if a.id in self.plan.stim:
+            if self.plan.stim[k] is not None:
                 return ["    memcpy(o0, stim[n], sizeof o0);"]
             return [f"    for (int i = 0; i < {w}; ++i) o0[i] = 0;"]
 

@@ -330,7 +330,9 @@ def _activation(eng: DiagramEngine, base: Fraction):
     which holds exactly when the denominator of base / period divides s.
     So gcd(s, lcm of those denominators) names the set of active leaves,
     and each set's list is built once, on first use."""
-    div = {path: (base / leaf.period).denominator for path, leaf in eng.res.leaves.items()}
+    bn, bd = base.as_integer_ratio()  # base / period is bn*pd / (bd*pn): div is its denominator
+    ratios = {path: leaf.period.as_integer_ratio() for path, leaf in eng.res.leaves.items()}
+    div = {path: bd * pn // gcd(bn * pd, bd * pn) for path, (pn, pd) in ratios.items()}
     span = lcm(*div.values())
     lists: dict[int, list] = {}
 

@@ -190,6 +190,12 @@ def _parse_spec(obj, where, shared: dict, fields=_SPEC) -> SignalSpec:
     return shared.get((dtype, w)) or shared.setdefault((dtype, w), SignalSpec(dtype, w))
 
 
+def _list(obj: dict, key: str, where) -> list:
+    if isinstance(v := obj.get(key, []), list):
+        return v
+    raise SchemaError(f"{_at(where)}.{key}: expected a list, got {type(v).__name__}")
+
+
 def _parse_endpoint(obj, where) -> tuple[str, int]:
     if (not isinstance(obj, list) or len(obj) != 2 or not isinstance(obj[0], str)
             or isinstance(obj[1], bool) or not isinstance(obj[1], int) or obj[1] < 0):
@@ -230,11 +236,11 @@ def _parse_block(obj, where: str, depth: int, shared: dict) -> Block:
 
     ports = obj.get("ports", {})
     _require_fields(ports, (here, ".ports"), _PORTS)
-    in_ports, out_ports = ([_parse_spec(p, (here, ".ports.", d, "[", i, "]"), shared)
-                            for i, p in enumerate(ports.get(d, []))] for d in ("in", "out"))
+    in_ports, out_ports = ([_parse_spec(p, (here, ".ports.", d, "[", i, "]"), shared) for i, p
+                            in enumerate(_list(ports, d, (here, ".ports")))] for d in ("in", "out"))
 
-    children = [_parse_block(c, here, depth + 1, shared) for c in obj.get("children", [])]
-    raw_conns = obj.get("connections", [])
+    children = [_parse_block(c, here, depth + 1, shared) for c in _list(obj, "children", here)]
+    raw_conns = _list(obj, "connections", here)
     if (children or raw_conns) and kind != "Subsystem":
         raise SchemaError(f"{here}: only Subsystem blocks may carry children/connections")
 

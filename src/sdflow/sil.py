@@ -31,7 +31,7 @@ _EVAL, _INPORT, _OUTPORT, _EMBED, _SINK = range(5)  # firing roles
 def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
             schedule: Schedule | None = None) -> Trace:
     """Replay `periods` iterations of `schedule` with FIFO queues: the
-    schedule built for `g` when None, else one `check_schedule` accepts.
+    graph's own schedule when None, else one `check_schedule` accepts.
 
     Each actor is bound once to a tuple: its role, in-port reads (FIFO,
     rate, event flag, kept token index) in slot order, out-channel writes
@@ -48,10 +48,11 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
     every period ends with each channel back at its delay.
     """
     plan = firing_plan(g, periods, stimulus, schedule)
-    fifos = {c.id: deque(c.initial_values) for c in g.channels}
+    fifos = [deque(c.initial_values) for c in g.channels]
+    channels = g.channels
     trace = Trace()
-    bound = {}
-    for a in g.actors:
+    bound = []  # by actor position
+    for k, a in enumerate(g.actors):
         cell = [0, None, None]
         output = update = extra = None
         if a.kind == "Subsystem":
@@ -64,23 +65,22 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
             extra = (EmbeddedDiagram(a.impl), a.params["control_port"] if gated else None)
         elif a.kind == "Outport":
             role = _OUTPORT
-            trace.declare(a.id, *plan.data_specs[a.id][0])
-            extra = (plan.times[a.id], trace.samples[a.id].append)
-        elif not plan.ch_out[a.id]:
+            trace.declare(a.id, *plan.data_specs[k][0])
+            extra = (plan.times[k], trace.samples[a.id].append)
+        elif not plan.ch_out[k]:
             role = _SINK
         else:
             role = _INPORT if a.kind == "Inport" else _EVAL
             cell[2], cell[1], output, update = kinds.KINDS[a.kind].bind(
-                a.params, plan.data_specs[a.id], plan.out_specs[a.id])
-            extra = plan.stim.get(a.id)
+                a.params, plan.data_specs[k], plan.out_specs[k])
+            extra = plan.stim[k]
         keep = -1 if a.kind == "RateTransition" else 0
-        reads = []
-        for slot, port in enumerate(a.in_ports):
-            c = plan.ch_in[(a.id, slot)]
-            reads.append((fifos[c.id], c.rate_dst, port.event, keep))
-        writes = tuple((fifos[c.id], c.src[1], c.rate_src) for c in plan.ch_out[a.id])
-        bound[a.id] = (role, tuple(reads), writes, cell, output, update, extra)
-    seq = [bound[aid] for aid in plan.schedule.firings]
+        reads = tuple((fifos[j], channels[j].rate_dst, port.event, keep)
+                      for j, port in zip(plan.ch_in[k], a.in_ports))
+        writes = tuple((fifos[j], channels[j].src[1], channels[j].rate_src)
+                       for j in plan.ch_out[k])
+        bound.append((role, reads, writes, cell, output, update, extra))
+    seq = [bound[k] for k in plan.steps]
     truth = kinds.truth
 
     for _ in range(periods):

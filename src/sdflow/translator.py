@@ -41,11 +41,14 @@ class TranslationReport:
     replicated_ports: int = 0  # consumers beyond the first, per out-port
     dropped_ports: int = 0     # out-ports nobody consumes
     rate_transitions: list[dict] = field(default_factory=list)
-    channel_rates: list[dict] = field(default_factory=list)
+    graph: Sdfg | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
-        return {**vars(self), "rate_transitions": list(self.rate_transitions),
-                "channel_rates": list(self.channel_rates)}
+        out = {k: v for k, v in vars(self).items() if k != "graph"}
+        return {**out, "rate_transitions": list(self.rate_transitions),
+                "channel_rates": [{"id": c.id, "src": list(c.src), "dst": list(c.dst),
+                                   "rate_src": c.rate_src, "rate_dst": c.rate_dst, "delay": c.delay}
+                                  for c in getattr(self.graph, "channels", ())]}
 
     def summary(self) -> str:
         lines = [f"actors: {self.actors}",
@@ -100,13 +103,9 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
 
     report = TranslationReport(replicated_ports=sum(n - 1 for n in taps.values()),
                                dropped_ports=sum(len(b.out_ports) for b in leaves) - len(taps))
-    g = Sdfg(m.name)
     ports: dict = {}  # one Port per spec: Ports are immutable, so actors share them
-    for b in leaves:
-        g.actors.append(Actor(b.id, b.kind, dict(b.params), b.period,
-                              [ports.get(s) or ports.setdefault(s, Port(*s)) for s in b.in_ports],
-                              [ports.get(s) or ports.setdefault(s, Port(*s)) for s in b.out_ports],
-                              b if b.is_subsystem() else None))
+    in_ports = {b.id: [ports.get(s) or ports.setdefault(s, Port(*s)) for s in b.in_ports]
+                for b in leaves}  # event ports are added below
 
     # Token rates at RateTransition actors, from the neighbouring periods.
     in_rate: dict[str, int] = {}
@@ -137,16 +136,17 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
             "delay": d,
         })
 
+    channels = []
     for i, c in enumerate(conns):
         d = preload.get(c.dst[0], 0) if c.dst[1] == 0 else 0
-        g.channels.append(Channel(
+        channels.append(Channel(
             f"ch_{i}", c.src, c.dst, out_rate.get(c.src[0], 1),
             in_rate.get(c.dst[0], 1) if c.dst[1] == 0 else 1, d,
-            [kinds.zero_token(c.spec.dtype, c.spec.width)] * d if d else [],  # immutable
+            (kinds.zero_token(c.spec.dtype, c.spec.width),) * d if d else (),  # immutable
             c.spec.dtype, c.spec.width))
 
     ci = len(conns)
-    actor_of = {a.id: a for a in g.actors}
+    sources = []
     for t, members in groups:
         ctrl = by_id[t.control[0]]
         spec = ctrl.out_ports[t.control[1]]
@@ -154,25 +154,26 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
             raise NormalizationError(f"{t.path}: control signal must be scalar")
         es = Actor(f"{t.path}/enable", "EnableSource", {"mode": t.mode},
                    by_id[members[0]].period,
-                   in_ports=[Port(spec.dtype, spec.width)], out_ports=[Port("bool", 1)])
-        g.actors.append(es)
-        g.channels.append(Channel(f"ch_{ci}", t.control, (es.id, 0),
-                                  1, 1, 0, [], spec.dtype, spec.width))
+                   in_ports=(Port(spec.dtype, spec.width),), out_ports=(Port("bool", 1),))
+        sources.append(es)
+        channels.append(Channel(f"ch_{ci}", t.control, (es.id, 0),
+                                1, 1, 0, (), spec.dtype, spec.width))
         report.control_channels += 1
         ci += 1
         for mid in members:
-            ma = actor_of[mid]
-            slot = len(ma.in_ports)
-            ma.in_ports.append(Port("bool", 1, event=True))
-            g.channels.append(Channel(f"ch_{ci}", (es.id, 0), (mid, slot),
-                                      1, 1, 0, [], "bool", 1))
+            slot = len(in_ports[mid])
+            in_ports[mid].append(Port("bool", 1, event=True))
+            channels.append(Channel(f"ch_{ci}", (es.id, 0), (mid, slot),
+                                    1, 1, 0, (), "bool", 1))
             report.event_channels += 1
             ci += 1
 
+    actors = [Actor(b.id, b.kind, dict(b.params), b.period, tuple(in_ports[b.id]),
+                    tuple([ports.get(s) or ports.setdefault(s, Port(*s)) for s in b.out_ports]),
+                    b if b.is_subsystem() else None) for b in leaves]
+    g = Sdfg(m.name, actors + sources, channels)
     report.actors = len(g.actors)
     report.channels = len(g.channels)
-    report.channel_rates = [{"id": c.id, "src": list(c.src), "dst": list(c.dst),
-                             "rate_src": c.rate_src, "rate_dst": c.rate_dst,
-                             "delay": c.delay} for c in g.channels]
+    report.graph = g
     g.check_wellformed()
     return g, report

@@ -19,7 +19,7 @@ from test_validator import (bus_model, fixed_step_pair, goto_pair,
                             switch_pair, vocab_pair)
 import test_sdf_core as core
 
-from sdflow import (DeadlockError, DepthWarning, InconsistentError, Trace,
+from sdflow import (DeadlockError, DepthWarning, InconsistentError, Sdfg, Trace,
                     build_schedule, check_requirements, compare_traces,
                     emit_bundle, normalize, rate_transition_rates,
                     repetition_vector, run_mil, run_sil, translate)
@@ -163,7 +163,7 @@ def test_criterion_5b_parallel_rate_mismatch(capsys):
         bad = core.chan("bad", (src, len(g.actor(src).out_ports)),
                         (dst, len(g.actor(dst).in_ports)),
                         victim.rate_src * 2, victim.rate_dst)
-        g.channels.append(bad)
+        g = Sdfg(g.name, g.actors, g.channels + (bad,))
         for solve in (repetition_vector, build_schedule):
             with pytest.raises(InconsistentError):
                 solve(g)

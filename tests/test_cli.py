@@ -240,7 +240,9 @@ def port_doc(out_id="y", memory=False):
     (port_doc(memory=True), "m: DataStoreMemory must have no ports, or one in and one out"),
     (port_doc("y,1"), "id 'y,1' may not contain ',' or control characters"),
     (port_doc("y\n1"), "id 'y\\n1' may not contain ',' or control characters"),
-], ids=["store_in_port_only", "comma_id", "newline_id"])
+    ({**port_doc(), "root": {**port_doc()["root"], "children": 1}},
+     "pd.children: expected a list, got int"),
+], ids=["store_in_port_only", "comma_id", "newline_id", "children_not_a_list"])
 def test_load_defects_are_schema_errors(tmp_path, doc, message):
     rc, out, err = run_cli("check", write_model(tmp_path, doc))
     assert rc == 2 and out == ""
@@ -585,15 +587,15 @@ def test_each_run_solves_the_vector_once(tmp_path, monkeypatch, capsys, cmd):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sdf_core, "repetition_vector",
-                        counted("repetition_vector", sdf_core.repetition_vector))
+    # the vector is solved by the walk that builds the graph's index
+    monkeypatch.setattr(sdf_core, "_Index", counted("index", sdf_core._Index))
     monkeypatch.setattr(sdf_core, "build_schedule",
                         counted("build_schedule", sdf_core.build_schedule))
     args = [cmd, str(MODELS / "multirate_rt.json")]
     if cmd == "codegen":
         args += ["--out", str(tmp_path / "bundle")]
     assert cli.main(args) == 0
-    assert calls == {"repetition_vector": 1, "build_schedule": 1}
+    assert calls == {"index": 1, "build_schedule": 1}
     assert capsys.readouterr().out
 
 

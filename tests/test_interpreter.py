@@ -526,6 +526,7 @@ def test_whole_times_build_no_fraction_per_sample(transmission, monkeypatch):
             return new(cls, *args, **kwargs)
         with monkeypatch.context() as mp:
             mp.setattr(Fraction, "__new__", staticmethod(counted))
+            Fraction(1, 2)  # one built on purpose, so a count of 0 means a dead counter
             stim = Trace.from_csv(text, {"throttle": ("f64", 1)})
             mil = run_mil(transmission, steps, stim)
             sil = run_sil(g, periods, stim, schedule=sched)
@@ -547,7 +548,7 @@ def test_sil_token_count_is_checked_at_the_iteration_boundary(multirate):
     g, _ = translate(normalize(multirate))
     s = build_schedule(g)
     source = next(a for a in g.actors if not a.in_ports)
-    extra = dataclasses.replace(s, firings=s.firings + [source.id])
+    extra = dataclasses.replace(s, firings=s.firings + (source.id,))
     with pytest.raises(InconsistentError, match="at the iteration boundary"):
         run_sil(g, 1, schedule=extra)
 

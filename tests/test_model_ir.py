@@ -129,6 +129,24 @@ def test_children_only_on_subsystems():
         load_model(d)
 
 
+@pytest.mark.parametrize("value", [None, True, 2.5, 1, "x", {}],
+                         ids=["null", "true", "float", "int", "string", "object"])
+@pytest.mark.parametrize("field", ["children", "connections", "ports.in", "ports.out"])
+def test_list_fields_that_are_not_lists_are_schema_errors(field, value):
+    # each used to escape as a bare TypeError, or was read as a list of its
+    # characters or keys
+    d = tiny()
+    if field.startswith("ports."):
+        d["root"]["children"][1]["ports"][field[6:]] = value
+        where = "root/g." + field
+    else:
+        d["root"][field] = value
+        where = "root." + field
+    with pytest.raises(SchemaError) as e:
+        load_model(d)
+    assert str(e.value) == f"{where}: expected a list, got {type(value).__name__}"
+
+
 def test_unknown_kind_still_loads():
     # translatability is the validator's verdict, not a load failure
     d = tiny()

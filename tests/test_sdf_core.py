@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,15 @@ def graph(actors, channels, name="g"):
     g = Sdfg(name, actors, channels)
     g.check_wellformed()
     return g
+
+
+def by_actor(g, end):
+    """Each actor's channels in channel order, by their `end`: "src" for
+    the ones it feeds, "dst" for the ones it reads."""
+    out = {a.id: [] for a in g.actors}
+    for c in g.channels:
+        out[getattr(c, end)[0]].append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +119,7 @@ def test_delay_breaks_the_cycle():
     g = graph([actor("a", n_in=1, n_out=1), actor("b", n_in=1, n_out=1)],
               [chan("c0", ("a", 0), ("b", 0), 1, 1),
                chan("c1", ("b", 0), ("a", 0), 1, 1, delay=1)])
-    assert build_schedule(g).firings == ["a", "b"]
+    assert build_schedule(g).firings == ("a", "b")
 
 
 def test_ties_break_by_actor_id():
@@ -117,7 +127,7 @@ def test_ties_break_by_actor_id():
                actor("z", n_in=2)],
               [chan("c0", ("b", 0), ("z", 0), 1, 1),
                chan("c1", ("a", 0), ("z", 1), 1, 1)])
-    assert build_schedule(g).firings == ["a", "b", "z"]
+    assert build_schedule(g).firings == ("a", "b", "z")
 
 
 def test_multirate_firing_counts():
@@ -125,7 +135,7 @@ def test_multirate_firing_counts():
               [chan("c0", ("a", 0), ("b", 0), 1, 2)])
     s = build_schedule(g)
     assert s.repetition == {"a": 2, "b": 1}
-    assert s.firings == ["a", "a", "b"]
+    assert s.firings == ("a", "a", "b")
 
 
 def test_peak_occupancy():
@@ -277,23 +287,25 @@ def test_built_schedules_of_random_graphs_are_admissible():
 
 
 def _reversed(g, s):
-    s.firings.reverse()
+    return replace(s, firings=s.firings[::-1])
 
 
 def _short(g, s):
-    s.firings.pop()
+    return replace(s, firings=s.firings[:-1])
 
 
 def _extra(g, s):
-    s.firings.append(s.firings[0])
+    return replace(s, firings=s.firings + s.firings[:1])
 
 
 def _peak_lowered(g, s):
-    s.peaks[next(cid for cid, n in s.peaks.items() if n > 0)] -= 1
+    cid = next(cid for cid, n in s.peaks.items() if n > 0)
+    return replace(s, peaks={**s.peaks, cid: s.peaks[cid] - 1})
 
 
 def _one_count_scaled(g, s):
-    s.repetition[g.actors[0].id] *= 2
+    aid = g.actors[0].id
+    return replace(s, repetition={**s.repetition, aid: s.repetition[aid] * 2})
 
 
 @pytest.mark.parametrize("edit, error, message", [
@@ -308,8 +320,7 @@ def test_inadmissible_schedule_is_rejected_before_any_run(monkeypatch, multirate
                                                           engine, edit, error, message):
     g, _ = translate(normalize(multirate))
     s = build_schedule(g)
-    bad = Schedule(list(s.firings), dict(s.peaks), dict(s.repetition), s.span)
-    edit(g, bad)
+    bad = edit(g, s)
     with pytest.raises(error, match=message):
         check_schedule(g, bad)
 
@@ -336,7 +347,7 @@ def test_schedule_of_another_graph_is_rejected():
               [chan("c0", ("a", 0), ("b", 0), 1, 1)])
     s = build_schedule(g)
     with pytest.raises(InconsistentError, match="unknown actor 'z'"):
-        check_schedule(g, Schedule(s.firings + ["z"], s.peaks, s.repetition, s.span))
+        check_schedule(g, Schedule(s.firings + ("z",), s.peaks, s.repetition, s.span))
     with pytest.raises(InconsistentError, match="names unknown actor z"):
         check_schedule(g, Schedule(s.firings, s.peaks, {**s.repetition, "z": 1}, s.span))
     with pytest.raises(InconsistentError, match="not an aligned iteration"):
@@ -369,6 +380,12 @@ def test_wellformed_catches_double_binding():
              [chan("c0", ("a", 0), ("c", 0), 1, 1),
               chan("c1", ("b", 0), ("c", 0), 1, 1)])
     with pytest.raises(SchemaError, match="in-port .* bound twice"):
+        g.check_wellformed()
+    # slot -1 would name the last in-port a second time
+    g = Sdfg("g", [actor("a", n_out=1), actor("b", n_out=1), actor("c", n_in=1)],
+             [chan("c0", ("a", 0), ("c", 0), 1, 1),
+              chan("c1", ("b", 0), ("c", -1), 1, 1)])
+    with pytest.raises(SchemaError, match="'c' has no dst slot -1"):
         g.check_wellformed()
     # an out-port may feed several channels, or none
     g = Sdfg("g", [actor("a", n_out=1), actor("b", n_in=1), actor("c", n_in=1),
@@ -424,7 +441,7 @@ def test_schema_doc_example_is_a_saved_graph():
     doc = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
     g = load_sdfg(doc)
     assert save_sdfg(g) == doc
-    outs = g.out_channels()
+    outs = by_actor(g, "src")
     assert [c.src for c in outs["u"]] == [("u", 0), ("u", 0)]   # fan-out
     assert outs["d"] == [] and len(g.actor("d").out_ports) == 1  # unconsumed
 
@@ -525,7 +542,7 @@ def random_consistent_graph(rng):
     n = rng.randint(2, 8)
     ids = [f"a{i}" for i in range(n)]
     q = {a: rng.randint(1, 6) for a in ids}
-    actors = {a: Actor(a, "X", {}, Fraction(1)) for a in ids}
+    n_in, n_out = dict.fromkeys(ids, 0), dict.fromkeys(ids, 0)
 
     edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
     for _ in range(rng.randint(0, n)):
@@ -537,11 +554,12 @@ def random_consistent_graph(rng):
         g0 = math.gcd(q[s], q[t])
         k = rng.randint(1, 3)
         rs, rd = k * q[t] // g0, k * q[s] // g0
-        channels.append(Channel(f"c{i}", (s, len(actors[s].out_ports)),
-                                (t, len(actors[t].in_ports)), rs, rd))
-        actors[s].out_ports.append(Port("f64", 1))
-        actors[t].in_ports.append(Port("f64", 1))
-    return Sdfg("r", [actors[a] for a in ids], channels), q
+        channels.append(Channel(f"c{i}", (s, n_out[s]), (t, n_in[t]), rs, rd))
+        n_out[s] += 1
+        n_in[t] += 1
+    actors = [Actor(a, "X", {}, Fraction(1), [Port("f64", 1)] * n_in[a],
+                    [Port("f64", 1)] * n_out[a]) for a in ids]
+    return Sdfg("r", actors, channels), q
 
 
 def test_random_graphs_satisfy_balance():
@@ -563,17 +581,19 @@ def random_schedulable_graph(rng):
     destination's whole iteration, so a schedule must exist."""
     g, q = random_consistent_graph(rng)
     order = {a.id: i for i, a in enumerate(g.actors)}
+    channels = []
     for c in g.channels:
         if order[c.src[0]] >= order[c.dst[0]]:   # back or self edge
-            c.delay = c.rate_dst * q[c.dst[0]]
-            c.initial_values = [0.0] * c.delay
-    return g
+            delay = c.rate_dst * q[c.dst[0]]
+            c = replace(c, delay=delay, initial_values=[0.0] * delay)
+        channels.append(c)
+    return Sdfg(g.name, g.actors, channels)
 
 
 def replay(g, sched):
     """Independent token counter for the firing list."""
     tokens = {c.id: c.delay for c in g.channels}
-    ins, outs = g.in_channels(), g.out_channels()
+    ins, outs = by_actor(g, "dst"), by_actor(g, "src")
     for aid in sched.firings:
         for c in ins[aid]:
             tokens[c.id] -= c.rate_dst
@@ -605,7 +625,7 @@ def _scan_schedule(g, q=None):
     if q is None:
         q = _fraction_repetition_vector(g)
     q, span = _fraction_aligned_repetition(g, q)
-    ins, outs = g.in_channels(), g.out_channels()
+    ins, outs = by_actor(g, "dst"), by_actor(g, "src")
     tokens = {c.id: c.delay for c in g.channels}
     peaks = dict(tokens)
     remaining = dict(q)
@@ -627,7 +647,7 @@ def _scan_schedule(g, q=None):
             peaks[c.id] = max(peaks[c.id], tokens[c.id])
         remaining[pick] -= 1
         firings.append(pick)
-    return Schedule(firings, peaks, q, span)
+    return Schedule(tuple(firings), peaks, q, span)  # as the graph's own schedule holds them
 
 
 def _same_schedule(g):
@@ -862,3 +882,115 @@ def test_integer_balance_matches_fractions_on_multi_component_graphs():
             mixed += 1
     # both verdicts, and consistent graphs with mixed periods, were exercised
     assert inconsistent > 10 and mixed > 100
+
+
+# ---------------------------------------------------------------------------
+# one derivation per graph
+
+
+def _counting(monkeypatch):
+    """Counts of index builds, alignments and token games from now on."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in ("align", "play"):
+        monkeypatch.setattr(sdf_core._Index, name, counted(name, getattr(sdf_core._Index, name)))
+    monkeypatch.setattr(sdf_core, "_Index", counted("index", sdf_core._Index))
+    return calls
+
+
+def test_benchmark_calls_derive_the_graph_once(monkeypatch):
+    # the calls bench/chain.py makes for one verification, in its order
+    g, _ = translate(normalize(load_model(_chain_document(200))))
+    calls = _counting(monkeypatch)
+    q, _ = aligned_repetition(g, repetition_vector(g))
+    sched = build_schedule(g, q)
+    periods = math.ceil(16 / sil_span(g))
+    run_sil(g, periods)
+    emit_bundle(g, periods)
+    # one walk; the caller's vector and the graph's own are each aligned
+    # and played, and emit_bundle replays the graph's own schedule as it is
+    assert calls == {"index": 1, "align": 3, "play": 2}
+    assert build_schedule(g) == sched
+
+
+@pytest.mark.parametrize("cmd", ["verify", "codegen"])
+def test_cli_runs_derive_the_graph_once(tmp_path, monkeypatch, cmd):
+    from sdflow import cli
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_chain_document(200)))
+    calls = _counting(monkeypatch)
+    args = [cmd, str(path), "--steps", "16"]
+    if cmd == "codegen":
+        args += ["--out", str(tmp_path / "bundle")]
+    assert cli.main(args) == 0
+    assert calls == {"index": 1, "align": 1, "play": 1}
+
+
+def test_the_graph_has_one_schedule(monkeypatch):
+    g, _ = translate(normalize(load_fixture("multirate")))
+    s = build_schedule(g)
+    assert build_schedule(g) is s
+    # a vector passed in is played into a new schedule, the caller's to edit
+    mine = build_schedule(g, dict(s.repetition))
+    assert mine == s and mine is not s
+    mine.firings.pop()
+    assert mine != s and len(s.firings) == len(mine.firings) + 1
+    twice = build_schedule(g, {aid: 2 * n for aid, n in s.repetition.items()})
+    assert twice.span == 2 * s.span and build_schedule(g) is s
+    # a replay takes the graph's own schedule as it is; an equal copy is
+    # checked in full, and a reversed one underflows
+    checked, check = [], sdf_core.check_schedule
+    monkeypatch.setattr(sdf_core, "check_schedule",
+                        lambda g, sched: (checked.append(sched), check(g, sched)))
+    copy = replace(s)
+    assert copy == s and copy is not s
+    assert run_sil(g, 2, schedule=copy).to_csv() == run_sil(g, 2, schedule=s).to_csv()
+    assert [x is copy for x in checked] == [True]
+    with pytest.raises(UnderflowError):
+        run_sil(g, 2, schedule=replace(s, firings=s.firings[::-1]))
+
+
+def test_failures_are_raised_on_every_call():
+    inconsistent = graph([actor("a", n_out=2), actor("b", n_in=2)],
+                         [chan("c0", ("a", 0), ("b", 0), 1, 1),
+                          chan("c1", ("a", 1), ("b", 1), 2, 1)])
+    deadlocked = graph([actor("a", n_in=1, n_out=1), actor("b", n_in=1, n_out=1)],
+                       [chan("c0", ("a", 0), ("b", 0), 1, 1),
+                        chan("c1", ("b", 0), ("a", 0), 1, 1)])
+    for g, error in ((inconsistent, InconsistentError), (deadlocked, DeadlockError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                build_schedule(g)
+    bad = Sdfg("g", [actor("a", n_in=1)], [])
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="unbound in port 0"):
+            bad.check_wellformed()
+
+
+def test_graphs_and_schedules_are_immutable():
+    g, _ = translate(normalize(load_fixture("multirate")))
+    s = build_schedule(g)
+    for obj, name in ((g.actors[0], "period"), (g.channels[0], "delay"), (s, "firings"),
+                      (g, "channels")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    with pytest.raises(AttributeError):
+        g.channels.append(g.channels[0])
+    with pytest.raises(AttributeError):
+        g.actors[0].in_ports.append(Port("f64", 1))
+    with pytest.raises(TypeError):
+        s.peaks[g.channels[0].id] = 0
+    with pytest.raises(TypeError):
+        s.repetition[g.actors[0].id] = 0
+    # translate and load_sdfg build tuples throughout; a graph keeps the
+    # lists of actors and channels it is given as tuples
+    for h in (g, load_sdfg(save_sdfg(g))):
+        assert all(type(a.in_ports) is type(a.out_ports) is tuple for a in h.actors)
+        assert all(type(c.src) is type(c.dst) is type(c.initial_values) is tuple
+                   for c in h.channels)
+    assert type(Sdfg("h", [g.actors[0]], [g.channels[0]]).channels) is tuple

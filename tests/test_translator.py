@@ -64,7 +64,7 @@ def test_multirate_graph_shape(multirate_rt):
     out_of_rt = [c for c in g.channels if c.src == ("RateTransition", 0)]
     assert len(into_rt) == 1 and len(out_of_rt) == 1
     assert (into_rt[0].rate_src, into_rt[0].rate_dst) == (1, 2)
-    assert into_rt[0].delay == 1 and into_rt[0].initial_values == [0.0]
+    assert into_rt[0].delay == 1 and into_rt[0].initial_values == (0.0,)
     assert (out_of_rt[0].rate_src, out_of_rt[0].rate_dst) == (1, 1)
     assert out_of_rt[0].delay == 0
 
