@@ -304,7 +304,17 @@ class DiagramEngine:
                 if controls:
                     continue  # a control is off: the leaf holds
             if role == _EVAL:
-                last[path] = output(state[path], [last[p][i] for p, i in refs])
+                # inline gathers for the common arities: on Python 3.11 a
+                # list comprehension is a function call
+                if len(refs) == 1:
+                    (p, i), = refs
+                    ins = [last[p][i]]
+                elif len(refs) == 2:
+                    (p, i), (p2, i2) = refs
+                    ins = [last[p][i], last[p2][i2]]
+                else:
+                    ins = [last[p][i] for p, i in refs]
+                last[path] = output(state[path], ins)
             elif role == _OUTPORT:
                 p, i = refs[0]
                 recorded.append((path, last[p][i]))
@@ -319,7 +329,15 @@ class DiagramEngine:
         update reads only `last` and its own state, so order is free."""
         last, state = self.last, self.state
         for path, _, _, refs, _, update in latch:
-            state[path] = update(state[path], [last[p][i] for p, i in refs])
+            if len(refs) == 1:
+                (p, i), = refs
+                ins = [last[p][i]]
+            elif len(refs) == 2:
+                (p, i), (p2, i2) = refs
+                ins = [last[p][i], last[p2][i2]]
+            else:
+                ins = [last[p][i] for p, i in refs]
+            state[path] = update(state[path], ins)
 
 
 def _activation(eng: DiagramEngine, base: Fraction):

@@ -16,6 +16,7 @@ time directly when the grid unit is 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import compress, islice
@@ -111,11 +112,12 @@ def _reject_repeat(rows, start: int, signals: set[str]):
 
 
 class Trace:
-    """Per-signal sample lists.  Signals keep insertion order; samples are
-    appended in time order by the engines, and from_csv and from_json sort
-    them.  The engines, from_csv and from_json give each time in canonical
-    form: an int when whole, else a reduced Fraction (an int equals and
-    hashes like its Fraction)."""
+    """Per-signal sample lists.  Signals keep insertion order; each
+    signal's samples are in time order, which clip relies on: the engines
+    append them in order, and from_csv and from_json sort them.  The
+    engines, from_csv and from_json give each time in canonical form: an
+    int when whole, else a reduced Fraction (an int equals and hashes like
+    its Fraction)."""
 
     def __init__(self):
         self.samples: dict[str, list[tuple[int | Fraction, object]]] = {}
@@ -134,12 +136,12 @@ class Trace:
         return list(self.samples)
 
     def clip(self, t_end: int | Fraction) -> "Trace":
-        """Samples strictly before t_end."""
+        """Samples strictly before t_end: a prefix of each signal's."""
         t_end = canon_time(t_end)
         out = Trace()
-        for sig in self.samples:
+        for sig, pts in self.samples.items():
             out.declare(sig, *self.specs[sig])
-            out.samples[sig] = [(t, v) for t, v in self.samples[sig] if t < t_end]
+            out.samples[sig] = pts[:bisect_left(pts, t_end, key=_first)]
         return out
 
     def to_csv(self) -> str:

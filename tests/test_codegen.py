@@ -12,7 +12,7 @@ import pytest
 from sdflow import (SchemaError, SdflowError, SignalTypeError, Trace, UnsupportedKindError,
                     build_schedule, compare_traces, emit_bundle, load_sdfg,
                     normalize, run_sil, save_sdfg, translate)
-from conftest import F1, I1, blk, c_trace, compile_and_run, conn, model
+from conftest import F1, I1, blk, c_trace, compile_and_run, conn, hostile_ids_model, model
 
 
 def graph_of(m):
@@ -277,28 +277,7 @@ def test_compiled_i32_wraps(tmp_path):
 
 
 def test_hostile_ids_reach_c_unchanged(tmp_path):
-    # "??=" is the '#' trigraph under -std=c99; the flattened ids "s*/g"
-    # and "p/*q" would close and open a C comment; "a-b", "a_b" and "a b"
-    # would all sanitize to one identifier; "int", "main" and "sdf_record"
-    # name C and runtime entities
-    def wrap(sid, inner):
-        return blk(sid, "Subsystem", ins=[F1], outs=[F1],
-                   children=[blk("i", "Inport", {"index": 0}, outs=[F1]),
-                             blk(inner, "Gain", {"gain": 2.0}, ins=[F1], outs=[F1]),
-                             blk("o", "Outport", {"index": 0}, ins=[F1])],
-                   connections=[conn(("i", 0), (inner, 0)), conn((inner, 0), ("o", 0))])
-    chain = ["c", "a-b", "a_b", "a b", "s*", "p", "int", "main", "sdf_record"]
-    m = model([blk("c", "Constant", {"value": 1.5}, st=1, outs=[F1]),
-               *(blk(b, "Gain", {"gain": -1.0}, ins=[F1], outs=[F1])
-                 for b in ("a-b", "a_b", "a b")),
-               wrap("s*", "g"), wrap("p", "*q"),
-               blk("int", "UnitDelay", {"initial": 0.5}, ins=[F1], outs=[F1]),
-               blk("main", "Gain", {"gain": 3.0}, ins=[F1], outs=[F1]),
-               blk("sdf_record", "Outport", {"index": 0}, ins=[F1]),
-               blk("y??=x", "Outport", {"index": 1}, ins=[F1])],
-              [*(conn((u, 0), (v, 0)) for u, v in zip(chain, chain[1:])),
-               conn(("s*", 0), ("y??=x", 0))],
-              name="ids")
+    m = hostile_ids_model()
     g = graph_of(m)
     assert {"s*/g", "p/*q"} <= {a.id for a in g.actors}
     ref = run_sil(g, 3)

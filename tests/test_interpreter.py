@@ -6,22 +6,26 @@ each case show the arithmetic.
 
 import dataclasses
 import gc
+import io
 import math
 import random
 import re
 import time
+import tokenize
+import warnings
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import B1, F1, I1, blk, conn, load_fixture, model
-from model_gen import random_model
+from conftest import B1, F1, I1, blk, conn, hostile_ids_model, load_fixture, model
+from model_gen import random_model, random_stimulus
 
-from sdflow import (AlgebraicLoopError, DeadlockError, InconsistentError, SchemaError,
-                    SdflowError, ShapeError, SignalTypeError, Trace, UnderflowError,
-                    build_schedule, compare_traces, emit_bundle, load_model, load_sdfg,
-                    normalize, run_mil, run_sil, save_sdfg, translate)
-from sdflow import kinds
+from sdflow import (Actor, AlgebraicLoopError, Channel, DeadlockError, DepthWarning,
+                    InconsistentError, Port, SchemaError, Sdfg, SdflowError, ShapeError,
+                    SignalTypeError, Trace, UnderflowError, build_schedule, compare_traces,
+                    emit_bundle, load_model, load_sdfg, normalize, run_mil, run_sil,
+                    save_sdfg, sil_span, translate)
+from sdflow import kinds, sil
 from sdflow.mil import DiagramEngine, _activation, resolve_wiring
 from sdflow.trace import (Comparison, _scalar_close, canon_time, fmt_value,
                           stimulus_table, time_str)
@@ -614,6 +618,219 @@ def test_each_leaf_and_actor_is_bound_once_per_run(transmission, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the compiled replay: a run of at least N periods replays through one
+# generated function.  A replay of P periods is a prefix of the replay of
+# P + 1, so the compiled replay of N periods, clipped to N - 1 of them,
+# must print exactly what the interpreter prints for N - 1 periods.
+
+N = sil._COMPILE_PERIODS
+
+
+@pytest.fixture
+def sources(monkeypatch):
+    """The period source of each compiled replay, in run order."""
+    seen = []
+
+    def spy(*args):
+        src, ns = period_code(*args)
+        seen.append(src)
+        return src, ns
+    period_code = sil._period_code
+    monkeypatch.setattr(sil, "_period_code", spy)
+    return seen
+
+
+def replays(g, stim=None):
+    """The compiled replay of N periods clipped to N - 1, and the
+    interpreted replay of N - 1 periods: each one's CSV lines, or the
+    type and message of what it raised."""
+    def outcome(periods):
+        try:
+            return run_sil(g, periods, stim).clip((N - 1) * sil_span(g)).to_csv().splitlines()
+        except (SdflowError, ArithmeticError) as e:
+            return type(e), str(e)
+    return outcome(N), outcome(N - 1)
+
+
+def first_difference(compiled, interpreted):
+    """None when the two outcomes are equal, else the first CSV line that
+    differs, or both errors: a failure's report stays short."""
+    if compiled == interpreted:
+        return None
+    if isinstance(compiled, tuple) or isinstance(interpreted, tuple):
+        return compiled, interpreted
+    return next(((n, a, b) for n, (a, b) in enumerate(zip(compiled, interpreted)) if a != b),
+                (len(compiled), len(interpreted)))
+
+
+def long_stimulus(m, g, seed=1):
+    return random_stimulus(m, math.ceil(N * sil_span(g) / m.base_step), seed)
+
+
+def depth_graph(m, depth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DepthWarning)  # depth above the height
+        return translate(normalize(m, depth))[0]
+
+
+@pytest.mark.parametrize("depth", [None, 0, 1])
+@pytest.mark.parametrize("name", ["multirate", "multirate_rt", "transmission", "climate"])
+def test_compiled_replay_matches_the_interpreter_on_the_fixtures(name, depth, sources):
+    m = load_fixture(name)
+    g = depth_graph(m, depth)
+    assert first_difference(*replays(g, long_stimulus(m, g))) is None
+    assert len(sources) == 1  # N periods compiled, N - 1 interpreted
+
+
+@pytest.mark.parametrize("first", range(0, 200, 50))
+def test_compiled_replay_matches_the_interpreter_on_random_models(first, sources):
+    for seed in range(first, first + 50):
+        m = random_model(seed)
+        g = translate(normalize(m))[0]
+        assert first_difference(*replays(g, long_stimulus(m, g, seed))) is None, f"random_model({seed})"
+    assert len(sources) == 50
+
+
+def feedback_graph():
+    """4:1 rate transitions around a feedback loop with one delay token:
+    s fires four times per period, reading c and the loop; d keeps the
+    last of each four (three preloaded), g fires once when all four of
+    i's enable tokens are on, and u hands each g output back four times.
+    The Inport j, gated by i too, has no stimulus and holds zero."""
+    f, e = Port("f64", 1), Port("bool", 1, event=True)
+    actors = [Actor("c", "Constant", {"value": 1.0}, Fraction(1), (), (f,)),
+              Actor("i", "Inport", {"index": 0}, Fraction(1), (), (Port("bool", 1),)),
+              Actor("s", "Sum", {"signs": "++"}, Fraction(1), (f, f), (f,)),
+              Actor("d", "RateTransition", {}, Fraction(4), (f,), (f,)),
+              Actor("g", "Gain", {"gain": 0.5}, Fraction(4), (f, e), (f,)),
+              Actor("u", "RateTransition", {}, Fraction(4), (f,), (f,)),
+              Actor("y1", "Outport", {"index": 0}, Fraction(1), (f,), ()),
+              Actor("y2", "Outport", {"index": 1}, Fraction(4), (f,), ()),
+              Actor("j", "Inport", {"index": 1}, Fraction(4), (e,), (f,)),
+              Actor("y3", "Outport", {"index": 2}, Fraction(4), (f,), ())]
+    chans = [Channel("c0", ("c", 0), ("s", 0), 1, 1),
+             Channel("c1", ("u", 0), ("s", 1), 4, 1, 1, (0.25,)),
+             Channel("c2", ("s", 0), ("d", 0), 1, 4, 3, (0.0,) * 3),
+             Channel("c3", ("s", 0), ("y1", 0), 1, 1),
+             Channel("c4", ("d", 0), ("g", 0), 1, 1),
+             Channel("c5", ("i", 0), ("g", 1), 1, 4, dtype="bool"),
+             Channel("c6", ("g", 0), ("u", 0), 1, 1),
+             Channel("c7", ("g", 0), ("y2", 0), 1, 1),
+             Channel("c8", ("i", 0), ("j", 0), 1, 4, dtype="bool"),
+             Channel("c9", ("j", 0), ("y3", 0), 1, 1)]
+    return Sdfg("feedback", tuple(actors), tuple(chans))
+
+
+def test_compiled_replay_matches_the_interpreter_on_rates_delays_and_gates(sources):
+    g = feedback_graph()
+    rng = random.Random(5)
+    stim = Trace()
+    stim.declare("i", "bool", 1)
+    for k in range(4 * N):
+        stim.add("i", k, rng.random() < 0.9)
+    assert first_difference(*replays(g, stim)) is None
+    assert "all(map(truth, " in sources[0]
+    # the loop holds: g fired enabled at least once, and held in between
+    y2 = out_values(run_sil(g, N - 1, stim), "y2")
+    assert len(set(y2)) > 2 and any(a == b for a, b in zip(y2, y2[1:]))
+
+
+@pytest.mark.parametrize("case", ["hostile_ids", "enabled_depth_0"])
+def test_compiled_replay_matches_the_interpreter_on_ids_and_embedded_diagrams(case, sources):
+    if case == "hostile_ids":
+        m, stim = hostile_ids_model(), None
+        g = translate(normalize(m))[0]
+    else:
+        m = enabled_model()
+        g = depth_graph(m, 0)
+        stim = gate_trace([k % 3 != 0 for k in range(N)])
+        assert "Subsystem" in {a.kind for a in g.actors}
+    assert first_difference(*replays(g, stim)) is None
+    assert len(sources) == 1
+
+
+def test_compiled_replay_raises_what_the_interpreter_raises(sources):
+    # 1000 / u in i32 divides by zero at step N - 2, inside both runs
+    m = model([blk("u", "Inport", {"index": 0}, st=1, outs=[I1]),
+               blk("c", "Constant", {"value": 1000}, st=1, outs=[I1]),
+               blk("p", "Product", {"ops": "*/"}, ins=[I1, I1], outs=[I1]),
+               blk("y", "Outport", {"index": 0}, ins=[I1])],
+              [conn(("c", 0), ("p", 0), I1), conn(("u", 0), ("p", 1), I1),
+               conn(("p", 0), ("y", 0), I1)])
+    g = translate(normalize(m))[0]
+    stim = Trace()
+    stim.declare("u", "i32", 1)
+    for k in range(N):
+        stim.add("u", k, 0 if k == N - 2 else 1 + k % 7)
+    compiled, interpreted = replays(g, stim)
+    assert compiled == interpreted == (ZeroDivisionError, "integer division or modulo by zero")
+    assert len(sources) == 1
+
+
+def test_a_compiled_replay_leaves_no_reference_cycle(transmission, sources):
+    # the generated function's globals hold the function; the run clears them
+    g = translate(normalize(transmission))[0]
+    gc.collect()
+    gc.disable()
+    try:
+        run_sil(g, N, ramp("throttle", Fraction(1), N * 4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(sources) == 1
+
+
+POSITIONAL = re.compile(r"[A-Za-z][0-9]*|def|run|for|in|if|and|pass|range|periods"
+                        r"|truth|all|map|True|None")
+
+
+def source_tokens(src):
+    """The tokens of `src` that are neither positional names, integer
+    literals, fixed keywords nor punctuation."""
+    return [t.string for t in tokenize.generate_tokens(io.StringIO(src).readline)
+            if t.type == tokenize.NAME and not POSITIONAL.fullmatch(t.string)
+            or t.type == tokenize.NUMBER and not t.string.isdigit()
+            or t.type == tokenize.OP and t.string not in set("=()[],:+*")
+            or t.type not in (tokenize.NAME, tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE,
+                              tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)]
+
+
+@pytest.mark.parametrize("case", ["multirate", "multirate_rt", "transmission", "climate",
+                                  "hostile_ids"])
+def test_period_source_holds_only_positional_names(case, sources):
+    m = hostile_ids_model() if case == "hostile_ids" else load_fixture(case)
+    for depth in (None, 0, 1):
+        g = depth_graph(m, depth)
+        run_sil(g, N, long_stimulus(m, g))
+    assert len(sources) == 3
+    assert [source_tokens(src) for src in sources] == [[], [], []]
+
+
+def test_period_source_is_linear_in_the_firings(sources):
+    # r writes 1000 tokens per firing onto a channel preloaded with 1000,
+    # and g fires 1000 times into s, which reads them as one block behind
+    # 999 preloaded ones: a source per token would be thousands of lines
+    f = Port("f64", 1)
+    g = Sdfg("wide", (
+        Actor("c", "Constant", {"value": 1.0}, Fraction(1000), (), (f,)),
+        Actor("r", "RateTransition", {}, Fraction(1000), (f,), (f,)),
+        Actor("g", "Gain", {"gain": 2.0}, Fraction(1), (f,), (f,)),
+        Actor("s", "RateTransition", {}, Fraction(1000), (f,), (f,)),
+        Actor("y", "Outport", {"index": 0}, Fraction(1000), (f,), ())), (
+        Channel("c0", ("c", 0), ("r", 0), 1, 1),
+        Channel("c1", ("r", 0), ("g", 0), 1000, 1, 1000, (0.5,) * 1000),
+        Channel("c2", ("g", 0), ("s", 0), 1, 1000, 999, (0.0,) * 999),
+        Channel("c3", ("s", 0), ("y", 0), 1, 1)))
+    sum_q = len(build_schedule(g).firings)
+    tr = run_sil(g, N)
+    assert sum_q == 1004
+    assert len(sources[0].splitlines()) <= 3 * sum_q
+    assert source_tokens(sources[0]) == []
+    # g reads the preload, then c's value; s keeps the last of each block
+    assert out_values(tr)[:3] == [1.0, 2.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
 # traces
 
 
@@ -675,6 +892,17 @@ def test_trace_json_rejects_what_csv_rejects(doc, outcome):
 def test_csv_header_is_required():
     with pytest.raises(Exception, match="time,signal,value"):
         Trace.from_csv("nope\n", {})
+
+
+def test_clip_keeps_what_the_filter_kept(transmission):
+    g = translate(normalize(transmission))[0]
+    stim = ramp("throttle", Fraction(1), 64, lambda k: (k * 7) % 100 / 2.0)
+    for tr in (run_mil(transmission, 64, stim), run_sil(g, 16, stim)):
+        for t_end in (0, 1, Fraction(5, 2), 17, 63, 64, 1000):
+            clipped = tr.clip(t_end)
+            assert clipped.specs == tr.specs
+            assert clipped.samples == {sig: [(t, v) for t, v in pts if t < t_end]
+                                       for sig, pts in tr.samples.items()}
 
 
 def test_clip_is_strict():
