@@ -1,14 +1,20 @@
 """C99 emission for a translated dataflow graph.
 
 The bundle is self contained and has two translation units.  The model
-unit, sdfg_<name>.c, holds everything specific to the graph: the channel
-buffers and one table of the channels that sdfg_init and sdfg_check loop
-over, each actor's firing as one case of a dispatch switch (64 cases to
-a function, reached by index / 64), the schedule as an array of actor
-indices, and the iteration count.  The fixed runtime,
+unit, sdfg_<name>.c, holds everything specific to the graph: each
+channel's buffer and its queue, both initialised statically (the buffer
+starts with the channel's delay tokens), the array of queues that
+sdfg_check walks, each actor's firing as one case of a dispatch switch
+(64 cases to a function, reached by index / 64), the schedule as an
+array of actor indices, and the iteration count.  The fixed runtime,
 runtime/sdf_runtime.c, is byte-identical in every bundle: the
-ring-buffer queue, the trace printer and main(), whose stdout is the same
-time,signal,value CSV the schedule interpreter produces.
+ring-buffer queue's push and pop, the trace printer and main(), whose
+stdout is the same time,signal,value CSV the schedule interpreter
+produces.
+
+A firing reads each data channel with one pop of the channel's rate,
+which keeps the token kinds.Kind.keep names.  An event token gates the
+firing when it is > 0, as kinds.truth decides; event ports are scalar.
 
 No model id becomes a C identifier: channels are buf_<k> and q_<k> by
 position, an actor's static data is declared at the top of its own case,
@@ -105,40 +111,30 @@ _RUNTIME_H = """\
 #define SDF_I32 1
 #define SDF_BOOL 2
 
+/* A channel's FIFO over its storage, whose first `delay` tokens are the
+ * channel's initial values; `len` is back at `delay` after an iteration. */
 typedef struct {
     unsigned char *buf;
     size_t elem;
     size_t cap;
     size_t head;
     size_t len;
+    size_t delay;
 } sdf_queue;
 
-/* One channel: its queue, the storage whose first `delay` tokens hold
- * the channel's initial values, the token size and the capacity. */
-typedef struct {
-    sdf_queue *q;
-    void *buf;
-    size_t elem;
-    size_t cap;
-    size_t delay;
-} sdf_channel;
+/* A static initialiser: the queue over storage b, which holds cap tokens. */
+#define SDF_QUEUE(b, cap, delay) { (unsigned char *)(b), sizeof (b)[0], (cap), 0, (delay), (delay) }
 
-void sdf_queue_init(sdf_queue *q, void *storage, size_t elem_size,
-                    size_t capacity, size_t len);
 /* Appends n copies of token. */
 void sdf_queue_push_n(sdf_queue *q, const void *token, size_t n);
-/* Removes n tokens and copies the last of them to token_out. */
-void sdf_queue_pop_n(sdf_queue *q, void *token_out, size_t n);
-/* Removes n tokens. */
-void sdf_queue_drop(sdf_queue *q, size_t n);
-size_t sdf_queue_len(const sdf_queue *q);
+/* Removes n tokens and copies the one at index keep to token_out. */
+void sdf_queue_pop(sdf_queue *q, void *token_out, size_t n, size_t keep);
 
 /* One CSV row per traced token. */
 void sdf_record(const char *t, const char *signal, int dtype,
                 int width, const void *token);
 
 extern const long sdfg_iterations;
-void sdfg_init(void);
 void sdfg_step(void);
 /* Every queue must be back at its delay once an iteration ends. */
 void sdfg_check(void);
@@ -152,16 +148,6 @@ _RUNTIME_C = """\
 #include <stdio.h>
 #include <string.h>
 
-void sdf_queue_init(sdf_queue *q, void *storage, size_t elem_size,
-                    size_t capacity, size_t len) {
-    SDF_ASSERT(len <= capacity);
-    q->buf = (unsigned char *)storage;
-    q->elem = elem_size;
-    q->cap = capacity;
-    q->head = 0;
-    q->len = len;
-}
-
 void sdf_queue_push_n(sdf_queue *q, const void *token, size_t n) {
     size_t i;
     SDF_ASSERT(q->len + n <= q->cap);
@@ -171,21 +157,11 @@ void sdf_queue_push_n(sdf_queue *q, const void *token, size_t n) {
     }
 }
 
-void sdf_queue_pop_n(sdf_queue *q, void *token_out, size_t n) {
-    SDF_ASSERT(n > 0 && q->len >= n);
-    memcpy(token_out, q->buf + (q->head + n - 1) % q->cap * q->elem, q->elem);
+void sdf_queue_pop(sdf_queue *q, void *token_out, size_t n, size_t keep) {
+    SDF_ASSERT(keep < n && q->len >= n);
+    memcpy(token_out, q->buf + (q->head + keep) % q->cap * q->elem, q->elem);
     q->head = (q->head + n) % q->cap;
     q->len -= n;
-}
-
-void sdf_queue_drop(sdf_queue *q, size_t n) {
-    SDF_ASSERT(q->len >= n);
-    q->head = (q->head + n) % q->cap;
-    q->len -= n;
-}
-
-size_t sdf_queue_len(const sdf_queue *q) {
-    return q->len;
 }
 
 void sdf_record(const char *t, const char *signal, int dtype,
@@ -208,7 +184,6 @@ void sdf_record(const char *t, const char *signal, int dtype,
 
 int main(void) {
     long it;
-    sdfg_init();
     printf("time,signal,value\\n");
     for (it = 0; it < sdfg_iterations; ++it) {
         sdfg_step();
@@ -314,9 +289,9 @@ class _Emitter:
         return "\n".join(lines)
 
     def _channels(self) -> list[str]:
-        """Channel storage, its initial tokens, and sdfg_init and sdfg_check
-        as loops over one table of the channels."""
-        lines, table = [], []
+        """Each channel's storage, holding its initial tokens, and its
+        queue, both initialised statically; sdfg_check walks the queues."""
+        lines = []
         for k, c in enumerate(self.g.channels):
             cap = max(self.sched.peaks[c.id], 1)
             init = ""
@@ -324,26 +299,17 @@ class _Emitter:
                 init = " = { " + ", ".join(_c_token(c.dtype, c.width, tok)
                                            for tok in c.initial_values) + " }"
             lines.append(f"static {CTYPE[c.dtype]} buf_{k}[{cap}][{c.width}]{init};")
-            lines.append(f"static sdf_queue q_{k};")
-            table.append(f"    {{ &q_{k}, buf_{k}, sizeof buf_{k}[0], {cap}, {c.delay} }},")
-        lines.append("")
-        if not table:
-            return lines + ["void sdfg_init(void) {", "}", "",
-                            "void sdfg_check(void) {", "}", ""]
+            lines.append(f"static sdf_queue q_{k} = SDF_QUEUE(buf_{k}, {cap}, {c.delay});")
+        if not lines:
+            return ["void sdfg_check(void) {", "}", ""]
+        refs = [f"&q_{k}," for k in range(len(self.g.channels))]
         return lines + [
-            f"static const sdf_channel channels[{len(table)}] = {{", *table, "};", "",
-            "void sdfg_init(void) {",
-            "    size_t i;",
-            "    for (i = 0; i < sizeof channels / sizeof channels[0]; ++i) {",
-            "        const sdf_channel *c = &channels[i];",
-            "        sdf_queue_init(c->q, c->buf, c->elem, c->cap, c->delay);",
-            "    }",
-            "}",
-            "",
+            "", "static sdf_queue *const queues[] = {",
+            *("    " + " ".join(refs[i:i + 16]) for i in range(0, len(refs), 16)), "};", "",
             "void sdfg_check(void) {",
             "    size_t i;",
-            "    for (i = 0; i < sizeof channels / sizeof channels[0]; ++i) {",
-            "        SDF_ASSERT(sdf_queue_len(channels[i].q) == channels[i].delay);",
+            "    for (i = 0; i < sizeof queues / sizeof queues[0]; ++i) {",
+            "        SDF_ASSERT(queues[i]->len == queues[i]->delay);",
             "    }",
             "}",
             ""]
@@ -460,6 +426,7 @@ class _Emitter:
         body: list[str] = []
         if has_events:
             body.append("    int en = 1;")
+        keep = kinds.KINDS[a.kind].keep  # the token a multi-token read keeps
         n_ev = 0
         for slot, p in enumerate(a.in_ports):
             j = self.plan.ch_in[k][slot]
@@ -470,23 +437,16 @@ class _Emitter:
                 ev = f"e{n_ev}"
                 n_ev += 1
                 body.append(f"    {ct} {ev}[{p.width}];")
+                read = [f"sdf_queue_pop(&{qn}, {ev}, 1, 0);", f"en = en && ({ev}[0] > 0);"]
                 if c.rate_dst == 1:
-                    body.append(f"    sdf_queue_pop_n(&{qn}, {ev}, 1);")
-                    body.append(f"    en = en && ({ev}[0] != 0);")
+                    body += ["    " + ln for ln in read]
                 else:
-                    body.append(f"    for (int k = 0; k < {c.rate_dst}; ++k) {{")
-                    body.append(f"        sdf_queue_pop_n(&{qn}, {ev}, 1);")
-                    body.append(f"        en = en && ({ev}[0] != 0);")
-                    body.append("    }")
+                    body += [f"    for (int k = 0; k < {c.rate_dst}; ++k) {{",
+                             *("        " + ln for ln in read), "    }"]
                 continue
             u = f"u{slot - n_ev}"
             body.append(f"    {ct} {u}[{p.width}];")
-            if c.rate_dst == 1 or a.kind == "RateTransition":
-                # a RateTransition keeps the freshest of the consumed tokens
-                body.append(f"    sdf_queue_pop_n(&{qn}, {u}, {c.rate_dst});")
-            else:
-                body.append(f"    sdf_queue_pop_n(&{qn}, {u}, 1);")
-                body.append(f"    sdf_queue_drop(&{qn}, {c.rate_dst - 1});")
+            body.append(f"    sdf_queue_pop(&{qn}, {u}, {c.rate_dst}, {keep % c.rate_dst});")
 
         if a.kind == "Outport":
             d, w = data_specs[0]

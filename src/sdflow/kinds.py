@@ -144,6 +144,8 @@ class Kind:
     feedthrough  output at tick t depends on inputs at tick t
     n_in/n_out   fixed arity, or None when parameter-dependent
     keys         the params a block of this kind may carry
+    keep         which token a dataflow firing that reads several tokens
+                 from one channel keeps: 0 the first, -1 the last
 
     canon_params gates a block's params at load; bind turns one block
     instance into the functions an engine runs.
@@ -154,6 +156,7 @@ class Kind:
     n_in: int | None = 0
     n_out: int | None = 1
     keys: tuple[str, ...] = ()
+    keep = 0
 
     def arity(self, params) -> tuple[int | None, int | None]:
         return self.n_in, self.n_out
@@ -608,6 +611,7 @@ class _RateTransition(Kind):
 
     name = "RateTransition"
     n_in, n_out = 1, 1
+    keep = -1
     keys = ("src_period", "dst_period")
 
     def _canon(self, params, in_specs, out_specs, probs):

@@ -405,9 +405,10 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
 
 
 class EmbeddedDiagram:
-    """One opaque subsystem run as a dataflow actor: a firing is one tick
-    of its inner diagram; while disabled the inner state and outputs are
-    simply left untouched."""
+    """One opaque subsystem run as a dataflow actor.  bind gives Kind.bind's
+    shape, (None, the inner outputs, output, None): a firing is one tick of
+    the inner diagram, or, while the subsystem's own control port is off,
+    leaves the inner state and outputs untouched."""
 
     def __init__(self, block: Block):
         self.eng = DiagramEngine(block)
@@ -416,12 +417,19 @@ class EmbeddedDiagram:
         by_index = {leaves[path].port_index(): path for path in self.eng.res.outports}
         self.out_refs = [self.eng.res.producers[by_index[j]][0]
                          for j in range(len(block.out_ports))]
+        gated = block.mode() in ("triggered", "enabled")
+        self.control = block.params["control_port"] if gated else None
 
-    def fire(self, in_tokens: list, enabled: bool) -> list:
-        if enabled:
-            for idx, path in self.in_index.items():
-                self.eng.last[path] = [in_tokens[idx]]
-            _, latch = self.eng.tick(self.eng.steps)
-            self.eng.update(latch)
+    def bind(self) -> tuple:
+        return None, self.outputs(), self.output, None
+
+    def outputs(self) -> list:
         return [self.eng.last[p][i] for p, i in self.out_refs]
 
+    def output(self, state, ins: list) -> list:
+        if self.control is None or kinds.truth(ins[self.control]):
+            for idx, path in self.in_index.items():
+                self.eng.last[path] = [ins[idx]]
+            _, latch = self.eng.tick(self.eng.steps)
+            self.eng.update(latch)
+        return self.outputs()

@@ -104,8 +104,9 @@ class Sdfg:
 
     def check_wellformed(self):
         """Structural sanity; raises SchemaError on the first problem.
-        Every in-port is bound exactly once; an out-port may feed any
-        number of channels.  The checks run until they pass once."""
+        Every in-port is bound exactly once, and an event in-port is
+        scalar; an out-port may feed any number of channels.  The checks
+        run until they pass once."""
         if "_wellformed" in vars(self):
             return
         actors = {a.id: a for a in self.actors}
@@ -131,9 +132,12 @@ class Sdfg:
             if c.delay < 0 or len(c.initial_values) != c.delay:
                 raise SchemaError(f"channel {c.id}: needs exactly delay={c.delay} initial values")
         for a in self.actors:
-            for slot in range(len(a.in_ports)):
+            for slot, p in enumerate(a.in_ports):
                 if (a.id, slot) not in bound:
                     raise SchemaError(f"actor {a.id}: unbound in port {slot}")
+                if p.event and p.width != 1:
+                    raise SchemaError(f"actor {a.id}: event in port {slot} has width "
+                                      f"{p.width}; event ports are scalar")
         vars(self)["_wellformed"] = True
 
     _index = cached_property(lambda g: _Index(g))  # built on first use

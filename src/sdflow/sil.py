@@ -24,7 +24,8 @@ periods the command line's default 100 steps give never compiles.
 SIL shares only the kinds' bind closures with MIL, on purpose: so
 MIL = SIL checks structure (wiring, rates, delays, schedule), and only
 SIL = C checks kind arithmetic.  An opaque subsystem is the exception
-until it becomes a nested graph: it fires through mil.EmbeddedDiagram.
+until it becomes a nested graph: mil.EmbeddedDiagram binds it, in
+Kind.bind's shape, to an output that ticks its inner diagram.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .mil import EmbeddedDiagram
 from .sdf_core import FiringPlan, Schedule, Sdfg, firing_plan
 from .trace import Trace
 
-_EVAL, _INPORT, _OUTPORT, _EMBED, _SINK = range(5)  # firing roles
+_EVAL, _INPORT, _OUTPORT, _SINK = range(4)  # firing roles
 
 # A run of at least this many periods replays through one generated
 # function: above the measured crossover, with room for slower hosts.
@@ -52,10 +53,10 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
     Each actor is bound once to a tuple: its role, in-port reads (FIFO,
     rate, event flag, kept token index) in slot order, out-channel writes
     (FIFO, out-port index, rate), a [firings, held outputs, state] cell,
-    the output and update functions bound from its kind (None where
-    unused), and a role-specific extra: an Inport's stimulus rows, an
-    Outport's firing times and sample list, a Subsystem's diagram and
-    control slot.
+    the output and update functions bound from its kind, or for an
+    opaque Subsystem from its diagram (None where unused), and a
+    role-specific extra: an Inport's stimulus rows, an Outport's firing
+    times and sample list.
     An actor with no out-channel is a sink: nothing can observe its
     outputs or state, so it is not bound and only consumes its input
     tokens.  The firing loop walks those tuples in schedule order and
@@ -82,9 +83,8 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
                 raise SdflowError(
                     f"actor {a.id}: subsystem internals are not serialized; "
                     "re-translate the model instead of loading the graph")
-            role = _EMBED
-            gated = a.params.get("mode", "normal") in ("triggered", "enabled")
-            extra = (EmbeddedDiagram(a.impl), a.params["control_port"] if gated else None)
+            role = _EVAL
+            cell[2], cell[1], output, update = EmbeddedDiagram(a.impl).bind()
         elif a.kind == "Outport":
             role = _OUTPORT
             trace.declare(a.id, *plan.data_specs[k][0])
@@ -96,7 +96,7 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
             cell[2], cell[1], output, update = kinds.KINDS[a.kind].bind(
                 a.params, plan.data_specs[k], plan.out_specs[k])
             extra = plan.stim[k]
-        keep = -1 if a.kind == "RateTransition" else 0
+        keep = kinds.KINDS[a.kind].keep
         reads = tuple((fifos[j], channels[j].rate_dst, port.event, keep)
                       for j, port in zip(plan.ch_in[k], a.in_ports))
         writes = tuple((fifos[j], channels[j].src[1], channels[j].rate_src)
@@ -145,15 +145,10 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
                 continue
             elif role == _SINK:
                 continue
-            elif role == _INPORT:
+            else:  # _INPORT
                 if enabled and extra is not None:
                     cell[1] = [extra[cell[0]]]
                 produced = cell[1]
-            else:
-                diagram, control = extra
-                if control is not None and enabled:
-                    enabled = truth(vals[control])
-                produced = diagram.fire(vals, enabled)
             for f, j, r in writes:
                 if r == 1:
                     f.append(produced[j])
@@ -193,11 +188,9 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
                            f"X{k}": extra})
             elif role == _OUTPORT:
                 ns[f"T{k}"], ns[f"A{k}"] = extra
-            elif role == _EMBED:
-                ns[f"X{k}"] = extra[0].fire
             if role == _OUTPORT or role == _INPORT and extra is not None:
                 counts.append(f"  c{k} = p * {q[actors[k].id]}")  # its firings before this period
-        keep = actors[k].kind == "RateTransition"  # the last of a multi-token read
+        keep = kinds.KINDS[actors[k].kind].keep
         data, events = [], []
         for j, port in zip(plan.ch_in[k], actors[k].in_ports):
             r, s = chans[j].rate_dst, base[j] + rd[j]
@@ -205,7 +198,7 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
             if port.event:
                 events.append(f"truth(b[{s}])" if r == 1 else f"all(map(truth, b[{s}:{s + r}]))")
             else:
-                data.append(f"b[{s + r - 1 if keep else s}]")
+                data.append(f"b[{s + keep % r}]")
         ins, out, fire = "[" + ", ".join(data) + "]", "o", []
         if role == _EVAL:
             if events:
@@ -217,10 +210,6 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
             out = f"h{k}"
             if extra is not None:
                 fire = [f"h{k} = [X{k}[c{k} + {n}]]"]
-        elif role == _EMBED:
-            if extra[1] is not None:
-                events.append(f"truth({data[extra[1]]})")
-            fire, events = [f"o = X{k}({ins}, {' and '.join(events) or 'True'})"], []
         elif role == _OUTPORT:
             fire = [f"A{k}((T{k}[c{k} + {n}], {data[0]}))"]
         cond = " and ".join(events)

@@ -43,6 +43,31 @@ def test_runtime_is_the_same_in_every_bundle(multirate_rt, transmission):
     assert a[f"sdfg_{multirate_rt.name}.c"] != b[f"sdfg_{transmission.name}.c"]
 
 
+def c_functions(src: str, end: str, public: bool = False) -> set[str]:
+    """The file-scope functions `src` declares (end ";") or defines (end
+    "{"); with `public`, only those that are not static."""
+    src = re.sub(r"/\*.*?\*/", "", src, flags=re.S)
+    start = "(?!static)" if public else ""
+    return set(re.findall(rf"^{start}[a-z][\w *]*?\b(\w+)\([^)]*\)\s*{re.escape(end)}",
+                          src, re.M))
+
+
+def test_every_runtime_declaration_is_defined(multirate_rt, climate):
+    # what sdf_runtime.h declares, the runtime or each model unit defines,
+    # and neither defines an undeclared public function but main
+    lone = model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1])], [], name="lone")
+    bundles = [emit_bundle(graph_of(m), periods=2, asserts=a)
+               for m, a in ((multirate_rt, True), (climate, False), (lone, True))]
+    runtime = bundles[0].files
+    declared = c_functions(runtime["runtime/sdf_runtime.h"], ";")
+    defined = c_functions(runtime["runtime/sdf_runtime.c"], "{")
+    assert defined == {"sdf_queue_push_n", "sdf_queue_pop", "sdf_record", "main"}
+    for b in bundles:
+        unit = b.files[f"sdfg_{b.name}.c"]
+        assert declared == (defined | c_functions(unit, "{", public=True)) - {"main"}
+        assert "sdfg_init" not in unit and "channels" not in unit
+
+
 @pytest.mark.parametrize("name", ["transmission", "climate"])
 def test_one_time_table_per_outport_period(name, request):
     g = graph_of(request.getfixturevalue(name))
@@ -296,11 +321,46 @@ def test_unstimulated_inport_reads_zero(transmission, tmp_path):
 
 
 def test_empty_model_prints_header_only(tmp_path):
+    c = blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1])
+    # an unread Gain, and no channel at all
+    for k, m in enumerate([model([c, blk("g", "Gain", {"gain": 1.0}, ins=[F1], outs=[F1])],
+                                 [conn(("c", 0), ("g", 0))], name="mute"),
+                           model([c], [], name="mute")]):
+        out = compile_and_run(emit_bundle(graph_of(m), periods=2), tmp_path / str(k))
+        assert out == "time,signal,value\n"
+
+
+@pytest.mark.parametrize("perturb, fires", [
+    (lambda c, g, y: [c, g], "queues[i]->len == queues[i]->delay"),
+    (lambda c, g, y: [g, c, y], "keep < n && q->len >= n"),
+    (lambda c, g, y: [c, c, g, y], "q->len + n <= q->cap"),
+], ids=["sdfg_check", "underflow", "overflow"])
+def test_queue_checks_fire(tmp_path, perturb, fires):
+    # the schedule c, g, y of a chain run with one thing changed: the
+    # Outport's firing dropped, the Gain before its producer, or the
+    # Constant fired twice into its one-token queue
     m = model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
-               blk("g", "Gain", {"gain": 1.0}, ins=[F1], outs=[F1])],
-              [conn(("c", 0), ("g", 0))], name="mute")
-    out = compile_and_run(emit_bundle(graph_of(m), periods=2), tmp_path)
-    assert out == "time,signal,value\n"
+               blk("g", "Gain", {"gain": 2.0}, ins=[F1], outs=[F1]),
+               blk("y", "Outport", {"index": 0}, ins=[F1])],
+              [conn(("c", 0), ("g", 0)), conn(("g", 0), ("y", 0))], name="chk")
+    g = graph_of(m)
+    b = emit_bundle(g, periods=2)
+    unit = "sdfg_chk.c"
+    pos = {a.id: k for k, a in enumerate(g.actors)}
+    array = r"static const int schedule\[\d+\] = \{[^}]*\};"
+    assert re.findall(array, b.files[unit]) == [
+        f"static const int schedule[3] = {{\n    {pos['c']}, {pos['g']}, {pos['y']},\n}};"]
+    assert compile_and_run(b, tmp_path / "ok") == "time,signal,value\n0,y,2\n1,y,2\n"
+    order = perturb(pos["c"], pos["g"], pos["y"])
+    b.files[unit] = re.sub(array, f"static const int schedule[] = {{ {str(order)[1:-1]} }};",
+                           b.files[unit])
+    b.write(str(tmp_path / "bad"))
+    build = run_build(tmp_path / "bad", env={"CC": "cc -Wall -Wextra -pedantic -Werror"},
+                      capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    run = subprocess.run([str(tmp_path / "bad" / "sdfg_chk")], capture_output=True, text=True)
+    assert run.returncode != 0
+    assert fires in run.stderr
 
 
 def test_actor_with_no_out_channel_only_pops(tmp_path):
@@ -328,7 +388,7 @@ def test_actor_with_no_out_channel_only_pops(tmp_path):
     # no state (it would be a static of this case), no compute, no
     # transition: one buffer and its pop
     assert [ln.split("(")[0].strip() for ln in body.splitlines() if ln.strip()] == \
-        ["double u0[1];", "sdf_queue_pop_n"]
+        ["double u0[1];", "sdf_queue_pop"]
     ref = run_sil(g, 3)
     got = c_trace(b, tmp_path, ref.specs)
     assert compare_traces(ref, got).ok and got.to_csv() == ref.to_csv()
@@ -400,3 +460,42 @@ def test_multi_token_reads_keep_the_first_data_token(tmp_path):
     assert ref.samples["yh"] == [(0, 10.0), (2, 10.0), (4, 10.0), (6, 70.0)]
     got = c_trace(emit_bundle(g, periods=4, stimulus=stim), tmp_path, ref.specs)
     assert got.to_csv() == ref.to_csv()
+
+
+@pytest.mark.parametrize("dtype, enable, y", [
+    ("f64", -1.0, 0.0), ("f64", 0.5, 6.0), ("i32", -1, 0.0), ("i32", 2, 6.0)])
+def test_numeric_enable_gates_when_positive(tmp_path, dtype, enable, y):
+    # an event token enables a firing when it is > 0 (kinds.truth), in SIL
+    # and in C alike: a negative one holds the Gain's initial output
+    doc = {"name": "gate", "actors": [
+        _actor("u", "Constant", {"value": 3.0}, 1, outs=[_port()]),
+        _actor("e", "Constant", {"value": enable}, 1, outs=[_port(dtype)]),
+        _actor("g", "Gain", {"gain": 2.0}, 1, ins=[_port(), _port(dtype, True)],
+               outs=[_port()]),
+        _actor("y", "Outport", {"index": 0}, 1, ins=[_port()]),
+    ], "channels": [
+        _channel(("u", 0), ("g", 0), 1), _channel(("e", 0), ("g", 1), 1, dtype),
+        _channel(("g", 0), ("y", 0), 1),
+    ]}
+    g = load_sdfg(doc)
+    ref = run_sil(g, 2)
+    assert ref.samples["y"] == [(0, y), (1, y)]
+    got = c_trace(emit_bundle(g, periods=2), tmp_path, ref.specs)
+    assert got.to_csv() == ref.to_csv()
+
+
+def test_event_ports_are_scalar():
+    wide = {"dtype": "bool", "width": 2, "event": True}
+    doc = {"name": "wide", "actors": [
+        _actor("u", "Constant", {"value": 3.0}, 1, outs=[_port()]),
+        _actor("e", "Constant", {"value": [True, False]}, 1,
+               outs=[{"dtype": "bool", "width": 2}]),
+        _actor("g", "Gain", {"gain": 2.0}, 1, ins=[_port(), wide], outs=[_port()]),
+        _actor("y", "Outport", {"index": 0}, 1, ins=[_port()]),
+    ], "channels": [
+        _channel(("u", 0), ("g", 0), 1),
+        {**_channel(("e", 0), ("g", 1), 1, "bool"), "width": 2},
+        _channel(("g", 0), ("y", 0), 1),
+    ]}
+    with pytest.raises(SchemaError, match=r"actor g: event in port 1 has width 2"):
+        load_sdfg(doc)
