@@ -30,7 +30,7 @@ from . import normalizer, sdf_core, translator, validator
 from .errors import (DeadlockError, InconsistentError, SchemaError, SdflowError,
                      ValidationFailed)
 from .mil import run_mil
-from .model_ir import BlockModel, dump_model_file, load_model_file
+from .model_ir import BlockModel, load_model_file, save_model
 from .sil import run_sil
 from .trace import Trace, compare_traces
 
@@ -90,14 +90,19 @@ def _translate(m: BlockModel, depth):
     return n, translator.translate(n)
 
 
-def _schedule(args, m, g) -> tuple[sdf_core.Schedule, Fraction, int]:
-    """The one schedule the run replays, the wall-clock span of --steps base
-    steps, and the schedule iterations that cover it (or --periods)."""
-    sched = sdf_core.build_schedule(g)
+def _schedule(args, m, g) -> tuple[Fraction, int]:
+    """The wall-clock span of --steps base steps, and the iterations of the
+    graph's own schedule that cover it (or --periods)."""
     span = Fraction(args.steps) * m.base_step
     if getattr(args, "periods", None) is not None:
-        return sched, span, args.periods
-    return sched, span, int(ceil(span / sched.span))
+        return span, args.periods
+    return span, int(ceil(span / sdf_core.sil_span(g)))
+
+
+def _write_json(obj, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -132,26 +137,13 @@ def cmd_translate(args) -> int:
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     files = {}
-
-    path = os.path.join(outdir, f"normalized_{m.name}.json")
-    dump_model_file(n.model, path)
-    files["normalized"] = path
-
-    path = os.path.join(outdir, f"provenance_{m.name}.json")
-    with open(path, "w") as f:
-        json.dump({"depth": n.depth, "blocks": n.provenance}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    files["provenance"] = path
-
-    path = os.path.join(outdir, f"sdfg_{m.name}.json")
-    sdf_core.dump_sdfg_file(g, path)
-    files["graph"] = path
-
-    path = os.path.join(outdir, f"report_{m.name}.json")
-    with open(path, "w") as f:
-        json.dump(rep.to_json(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    files["report"] = path
+    for key, stem, obj in (
+            ("normalized", "normalized", save_model(n.model)),
+            ("provenance", "provenance", {"depth": n.depth, "blocks": n.provenance}),
+            ("graph", "sdfg", sdf_core.save_sdfg(g)),
+            ("report", "report", rep.to_json())):
+        files[key] = path = os.path.join(outdir, f"{stem}_{m.name}.json")
+        _write_json(obj, path)
 
     if args.emit_dot:
         path = os.path.join(outdir, f"sdfg_{m.name}.dot")
@@ -209,8 +201,8 @@ def cmd_simulate_mil(args) -> int:
 def cmd_simulate_sil(args) -> int:
     m = load_model_file(args.model)
     _, (g, _) = _translate(m, args.depth)
-    sched, _, periods = _schedule(args, m, g)
-    trace = run_sil(g, periods, _load_stimulus(args.stimulus, m), schedule=sched)
+    _, periods = _schedule(args, m, g)
+    trace = run_sil(g, periods, _load_stimulus(args.stimulus, m))
     _write_or_print(_trace_text(trace, args.json), args.out)
     return 0
 
@@ -219,9 +211,9 @@ def cmd_verify(args) -> int:
     m = load_model_file(args.model)
     stim = _load_stimulus(args.stimulus, m)
     _, (g, _) = _translate(m, args.depth)
-    sched, span, periods = _schedule(args, m, g)
+    span, periods = _schedule(args, m, g)
     mil = run_mil(m, args.steps, stimulus=stim)
-    sil = run_sil(g, periods, stim, schedule=sched)
+    sil = run_sil(g, periods, stim)
     cmp = compare_traces(mil.clip(span), sil.clip(span), tol=args.tol)
     if args.json:
         print(json.dumps({"pass": cmp.ok, "samples": cmp.samples,
@@ -238,9 +230,9 @@ def cmd_verify(args) -> int:
 def cmd_codegen(args) -> int:
     m = load_model_file(args.model)
     _, (g, _) = _translate(m, args.depth)
-    sched, _, periods = _schedule(args, m, g)
+    _, periods = _schedule(args, m, g)
     bundle = codegen_mod.emit_bundle(g, periods, _load_stimulus(args.stimulus, m),
-                                     asserts=not args.no_asserts, schedule=sched)
+                                     asserts=not args.no_asserts)
     outdir = args.out or f"codegen_{m.name}"
     paths = bundle.write(outdir)
     if args.json:

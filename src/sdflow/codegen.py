@@ -7,14 +7,20 @@ starts with the channel's delay tokens), the array of queues that
 sdfg_check walks, each actor's firing as one case of a dispatch switch
 (64 cases to a function, reached by index / 64), the schedule as an
 array of actor indices, and the iteration count.  The fixed runtime,
-runtime/sdf_runtime.c, is byte-identical in every bundle: the
-ring-buffer queue's push and pop, the trace printer and main(), whose
-stdout is the same time,signal,value CSV the schedule interpreter
-produces.
+runtime/sdf_runtime.h and runtime/sdf_runtime.c, is byte-identical in
+every bundle: the i32 wraparound and division helpers (static inline in
+the header), the ring-buffer queue's push and pop, the trace printer and
+main(), whose stdout is the same time,signal,value CSV the schedule
+interpreter produces.
 
 A firing reads each data channel with one pop of the channel's rate,
 which keeps the token kinds.Kind.keep names.  An event token gates the
 firing when it is > 0, as kinds.truth decides; event ports are scalar.
+An output that a firing may leave unchanged, a gated actor's or an
+Inport's without stimulus, is a static holding the kind's initial
+outputs (Kind.bind), so a gated firing is one `if (en)` around its
+computation and its state update, and an Inport without stimulus does
+nothing when it fires but push.
 
 No model id becomes a C identifier: channels are buf_<k> and q_<k> by
 position, an actor's static data is declared at the top of its own case,
@@ -42,7 +48,7 @@ from math import isinf, isnan
 
 from . import kinds
 from .errors import UnsupportedKindError
-from .sdf_core import Schedule, Sdfg, firing_plan
+from .sdf_core import FiringPlan, Schedule, Sdfg, firing_plan
 from .trace import Trace, time_str
 
 CTYPE = {"f64": "double", "i32": "int32_t", "bool": "unsigned char"}
@@ -91,14 +97,15 @@ def _sanitize(s: str) -> str:
 
 
 _RUNTIME_H = """\
-/* The fixed runtime of every bundle: a FIFO of fixed-size tokens over
- * caller storage, the trace printer and main().  The model unit defines
- * the sdfg_ names declared at the end. */
+/* The fixed runtime of every bundle: the i32 arithmetic, a FIFO of
+ * fixed-size tokens over caller storage, the trace printer and main().
+ * The model unit defines the sdfg_ names declared at the end. */
 #ifndef SDF_RUNTIME_H
 #define SDF_RUNTIME_H
 
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #ifndef SDF_NO_ASSERT
 #include <assert.h>
@@ -106,6 +113,19 @@ _RUNTIME_H = """\
 #else
 #define SDF_ASSERT(x) ((void)0)
 #endif
+
+/* Two's-complement wraparound, the reference arithmetic for i32. */
+static inline int32_t sdf_wrap32(int64_t v) {
+    uint32_t u = (uint32_t)v;
+    int32_t r;
+    memcpy(&r, &u, sizeof r);
+    return r;
+}
+
+static inline int32_t sdf_div32(int32_t a, int32_t b) {
+    SDF_ASSERT(b != 0);
+    return sdf_wrap32((int64_t)a / (int64_t)b);
+}
 
 #define SDF_F64 0
 #define SDF_I32 1
@@ -231,401 +251,329 @@ def emit_bundle(g: Sdfg, periods: int = 1, stimulus: Trace | None = None,
             raise UnsupportedKindError(
                 f"actor {a.id}: subsystem actors have no C form; "
                 "translate the model fully flattened instead")
-    em = _Emitter(g, plan, periods, asserts)
-    return SourceBundle(em.name, em.files())
+    name = _sanitize(g.name)
+    return SourceBundle(name, {
+        "runtime/sdf_runtime.h": _RUNTIME_H,
+        "runtime/sdf_runtime.c": _RUNTIME_C,
+        f"sdfg_{name}.c": _model_source(g, plan, periods),
+        "build.sh": _build_script(name, asserts),
+    })
 
 
-class _Emitter:
-    def __init__(self, g, plan, periods, asserts):
-        self.g = g
-        self.sched = plan.schedule
-        self.plan = plan
-        self.periods = periods
-        self.asserts = asserts
-        self.name = _sanitize(g.name)
-        self.tm: dict = {}  # Outport period -> its time table
+def _model_source(g: Sdfg, plan: FiringPlan, periods: int) -> str:
+    tables, tm = _time_tables(g, plan)
+    cases = []
+    for k, a in enumerate(g.actors):
+        # an id reaches C only here and in string literals, and a
+        # comment may hold neither "*/" nor "/*"
+        note = a.id.replace("*/", "* /").replace("/*", "/ *")
+        cases.append("\n".join([f"    case {k}: {{ /* {a.kind} {note} */",
+                                *_case(g, plan, k, a, tm), "        break;", "    }"]))
+    return "\n".join(["#include <math.h>", "", '#include "sdf_runtime.h"', "",
+                      f"const long sdfg_iterations = {periods}L;", "",
+                      *_channels(g, plan.schedule), *tables, "", *_dispatch(plan, cases)])
 
-    # ------------------------------------------------------------------
-    # bundle assembly
 
-    def files(self) -> dict[str, str]:
-        n = self.name
-        return {
-            "runtime/sdf_runtime.h": _RUNTIME_H,
-            "runtime/sdf_runtime.c": _RUNTIME_C,
-            f"sdfg_{n}.c": self._model_source(),
-            "build.sh": self._build_script(),
-        }
+def _channels(g: Sdfg, sched: Schedule) -> list[str]:
+    """Each channel's storage, holding its initial tokens, and its queue,
+    both initialised statically; sdfg_check walks the queues."""
+    lines = []
+    for k, c in enumerate(g.channels):
+        cap = max(sched.peaks[c.id], 1)
+        init = ""
+        if c.initial_values:
+            init = " = { " + ", ".join(_c_token(c.dtype, c.width, tok)
+                                       for tok in c.initial_values) + " }"
+        lines.append(f"static {CTYPE[c.dtype]} buf_{k}[{cap}][{c.width}]{init};")
+        lines.append(f"static sdf_queue q_{k} = SDF_QUEUE(buf_{k}, {cap}, {c.delay});")
+    if not lines:
+        return ["void sdfg_check(void) {", "}", ""]
+    refs = [f"&q_{k}," for k in range(len(g.channels))]
+    return lines + [
+        "", "static sdf_queue *const queues[] = {",
+        *("    " + " ".join(refs[i:i + 16]) for i in range(0, len(refs), 16)), "};", "",
+        "void sdfg_check(void) {",
+        "    size_t i;",
+        "    for (i = 0; i < sizeof queues / sizeof queues[0]; ++i) {",
+        "        SDF_ASSERT(queues[i]->len == queues[i]->delay);",
+        "    }",
+        "}",
+        ""]
 
-    def _model_source(self) -> str:
-        lines = ["#include <math.h>", "#include <string.h>", "",
-                 '#include "sdf_runtime.h"', "",
-                 f"const long sdfg_iterations = {self.periods}L;", "",
-                 "/* Two's-complement wraparound, the reference arithmetic for i32. */",
-                 "static inline int32_t sdf_wrap32(int64_t v) {",
-                 "    uint32_t u = (uint32_t)v;",
-                 "    int32_t r;",
-                 "    memcpy(&r, &u, sizeof r);",
-                 "    return r;",
-                 "}",
-                 "",
-                 "static inline int32_t sdf_div32(int32_t a, int32_t b) {",
-                 "    SDF_ASSERT(b != 0);",
-                 "    return sdf_wrap32((int64_t)a / (int64_t)b);",
-                 "}",
-                 ""]
-        lines += self._channels()
-        lines += self._time_tables()
-        cases = []
-        for k, a in enumerate(self.g.actors):
-            body = self._actor_section(k, a) + ["    break;"]
-            # an id reaches C only here and in string literals, and a
-            # comment may hold neither "*/" nor "/*"
-            note = a.id.replace("*/", "* /").replace("/*", "/ *")
-            cases.append(f"    case {k}: {{ /* {a.kind} {note} */\n    "
-                         + "\n    ".join(body) + "\n    }")
-        lines.append("")
-        lines += self._dispatch(cases)
-        return "\n".join(lines)
 
-    def _channels(self) -> list[str]:
-        """Each channel's storage, holding its initial tokens, and its
-        queue, both initialised statically; sdfg_check walks the queues."""
-        lines = []
-        for k, c in enumerate(self.g.channels):
-            cap = max(self.sched.peaks[c.id], 1)
-            init = ""
-            if c.initial_values:
-                init = " = { " + ", ".join(_c_token(c.dtype, c.width, tok)
-                                           for tok in c.initial_values) + " }"
-            lines.append(f"static {CTYPE[c.dtype]} buf_{k}[{cap}][{c.width}]{init};")
-            lines.append(f"static sdf_queue q_{k} = SDF_QUEUE(buf_{k}, {cap}, {c.delay});")
-        if not lines:
-            return ["void sdfg_check(void) {", "}", ""]
-        refs = [f"&q_{k}," for k in range(len(self.g.channels))]
-        return lines + [
-            "", "static sdf_queue *const queues[] = {",
-            *("    " + " ".join(refs[i:i + 16]) for i in range(0, len(refs), 16)), "};", "",
-            "void sdfg_check(void) {",
-            "    size_t i;",
-            "    for (i = 0; i < sizeof queues / sizeof queues[0]; ++i) {",
-            "        SDF_ASSERT(queues[i]->len == queues[i]->delay);",
-            "    }",
-            "}",
-            ""]
+def _time_tables(g: Sdfg, plan: FiringPlan) -> tuple[list[str], dict]:
+    """One table of firing times per Outport period, which every Outport
+    of that period indexes by its own firing count, and the table's name
+    by period."""
+    lines, tm = [], {}
+    for k, a in enumerate(g.actors):
+        if a.kind == "Outport" and a.period not in tm:
+            tm[a.period] = name = f"tm_{len(tm)}"
+            lines.append(f"static const char *const {name}[{len(plan.times[k])}] = "
+                         "{ " + ", ".join(_c_str(time_str(t)) for t in plan.times[k]) + " };")
+    return lines, tm
 
-    def _time_tables(self) -> list[str]:
-        """One table of firing times per Outport period, which every
-        Outport of that period indexes by its own firing count."""
-        lines = []
-        for k, a in enumerate(self.g.actors):
-            if a.kind == "Outport" and a.period not in self.tm:
-                self.tm[a.period] = tm = f"tm_{len(self.tm)}"
-                times = self.plan.times[k]
-                lines.append(f"static const char *const {tm}[{len(times)}] = "
-                             "{ " + ", ".join(_c_str(time_str(t)) for t in times) + " };")
-        return lines
 
-    def _dispatch(self, cases: list[str]) -> list[str]:
-        """The cases, _CHUNK to a function switching on the actor's index,
-        and sdfg_step walking the schedule."""
-        lines: list[str] = []
-        for lo in range(0, len(cases), _CHUNK):
-            lines += [f"static void fire_{lo // _CHUNK}(int actor) {{", "    switch (actor) {",
-                      *cases[lo:lo + _CHUNK], "    }", "}", ""]
-        if not self.sched.firings:
-            return lines + ["void sdfg_step(void) {", "}", ""]
-        order = [str(k) for k in self.plan.steps]
-        n_fire = -(-len(cases) // _CHUNK)
-        lines.append(f"static void (*const fire[{n_fire}])(int) = {{ " +
-                     ", ".join(f"fire_{i}" for i in range(n_fire)) + " };")
-        lines.append("")
-        lines.append(f"static const int schedule[{len(order)}] = {{")
-        lines += ["    " + ", ".join(order[i:i + 16]) + ","
-                  for i in range(0, len(order), 16)]
-        lines += ["};", "",
-                  "void sdfg_step(void) {",
-                  "    size_t i;",
-                  "    for (i = 0; i < sizeof schedule / sizeof schedule[0]; ++i) {",
-                  f"        fire[schedule[i] / {_CHUNK}](schedule[i]);",
-                  "    }",
-                  "}",
-                  ""]
-        return lines
+def _dispatch(plan: FiringPlan, cases: list[str]) -> list[str]:
+    """The cases, _CHUNK to a function switching on the actor's index, and
+    sdfg_step walking the schedule."""
+    lines: list[str] = []
+    for lo in range(0, len(cases), _CHUNK):
+        lines += [f"static void fire_{lo // _CHUNK}(int actor) {{", "    switch (actor) {",
+                  *cases[lo:lo + _CHUNK], "    }", "}", ""]
+    if not plan.steps:
+        return lines + ["void sdfg_step(void) {", "}", ""]
+    order = [str(k) for k in plan.steps]
+    n_fire = -(-len(cases) // _CHUNK)
+    lines += [f"static void (*const fire[{n_fire}])(int) = {{ "
+              + ", ".join(f"fire_{i}" for i in range(n_fire)) + " };", "",
+              f"static const int schedule[{len(order)}] = {{",
+              *("    " + ", ".join(order[i:i + 16]) + "," for i in range(0, len(order), 16)),
+              "};", "",
+              "void sdfg_step(void) {",
+              "    size_t i;",
+              "    for (i = 0; i < sizeof schedule / sizeof schedule[0]; ++i) {",
+              f"        fire[schedule[i] / {_CHUNK}](schedule[i]);",
+              "    }",
+              "}",
+              ""]
+    return lines
 
-    def _build_script(self) -> str:
-        n = self.name
-        flags = "-std=c99 -O2 -ffp-contract=off -Iruntime"
-        if not self.asserts:
-            flags += " -DSDF_NO_ASSERT"
-        # the model unit first: it is the larger
-        units = [f"sdfg_{n}", "runtime/sdf_runtime"]
-        return "\n".join([
-            "#!/bin/sh",
-            "# Compiles the model unit and the fixed runtime concurrently, then",
-            "# links them. -ffp-contract=off keeps double arithmetic identical",
-            "# to the reference interpreter (no fused multiply-add).",
-            "# No set -e: every started compiler is waited for before exit.",
-            'cd "$(dirname "$0")" || exit 1',
-            ': "${CC:=cc}"',
-            "pids=",
-            *(f'$CC {flags} -c {u}.c -o {u}.o & pids="$pids $!"' for u in units),
-            "status=0",
-            'for p in $pids; do wait "$p" || status=1; done',
-            '[ "$status" = 0 ] || exit 1',
-            f"exec $CC {' '.join(u + '.o' for u in units)} -lm -o sdfg_{n}",
-            "",
-        ])
 
-    # ------------------------------------------------------------------
-    # per-actor emission
+def _build_script(name: str, asserts: bool) -> str:
+    flags = "-std=c99 -O2 -ffp-contract=off -Iruntime" + ("" if asserts else " -DSDF_NO_ASSERT")
+    # the model unit first: it is the larger
+    units = [f"sdfg_{name}", "runtime/sdf_runtime"]
+    return "\n".join([
+        "#!/bin/sh",
+        "# Compiles the model unit and the fixed runtime concurrently, then",
+        "# links them. -ffp-contract=off keeps double arithmetic identical",
+        "# to the reference interpreter (no fused multiply-add).",
+        "# No set -e: every started compiler is waited for before exit.",
+        'cd "$(dirname "$0")" || exit 1',
+        ': "${CC:=cc}"',
+        "pids=",
+        *(f'$CC {flags} -c {u}.c -o {u}.o & pids="$pids $!"' for u in units),
+        "status=0",
+        'for p in $pids; do wait "$p" || status=1; done',
+        '[ "$status" = 0 ] || exit 1',
+        f"exec $CC {' '.join(u + '.o' for u in units)} -lm -o sdfg_{name}",
+        "",
+    ])
 
-    def _actor_section(self, k, a) -> list[str]:
-        """The body of the case of actor `a`, at position `k`: its static
-        data, then its firing."""
-        data_specs = self.plan.data_specs[k]
-        out_full = self.plan.out_specs[k]
-        live = sorted({self.g.channels[j].src[1] for j in self.plan.ch_out[k]})
-        has_events = any(p.event for p in a.in_ports)
-        stim = self.plan.stim[k]  # an Inport's signal: one token per firing of the run
 
-        if not (live or a.kind == "Outport"):
-            # nothing observes the outputs or state of an actor with no
-            # out-channel: as in the schedule interpreter, it only pops
-            return self._fire_body(k, a, data_specs, out_full, live, False)
-        statics: list[str] = []
+# ---------------------------------------------------------------------------
+# per-actor emission: every line at its final indent
+
+
+def _case(g: Sdfg, plan: FiringPlan, k: int, a, tm: dict) -> list[str]:
+    """The body of the case of actor `a`, at position `k`: its static data,
+    its reads, its firing and its writes.
+
+    Only outputs some channel reads are computed: an actor with no
+    out-channel only pops.  An output a firing may leave unchanged, a
+    gated actor's or an Inport's without stimulus, is a static holding the
+    kind's initial outputs until a firing computes it."""
+    ind = " " * 8  # a case body's
+    data_specs, out_specs = plan.data_specs[k], plan.out_specs[k]
+    live = sorted({g.channels[j].src[1] for j in plan.ch_out[k]})
+    stim = plan.stim[k]  # an Inport's signal: one token per firing of the run
+    computes = bool(live) and (a.kind != "Inport" or stim is not None)
+    gated = computes and any(p.event for p in a.in_ports)
+    lines = []
+    if live:
         if a.kind == "Chart":
             idx = a.params["states"].index(a.params["initial"])
-            statics.append(f"static int st = {idx};")
+            lines.append(f"{ind}static int st = {idx};")
         if a.kind in ("UnitDelay", "DataStoreMemory"):
-            d, w = out_full[0]
-            init = _c_token(d, w, a.params["initial"])
-            statics.append(f"static {CTYPE[d]} st[{w}] = {init};")
+            d, w = out_specs[0]
+            lines.append(f"{ind}static {CTYPE[d]} st[{w}] = "
+                         f"{_c_token(d, w, a.params['initial'])};")
         if a.kind == "Lookup1D":
-            bp, tab = a.params["breakpoints"], a.params["table"]
-            statics.append(f"static const double bp[{len(bp)}] = "
-                           "{ " + ", ".join(_c_f64(x) for x in bp) + " };")
-            statics.append(f"static const double tab[{len(tab)}] = "
-                           "{ " + ", ".join(_c_f64(x) for x in tab) + " };")
-        if has_events and live:
-            init_out = kinds.KINDS[a.kind].bind(a.params, data_specs, out_full)[1]
-            for j in live:
-                d, w = out_full[j]
-                lit = _c_token(d, w, init_out[j])
-                statics.append(f"static {CTYPE[d]} held{j}[{w}] = {lit};")
-        if stim is not None:
-            d, w = out_full[0]
-            rows = ", ".join(_c_token(d, w, tok) for tok in stim)
-            statics.append(f"static const {CTYPE[d]} stim[{len(stim)}][{w}] = {{ {rows} }};")
-        if a.kind == "Outport" or stim is not None:
-            statics.append("static long n;")
-        return (["    " + ln for ln in statics]
-                + self._fire_body(k, a, data_specs, out_full, live, has_events))
-
-    def _fire_body(self, k, a, data_specs, out_full, live, has_events):
-        body: list[str] = []
-        if has_events:
-            body.append("    int en = 1;")
-        keep = kinds.KINDS[a.kind].keep  # the token a multi-token read keeps
-        n_ev = 0
-        for slot, p in enumerate(a.in_ports):
-            j = self.plan.ch_in[k][slot]
-            c = self.g.channels[j]
-            qn = f"q_{j}"
-            ct = CTYPE[p.dtype]
-            if p.event and has_events:
-                ev = f"e{n_ev}"
-                n_ev += 1
-                body.append(f"    {ct} {ev}[{p.width}];")
-                read = [f"sdf_queue_pop(&{qn}, {ev}, 1, 0);", f"en = en && ({ev}[0] > 0);"]
-                if c.rate_dst == 1:
-                    body += ["    " + ln for ln in read]
-                else:
-                    body += [f"    for (int k = 0; k < {c.rate_dst}; ++k) {{",
-                             *("        " + ln for ln in read), "    }"]
-                continue
-            u = f"u{slot - n_ev}"
-            body.append(f"    {ct} {u}[{p.width}];")
-            body.append(f"    sdf_queue_pop(&{qn}, {u}, {c.rate_dst}, {keep % c.rate_dst});")
-
-        if a.kind == "Outport":
-            d, w = data_specs[0]
-            body.append(f"    sdf_record({self.tm[a.period]}[n], {_c_str(a.id)}, "
-                        f"{DTCODE[d]}, {w}, u0);")
-            body.append("    n += 1;")
-            return body
-        if not live:
-            return body
-
+            for v, xs in (("bp", a.params["breakpoints"]), ("tab", a.params["table"])):
+                lines.append(f"{ind}static const double {v}[{len(xs)}] = "
+                             "{ " + ", ".join(_c_f64(x) for x in xs) + " };")
+        persist = gated or not computes
+        init = kinds.KINDS[a.kind].bind(a.params, data_specs, out_specs)[1] if persist else ()
         for j in live:
-            d, w = out_full[j]
-            body.append(f"    {CTYPE[d]} o{j}[{w}];")
+            d, w = out_specs[j]
+            lines.append(f"{ind}static {CTYPE[d]} o{j}[{w}] = {_c_token(d, w, init[j])};"
+                         if persist else f"{ind}{CTYPE[d]} o{j}[{w}];")
+    if stim is not None:
+        d, w = out_specs[0]
+        rows = ", ".join(_c_token(d, w, tok) for tok in stim)
+        lines.append(f"{ind}static const {CTYPE[d]} stim[{len(stim)}][{w}] = {{ {rows} }};")
+    counted = a.kind == "Outport" or stim is not None
+    if counted:
+        lines.append(f"{ind}static long n;")
+    if gated:
+        lines.append(f"{ind}int en = 1;")
 
-        compute = self._compute_lines(k, a, data_specs, out_full, live)
-        update = self._update_lines(a, data_specs)
-        if has_events:
-            body.append("    if (en) {")
-            body += ["    " + ln for ln in compute]
-            for j in live:
-                body.append(f"        memcpy(held{j}, o{j}, sizeof o{j});")
-            body += ["    " + ln for ln in update]
-            body.append("    } else {")
-            for j in live:
-                body.append(f"        memcpy(o{j}, held{j}, sizeof o{j});")
-            body.append("    }")
+    keep = kinds.KINDS[a.kind].keep  # the token a multi-token read keeps
+    n_ev = 0
+    for slot, p in enumerate(a.in_ports):
+        j = plan.ch_in[k][slot]
+        r = g.channels[j].rate_dst
+        if not p.event:
+            u = f"u{slot - n_ev}"
+            lines.append(f"{ind}{CTYPE[p.dtype]} {u}[{p.width}];")
+            lines.append(f"{ind}sdf_queue_pop(&q_{j}, {u}, {r}, {keep % r});")
+            continue
+        ev = f"e{n_ev}"
+        n_ev += 1
+        lines.append(f"{ind}{CTYPE[p.dtype]} {ev}[{p.width}];")
+        if not gated:  # nothing to gate: the tokens are only consumed
+            lines.append(f"{ind}sdf_queue_pop(&q_{j}, {ev}, {r}, 0);")
+        elif r == 1:
+            lines.append(f"{ind}sdf_queue_pop(&q_{j}, {ev}, 1, 0);")
+            lines.append(f"{ind}en = en && ({ev}[0] > 0);")
         else:
-            body += compute
-            body += update
+            lines += [f"{ind}for (int k = 0; k < {r}; ++k) {{",
+                      f"{ind}    sdf_queue_pop(&q_{j}, {ev}, 1, 0);",
+                      f"{ind}    en = en && ({ev}[0] > 0);",
+                      f"{ind}}}"]
 
-        for j in self.plan.ch_out[k]:
-            c = self.g.channels[j]
-            body.append(f"    sdf_queue_push_n(&q_{j}, o{c.src[1]}, {c.rate_src});")
-        if self.plan.stim[k] is not None:
-            body.append("    n += 1;")
-        return body
+    if a.kind == "Outport":
+        d, w = data_specs[0]
+        lines.append(f"{ind}sdf_record({tm[a.period]}[n], {_c_str(a.id)}, {DTCODE[d]}, {w}, u0);")
+    elif computes:
+        at = ind + "    " if gated else ind
+        fire = _fire_lines(a, data_specs, out_specs, live, at)
+        lines += [f"{ind}if (en) {{", *fire, f"{ind}}}"] if gated else fire
+    for j in plan.ch_out[k]:
+        c = g.channels[j]
+        lines.append(f"{ind}sdf_queue_push_n(&q_{j}, o{c.src[1]}, {c.rate_src});")
+    if counted:
+        lines.append(f"{ind}n += 1;")
+    return lines
 
-    def _update_lines(self, a, data_specs) -> list[str]:
-        if a.kind in ("UnitDelay", "DataStoreMemory"):
-            if not data_specs:
-                return []  # a store nothing writes keeps its initial
-            return ["    memcpy(st, u0, sizeof st);"]
-        if a.kind == "Chart":
-            lines = ["    do {"]
-            for tr in a.params["transitions"]:
-                f = a.params["states"].index(tr["from"])
-                t = a.params["states"].index(tr["to"])
-                gd = "f64" if data_specs[tr["input"]][0] == "f64" else "i32"
-                lit = _c_scalar(gd, tr["value"])
-                lines.append(f"        if (st == {f} && "
-                             f"(u{tr['input']}[{tr['element']}] {tr['op']} {lit})) "
-                             f"{{ st = {t}; break; }}")
-            lines.append("    } while (0);")
-            return lines
-        return []
 
-    def _compute_lines(self, k, a, data_specs, out_full, live) -> list[str]:
-        p = a.params
-        kind = a.kind
-        d, w = out_full[live[0]]
-        ct = CTYPE[d]
+def _fire_lines(a, data_specs, out_specs, live, ind: str) -> list[str]:
+    """A firing's computation of its live outputs, then its state update."""
+    p = a.params
+    kind = a.kind
+    d, w = out_specs[live[0]]
 
-        if kind == "Constant":
-            elems = kinds.token_elems(p["value"], w)
-            return [f"    o0[{i}] = {_c_scalar(d, e)};" for i, e in enumerate(elems)]
+    if kind == "Constant":
+        elems = kinds.token_elems(p["value"], w)
+        return [f"{ind}o0[{i}] = {_c_scalar(d, e)};" for i, e in enumerate(elems)]
 
-        if kind == "Inport":
-            if self.plan.stim[k] is not None:
-                return ["    memcpy(o0, stim[n], sizeof o0);"]
-            return [f"    for (int i = 0; i < {w}; ++i) o0[i] = 0;"]
+    if kind == "Inport":  # one with stimulus
+        return [f"{ind}memcpy(o0, stim[n], sizeof o0);"]
 
-        if kind == "Gain":
-            gd = "i32" if d == "i32" else "f64"
-            g = _c_scalar(gd, p["gain"])
-            if d == "i32":
-                return [f"    for (int i = 0; i < {w}; ++i) "
-                        f"o0[i] = sdf_wrap32((int64_t){g} * (int64_t)u0[i]);"]
-            return [f"    for (int i = 0; i < {w}; ++i) o0[i] = {g} * u0[i];"]
+    if kind == "Gain":
+        gd = "i32" if d == "i32" else "f64"
+        g = _c_scalar(gd, p["gain"])
+        if d == "i32":
+            return [f"{ind}for (int i = 0; i < {w}; ++i) "
+                    f"o0[i] = sdf_wrap32((int64_t){g} * (int64_t)u0[i]);"]
+        return [f"{ind}for (int i = 0; i < {w}; ++i) o0[i] = {g} * u0[i];"]
 
-        if kind in ("Sum", "Product"):
-            # one fold whose symbols are the C operators
-            syms, unit = (p["signs"], 0) if kind == "Sum" else (p["ops"], 1)
-            lines = [f"    for (int i = 0; i < {w}; ++i) {{"]
-            if d == "i32":
-                lines.append(f"        int32_t acc = {unit};")
-                lines += [f"        acc = sdf_div32(acc, u{n}[i]);" if s == "/" else
-                          f"        acc = sdf_wrap32((int64_t)acc {s} (int64_t)u{n}[i]);"
-                          for n, s in enumerate(syms)]
-            else:
-                lines.append(f"        double acc = {unit}.0;")
-                lines += [f"        acc = acc {s} u{n}[i];" for n, s in enumerate(syms)]
-            lines += ["        o0[i] = acc;", "    }"]
-            return lines
+    if kind in ("Sum", "Product"):
+        # one fold whose symbols are the C operators
+        syms, unit = (p["signs"], 0) if kind == "Sum" else (p["ops"], 1)
+        lines = [f"{ind}for (int i = 0; i < {w}; ++i) {{"]
+        if d == "i32":
+            lines.append(f"{ind}    int32_t acc = {unit};")
+            lines += [f"{ind}    acc = sdf_div32(acc, u{n}[i]);" if s == "/" else
+                      f"{ind}    acc = sdf_wrap32((int64_t)acc {s} (int64_t)u{n}[i]);"
+                      for n, s in enumerate(syms)]
+        else:
+            lines.append(f"{ind}    double acc = {unit}.0;")
+            lines += [f"{ind}    acc = acc {s} u{n}[i];" for n, s in enumerate(syms)]
+        lines += [f"{ind}    o0[i] = acc;", f"{ind}}}"]
+        return lines
 
-        if kind in ("UnitDelay", "DataStoreMemory"):
-            return ["    memcpy(o0, st, sizeof o0);"]
+    if kind in ("UnitDelay", "DataStoreMemory"):
+        # a store nothing writes keeps its initial
+        return [f"{ind}memcpy(o0, st, sizeof o0);",
+                *([f"{ind}memcpy(st, u0, sizeof st);"] if data_specs else [])]
 
-        if kind == "Saturation":
-            sd = "i32" if d == "i32" else "f64"
-            lo, hi = _c_scalar(sd, p["lower"]), _c_scalar(sd, p["upper"])
-            return [f"    for (int i = 0; i < {w}; ++i) {{",
-                    f"        {ct} v = u0[i];",
-                    f"        o0[i] = (v < {lo}) ? {lo} : ((v > {hi}) ? {hi} : v);",
-                    "    }"]
+    if kind == "Saturation":
+        sd = "i32" if d == "i32" else "f64"
+        lo, hi = _c_scalar(sd, p["lower"]), _c_scalar(sd, p["upper"])
+        return [f"{ind}for (int i = 0; i < {w}; ++i) {{",
+                f"{ind}    {CTYPE[d]} v = u0[i];",
+                f"{ind}    o0[i] = (v < {lo}) ? {lo} : ((v > {hi}) ? {hi} : v);",
+                f"{ind}}}"]
 
-        if kind == "Switch":
-            th = _c_f64(p["threshold"])
-            return [f"    if ((double)u1[0] >= {th}) {{",
-                    "        memcpy(o0, u0, sizeof o0);",
-                    "    } else {",
-                    "        memcpy(o0, u2, sizeof o0);",
-                    "    }"]
+    if kind == "Switch":
+        th = _c_f64(p["threshold"])
+        return [f"{ind}memcpy(o0, ((double)u1[0] >= {th}) ? u0 : u2, sizeof o0);"]
 
-        if kind == "RelationalOp":
-            return [f"    for (int i = 0; i < {w}; ++i) "
-                    f"o0[i] = (u0[i] {p['op']} u1[i]) ? 1 : 0;"]
+    if kind == "RelationalOp":
+        return [f"{ind}for (int i = 0; i < {w}; ++i) "
+                f"o0[i] = (u0[i] {p['op']} u1[i]) ? 1 : 0;"]
 
-        if kind == "LogicalOp":
-            op = p["op"]
-            if op == "NOT":
-                return [f"    for (int i = 0; i < {w}; ++i) o0[i] = !u0[i];"]
-            lines = [f"    for (int i = 0; i < {w}; ++i) {{"]
-            if op in ("AND", "NAND"):
-                lines.append("        int acc = 1;")
-                fold = "acc = acc && (u{n}[i] != 0);"
-            elif op in ("OR", "NOR"):
-                lines.append("        int acc = 0;")
-                fold = "acc = acc || (u{n}[i] != 0);"
-            else:  # XOR
-                lines.append("        int acc = 0;")
-                fold = "acc = (acc != (u{n}[i] != 0)) ? 1 : 0;"
-            for n in range(len(data_specs)):
-                lines.append("        " + fold.format(n=n))
-            if op in ("NAND", "NOR"):
-                lines.append("        acc = !acc;")
-            lines += ["        o0[i] = (unsigned char)acc;", "    }"]
-            return lines
+    if kind == "LogicalOp":
+        op = p["op"]
+        if op == "NOT":
+            return [f"{ind}for (int i = 0; i < {w}; ++i) o0[i] = !u0[i];"]
+        lines = [f"{ind}for (int i = 0; i < {w}; ++i) {{"]
+        if op in ("AND", "NAND"):
+            lines.append(f"{ind}    int acc = 1;")
+            fold = "acc = acc && (u{n}[i] != 0);"
+        elif op in ("OR", "NOR"):
+            lines.append(f"{ind}    int acc = 0;")
+            fold = "acc = acc || (u{n}[i] != 0);"
+        else:  # XOR
+            lines.append(f"{ind}    int acc = 0;")
+            fold = "acc = (acc != (u{n}[i] != 0)) ? 1 : 0;"
+        for n in range(len(data_specs)):
+            lines.append(f"{ind}    " + fold.format(n=n))
+        if op in ("NAND", "NOR"):
+            lines.append(f"{ind}    acc = !acc;")
+        lines += [f"{ind}    o0[i] = (unsigned char)acc;", f"{ind}}}"]
+        return lines
 
-        if kind == "Lookup1D":
-            n = len(p["breakpoints"])
-            return [f"    for (int i = 0; i < {w}; ++i) {{",
-                    "        double u = u0[i];",
-                    "        double y;",
-                    "        if (u <= bp[0]) {",
-                    "            y = tab[0];",
-                    f"        }} else if (u >= bp[{n - 1}]) {{",
-                    f"            y = tab[{n - 1}];",
-                    "        } else {",
-                    "            int j = 0;",
-                    "            while (u >= bp[j + 1]) {",
-                    "                j++;",
-                    "            }",
-                    "            { double t = (u - bp[j]) / (bp[j + 1] - bp[j]);",
-                    "              y = tab[j] + t * (tab[j + 1] - tab[j]); }",
-                    "        }",
-                    "        o0[i] = y;",
-                    "    }"]
+    if kind == "Lookup1D":
+        n = len(p["breakpoints"])
+        return [f"{ind}for (int i = 0; i < {w}; ++i) {{",
+                f"{ind}    double u = u0[i];",
+                f"{ind}    double y;",
+                f"{ind}    if (u <= bp[0]) {{",
+                f"{ind}        y = tab[0];",
+                f"{ind}    }} else if (u >= bp[{n - 1}]) {{",
+                f"{ind}        y = tab[{n - 1}];",
+                f"{ind}    }} else {{",
+                f"{ind}        int j = 0;",
+                f"{ind}        while (u >= bp[j + 1]) {{",
+                f"{ind}            j++;",
+                f"{ind}        }}",
+                f"{ind}        {{ double t = (u - bp[j]) / (bp[j + 1] - bp[j]);",
+                f"{ind}          y = tab[j] + t * (tab[j + 1] - tab[j]); }}",
+                f"{ind}    }}",
+                f"{ind}    o0[i] = y;",
+                f"{ind}}}"]
 
-        if kind == "Chart":
-            lines = ["    switch (st) {"]
-            for si, sname in enumerate(a.params["states"]):
-                lines.append(f"    case {si}:")
-                row = a.params["outputs"][sname]
-                for j in live:
-                    dj, wj = out_full[j]
-                    for i, e in enumerate(kinds.token_elems(row[j], wj)):
-                        lines.append(f"        o{j}[{i}] = {_c_scalar(dj, e)};")
-                lines.append("        break;")
-            lines += ["    default:", "        break;", "    }"]
-            return lines
+    if kind == "Chart":
+        lines = [f"{ind}switch (st) {{"]
+        for si, sname in enumerate(p["states"]):
+            lines.append(f"{ind}case {si}:")
+            row = p["outputs"][sname]
+            for j in live:
+                dj, wj = out_specs[j]
+                for i, e in enumerate(kinds.token_elems(row[j], wj)):
+                    lines.append(f"{ind}    o{j}[{i}] = {_c_scalar(dj, e)};")
+            lines.append(f"{ind}    break;")
+        lines += [f"{ind}default:", f"{ind}    break;", f"{ind}}}", f"{ind}do {{"]
+        for tr in p["transitions"]:
+            f, t = p["states"].index(tr["from"]), p["states"].index(tr["to"])
+            lit = _c_scalar("f64" if data_specs[tr["input"]][0] == "f64" else "i32", tr["value"])
+            lines.append(f"{ind}    if (st == {f} && "
+                         f"(u{tr['input']}[{tr['element']}] {tr['op']} {lit})) "
+                         f"{{ st = {t}; break; }}")
+        lines.append(f"{ind}}} while (0);")
+        return lines
 
-        if kind == "RateTransition":
-            return ["    memcpy(o0, u0, sizeof o0);"]
+    if kind == "RateTransition":
+        return [f"{ind}memcpy(o0, u0, sizeof o0);"]
 
-        if kind == "EnableSource":
-            sd = data_specs[0][0]
-            if sd == "bool":
-                return ["    o0[0] = u0[0];"]
-            zero = "0.0" if sd == "f64" else "0"
-            return [f"    o0[0] = (u0[0] > {zero}) ? 1 : 0;"]
+    if kind == "EnableSource":
+        sd = data_specs[0][0]
+        if sd == "bool":
+            return [f"{ind}o0[0] = u0[0];"]
+        zero = "0.0" if sd == "f64" else "0"
+        return [f"{ind}o0[0] = (u0[0] > {zero}) ? 1 : 0;"]
 
-        raise UnsupportedKindError(f"actor {a.id}: no C form for kind {kind!r}")
+    raise UnsupportedKindError(f"actor {a.id}: no C form for kind {kind!r}")

@@ -209,17 +209,25 @@ def _parse_endpoint(obj, where) -> tuple[str, int]:
 MAX_NESTING = 256
 
 
+def _check_name(v, label: str, also: str = "") -> None:
+    """Refuse `v` unless it is a non-empty string with no '/', none of the
+    characters in `also` and no non-printable character: block ids and the
+    model name reach paths, CSV rows and C string literals verbatim."""
+    if not isinstance(v, str) or not v:
+        raise SchemaError(f"{label} must be a non-empty string")
+    if "/" in v:
+        raise SchemaError(f"{label} {v!r} may not contain '/'")
+    if any(ch in v for ch in also) or not v.isprintable():
+        raise SchemaError(f"{label} {v!r} may not contain "
+                          + "".join(f"{ch!r} or " for ch in also) + "control characters")
+
+
 def _parse_block(obj, where: str, depth: int, shared: dict) -> Block:
     """One block and its subtree; `shared` holds this load's SignalSpec
     and SampleTime values by their fields, so blocks share equal ones."""
     _require_fields(obj, where, _BLOCK)
     bid = obj["id"]
-    if not isinstance(bid, str) or not bid:
-        raise SchemaError(f"{where}: id must be a non-empty string")
-    if "/" in bid:
-        raise SchemaError(f"{where}: id {bid!r} may not contain '/'")
-    if "," in bid or not bid.isprintable():
-        raise SchemaError(f"{where}: id {bid!r} may not contain ',' or control characters")
+    _check_name(bid, f"{where}: id", ",")
     kind = obj["kind"]
     if not isinstance(kind, str) or not kind:
         raise SchemaError(f"{where}: kind must be a non-empty string")
@@ -378,8 +386,7 @@ def load_model(doc: dict) -> BlockModel:
     """Build a BlockModel from a parsed JSON document."""
     _require_fields(doc, "model", _MODEL)
     name = doc["name"]
-    if not isinstance(name, str) or not name:
-        raise SchemaError("model.name must be a non-empty string")
+    _check_name(name, "model.name")
     shared: dict = {}
     base = _parse_period(doc["base_step"], "model.base_step", shared).period
 
@@ -440,9 +447,3 @@ def save_model(m: BlockModel) -> dict:
         "data_stores": list(m.data_stores),
         "root": _block_json(m.root),
     }
-
-
-def dump_model_file(m: BlockModel, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(save_model(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -26,7 +26,6 @@ An iteration over MAX_ITERATION firings is refused first.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -476,13 +475,19 @@ def firing_plan(g: Sdfg, periods: int, stimulus: Trace | None,
 # export
 
 
+def _dot(*lines: str) -> str:
+    """A quoted DOT string of `lines`, joined by DOT's line break, each
+    with its backslashes and double quotes escaped."""
+    return '"' + "\\n".join(s.replace("\\", "\\\\").replace('"', '\\"') for s in lines) + '"'
+
+
 def export_dot(g: Sdfg) -> str:
     """Graphviz text; node and edge order is sorted, so output is stable."""
     by_id = {a.id: a for a in g.actors}
-    lines = [f'digraph "{g.name}" {{', "  rankdir=LR;",
+    lines = [f"digraph {_dot(g.name)} {{", "  rankdir=LR;",
              "  node [shape=box, fontname=monospace];"]
     for a in sorted(g.actors, key=lambda a: a.id):
-        lines.append(f'  "{a.id}" [label="{a.id}\\n{a.kind}"];')
+        lines.append(f"  {_dot(a.id)} [label={_dot(a.id, a.kind)}];")
     for c in sorted(g.channels, key=lambda c: (c.src, c.dst, c.id)):
         parts = [f"rate {c.rate_src}/{c.rate_dst}", f"{c.dtype}[{c.width}]"]
         if c.delay:
@@ -490,7 +495,8 @@ def export_dot(g: Sdfg) -> str:
         dst = by_id[c.dst[0]]
         event = c.dst[1] < len(dst.in_ports) and dst.in_ports[c.dst[1]].event
         style = ", style=dashed" if event else ""
-        lines.append(f'  "{c.src[0]}" -> "{c.dst[0]}" [label="{" / ".join(parts)}"{style}];')
+        lines.append(f"  {_dot(c.src[0])} -> {_dot(c.dst[0])} "
+                     f"[label={_dot(' / '.join(parts))}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -638,9 +644,3 @@ def load_sdfg(doc: dict) -> Sdfg:
     g = Sdfg(name, actors, channels)
     g.check_wellformed()
     return g
-
-
-def dump_sdfg_file(g: Sdfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(save_sdfg(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")

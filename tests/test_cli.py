@@ -249,6 +249,23 @@ def test_load_defects_are_schema_errors(tmp_path, doc, message):
     assert err.endswith(f"{message}\n") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("cmd", ["codegen", "translate"])
+@pytest.mark.parametrize("name, message", [
+    ("a\0b", "model.name 'a\\x00b' may not contain control characters"),
+    ("../../../x", "model.name '../../../x' may not contain '/'"),
+], ids=["nul", "parent_dirs"])
+def test_model_name_must_be_a_file_name(tmp_path, cmd, name, message):
+    # the name is part of artifact file names: codegen's default directory
+    # codegen_<name> and translate's <stage>_<name>.json
+    work = tmp_path / "a" / "b" / "c"
+    work.mkdir(parents=True)
+    path = write_model(tmp_path, {**port_doc(), "name": name})
+    rc, out, err = run_cli(cmd, path, cwd=work)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "bad.json", "c"]
+
+
 @pytest.mark.parametrize("case", ["5001_digit_int", "not_utf8"])
 def test_unparsable_model_file_is_a_schema_error(tmp_path, case):
     path = tmp_path / "bad.json"

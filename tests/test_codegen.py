@@ -484,6 +484,67 @@ def test_numeric_enable_gates_when_positive(tmp_path, dtype, enable, y):
     assert got.to_csv() == ref.to_csv()
 
 
+def test_gated_outputs_hold_their_initial_values(tmp_path):
+    # every gated actor is disabled on its first two firings, so each
+    # output is its kind's initial one until the first enabled firing
+    chart = {"states": ["a", "b"], "initial": "a",
+             "transitions": [{"from": "a", "to": "b", "input": 0, "op": ">", "value": 2.0}],
+             "outputs": {"a": [5.0, -1.0], "b": [7.0, 2.5]}}
+    ev = _port("bool", True)
+    doc = {"name": "gated", "actors": [
+        _actor("e", "Inport", {"index": 0}, 1, outs=[_port("bool")]),
+        _actor("u", "Inport", {"index": 1}, 1, outs=[_port()]),
+        _actor("z", "Inport", {"index": 2}, 1, outs=[_port()]),
+        _actor("gi", "Inport", {"index": 3}, 1, ins=[ev], outs=[_port()]),
+        _actor("ch", "Chart", chart, 1, ins=[_port(), ev], outs=[_port(), _port()]),
+        _actor("d", "UnitDelay", {"initial": 3.5}, 1, ins=[_port(), ev], outs=[_port()]),
+        *(_actor(f"y_{s}", "Outport", {"index": n}, 1, ins=[_port()])
+          for n, s in enumerate(["ch0", "ch1", "d", "gi", "z"])),
+    ], "channels": [
+        _channel(("e", 0), ("gi", 0), 1, "bool"), _channel(("e", 0), ("ch", 1), 1, "bool"),
+        _channel(("e", 0), ("d", 1), 1, "bool"),
+        _channel(("u", 0), ("ch", 0), 1), _channel(("u", 0), ("d", 0), 1),
+        _channel(("ch", 0), ("y_ch0", 0), 1), _channel(("ch", 1), ("y_ch1", 0), 1),
+        _channel(("d", 0), ("y_d", 0), 1), _channel(("gi", 0), ("y_gi", 0), 1),
+        _channel(("z", 0), ("y_z", 0), 1),
+    ]}
+    g = load_sdfg(doc)
+    stim = ramp("u", 1, 6, lambda k: float(k + 1))  # 1 .. 6
+    stim.declare("e", "bool", 1)
+    for k, bit in enumerate([0, 0, 1, 0, 1, 1]):
+        stim.add("e", k, bool(bit))
+    stim.declare("gi", "f64", 1)
+    for k in range(6):
+        stim.add("gi", k, 10.0 * (k + 1))
+    ref = run_sil(g, 6, stim)
+    values = {s: [v for _, v in ref.samples[s]] for s in ref.samples}
+    assert values == {"y_ch0": [5.0, 5.0, 5.0, 5.0, 7.0, 7.0],
+                      "y_ch1": [-1.0, -1.0, -1.0, -1.0, 2.5, 2.5],
+                      "y_d": [3.5, 3.5, 3.5, 3.5, 3.0, 5.0],
+                      "y_gi": [0.0, 0.0, 30.0, 30.0, 50.0, 60.0],
+                      "y_z": [0.0] * 6}
+    b = emit_bundle(g, periods=6, stimulus=stim)
+    assert c_trace(b, tmp_path, ref.specs).to_csv() == ref.to_csv()
+
+
+def test_model_units_hold_only_what_the_graph_needs(multirate_rt, transmission, climate):
+    # outputs a firing may keep are statics, not copies; the i32 helpers
+    # live once, in the runtime header
+    bundles = [emit_bundle(graph_of(m), periods=p, asserts=a)
+               for m, p, a in ((multirate_rt, 4, True), (transmission, 1, False),
+                               (climate, 2, True))]
+    bundles.append(emit_bundle(graph_of(hostile_ids_model()), periods=3))
+    header = bundles[0].files["runtime/sdf_runtime.h"]
+    assert "static inline int32_t sdf_wrap32(" in header
+    assert "static inline int32_t sdf_div32(" in header
+    for b in bundles:
+        unit = b.files[f"sdfg_{b.name}.c"]
+        assert "held" not in unit
+        assert not re.search(r"\bsdf_(wrap|div)32\([^;]*\)\s*\{", unit)
+        for f in ("runtime/sdf_runtime.h", "runtime/sdf_runtime.c"):
+            assert b.files[f] == bundles[0].files[f]
+
+
 def test_event_ports_are_scalar():
     wide = {"dtype": "bool", "width": 2, "event": True}
     doc = {"name": "wide", "actors": [

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_fixture
+from conftest import F1, blk, conn, load_fixture, model
 from model_gen import random_model
 from sdflow import (Actor, Channel, DeadlockError, InconsistentError, Port,
                     Schedule, SchemaError, Sdfg, SdflowError, UnderflowError,
@@ -521,6 +521,24 @@ def test_export_dot_is_stable():
     assert d == export_dot(g)
     assert '"a" -> "b"' in d
     assert "rate 2/1" in d and "delay 1" in d
+
+
+def test_export_dot_quotes_every_string():
+    # ids and a name the loader accepts, holding DOT's quote and escape
+    m = model([blk('c"x', "Constant", {"value": 1.0}, st=1, outs=[F1]),
+               blk("y\\", "Outport", {"index": 0}, ins=[F1])],
+              [conn(('c"x', 0), ("y\\", 0))], name='q"\\')
+    d = export_dot(translate(normalize(m))[0])
+    lines = d.splitlines()
+    assert lines[0] == 'digraph "q\\"\\\\" {'
+    assert '  "c\\"x" [label="c\\"x\\nConstant"];' in lines
+    assert '  "y\\\\" [label="y\\\\\\nOutport"];' in lines
+    assert any(ln.startswith('  "c\\"x" -> "y\\\\" [label=') for ln in lines)
+    # with each quoted string replaced, only the statement shapes remain
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    assert {quoted.sub("Q", ln) for ln in lines} == {
+        "digraph Q {", "  rankdir=LR;", "  node [shape=box, fontname=monospace];",
+        "  Q [label=Q];", "  Q -> Q [label=Q];", "}"}
 
 
 def test_export_dot_marks_event_channels():
