@@ -107,7 +107,7 @@ def _write_json(obj, path: str) -> None:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as f:
+        with open(out, "w", encoding="utf-8") as f:
             f.write(text)
         print(f"wrote {out}")
     else:
@@ -147,7 +147,7 @@ def cmd_translate(args) -> int:
 
     if args.emit_dot:
         path = os.path.join(outdir, f"sdfg_{m.name}.dot")
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(sdf_core.export_dot(g))
         files["dot"] = path
 
@@ -311,6 +311,11 @@ def _show_warning(message, *_) -> None:
 
 
 def main(argv=None) -> int:
+    # ids and DOT glyphs need not be ASCII: UTF-8 whatever the locale, and
+    # argv bytes that are not UTF-8 go back out as they came
+    for stream, errors in ((sys.stdout, "surrogateescape"), (sys.stderr, "backslashreplace")):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=errors)
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():

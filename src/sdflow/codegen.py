@@ -232,7 +232,7 @@ class SourceBundle:
             d = os.path.dirname(path)
             if d:
                 os.makedirs(d, exist_ok=True)
-            with open(path, "w") as f:
+            with open(path, "w", encoding="utf-8") as f:
                 f.write(text)
             if rel.endswith(".sh"):
                 mode = os.stat(path).st_mode
@@ -568,12 +568,5 @@ def _fire_lines(a, data_specs, out_specs, live, ind: str) -> list[str]:
 
     if kind == "RateTransition":
         return [f"{ind}memcpy(o0, u0, sizeof o0);"]
-
-    if kind == "EnableSource":
-        sd = data_specs[0][0]
-        if sd == "bool":
-            return [f"{ind}o0[0] = u0[0];"]
-        zero = "0.0" if sd == "f64" else "0"
-        return [f"{ind}o0[0] = (u0[0] > {zero}) ? 1 : 0;"]
 
     raise UnsupportedKindError(f"actor {a.id}: no C form for kind {kind!r}")

@@ -733,25 +733,10 @@ class _Subsystem(Kind):
         return p
 
 
-class _EnableSource(Kind):
-    """Synthetic actor created during translation: its one out-port
-    carries the truth value of a control signal to every member of a
-    dissolved conditional subsystem.  Never appears in source documents."""
-
-    name = "EnableSource"
-    n_in = 1
-    keys = ("mode",)
-
-    def bind(self, params, in_specs, out_specs):
-        return _stateless(out_specs, lambda state, ins: [truth(ins[0])])
-
-
 KINDS: dict[str, Kind] = {k.name: k for k in (
     _Inport(), _Outport(), _Constant(), _Gain(), _Sum(), _Product(),
     _UnitDelay(), _Saturation(), _Switch(), _RelationalOp(), _LogicalOp(),
     _Lookup1D(), _Chart(), _RateTransition(), _DataStoreMemory(),
     _Goto(), _From(), _DataStoreWrite(), _DataStoreRead(),
-    _BusCreator(), _BusSelector(), _Subsystem(), _EnableSource(),
+    _BusCreator(), _BusSelector(), _Subsystem(),
 )}
-
-VOCABULARY = tuple(sorted(set(KINDS) - {"EnableSource"}))

@@ -332,9 +332,6 @@ class DiagramEngine:
             if len(refs) == 1:
                 (p, i), = refs
                 ins = [last[p][i]]
-            elif len(refs) == 2:
-                (p, i), (p2, i2) = refs
-                ins = [last[p][i], last[p2][i2]]
             else:
                 ins = [last[p][i] for p, i in refs]
             state[path] = update(state[path], ins)

@@ -16,8 +16,8 @@ time directly when the grid unit is 1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from bisect import bisect_left, insort_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from math import isinf, isnan
@@ -114,10 +114,10 @@ def _reject_repeat(rows, start: int, signals: set[str]):
 class Trace:
     """Per-signal sample lists.  Signals keep insertion order; each
     signal's samples are in time order, which clip relies on: the engines
-    append them in order, and from_csv and from_json sort them.  The
-    engines, from_csv and from_json give each time in canonical form: an
-    int when whole, else a reduced Fraction (an int equals and hashes like
-    its Fraction)."""
+    append them in order, from_csv and from_json sort them, and add
+    inserts each in place.  The engines, from_csv and from_json give each
+    time in canonical form: an int when whole, else a reduced Fraction (an
+    int equals and hashes like its Fraction)."""
 
     def __init__(self):
         self.samples: dict[str, list[tuple[int | Fraction, object]]] = {}
@@ -130,7 +130,16 @@ class Trace:
         self.samples.setdefault(signal, [])
 
     def add(self, signal: str, t: int | Fraction, value):
-        self.samples[signal].append((t, value))
+        """Insert after every sample at or before `t`, so a signal's samples
+        stay in time order and samples at one time keep the order added.
+        Callers add in time order, so a sample no earlier than the last is
+        appended after one comparison, not a bisection's dozen: comparing
+        two Fractions runs Python code."""
+        pts = self.samples[signal]
+        if pts and t < pts[-1][0]:
+            insort_right(pts, (t, value), key=_first)
+        else:
+            pts.append((t, value))
 
     def signals(self) -> list[str]:
         return list(self.samples)
@@ -256,9 +265,6 @@ class Comparison:
     samples: int
     max_rel: float
     divergence: dict | None = None
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     def __str__(self) -> str:
         if self.ok:

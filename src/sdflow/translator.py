@@ -10,11 +10,12 @@ appears as a token rate; the fast-to-slow direction additionally
 preloads its input channel with ratio-1 zero tokens so the first slow
 firing does not have to wait a full slow period.
 
-Conditional subsystems dissolved during flattening come back as one
-EnableSource actor each: it taps the original control signal and
-broadcasts its truth value from its one out-port over a boolean rate-1
-channel to every member actor, which gains one extra event in-port per
-enclosing subsystem.
+Translation invents no actor.  A conditional subsystem dissolved during
+flattening leaves only its gating behind: every member actor gains one
+event in-port per enclosing subsystem, fed over a rate-1 channel straight
+from the control signal's out-port and carrying that signal's scalar
+dtype.  A member fires its computation only when the token is > 0
+(kinds.truth), whatever the dtype.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class TranslationReport:
 
     actors: int = 0
     channels: int = 0
-    event_channels: int = 0    # EnableSource -> member taps
-    control_channels: int = 0  # control signal -> EnableSource
+    event_channels: int = 0    # control signal -> member taps
     replicated_ports: int = 0  # consumers beyond the first, per out-port
     dropped_ports: int = 0     # out-ports nobody consumes
     rate_transitions: list[dict] = field(default_factory=list)
@@ -52,8 +52,7 @@ class TranslationReport:
 
     def summary(self) -> str:
         lines = [f"actors: {self.actors}",
-                 f"channels: {self.channels} "
-                 f"({self.event_channels} event, {self.control_channels} control)",
+                 f"channels: {self.channels} ({self.event_channels} event)",
                  f"replicated ports: {self.replicated_ports}, "
                  f"dropped ports: {self.dropped_ports}"]
         for rt in self.rate_transitions:
@@ -89,17 +88,17 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
             groups.append((t, members))
 
     # Consumers per producing (block id, out port): data connections, then
-    # one control tap per conditional subsystem.  A RateTransition's rates
-    # come from its first data reader.
+    # one control tap per member of a conditional subsystem.  A
+    # RateTransition's rates come from its first data reader.
     taps = Counter(c.src for c in conns)
     first_reader: dict[tuple[str, int], Connection] = {}
     for c in conns:
         first_reader.setdefault(c.src, c)
-    for t, _ in groups:
+    for t, members in groups:
         if t.control[0] not in by_id:
             raise NormalizationError(
                 f"{t.path}: control signal source {t.control[0]!r} is not a leaf block")
-        taps[t.control] += 1
+        taps[t.control] += len(members)
 
     report = TranslationReport(replicated_ports=sum(n - 1 for n in taps.values()),
                                dropped_ports=sum(len(b.out_ports) for b in leaves) - len(taps))
@@ -145,33 +144,21 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
             (kinds.zero_token(c.spec.dtype, c.spec.width),) * d if d else (),  # immutable
             c.spec.dtype, c.spec.width))
 
-    ci = len(conns)
-    sources = []
     for t, members in groups:
-        ctrl = by_id[t.control[0]]
-        spec = ctrl.out_ports[t.control[1]]
+        spec = by_id[t.control[0]].out_ports[t.control[1]]
         if spec.width != 1:
             raise NormalizationError(f"{t.path}: control signal must be scalar")
-        es = Actor(f"{t.path}/enable", "EnableSource", {"mode": t.mode},
-                   by_id[members[0]].period,
-                   in_ports=(Port(spec.dtype, spec.width),), out_ports=(Port("bool", 1),))
-        sources.append(es)
-        channels.append(Channel(f"ch_{ci}", t.control, (es.id, 0),
-                                1, 1, 0, (), spec.dtype, spec.width))
-        report.control_channels += 1
-        ci += 1
         for mid in members:
-            slot = len(in_ports[mid])
-            in_ports[mid].append(Port("bool", 1, event=True))
-            channels.append(Channel(f"ch_{ci}", (es.id, 0), (mid, slot),
-                                    1, 1, 0, (), "bool", 1))
+            dst = (mid, len(in_ports[mid]))
+            in_ports[mid].append(Port(spec.dtype, 1, event=True))
+            channels.append(Channel(f"ch_{len(channels)}", t.control, dst,
+                                    1, 1, 0, (), spec.dtype, 1))
             report.event_channels += 1
-            ci += 1
 
     actors = [Actor(b.id, b.kind, dict(b.params), b.period, tuple(in_ports[b.id]),
                     tuple([ports.get(s) or ports.setdefault(s, Port(*s)) for s in b.out_ports]),
                     b if b.is_subsystem() else None) for b in leaves]
-    g = Sdfg(m.name, actors + sources, channels)
+    g = Sdfg(m.name, actors, channels)
     report.actors = len(g.actors)
     report.channels = len(g.channels)
     report.graph = g

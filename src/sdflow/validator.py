@@ -87,7 +87,7 @@ def _check_blocks(m: BlockModel, out: list[Violation]):
     """The one-block rules in one walk: vocabulary, fixed step, control sizes."""
     bn, bd = m.base_step.as_integer_ratio()
     for path, b, _ in iter_blocks(m.root):
-        if b.kind not in kinds.VOCABULARY:
+        if b.kind not in kinds.KINDS:
             out.append(Violation("UnsupportedBlock", path,
                                  f"kind {b.kind!r} is outside the supported vocabulary"))
         pn, pd = b.period.as_integer_ratio()

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import F1, blk, conn, model_doc
 from sdflow import Trace, cli
 from sdflow.model_ir import MAX_NESTING
 
@@ -395,6 +396,19 @@ def test_schedule_output():
     assert lines[-1].startswith("firings: ")
 
 
+def test_schedule_json_is_the_printed_schedule():
+    rc, out, _ = run_cli("schedule", MODELS / "multirate.json", "--json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["status"] == "consistent" and doc["hyperperiod"] == [4, 1]
+    sched = doc["schedule"]
+    assert set(sched) == {"firings", "peaks", "repetition"}
+    _, text, _ = run_cli("schedule", MODELS / "multirate.json")
+    lines = text.splitlines()
+    assert lines[1:-1] == [f"  q[{a}] = {n}" for a, n in sorted(sched["repetition"].items())]
+    assert lines[-1] == "firings: " + " ".join(sched["firings"])
+
+
 def test_schedule_prints_what_runs_across_components(tmp_path):
     path = write_model(tmp_path, two_rate_doc(), "tworate.json")
     rc, out, _ = run_cli("schedule", path)
@@ -498,6 +512,32 @@ def test_simulate_sil_out_file(tmp_path):
     assert rc == 0
     assert f"wrote {target}" in out
     assert target.read_text().startswith("time,signal,value")
+
+
+@pytest.mark.parametrize("cmd", ["simulate-mil", "simulate-sil"])
+def test_simulate_json_is_the_csv_trace(cmd):
+    args = (cmd, MODELS / "multirate.json", "--steps", 8)
+    rc, out, _ = run_cli(*args, "--json")
+    assert rc == 0
+    tr = Trace.from_json(json.loads(out))
+    assert sorted(tr.samples) == ["Out1", "Out2"]
+    assert tr.to_csv() == run_cli(*args)[1]
+
+
+def test_verify_names_the_first_divergence(monkeypatch):
+    run_sil = cli.run_sil
+
+    def perturbed(*args):
+        tr = run_sil(*args)
+        t, v = tr.samples["Out2"][2]
+        tr.samples["Out2"][2] = (t, v + 1.0)
+        return tr
+
+    monkeypatch.setattr(cli, "run_sil", perturbed)
+    rc, out, _ = run_cli("verify", MODELS / "multirate.json", "--steps", 16)
+    assert rc == 1
+    assert out == ("FAIL: {'signal': 'Out2', 'time': '8', 'index': 2, "
+                   "'a': '1.0', 'b': '2.0'}\n")
 
 
 def test_verify_passes_on_fixtures(tmp_path):
@@ -673,3 +713,45 @@ def test_export_dot_stdout():
     assert rc == 0
     assert out.startswith('digraph "multirate"')
     assert '"rt_0"' in out
+
+
+def test_output_is_utf8_whatever_the_locale(tmp_path):
+    # under an ASCII locale and stdout encoding, the DOT's delay glyph and
+    # ids such as y° reach stdout, stderr and every file as UTF-8, and a
+    # path given in bytes that are not UTF-8 is echoed as those bytes
+    f1 = [blk("c", "Constant", {"value": 1.5}, st=1, outs=[F1])]
+    degree = write_model(tmp_path, model_doc(
+        f1 + [blk("y°", "Outport", {"index": 0}, ins=[F1])], [conn(("c", 0), ("y°", 0))],
+        name="deg"), "deg.json")
+    loop = write_model(tmp_path, model_doc(
+        [blk("g°", "Gain", {"gain": 1.0}, st=1, ins=[F1], outs=[F1]),
+         blk("y", "Outport", {"index": 0}, ins=[F1])],
+        [conn(("g°", 0), ("g°", 0)), conn(("g°", 0), ("y", 0))], name="loop"), "loop.json")
+    src = str(Path(cli.__file__).parents[1])  # the runs below change directory
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONIOENCODING": "ascii",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for k, args in enumerate([
+            ("export-dot", MODELS / "multirate_rt.json"),
+            ("translate", MODELS / "multirate_rt.json", "--emit-dot", "--out", "out"),
+            ("simulate-sil", degree, "--periods", 2),
+            ("codegen", degree, "--periods", 2, "--out", "out"),
+            ("simulate-mil", loop, "--steps", 2),
+            ("simulate-sil", MODELS / "multirate.json", "--periods", 1,
+             "--out", os.fsdecode(b"x\xff.csv"))]):
+        here, there = tmp_path / f"in_{k}", tmp_path / f"proc_{k}"
+        here.mkdir()
+        there.mkdir()
+        rc, out, err = run_cli(*args, cwd=here)
+        p = subprocess.run(BASE + [str(a) for a in args], cwd=there, env=env,
+                           capture_output=True, timeout=120)
+        assert (p.returncode, p.stdout, p.stderr) == (
+            rc, out.encode("utf-8", "surrogateescape"), err.encode("utf-8")), args
+        files = sorted(f.relative_to(here) for f in here.rglob("*") if f.is_file())
+        assert files == sorted(f.relative_to(there) for f in there.rglob("*") if f.is_file())
+        for f in files:
+            assert (there / f).read_bytes() == (here / f).read_bytes(), f
+    assert "●" in (tmp_path / "in_1" / "out" / "sdfg_multirate_rt.dot").read_text("utf-8")
+    assert "y°" in (tmp_path / "in_3" / "out" / "sdfg_deg.c").read_text("utf-8")
+    assert "g° -> g°" in run_cli("simulate-mil", loop)[2]
+    assert (tmp_path / "proc_5" / os.fsdecode(b"x\xff.csv")).exists()

@@ -11,8 +11,8 @@ import pytest
 
 from sdflow import (SchemaError, SdflowError, SignalTypeError, Trace, UnsupportedKindError,
                     build_schedule, compare_traces, emit_bundle, load_sdfg,
-                    normalize, run_sil, save_sdfg, translate)
-from conftest import F1, I1, blk, c_trace, compile_and_run, conn, hostile_ids_model, model
+                    normalize, run_mil, run_sil, save_sdfg, translate)
+from conftest import F1, F2, I1, blk, c_trace, compile_and_run, conn, hostile_ids_model, model
 
 
 def graph_of(m):
@@ -560,3 +560,110 @@ def test_event_ports_are_scalar():
     ]}
     with pytest.raises(SchemaError, match=r"actor g: event in port 1 has width 2"):
         load_sdfg(doc)
+
+
+# ---------------------------------------------------------------------------
+# MIL = SIL = C
+
+
+def mil_sil_c(m, steps, stim, workdir) -> Trace:
+    """SIL's trace of the single-rate model `m` over `steps` base steps,
+    once MIL gives the same samples and the compiled C the same CSV."""
+    g = graph_of(m)
+    sil = run_sil(g, steps, stim)
+    cmp = compare_traces(run_mil(m, steps, stim), sil)
+    assert cmp.ok, cmp
+    c = c_trace(emit_bundle(g, periods=steps, stimulus=stim), workdir, sil.specs)
+    assert c.to_csv() == sil.to_csv()
+    return sil
+
+
+def signal(name, dtype, values):
+    tr = Trace()
+    tr.declare(name, dtype, 1)
+    for k, v in enumerate(values):
+        tr.add(name, k, v)
+    return tr
+
+
+@pytest.mark.parametrize("dtype, controls, y", [
+    ("f64", [1.0, 0.0, -0.0, -2.0, float("nan"), float("inf"), float("-inf"), 1e-300],
+     [0.5, 0.5, 0.5, 0.5, 0.5, 2.0, 2.0, 12.0]),
+    ("i32", [0, -1, 2 ** 31 - 1, -2 ** 31, 5], [0.5, 0.5, 0.5, 0.5, 6.0]),
+])
+def test_members_gate_on_a_numeric_control_when_positive(tmp_path, dtype, controls, y):
+    # each member of the enabled subsystem reads the control signal itself,
+    # in its own dtype: it runs when the token is > 0, so NaN, -0.0 and
+    # -inf disable it, 1e-300 and +inf enable it
+    ctl = {"dtype": dtype, "width": 1}
+    sub = blk("sub", "Subsystem", {"mode": "enabled", "control_port": 0}, st=1,
+              ins=[ctl, F1], outs=[F1],
+              children=[blk("i", "Inport", {"index": 1}, st=1, outs=[F1]),
+                        blk("g", "Gain", {"gain": 2.0}, st=1, ins=[F1], outs=[F1]),
+                        blk("d", "UnitDelay", {"initial": 0.5}, st=1, ins=[F1], outs=[F1]),
+                        blk("o", "Outport", {"index": 0}, st=1, ins=[F1])],
+              connections=[conn(("i", 0), ("g", 0)), conn(("g", 0), ("d", 0)),
+                           conn(("d", 0), ("o", 0))])
+    m = model([blk("en", "Inport", {"index": 0}, st=1, outs=[ctl]),
+               blk("u", "Inport", {"index": 1}, st=1, outs=[F1]),
+               sub, blk("y", "Outport", {"index": 0}, ins=[F1])],
+              [conn(("en", 0), ("sub", 0), ctl), conn(("u", 0), ("sub", 1)),
+               conn(("sub", 0), ("y", 0))], name="gate")
+    g = graph_of(m)
+    assert [p.dtype for p in g.actor("sub/g").in_ports if p.event] == [dtype]
+    stim = signal("en", dtype, controls)
+    stim.declare("u", "f64", 1)
+    for k in range(len(controls)):
+        stim.add("u", k, float(k + 1))
+    sil = mil_sil_c(m, len(controls), stim, tmp_path)
+    assert [v for _, v in sil.samples["y"]] == y
+
+
+def test_non_finite_literals_reach_c(tmp_path):
+    # NaN and the infinities as a Constant's value and as a Gain
+    cs = [blk(f"c{k}", "Constant", {"value": v}, st=1, outs=[F1])
+          for k, v in enumerate([float("nan"), float("inf"), float("-inf"), 1.5])]
+    gs = [blk(f"g{k}", "Gain", {"gain": v}, ins=[F1], outs=[F1])
+          for k, v in enumerate([float("nan"), float("inf"), float("-inf"), 2.0])]
+    ys = [blk(f"y{k}", "Outport", {"index": k}, ins=[F1]) for k in range(7)]
+    m = model(cs + gs + ys,
+              [*(conn(("c3", 0), (f"g{k}", 0)) for k in range(3)),
+               conn(("c1", 0), ("g3", 0)),
+               *(conn((f"c{k}", 0), (f"y{k}", 0)) for k in range(3)),
+               *(conn((f"g{k}", 0), (f"y{k + 3}", 0)) for k in range(4))],
+              name="nonfinite")
+    sil = mil_sil_c(m, 2, None, tmp_path)
+    assert [repr(sil.samples[f"y{k}"][0][1]) for k in range(7)] == [
+        "nan", "inf", "-inf", "nan", "inf", "-inf", "inf"]
+
+
+@pytest.mark.parametrize("n_in", [2, 3])
+def test_chart_with_several_inputs(tmp_path, n_in):
+    # a Chart's transitions read each of its inputs, and its state update
+    # in MIL gathers them all
+    specs = [F1, I1, F2][:n_in]
+    back = ({"from": "c", "to": "a", "input": 2, "element": 1, "op": "<", "value": 0.0}
+            if n_in == 3 else {"from": "c", "to": "a", "input": 0, "op": "<=", "value": 1.0})
+    chart = {"states": ["a", "b", "c"], "initial": "a",
+             "transitions": [{"from": "a", "to": "b", "input": 0, "op": ">", "value": 2.0},
+                             {"from": "b", "to": "c", "input": 1, "op": "==", "value": 3},
+                             back],
+             "outputs": {"a": [1.0], "b": [2.0], "c": [3.0]}}
+    names = ["u", "v", "w"][:n_in]
+    m = model([*(blk(n, "Inport", {"index": k}, st=1, outs=[sp])
+                 for k, (n, sp) in enumerate(zip(names, specs))),
+               blk("ch", "Chart", chart, st=1, ins=specs, outs=[F1]),
+               blk("y", "Outport", {"index": 0}, ins=[F1])],
+              [*(conn((n, 0), ("ch", k), sp) for k, (n, sp) in enumerate(zip(names, specs))),
+               conn(("ch", 0), ("y", 0))], name="chart")
+    us = [0.0, 3.0, 3.0, 3.0, 0.5, 3.0, 3.0, 0.0]
+    vs = [0, 0, 1, 3, 3, 3, 3, 3]
+    ws = [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, -1.0),
+          (1.0, 1.0), (1.0, 1.0), (-1.0, -1.0)]
+    stim = signal("u", "f64", us)
+    for n, sp, xs in list(zip(names, specs, [us, vs, ws]))[1:]:
+        stim.declare(n, sp["dtype"], sp["width"])
+        for k, x in enumerate(xs):
+            stim.add(n, k, x)
+    sil = mil_sil_c(m, len(us), stim, tmp_path)
+    assert [v for _, v in sil.samples["y"]] == [1.0, 1.0, 2.0, 2.0, 3.0, 1.0, 2.0, 3.0]

@@ -309,7 +309,7 @@ def test_leaf_gated_by_its_own_output_is_rejected():
     for form in (m, normalize(m).model):
         with pytest.raises(AlgebraicLoopError, match="^zero-delay cycle: s/g -> s/g$"):
             run_mil(form, 3)
-    with pytest.raises(DeadlockError, match="blocked: s/enable, s/g, y$"):
+    with pytest.raises(DeadlockError, match="blocked: s/g, y$"):
         run_sil(translate(normalize(m))[0])
 
 
@@ -911,6 +911,16 @@ def test_clip_is_strict():
     for k in range(3):
         tr.add("y", Fraction(k), float(k))
     assert out_values(tr.clip(Fraction(2))) == [0.0, 1.0]
+
+
+def test_add_keeps_time_order():
+    tr = Trace()
+    tr.declare("y", "f64", 1)
+    tr.add("y", 2, 1.0)
+    tr.add("y", 1, 2.0)
+    assert tr.clip(2).samples["y"] == [(1, 2.0)]
+    tr.add("y", 1, 3.0)  # after the sample already at t=1
+    assert tr.samples["y"] == [(1, 2.0), (1, 3.0), (2, 1.0)]
 
 
 def test_compare_rejects_different_signal_sets():

@@ -20,6 +20,22 @@ def test_no_assert_and_no_copy_module():
     assert found == []
 
 
+def test_every_text_open_names_its_encoding():
+    # the locale's encoding is not UTF-8 everywhere, and ids need not be ASCII
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            kw = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else kw.get("mode")
+            binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+            if not binary and "encoding" not in kw:
+                found.append(f"{path.name}:{node.lineno}: open without encoding=")
+    assert found == []
+
+
 # Private names one module may still take from another: (user, owner, name).
 PRIVATE_USES = {
     ("cli", "validator", "_check"),

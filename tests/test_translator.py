@@ -1,12 +1,14 @@
 """Block-diagram to dataflow-graph mapping."""
 
+import warnings
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import F1, blk, conn, model
-from sdflow import (NonHarmonicError, SdflowError, build_schedule, normalize,
+from conftest import F1, blk, conn, load_fixture, model
+from model_gen import random_model
+from sdflow import (DepthWarning, NonHarmonicError, SdflowError, build_schedule, normalize,
                     rate_transition_rates, repetition_vector, translate)
 from sdflow.sdf_core import MAX_ITERATION
 
@@ -101,7 +103,7 @@ def test_multirate_report_summary(multirate_rt):
     _, report = translated(multirate_rt)
     assert report.summary() == (
         "actors: 8\n"
-        "channels: 7 (0 event, 0 control)\n"
+        "channels: 7 (0 event)\n"
         "replicated ports: 1, dropped ports: 0\n"
         "rate transition RateTransition: fast_to_slow, ratio 2, delay 1")
     assert report.to_json()["rate_transitions"] == [
@@ -142,24 +144,19 @@ def test_unconsumed_output_is_dropped():
 
 def test_enable_source_wiring(climate):
     g, report = translated(climate)
-    es = g.actor("heater/enable")
-    assert es.kind == "EnableSource"
-    assert es.params == {"mode": "enabled"}
-    assert es.period == g.actor("heater/k_gain").period
-
-    ctrl = [c for c in g.channels if c.dst == ("heater/enable", 0)]
-    assert len(ctrl) == 1 and ctrl[0].src[0] == "need_heat"
+    assert "EnableSource" not in {a.kind for a in g.actors}
+    ctrl = g.actor("need_heat").out_ports[0]
 
     members = ["heater/k_gain", "heater/smooth", "heater/lim"]
     for mid in members:
         a = g.actor(mid)
         tap = a.in_ports[-1]
-        assert tap.event and tap.dtype == "bool"
-        feeds = [c for c in g.channels
-                 if c.src[0] == "heater/enable" and c.dst[0] == mid]
-        assert len(feeds) == 1 and feeds[0].dst[1] == len(a.in_ports) - 1
-    assert report.control_channels == 1
+        assert tap.event and tap.dtype == ctrl.dtype and tap.width == 1
+        feeds = [c for c in g.channels if c.dst == (mid, len(a.in_ports) - 1)]
+        assert len(feeds) == 1 and feeds[0].src == ("need_heat", 0)
+        assert (feeds[0].rate_src, feeds[0].rate_dst, feeds[0].delay) == (1, 1, 0)
     assert report.event_channels == 3
+    assert sum(p.event for a in g.actors for p in a.in_ports) == 3
 
 
 def test_data_ports_carry_no_event_flag(climate):
@@ -176,6 +173,21 @@ def test_opaque_subsystem_keeps_its_diagram(climate):
     assert sub.kind == "Subsystem"
     assert sub.impl is not None and sub.impl.id == "heater"
     assert [a.kind for a in g.actors].count("EnableSource") == 0
+
+
+@pytest.mark.parametrize("depth", [None, 0, 1])
+def test_every_actor_is_a_leaf_with_provenance(depth):
+    # translation invents no actor: each is a leaf of the normalized model,
+    # and provenance says where it came from
+    fixtures = ["multirate", "multirate_rt", "transmission", "climate"]
+    for m in [*map(load_fixture, fixtures), *map(random_model, range(50))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DepthWarning)  # depth above the height
+            n = normalize(m, depth)
+        g, _ = translate(n)
+        ids = [a.id for a in g.actors]
+        assert ids == [b.id for b in n.model.root.children], m.name
+        assert set(ids) <= set(n.provenance), m.name
 
 
 def test_translated_graphs_are_wellformed(climate, transmission, multirate):
