@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
         print(f"PASS: {cmp.samples} samples agree over {args.steps} base steps "
               f"(tol {args.tol:g}, max rel {cmp.max_rel:.3g})")
     else:
-        print(f"FAIL: {cmp.divergence}")
+        print(f"FAIL: {cmp}")
     return 0 if cmp.ok else 1
 
 

@@ -9,8 +9,22 @@ Each leaf's kind is bound once per run (Kind.bind) into a step tuple:
 enable and input references and the bound output and update functions.
 A leaf is active at base step s when the denominator of base_step /
 period divides s, so gcd(s, lcm of the denominators) names the active
-set; its ordered list of steps is built on first use and reused, and
-each base step walks one such list.
+set, and the pattern repeats every hyperperiod of that lcm's base steps.
+A run takes one of two forms:
+
+* a run of fewer than _COMPILE_SPANS hyperperiods ticks the engine one
+  base step at a time, each step walking the ordered list of its active
+  leaves, built on first use and reused;
+* a longer run generates one Python function from the wiring order,
+  enable chains and activation lists, compiles it once and runs it: a
+  loop whose body is one hyperperiod in straight-line code, with each
+  leaf's outputs and state in locals.  The steps past its last whole
+  hyperperiod are ticked.
+
+Both call the same bound functions in the same order, so they give the
+same trace, or raise the same error.  Compiling costs about 20-35 us per
+leaf activation of a hyperperiod, and the compiled form saves about
+0.3-0.45 us per activation run, so it pays from 40-125 hyperperiods on.
 
 MIL shares only the kinds' bind closures with SIL, on purpose: so
 MIL = SIL checks structure (wiring, rates, delays, schedule), and only
@@ -253,6 +267,10 @@ def _one_cycle(deps: dict[str, set[str]], pending_count: dict[str, int]) -> list
 
 _EVAL, _INPORT, _OUTPORT = range(3)  # step roles
 
+# A run of at least this many hyperperiods runs through one generated
+# function: above the measured crossover, with room for slower hosts.
+_COMPILE_SPANS = 256
+
 
 class DiagramEngine:
     """Two-phase evaluation over a Resolution.
@@ -338,8 +356,9 @@ class DiagramEngine:
 
 
 def _activation(eng: DiagramEngine, base: Fraction):
-    """step -> the steps of the leaves active at base step `step`, in
-    evaluation order.
+    """(active, span): active(step) gives the steps of the leaves active at
+    base step `step`, in evaluation order, and the pattern repeats every
+    `span` base steps, the hyperperiod.
 
     A leaf is active at step s when s * base is a multiple of its period,
     which holds exactly when the denominator of base / period divides s.
@@ -357,7 +376,7 @@ def _activation(eng: DiagramEngine, base: Fraction):
         if now is None:
             now = lists[key] = [st for st in eng.steps if key % div[st[0]] == 0]
         return now
-    return active
+    return active, span
 
 
 def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
@@ -366,6 +385,15 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
     Stimulus signals are matched to top-level Inport blocks by id and
     must provide a sample at every activation time; absent signals read
     as the zero token.
+
+    A run of fewer than _COMPILE_SPANS (256) hyperperiods ticks the engine
+    one base step at a time.  A longer one runs its whole hyperperiods
+    through one function generated by _span_code, which calls the same
+    bound functions in the same order, then ticks the engine from that
+    function's final outputs and states over the steps left.  Compiling
+    costs about 20-35 us per leaf activation of a hyperperiod and saves
+    about 0.3-0.45 us per activation run, so it is repaid after 40-125
+    hyperperiods.
     """
     eng = DiagramEngine(m.root, m.triggers)
     base = m.base_step
@@ -378,20 +406,38 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
     zeros = {path: kinds.zero_token(*eng.res.leaves[path].out_ports[0])
              for path in eng.res.inports}
 
+    def missing(path, step):
+        return SdflowError(f"stimulus for {path!r} has no sample at t={step * base}")
+
     def stim(path):
         if path not in table:
             return zeros[path]
         try:
             return table[path][step]
         except KeyError:
-            raise SdflowError(f"stimulus for {path!r} has no sample "
-                              f"at t={step * base}") from None
+            raise missing(path, step) from None
 
-    active = _activation(eng, base)
+    active, span = _activation(eng, base)
     unit = canon_time(base)
     whole = type(unit) is int
     append = {path: trace.samples[path].append for path in eng.res.outports}
-    for step in range(steps):
+    start = steps - steps % span if steps >= _COMPILE_SPANS * span else 0
+    if start:
+        src, ns = _span_code(eng, active, span, unit, table, append)
+        try:
+            exec(compile(src, "<mil hyperperiod>", "exec"), ns)
+            last, state = ns["run"](start)
+        except KeyError as e:  # a stimulus row missing: the first Inport to read it
+            miss = e.args[0]
+            for path, role, *_ in active(miss):
+                if role == _INPORT and path in table and miss not in table[path]:
+                    raise missing(path, miss) from None
+            raise
+        finally:
+            ns.clear()  # the function's globals hold the function
+        for st, out, s in zip(eng.steps, last, state):
+            eng.last[st[0]], eng.state[st[0]] = out, s
+    for step in range(start, steps):
         recorded, latch = eng.tick(active(step), stim)
         if recorded:
             t = step * unit if whole else canon_time(step * unit)
@@ -399,6 +445,60 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
                 append[path]((t, v))
         eng.update(latch)
     return trace
+
+
+def _span_code(eng: DiagramEngine, active, span: int, unit, table: dict,
+               append: dict) -> tuple[str, dict]:
+    """The source of run(n), which runs base steps 0 to n - 1, n a multiple
+    of `span`, as tick and update run them, and returns every leaf's last
+    outputs and state; and the namespace it runs in.
+
+    The leaf at position k of the evaluation order keeps its outputs and
+    state in the locals l{k} and s{k}.  The loop body is one hyperperiod:
+    for each of its steps r, the leaves of active(r) in order, each one
+    statement under its enable chain, then the updates of the enabled
+    stateful ones.  An Inport without a stimulus signal keeps the zero
+    output it was bound with.  Only positional names and integer literals
+    appear in the source; every value arrives through the namespace."""
+    at = {st[0]: k for k, st in enumerate(eng.steps)}
+    ns = {"truth": kinds.truth, "C": canon_time, "Q": unit}
+    head, body = ["def run(n):"], []
+    for k, (path, _, _, _, output, update) in enumerate(eng.steps):
+        head += [f" l{k} = L{k}", f" s{k} = S{k}"]
+        ns.update({f"L{k}": eng.last[path], f"S{k}": eng.state[path], f"F{k}": output,
+                   f"U{k}": update, f"A{k}": append.get(path), f"X{k}": table.get(path)})
+
+    def ins(refs) -> str:
+        return "[" + ", ".join(f"l{at[p]}[{i}]" for p, i in refs) + "]"
+
+    def gated(cond: str, fire: str) -> list[str]:
+        return [f"  if {cond}:", f"   {fire}"] if cond else [f"  {fire}"]
+    for r in range(span):
+        now, step = active(r), f"p + {r}" if r else "p"
+        if any(role == _OUTPORT for _, role, *_ in now):
+            body.append("  t = " + (f"C(({step}) * Q)" if type(unit) is not int else
+                                    step if unit == 1 else f"({step}) * {unit}"))
+        latch = []
+        for path, role, controls, refs, _, update in now:
+            if role == _INPORT and path not in table:
+                continue  # it keeps its zero output
+            k = at[path]
+            cond = " and ".join(f"truth(l{at[p]}[{i}])" for p, i in controls)
+            if cond and update is not None:
+                body.append(f"  e{k} = {cond}")  # the update's gate too
+                cond = f"e{k}"
+            fire = (f"l{k} = F{k}(s{k}, {ins(refs)})" if role == _EVAL else
+                    f"A{k}((t, {ins(refs)[1:-1]}))" if role == _OUTPORT else
+                    f"l{k} = [X{k}[{step}]]")
+            body += gated(cond, fire)
+            if update is not None:
+                latch.append((k, cond, refs))
+        for k, cond, refs in latch:
+            body += gated(cond, f"s{k} = U{k}(s{k}, {ins(refs)})")
+    last = ", ".join(f"l{k}" for k in range(len(eng.steps)))
+    state = ", ".join(f"s{k}" for k in range(len(eng.steps)))
+    return "\n".join(head + [f" for p in range(0, n, {span}):"] + body
+                     + ["  pass", f" return [{last}], [{state}]\n"]), ns
 
 
 class EmbeddedDiagram:

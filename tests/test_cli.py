@@ -536,8 +536,7 @@ def test_verify_names_the_first_divergence(monkeypatch):
     monkeypatch.setattr(cli, "run_sil", perturbed)
     rc, out, _ = run_cli("verify", MODELS / "multirate.json", "--steps", 16)
     assert rc == 1
-    assert out == ("FAIL: {'signal': 'Out2', 'time': '8', 'index': 2, "
-                   "'a': '1.0', 'b': '2.0'}\n")
+    assert out == "FAIL: traces diverge at Out2 t=8 sample 2: 1.0 vs 2.0\n"
 
 
 def test_verify_passes_on_fixtures(tmp_path):

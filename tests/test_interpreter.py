@@ -25,7 +25,7 @@ from sdflow import (Actor, AlgebraicLoopError, Channel, DeadlockError, DepthWarn
                     SignalTypeError, Trace, UnderflowError, build_schedule, compare_traces,
                     emit_bundle, load_model, load_sdfg, normalize, run_mil, run_sil,
                     save_sdfg, sil_span, translate)
-from sdflow import kinds, sil
+from sdflow import kinds, mil, sil
 from sdflow.mil import DiagramEngine, _activation, resolve_wiring
 from sdflow.trace import (Comparison, _scalar_close, canon_time, fmt_value,
                           stimulus_table, time_str)
@@ -406,9 +406,10 @@ def test_activation_lists_match_the_modulo_rule():
     for the compiled activation lists over four hyperperiods."""
     for name, m in activation_models():
         eng = DiagramEngine(m.root, m.triggers)
-        active = _activation(eng, m.base_step)
+        active, span = _activation(eng, m.base_step)
         periods = {path: leaf.period for path, leaf in eng.res.leaves.items()}
         hyper = math.lcm(*((p / m.base_step).numerator for p in periods.values()))
+        assert span == hyper, name
         for step in range(4 * hyper):
             t = step * m.base_step
             want = [path for path in eng.res.order if t % periods[path] == 0]
@@ -828,6 +829,213 @@ def test_period_source_is_linear_in_the_firings(sources):
     assert source_tokens(sources[0]) == []
     # g reads the preload, then c's value; s keeps the last of each block
     assert out_values(tr)[:3] == [1.0, 2.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# the compiled MIL run: a run of at least M hyperperiods runs its whole
+# hyperperiods through one generated function and ticks the rest.  A run
+# of S steps is a prefix of the run of S + 1, so the compiled run of S
+# steps, clipped to S - 1 of them, must print exactly what the
+# interpreter prints for S - 1 steps.
+
+M = mil._COMPILE_SPANS
+
+
+@pytest.fixture
+def span_sources(monkeypatch):
+    """The hyperperiod source of each compiled MIL run, in run order."""
+    seen = []
+
+    def spy(*args):
+        src, ns = span_code(*args)
+        seen.append(src)
+        return src, ns
+    span_code = mil._span_code
+    monkeypatch.setattr(mil, "_span_code", spy)
+    return seen
+
+
+def hyperperiod(m):
+    return _activation(DiagramEngine(m.root, m.triggers), m.base_step)[1]
+
+
+def mil_runs(m, steps, stim=None):
+    """The run of `steps` base steps clipped to steps - 1, and the run of
+    steps - 1 with compiling switched off: each one's CSV lines, or the
+    type and message of what it raised."""
+    def outcome(n):
+        try:
+            return run_mil(m, n, stim).clip((steps - 1) * m.base_step).to_csv().splitlines()
+        except (SdflowError, ArithmeticError) as e:
+            return type(e), str(e)
+    compiled = outcome(steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mil, "_COMPILE_SPANS", math.inf)
+        return compiled, outcome(steps - 1)
+
+
+def mil_forms(m):
+    """The source model and its normalized forms at depths full, 0 and 1."""
+    yield "source", m
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DepthWarning)  # depth above the height
+        for depth in (None, 0, 1):
+            yield f"depth {depth}", normalize(m, depth).model
+
+
+@pytest.mark.parametrize("name", ["multirate", "multirate_rt", "transmission", "climate"])
+def test_compiled_mil_matches_the_interpreter_on_the_fixtures(name, span_sources):
+    m = load_fixture(name)
+    steps = M * hyperperiod(m)
+    stim = random_stimulus(m, steps, 1)
+    for form, fm in mil_forms(m):
+        assert first_difference(*mil_runs(fm, steps, stim)) is None, form
+    assert len(span_sources) == 4  # each form compiled once, interpreted once
+
+
+@pytest.fixture(scope="module")
+def random_corpus():
+    """random_model(0..199), each with its span and a stimulus of three
+    hyperperiods, built once for the module; the models are not edited."""
+    corpus = []
+    for seed in range(200):
+        m = random_model(seed)
+        span = hyperperiod(m)
+        corpus.append((seed, m, span, random_stimulus(m, 3 * span, seed)))
+    return corpus
+
+
+@pytest.mark.parametrize("first", range(0, 200, 100))
+def test_compiled_mil_matches_the_interpreter_on_random_models(first, random_corpus,
+                                                               span_sources, monkeypatch):
+    # two hyperperiods compile, so the loop runs twice before a tail of
+    # seed % span steps; the source does not depend on the threshold
+    monkeypatch.setattr(mil, "_COMPILE_SPANS", 2)
+    for seed, m, span, stim in random_corpus[first:first + 100]:
+        for form, fm in mil_forms(m):
+            outcomes = mil_runs(fm, 2 * span + seed % span + 1, stim)
+            assert first_difference(*outcomes) is None, f"random_model({seed}) {form}"
+    assert len(span_sources) == 400
+
+
+@pytest.mark.parametrize("name", ["offgrid", "half_step"])
+def test_compiled_mil_matches_the_interpreter_on_fractional_steps_and_a_tail(name, span_sources):
+    # base step 1/2 in both; offgrid's periods 3/4, 5/6 and 1/3 make a
+    # hyperperiod of 30 steps, half_step's a hyperperiod of 2
+    m = offgrid_model() if name == "offgrid" else half_step_model()
+    span = hyperperiod(m)
+    steps = M * span + span - 1
+    assert span > 1 and steps % span and type(canon_time(m.base_step)) is Fraction
+    stim = ramp("u", Fraction(1, 2), steps) if name == "half_step" else None
+    assert first_difference(*mil_runs(m, steps, stim)) is None
+    assert len(span_sources) == 1
+    # and every time is canonical: an int when whole, as the interpreter's
+    times = [t for pts in run_mil(m, steps, stim).samples.values() for t, _ in pts]
+    assert all(type(t) is int or t.denominator != 1 for t in times)
+    assert len(span_sources) == 2
+
+
+def divide_model():
+    """y = 1000 / u in i32."""
+    return model([blk("u", "Inport", {"index": 0}, st=1, outs=[I1]),
+                  blk("c", "Constant", {"value": 1000}, st=1, outs=[I1]),
+                  blk("p", "Product", {"ops": "*/"}, ins=[I1, I1], outs=[I1]),
+                  blk("y", "Outport", {"index": 0}, ins=[I1])],
+                 [conn(("c", 0), ("p", 0), I1), conn(("u", 0), ("p", 1), I1),
+                  conn(("p", 0), ("y", 0), I1)])
+
+
+def test_compiled_mil_raises_what_the_interpreter_raises(span_sources):
+    # 1000 / u divides by zero at step M - 2, inside both runs
+    stim = Trace()
+    stim.declare("u", "i32", 1)
+    for k in range(M):
+        stim.add("u", k, 0 if k == M - 2 else 1 + k % 7)
+    compiled, interpreted = mil_runs(divide_model(), M, stim)
+    assert compiled == interpreted == (ZeroDivisionError, "integer division or modulo by zero")
+    assert len(span_sources) == 1
+
+
+@pytest.mark.parametrize("name, steps, gap, t", [
+    ("half_step", 2 * M, M + 1, "257/2"),            # inside the hyperperiods
+    ("transmission", 4 * M + 3, 4 * M + 1, "1025"),  # past them, in the tail
+])
+def test_compiled_mil_raises_the_interpreters_missing_sample_error(name, steps, gap, t,
+                                                                   span_sources):
+    m = load_fixture(name) if name == "transmission" else half_step_model()
+    signal = "throttle" if name == "transmission" else "u"
+    stim = Trace()
+    stim.declare(signal, "f64", 1)
+    for k in range(steps):
+        if k != gap:
+            stim.add(signal, k * m.base_step, float(k))
+    compiled, interpreted = mil_runs(m, steps, stim)
+    assert compiled == interpreted == (SdflowError,
+                                       f"stimulus for {signal!r} has no sample at t={t}")
+    assert len(span_sources) == 1
+
+
+def test_a_compiled_mil_run_leaves_no_reference_cycle(transmission, span_sources,
+                                                     monkeypatch):
+    # the generated function's globals hold the function; the run clears
+    # them, so it leaves what the interpreted run leaves
+    steps = M * 4
+    stim = ramp("throttle", Fraction(1), steps)
+
+    def garbage():
+        gc.collect()
+        gc.disable()
+        try:
+            run_mil(transmission, steps, stim)
+            return gc.collect()
+        finally:
+            gc.enable()
+    compiled = garbage()
+    monkeypatch.setattr(mil, "_COMPILE_SPANS", math.inf)
+    assert compiled == garbage()
+    assert len(span_sources) == 1
+
+
+MIL_POSITIONAL = re.compile(r"[A-Za-z][0-9]*|def|run|for|in|if|and|pass|range|return|truth")
+
+
+@pytest.mark.parametrize("case", ["multirate", "multirate_rt", "transmission", "climate",
+                                  "hostile_ids", "offgrid"])
+def test_hyperperiod_source_holds_only_positional_names(case, span_sources, monkeypatch):
+    monkeypatch.setattr(mil, "_COMPILE_SPANS", 1)
+    m = {"hostile_ids": hostile_ids_model, "offgrid": offgrid_model}.get(
+        case, lambda: load_fixture(case))()
+    for _, fm in mil_forms(m):
+        span = hyperperiod(fm)
+        run_mil(fm, span, random_stimulus(m, span, 1))
+    assert len(span_sources) == 4
+    tokens = [t for src in span_sources for t in tokenize.generate_tokens(
+        io.StringIO(src).readline)]
+    assert [t.string for t in tokens
+            if t.type == tokenize.NAME and not MIL_POSITIONAL.fullmatch(t.string)
+            or t.type == tokenize.NUMBER and not t.string.isdigit()
+            or t.type == tokenize.OP and t.string not in set("=()[],:+*")
+            or t.type not in (tokenize.NAME, tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE,
+                              tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+                              tokenize.ENDMARKER)] == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_engines_leave_the_collector_as_they_found_it(enabled, transmission):
+    g = translate(normalize(transmission))[0]
+    stim = ramp("throttle", Fraction(1), M * 4)
+    runs = [lambda: run_mil(transmission, 8, stim), lambda: run_mil(transmission, M * 4, stim),
+            lambda: run_sil(g, 2, stim), lambda: run_sil(g, N, stim)]
+    before = gc.isenabled(), gc.get_threshold()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        gc.set_threshold(511, 7, 3)
+        for run in runs:
+            run()
+            assert (gc.isenabled(), gc.get_threshold()) == (enabled, (511, 7, 3))
+    finally:
+        (gc.enable if before[0] else gc.disable)()
+        gc.set_threshold(*before[1])
 
 
 # ---------------------------------------------------------------------------

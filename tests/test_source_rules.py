@@ -144,6 +144,18 @@ def test_engines_stay_independent():
     assert sorted(CROSSINGS - crossings) == []
 
 
+def test_only_the_engines_generate_code():
+    # each engine compiles its own straight-line loop; a third code
+    # generator is a deliberate edit to this set
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "compile")):
+                callers.add(path.stem)
+    assert sorted(callers) == ["mil", "sil"]
+
+
 def test_only_sdf_core_and_cli_build_or_check_a_schedule():
     # a replay gets its schedule from sdf_core.firing_plan, so the engines
     # take the one the caller built or checked instead of deciding again

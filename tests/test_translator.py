@@ -159,12 +159,16 @@ def test_enable_source_wiring(climate):
     assert sum(p.event for a in g.actors for p in a.in_ports) == 3
 
 
+def event_ports(g):
+    return {(a.id, k) for a in g.actors for k, p in enumerate(a.in_ports) if p.event}
+
+
 def test_data_ports_carry_no_event_flag(climate):
+    # exactly the last in-port of each heater member is an event port
     g, _ = translated(climate)
-    for a in g.actors:
-        for p in a.in_ports[:-1] if a.id.startswith("heater/") else a.in_ports:
-            if a.kind != "EnableSource":
-                assert not p.event
+    members = [a for a in g.actors if a.id.startswith("heater/")]
+    assert len(members) == 3
+    assert event_ports(g) == {(a.id, len(a.in_ports) - 1) for a in members}
 
 
 def test_opaque_subsystem_keeps_its_diagram(climate):
@@ -172,7 +176,9 @@ def test_opaque_subsystem_keeps_its_diagram(climate):
     sub = g.actor("heater")
     assert sub.kind == "Subsystem"
     assert sub.impl is not None and sub.impl.id == "heater"
-    assert [a.kind for a in g.actors].count("EnableSource") == 0
+    # the control is one of its data in-ports, and no member is dissolved
+    assert not [a.id for a in g.actors if a.id.startswith("heater/")]
+    assert event_ports(g) == set()
 
 
 @pytest.mark.parametrize("depth", [None, 0, 1])
