@@ -18,11 +18,15 @@ A run takes one of two forms:
 * a longer run generates one Python function from the wiring order,
   enable chains and activation lists, compiles it once and runs it: a
   loop whose body is one hyperperiod in straight-line code, with each
-  leaf's outputs and state in locals.  The steps past its last whole
-  hyperperiod are ticked.
+  leaf's outputs and state in locals.  A leaf with no in-port, update or
+  enable chain fires once, before the loop; each enable chain is tested
+  once per step; an Outport appends only values, and its times, the
+  steps its period divides, are filled after the loop.  The steps past
+  its last whole hyperperiod are ticked.
 
-Both call the same bound functions in the same order, so they give the
-same trace, or raise the same error.  Compiling costs about 20-35 us per
+Both call the same bound functions in the same order, the unchanging
+leaves once only in the compiled form, so they give the same trace, or
+raise the same error.  Compiling costs about 20-35 us per
 leaf activation of a hyperperiod, and the compiled form saves about
 0.3-0.45 us per activation run, so it pays from 40-125 hyperperiods on.
 
@@ -213,6 +217,7 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
         res.mem_writer[mp] = resolve(scope_of[wpath], driver(scope_of[wpath],
                                                              blocks[wpath].id, 0))
         res.mem_spec[mp] = tuple(blocks[wpath].in_ports[0])
+    del collect, driver, resolve, walk  # each recursive one holds the cell that holds it
     for path, b in blocks.items():
         if b.kind == "DataStoreRead":
             mp = res.memories.get(b.params["store"])
@@ -420,10 +425,10 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
     active, span = _activation(eng, base)
     unit = canon_time(base)
     whole = type(unit) is int
-    append = {path: trace.samples[path].append for path in eng.res.outports}
     start = steps - steps % span if steps >= _COMPILE_SPANS * span else 0
     if start:
-        src, ns = _span_code(eng, active, span, unit, table, append)
+        src, ns = _span_code(eng, active, span, table,
+                             {path: trace.values[path].append for path in eng.res.outports})
         try:
             exec(compile(src, "<mil hyperperiod>", "exec"), ns)
             last, state = ns["run"](start)
@@ -437,34 +442,46 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
             ns.clear()  # the function's globals hold the function
         for st, out, s in zip(eng.steps, last, state):
             eng.last[st[0]], eng.state[st[0]] = out, s
+        for path in eng.res.outports:  # it fired at each step its period divides
+            every = (base / eng.res.leaves[path].period).denominator
+            trace.times[path] += (range(0, start * unit, every * unit) if whole else
+                                  [canon_time(s * unit) for s in range(0, start, every)])
     for step in range(start, steps):
         recorded, latch = eng.tick(active(step), stim)
         if recorded:
             t = step * unit if whole else canon_time(step * unit)
             for path, v in recorded:
-                append[path]((t, v))
+                trace.times[path].append(t)
+                trace.values[path].append(v)
         eng.update(latch)
     return trace
 
 
-def _span_code(eng: DiagramEngine, active, span: int, unit, table: dict,
+def _span_code(eng: DiagramEngine, active, span: int, table: dict,
                append: dict) -> tuple[str, dict]:
     """The source of run(n), which runs base steps 0 to n - 1, n a multiple
     of `span`, as tick and update run them, and returns every leaf's last
     outputs and state; and the namespace it runs in.
 
     The leaf at position k of the evaluation order keeps its outputs and
-    state in the locals l{k} and s{k}.  The loop body is one hyperperiod:
-    for each of its steps r, the leaves of active(r) in order, each one
-    statement under its enable chain, then the updates of the enabled
-    stateful ones.  An Inport without a stimulus signal keeps the zero
-    output it was bound with.  Only positional names and integer literals
-    appear in the source; every value arrives through the namespace."""
+    state in the locals l{k} and s{k}.  A leaf with no in-port, update or
+    enable chain outputs the same every time, so it fires once, before
+    the loop.  The loop body is one hyperperiod: for each of its steps r,
+    the leaves of active(r) in order, each one statement under its enable
+    chain, tested once per step for every leaf that shares it, then the
+    updates of the enabled stateful ones.  An Outport appends only its
+    value, through `append`; the caller fills its times.  An Inport
+    without a stimulus signal keeps the zero output it was bound with.
+    Only positional names and integer literals appear in the source;
+    every value arrives through the namespace."""
     at = {st[0]: k for k, st in enumerate(eng.steps)}
-    ns = {"truth": kinds.truth, "C": canon_time, "Q": unit}
-    head, body = ["def run(n):"], []
-    for k, (path, _, _, _, output, update) in enumerate(eng.steps):
+    ns = {"truth": kinds.truth}
+    head, body, once = ["def run(n):"], [], set()
+    for k, (path, role, controls, refs, output, update) in enumerate(eng.steps):
         head += [f" l{k} = L{k}", f" s{k} = S{k}"]
+        if role == _EVAL and not (refs or update or controls):
+            head.append(f" l{k} = F{k}(s{k}, [])")
+            once.add(path)
         ns.update({f"L{k}": eng.last[path], f"S{k}": eng.state[path], f"F{k}": output,
                    f"U{k}": update, f"A{k}": append.get(path), f"X{k}": table.get(path)})
 
@@ -474,21 +491,18 @@ def _span_code(eng: DiagramEngine, active, span: int, unit, table: dict,
     def gated(cond: str, fire: str) -> list[str]:
         return [f"  if {cond}:", f"   {fire}"] if cond else [f"  {fire}"]
     for r in range(span):
-        now, step = active(r), f"p + {r}" if r else "p"
-        if any(role == _OUTPORT for _, role, *_ in now):
-            body.append("  t = " + (f"C(({step}) * Q)" if type(unit) is not int else
-                                    step if unit == 1 else f"({step}) * {unit}"))
-        latch = []
-        for path, role, controls, refs, _, update in now:
-            if role == _INPORT and path not in table:
-                continue  # it keeps its zero output
+        step, latch, tested = f"p + {r}" if r else "p", [], {}
+        for path, role, controls, refs, _, update in active(r):
+            if path in once or role == _INPORT and path not in table:
+                continue  # it keeps the output it has
             k = at[path]
-            cond = " and ".join(f"truth(l{at[p]}[{i}])" for p, i in controls)
-            if cond and update is not None:
-                body.append(f"  e{k} = {cond}")  # the update's gate too
-                cond = f"e{k}"
+            cond = tested.get(controls, "")
+            if controls and not cond:
+                body.append(f"  e{k} = " + " and ".join(f"truth(l{at[p]}[{i}])"
+                                                        for p, i in controls))
+                cond = tested[controls] = f"e{k}"
             fire = (f"l{k} = F{k}(s{k}, {ins(refs)})" if role == _EVAL else
-                    f"A{k}((t, {ins(refs)[1:-1]}))" if role == _OUTPORT else
+                    f"A{k}({ins(refs)[1:-1]})" if role == _OUTPORT else
                     f"l{k} = [X{k}[{step}]]")
             body += gated(cond, fire)
             if update is not None:

@@ -127,10 +127,11 @@ def iter_blocks(root: Block, prefix: str = ""):
 
 
 def model_height(m: BlockModel) -> int:
-    def depth(b: Block) -> int:
-        subs = [c for c in b.children if c.is_subsystem()]
-        return 1 + max((depth(s) for s in subs), default=0) if subs else 0
-    return depth(m.root)
+    """The deepest nesting of subsystems, one level at a time."""
+    height, level = 0, [m.root]
+    while level := [c for b in level for c in b.children if c.is_subsystem()]:
+        height += 1
+    return height
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ replays too, in one of two ways:
 * a longer run generates one Python function from the plan, compiles
   it once and runs it: a loop whose body is one period in straight-line
   code, with a fixed slot for every token and a few statements per
-  firing.
+  firing.  An actor with no in-port and no update fires once, before
+  the loop, and each Outport appends only values; its times are the
+  plan's, copied once the loop ends.
 
-Both call the same bound functions in the same order, so they give the
-same trace, or raise the same error.  Compiling costs about 20-70 us per
+Both call the same bound functions in the same order, the unchanging
+actors once only in the compiled form, so they give the same trace, or
+raise the same error.  Compiling costs about 20-70 us per
 firing of the schedule, and the compiled form saves about 0.3 us per
 firing run, so it pays from about 100 periods on; a run of the few
 periods the command line's default 100 steps give never compiles.
@@ -56,7 +59,7 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
     the output and update functions bound from its kind, or for an
     opaque Subsystem from its diagram (None where unused), and a
     role-specific extra: an Inport's stimulus rows, an Outport's firing
-    times and sample list.
+    times and its trace columns of times and values.
     An actor with no out-channel is a sink: nothing can observe its
     outputs or state, so it is not bound and only consumes its input
     tokens.  The firing loop walks those tuples in schedule order and
@@ -88,7 +91,7 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
         elif a.kind == "Outport":
             role = _OUTPORT
             trace.declare(a.id, *plan.data_specs[k][0])
-            extra = (plan.times[k], trace.samples[a.id].append)
+            extra = (plan.times[k], trace.times[a.id], trace.values[a.id])
         elif not plan.ch_out[k]:
             role = _SINK
         else:
@@ -139,8 +142,9 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
                 else:
                     produced = cell[1]
             elif role == _OUTPORT:
-                times, add = extra
-                add((times[cell[0]], vals[0]))
+                times, ts, vs = extra
+                ts.append(times[cell[0]])
+                vs.append(vals[0])
                 cell[0] += 1
                 continue
             elif role == _SINK:
@@ -176,7 +180,7 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
         slots += c.initial_values
         slots += [None] * (q[c.src[0]] * c.rate_src)
     ns = {"B": slots, "truth": kinds.truth}
-    head, counts, body = ["def run(periods):", " b = B"], [], []
+    head, counts, body, tail = ["def run(periods):", " b = B"], [], [], []
     rd, wr, nth = [0] * len(chans), [0] * len(chans), [0] * len(actors)
     for k in plan.steps:
         role, _, _, cell, output, update, extra = bound[k]
@@ -186,9 +190,10 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
                 head += [f" s{k} = S{k}", f" h{k} = H{k}"]
                 ns.update({f"F{k}": output, f"U{k}": update, f"S{k}": cell[2], f"H{k}": cell[1],
                            f"X{k}": extra})
-            elif role == _OUTPORT:
-                ns[f"T{k}"], ns[f"A{k}"] = extra
-            if role == _OUTPORT or role == _INPORT and extra is not None:
+            elif role == _OUTPORT:  # its values in the loop, its times after it
+                ns[f"T{k}"], ns[f"E{k}"], ns[f"A{k}"] = extra[0], extra[1].extend, extra[2].append
+                tail.append(f" E{k}(T{k}[:periods * {q[actors[k].id]}])")
+            if role == _INPORT and extra is not None:
                 counts.append(f"  c{k} = p * {q[actors[k].id]}")  # its firings before this period
         keep = kinds.KINDS[actors[k].kind].keep
         data, events = [], []
@@ -199,8 +204,15 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
                 events.append(f"truth(b[{s}])" if r == 1 else f"all(map(truth, b[{s}:{s + r}]))")
             else:
                 data.append(f"b[{s + keep % r}]")
-        ins, out, fire = "[" + ", ".join(data) + "]", "o", []
-        if role == _EVAL:
+        ins, out, fire, lines, pad = "[" + ", ".join(data) + "]", "o", [], body, "  "
+        fixed = role == _INPORT and extra is None or role == _EVAL and actors[k].kind != "Subsystem"
+        if fixed and not actors[k].in_ports and update is None:
+            # its outputs never change (an opaque Subsystem's output ticks
+            # its diagram): it fires once and fills its slots before the loop
+            out, lines, pad = f"h{k}", head, " "
+            if n == 0 and role == _EVAL:
+                head.append(f" h{k} = F{k}(s{k}, [])")
+        elif role == _EVAL:
             if events:
                 out = f"h{k}"  # held while disabled
             fire = [f"{out} = F{k}(s{k}, {ins})"]
@@ -211,7 +223,7 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
             if extra is not None:
                 fire = [f"h{k} = [X{k}[c{k} + {n}]]"]
         elif role == _OUTPORT:
-            fire = [f"A{k}((T{k}[c{k} + {n}], {data[0]}))"]
+            fire = [f"A{k}({data[0]})"]
         cond = " and ".join(events)
         if cond and fire and role in (_EVAL, _INPORT):
             body += [f"  if {cond}:"] + [f"   {x}" for x in fire]
@@ -223,10 +235,11 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
             c = chans[j]
             s = base[j] + c.delay + wr[j]
             wr[j] += c.rate_src
-            body.append(f"  b[{s}] = {out}[{c.src[1]}]" if c.rate_src == 1 else
-                        f"  b[{s}:{s + c.rate_src}] = [{out}[{c.src[1]}]] * {c.rate_src}")
+            lines.append(f"{pad}b[{s}] = {out}[{c.src[1]}]" if c.rate_src == 1 else
+                         f"{pad}b[{s}:{s + c.rate_src}] = [{out}[{c.src[1]}]] * {c.rate_src}")
     for j, c in enumerate(chans):
         if c.delay:
             s = base[j] + wr[j]
             body.append(f"  b[{base[j]}:{base[j] + c.delay}] = b[{s}:{s + c.delay}]")
-    return "\n".join(head + [" for p in range(periods):"] + counts + body + ["  pass\n"]), ns
+    return "\n".join(head + [" for p in range(periods):"] + counts + body + ["  pass"]
+                     + tail) + "\n", ns

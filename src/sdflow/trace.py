@@ -1,9 +1,12 @@
 """Traces: CSV and JSON forms, comparison and the stimulus table.
 
-A Trace holds, per output signal, (time, value) samples with the signal's
-type and width; a time is an int when whole, else a reduced Fraction.
-compare_traces checks two traces sample by sample, exactly for bool/i32
-and within a relative tolerance for f64.
+A Trace holds, per output signal, two columns, the sample times and the
+values, with the signal's type and width; a time is an int when whole,
+else a reduced Fraction.  `samples` gives a read-only snapshot of
+(time, value) pairs for readers outside the package.  compare_traces
+checks two traces sample by sample, exactly for bool/i32 and within a
+relative tolerance for f64; a signal whose columns are equal as lists is
+equal sample by sample, so only a signal whose columns differ is walked.
 
 Per-sample work is one typed pass, with every per-signal choice made
 once.  Trace.to_csv makes each time canonical so whole times sort as
@@ -16,17 +19,16 @@ time directly when the grid unit is 1.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from math import isinf, isnan
-from operator import eq, itemgetter
+from operator import eq, itemgetter, lt
+from types import MappingProxyType
 
 from . import kinds
 from .errors import SchemaError, ShapeError, SignalTypeError
-
-_first, _second = itemgetter(0), itemgetter(1)
 
 
 def time_str(t: int | Fraction) -> str:
@@ -112,22 +114,31 @@ def _reject_repeat(rows, start: int, signals: set[str]):
 
 
 class Trace:
-    """Per-signal sample lists.  Signals keep insertion order; each
-    signal's samples are in time order, which clip relies on: the engines
-    append them in order, from_csv and from_json sort them, and add
-    inserts each in place.  The engines, from_csv and from_json give each
-    time in canonical form: an int when whole, else a reduced Fraction (an
-    int equals and hashes like its Fraction)."""
+    """Per-signal columns: `times[sig]` and `values[sig]`, aligned.
+    Signals keep insertion order; each signal's times are in order, which
+    clip relies on: the engines append them in order, from_csv and
+    from_json sort them, and add inserts each in place.  The engines,
+    from_csv and from_json give each time in canonical form: an int when
+    whole, else a reduced Fraction (an int equals and hashes like its
+    Fraction)."""
 
     def __init__(self):
-        self.samples: dict[str, list[tuple[int | Fraction, object]]] = {}
+        self.times: dict[str, list[int | Fraction]] = {}
+        self.values: dict[str, list] = {}
         self.specs: dict[str, tuple[str, int]] = {}
+
+    @property
+    def samples(self) -> MappingProxyType:
+        """A read-only snapshot: each signal's (time, value) pairs, a tuple."""
+        return MappingProxyType({sig: tuple(zip(ts, self.values[sig]))
+                                 for sig, ts in self.times.items()})
 
     def declare(self, signal: str, dtype: str, width: int):
         if signal in self.specs and self.specs[signal] != (dtype, width):
             raise ShapeError(f"signal {signal!r} re-declared with a different spec")
         self.specs.setdefault(signal, (dtype, width))
-        self.samples.setdefault(signal, [])
+        self.times.setdefault(signal, [])
+        self.values.setdefault(signal, [])
 
     def add(self, signal: str, t: int | Fraction, value):
         """Insert after every sample at or before `t`, so a signal's samples
@@ -135,22 +146,26 @@ class Trace:
         Callers add in time order, so a sample no earlier than the last is
         appended after one comparison, not a bisection's dozen: comparing
         two Fractions runs Python code."""
-        pts = self.samples[signal]
-        if pts and t < pts[-1][0]:
-            insort_right(pts, (t, value), key=_first)
+        ts, vs = self.times[signal], self.values[signal]
+        if ts and t < ts[-1]:
+            i = bisect_right(ts, t)
+            ts.insert(i, t)
+            vs.insert(i, value)
         else:
-            pts.append((t, value))
+            ts.append(t)
+            vs.append(value)
 
     def signals(self) -> list[str]:
-        return list(self.samples)
+        return list(self.times)
 
     def clip(self, t_end: int | Fraction) -> "Trace":
         """Samples strictly before t_end: a prefix of each signal's."""
         t_end = canon_time(t_end)
         out = Trace()
-        for sig, pts in self.samples.items():
+        for sig, ts in self.times.items():
             out.declare(sig, *self.specs[sig])
-            out.samples[sig] = pts[:bisect_left(pts, t_end, key=_first)]
+            n = bisect_left(ts, t_end)
+            out.times[sig], out.values[sig] = ts[:n], self.values[sig][:n]
         return out
 
     def to_csv(self) -> str:
@@ -158,10 +173,10 @@ class Trace:
         time keep their order.  Times are made canonical before the sort,
         so whole times compare as ints."""
         merged = []
-        for sig, pts in self.samples.items():
+        for sig, ts in self.times.items():
             fmt = _formatter(*self.specs[sig])
             merged.extend([(t if type(t) is int else canon_time(t), sig, fmt(v))
-                           for t, v in pts])
+                           for t, v in zip(ts, self.values[sig])])
         merged.sort(key=itemgetter(0, 1))
         rows = ["time,signal,value"]
         rows.extend([f"{t if type(t) is int else time_str(t)},{sig},{val}"
@@ -180,7 +195,7 @@ class Trace:
         first = next((n for n, ln in enumerate(lines) if ln.strip()), None)
         if first is None or lines[first] != "time,signal,value":
             raise SchemaError("trace CSV must start with 'time,signal,value'")
-        columns = {}  # signal -> (append to its samples, value parser)
+        columns = {}  # signal -> (append a time, append a value, value parser)
         rows = islice(lines, first + 1, None)
         for n, ln in enumerate(rows, first + 2):
             fields = ln.split(",", 2)
@@ -194,11 +209,12 @@ class Trace:
                 if sig not in specs:
                     raise ShapeError(f"trace CSV mentions unknown signal {sig!r}")
                 tr.declare(sig, *specs[sig])
-                col = columns[sig] = (tr.samples[sig].append, _parser(*specs[sig]))
-            add, parse = col
+                col = columns[sig] = (tr.times[sig].append, tr.values[sig].append,
+                                      _parser(*specs[sig]))
+            add_t, add_v, parse = col
             try:  # digit strings take the int fast path
-                add((int(ts) if ts.isdigit() and ts.isascii() else canon_time(Fraction(ts)),
-                     parse(val)))
+                add_t(int(ts) if ts.isdigit() and ts.isascii() else canon_time(Fraction(ts)))
+                add_v(parse(val))
             except (SchemaError, ValueError, ZeroDivisionError) as e:
                 raise SchemaError(f"trace CSV line {n}: {e}") from None
         repeated = tr._sort()
@@ -208,13 +224,17 @@ class Trace:
 
     def _sort(self) -> dict[str, int | Fraction]:
         """Sort each signal's samples by time, keeping the order of samples
-        at one time.  Returns the earliest repeated time of each signal
-        that has one."""
+        at one time; a signal whose times strictly increase is left as it
+        is.  Returns the earliest repeated time of each signal that has
+        one."""
         repeated = {}
-        for sig, pts in self.samples.items():
-            pts.sort(key=_first)
-            times = list(map(_first, pts))
-            for t in compress(times, map(eq, times, islice(times, 1, None))):
+        for sig, ts in self.times.items():
+            if all(map(lt, ts, islice(ts, 1, None))):
+                continue
+            vs = self.values[sig]
+            order = sorted(range(len(ts)), key=ts.__getitem__)
+            ts[:], vs[:] = [ts[i] for i in order], [vs[i] for i in order]
+            for t in compress(ts, map(eq, ts, islice(ts, 1, None))):
                 repeated[sig] = t
                 break
         return repeated
@@ -225,8 +245,8 @@ class Trace:
             "dtype": self.specs[sig][0],
             "width": self.specs[sig][1],
             "samples": [[[t.numerator, t.denominator], kinds.json_value(v)]
-                        for t, v in pts],
-        } for sig, pts in self.samples.items()]}
+                        for t, v in zip(ts, self.values[sig])],
+        } for sig, ts in self.times.items()]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "Trace":
@@ -246,9 +266,9 @@ class Trace:
                 if d not in kinds.DTYPES or type(w) is not int or w < 1:
                     raise SchemaError(f"({d!r} x{w!r}) is not a signal spec")
                 tr.declare(s["name"], d, w)
-                tr.samples[name].extend(
-                    (canon_time(Fraction(num, den)), kinds.canon_token(d, w, v))
-                    for (num, den), v in s["samples"])
+                for (num, den), v in s["samples"]:
+                    tr.times[name].append(canon_time(Fraction(num, den)))
+                    tr.values[name].append(kinds.canon_token(d, w, v))
             except KeyError as e:
                 raise SchemaError(f"trace JSON signal {name!r} has no {e} field") from None
             except (SchemaError, TypeError, ValueError, ZeroDivisionError) as e:
@@ -293,27 +313,31 @@ def compare_traces(a: Trace, b: Trace, tol: float = 0.0) -> Comparison:
     """Compare two traces sample by sample.  Each signal is compared up to
     its first sample that is not close; the divergence reported is the
     earliest of those by time, ties broken by signal name.  `samples`
-    counts the samples compared."""
-    if set(a.samples) != set(b.samples):
-        only_a = sorted(set(a.samples) - set(b.samples))
-        only_b = sorted(set(b.samples) - set(a.samples))
+    counts the samples compared.  Equal columns are equal sample by
+    sample, so a signal is walked only when a column differs."""
+    if set(a.times) != set(b.times):
+        only_a = sorted(set(a.times) - set(b.times))
+        only_b = sorted(set(b.times) - set(a.times))
         raise ShapeError(f"signal sets differ (only left: {only_a}, only right: {only_b})")
     total = 0
     max_rel = 0.0
     earliest = None  # (time, signal, divergence)
-    for sig, pa in a.samples.items():
+    for sig, tsa in a.times.items():
         d, w = spec = a.specs[sig]
         if sig in b.specs and b.specs[sig] != spec:
             raise ShapeError(f"signal {sig!r} spec differs: {spec} vs {b.specs[sig]}")
-        pb = b.samples[sig]
-        if len(pa) != len(pb):
-            raise ShapeError(f"signal {sig!r} has {len(pa)} vs {len(pb)} samples")
-        n = len(pa)
-        for i, ((ta, va), (tb, vb)) in enumerate(zip(pa, pb)):
+        tsb, vsa, vsb = b.times[sig], a.values[sig], b.values[sig]
+        if len(tsa) != len(tsb):
+            raise ShapeError(f"signal {sig!r} has {len(tsa)} vs {len(tsb)} samples")
+        n = len(tsa)
+        if tsa == tsb and vsa == vsb:
+            total += n
+            continue  # equal elements are close with relative error 0
+        for i, (ta, tb, va, vb) in enumerate(zip(tsa, tsb, vsa, vsb)):
             if ta != tb:
                 raise ShapeError(f"signal {sig!r} sample {i} at t={ta} vs t={tb}")
             if va == vb:
-                continue  # equal elements are close with relative error 0
+                continue
             for x, y in ((va, vb),) if w == 1 else zip(va, vb):
                 eq, rel = _scalar_close(d, x, y, tol)
                 max_rel = max(max_rel, rel)
@@ -356,10 +380,9 @@ def stimulus_table(stimulus: Trace | None,
     if stimulus is None:
         return {}
     table = {}
-    for sig, pts in stimulus.samples.items():
+    for sig, times in stimulus.times.items():
         sd, sw = stimulus.specs[sig]
-        times = list(map(_first, pts))
-        toks = _canon_tokens(sd, sw, list(map(_second, pts)))
+        toks = _canon_tokens(sd, sw, stimulus.values[sig])
         if sig not in ports:
             continue
         unit, (d, w) = ports[sig]

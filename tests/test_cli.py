@@ -529,8 +529,7 @@ def test_verify_names_the_first_divergence(monkeypatch):
 
     def perturbed(*args):
         tr = run_sil(*args)
-        t, v = tr.samples["Out2"][2]
-        tr.samples["Out2"][2] = (t, v + 1.0)
+        tr.values["Out2"][2] += 1.0
         return tr
 
     monkeypatch.setattr(cli, "run_sil", perturbed)

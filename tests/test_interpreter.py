@@ -7,6 +7,7 @@ each case show the arithmetic.
 import dataclasses
 import gc
 import io
+import json
 import math
 import random
 import re
@@ -17,14 +18,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import B1, F1, I1, blk, conn, hostile_ids_model, load_fixture, model
+from conftest import B1, F1, I1, MODELS, blk, conn, hostile_ids_model, load_fixture, model
 from model_gen import random_model, random_stimulus
 
 from sdflow import (Actor, AlgebraicLoopError, Channel, DeadlockError, DepthWarning,
                     InconsistentError, Port, SchemaError, Sdfg, SdflowError, ShapeError,
-                    SignalTypeError, Trace, UnderflowError, build_schedule, compare_traces,
-                    emit_bundle, load_model, load_sdfg, normalize, run_mil, run_sil,
-                    save_sdfg, sil_span, translate)
+                    SignalTypeError, Trace, UnderflowError, build_schedule, check_requirements,
+                    compare_traces, emit_bundle, load_model, load_sdfg, normalize, run_mil,
+                    run_sil, save_sdfg, sil_span, translate)
 from sdflow import kinds, mil, sil
 from sdflow.mil import DiagramEngine, _activation, resolve_wiring
 from sdflow.trace import (Comparison, _scalar_close, canon_time, fmt_value,
@@ -259,7 +260,7 @@ def test_mil_setup_is_linear_in_subsystem_width():
             gc.enable()
         return best
     small, large = wide_pass_through(1000), wide_pass_through(4000)
-    assert run_mil(small, 1).samples["y123"] == [(0, 123.0)]
+    assert list(run_mil(small, 1).samples["y123"]) == [(0, 123.0)]
     ratio = setup_s(large) / setup_s(small)
     assert ratio < 10, f"4000 ports took {ratio:.1f}x as long as 1000"
 
@@ -996,6 +997,111 @@ def test_a_compiled_mil_run_leaves_no_reference_cycle(transmission, span_sources
     assert len(span_sources) == 1
 
 
+@pytest.mark.parametrize("name", ["multirate", "multirate_rt", "transmission", "climate"])
+def test_the_verify_chain_leaves_no_cyclic_garbage(name):
+    # every stage frees what it allocates by reference counting alone: a
+    # nested recursive function would hold the closure cell that holds it
+    doc = json.loads((MODELS / f"{name}.json").read_text(encoding="utf-8"))
+    m = load_model(doc)
+    n = normalize(m)
+    steps = M * hyperperiod(m)
+    stim = random_stimulus(m, steps, 1)
+    stages = {"load_model": lambda: load_model(doc),
+              "check_requirements": lambda: check_requirements(m),
+              "normalize": lambda: normalize(m), "translate": lambda: translate(n),
+              "run_mil interpreted": lambda: run_mil(m, 8, stim),
+              "run_mil compiled": lambda: run_mil(m, steps, stim)}
+    for depth in (None, 0):
+        g = depth_graph(m, depth)
+        sil_stim = long_stimulus(m, g)
+        stages[f"run_sil depth {depth} interpreted"] = lambda g=g, st=sil_stim: run_sil(g, 2, st)
+        stages[f"run_sil depth {depth} compiled"] = lambda g=g, st=sil_stim: run_sil(g, N, st)
+    found = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for stage, run in stages.items():
+            run()
+            found[stage] = gc.collect()
+    finally:
+        gc.enable()
+    assert found == dict.fromkeys(stages, 0)
+
+
+def test_a_compiled_run_fires_an_unchanging_leaf_once(monkeypatch, span_sources, sources):
+    # half_step's Constant c has no in-port, update or gate and fires every
+    # second base step: once per compiled run, once per activation otherwise
+    calls = []
+    constant = kinds.KINDS["Constant"]
+    bind = constant.bind
+
+    def counted(params, in_specs, out_specs):
+        state, last, output, update = bind(params, in_specs, out_specs)
+
+        def count(state, ins):
+            calls.append(ins)
+            return output(state, ins)
+        return state, last, count, update
+    monkeypatch.setattr(constant, "bind", counted)
+    m = half_step_model()
+    g = translate(normalize(m))[0]
+    steps = M * hyperperiod(m)
+    stim = ramp("u", Fraction(1, 2), steps)
+    compiled = run_mil(m, steps, stim), run_sil(g, N, stim)
+    assert (len(span_sources), len(sources), len(calls)) == (1, 1, 2)
+    monkeypatch.setattr(mil, "_COMPILE_SPANS", math.inf)
+    monkeypatch.setattr(sil, "_COMPILE_PERIODS", math.inf)
+    calls.clear()
+    interpreted = run_mil(m, steps, stim), run_sil(g, N, stim)
+    assert len(calls) == steps // 2 + N * build_schedule(g).repetition["c"]
+    for got, want in zip(compiled, interpreted):
+        assert got.to_csv() == want.to_csv()
+
+
+def test_compiled_mil_tests_each_enable_chain_once_per_step(monkeypatch):
+    # climate's three heater/* members share one enable chain: the
+    # interpreter, the reference, tests it per member, the compiled run once
+    m = load_fixture("climate")
+    steps = M * hyperperiod(m)
+    stim = random_stimulus(m, steps, 1)
+    calls, real = [], kinds.truth
+
+    def truth(v):
+        calls.append(v)
+        return real(v)
+    monkeypatch.setattr(kinds, "truth", truth)
+    compiled = run_mil(m, steps, stim)
+    assert (hyperperiod(m), len(calls)) == (1, steps)
+    calls.clear()
+    monkeypatch.setattr(mil, "_COMPILE_SPANS", math.inf)
+    assert run_mil(m, steps, stim).to_csv() == compiled.to_csv()
+    assert len(calls) == 3 * steps
+
+
+@pytest.mark.parametrize("name", ["offgrid", "half_step"])
+def test_compiled_outport_times_are_the_interpreters(name, monkeypatch):
+    # base step 1/2; the MIL run ends with a tail of span - 1 steps, and
+    # half_step's graph replays Outports of periods 1/2 and 1 (offgrid's
+    # periods do not divide one another, so it has no graph)
+    m = offgrid_model() if name == "offgrid" else half_step_model()
+    span = hyperperiod(m)
+    steps = M * span + span - 1
+    stim = None
+    runs = [lambda: run_mil(m, steps, stim)]
+    if name == "half_step":
+        g = translate(normalize(m))[0]
+        stim = ramp("u", Fraction(1, 2), steps)
+        runs.append(lambda: run_sil(g, N, stim))
+    compiled = [run().times for run in runs]
+    # whole times are ints, the others reduced Fractions; offgrid's y
+    # fires every second base step, at whole times only
+    assert {type(t) for times in compiled for ts in times.values() for t in ts} == (
+        {int} if name == "offgrid" else {int, Fraction})
+    monkeypatch.setattr(mil, "_COMPILE_SPANS", math.inf)
+    monkeypatch.setattr(sil, "_COMPILE_PERIODS", math.inf)
+    assert list(map(_typed, compiled)) == [_typed(run().times) for run in runs]
+
+
 MIL_POSITIONAL = re.compile(r"[A-Za-z][0-9]*|def|run|for|in|if|and|pass|range|return|truth")
 
 
@@ -1091,7 +1197,7 @@ def _json_signal(**edit) -> dict:
         "unknown_dtype", "zero_width", "name_not_a_string", "out_of_order"])
 def test_trace_json_rejects_what_csv_rejects(doc, outcome):
     if isinstance(outcome, list):
-        assert Trace.from_json(doc).samples["y"] == outcome
+        assert list(Trace.from_json(doc).samples["y"]) == outcome
     else:
         with pytest.raises(SchemaError, match=re.escape(outcome)):
             Trace.from_json(doc)
@@ -1109,7 +1215,7 @@ def test_clip_keeps_what_the_filter_kept(transmission):
         for t_end in (0, 1, Fraction(5, 2), 17, 63, 64, 1000):
             clipped = tr.clip(t_end)
             assert clipped.specs == tr.specs
-            assert clipped.samples == {sig: [(t, v) for t, v in pts if t < t_end]
+            assert clipped.samples == {sig: tuple((t, v) for t, v in pts if t < t_end)
                                        for sig, pts in tr.samples.items()}
 
 
@@ -1126,9 +1232,34 @@ def test_add_keeps_time_order():
     tr.declare("y", "f64", 1)
     tr.add("y", 2, 1.0)
     tr.add("y", 1, 2.0)
-    assert tr.clip(2).samples["y"] == [(1, 2.0)]
+    assert list(tr.clip(2).samples["y"]) == [(1, 2.0)]
     tr.add("y", 1, 3.0)  # after the sample already at t=1
-    assert tr.samples["y"] == [(1, 2.0), (1, 3.0), (2, 1.0)]
+    assert list(tr.samples["y"]) == [(1, 2.0), (1, 3.0), (2, 1.0)]
+
+
+def test_samples_is_a_read_only_snapshot_of_the_columns():
+    tr = sample_trace()
+    snapshot = tr.samples
+    assert list(snapshot) == list(tr.times) == list(tr.values) == ["f", "v", "i", "b"]
+    for sig, pts in snapshot.items():
+        assert pts == tuple(zip(tr.times[sig], tr.values[sig]))
+    with pytest.raises(TypeError):
+        snapshot["f"] = ()
+    with pytest.raises(TypeError):
+        snapshot["f"][0] = (0, 1.0)
+    tr.add("f", 1, 2.0)
+    assert len(snapshot["f"]) == 2 and len(tr.samples["f"]) == 3
+
+
+def test_add_keeps_the_columns_aligned_and_in_time_order():
+    tr = Trace()
+    tr.declare("y", "i32", 1)
+    for t, v in [(2, 20), (0, 0), (3, 30), (1, 10), (2, 21), (0, 1),
+                 (Fraction(5, 2), 25), (3, 31), (Fraction(1, 2), 5)]:
+        tr.add("y", t, v)
+    # samples at one time keep the order they were added in
+    assert tr.times["y"] == [0, 0, Fraction(1, 2), 1, 2, 2, Fraction(5, 2), 3, 3]
+    assert tr.values["y"] == [0, 1, 5, 10, 20, 21, 25, 30, 31]
 
 
 def test_compare_rejects_different_signal_sets():
@@ -1205,8 +1336,8 @@ def test_divergence_reports_the_earliest_time_across_signals():
             tr.declare(sig, "f64", 1)
             for t in range(8):
                 tr.add(sig, t, 0.0)
-    a.samples["A"][5] = (5, 1.0)
-    a.samples["B"][1] = (1, 1.0)
+    a.values["A"][5] = 1.0
+    a.values["B"][1] = 1.0
     r = compare_traces(a, b)
     assert (r.divergence["signal"], r.divergence["time"]) == ("B", "1")
     assert "diverge at B t=1 " in str(r)
@@ -1220,11 +1351,60 @@ def test_divergence_ties_are_broken_by_signal_name():
             tr.add(sig, 0, 0)
             tr.add(sig, 1, 0)
     for sig in ("z", "q"):
-        a.samples[sig][1] = (1, 7)
+        a.values[sig][1] = 7
     r = compare_traces(a, b)
     assert (r.divergence["signal"], r.divergence["time"]) == ("q", "1")
     # every sample of m and the first two of z and q were compared
     assert r.samples == 6
+
+
+@pytest.mark.parametrize("diverge, shift, other", [
+    (1, 3, None),  # the divergence comes first: the later time is not reached
+    (3, 1, None),  # the time mismatch comes first
+    (2, 2, None),  # one sample: its time is checked first
+    (0, None, 4),  # a divergence in x does not stop y's time mismatch
+])
+def test_compare_the_earlier_of_a_divergence_and_a_time_mismatch_decides(diverge, shift,
+                                                                         other):
+    a, b = Trace(), Trace()
+    for tr in (a, b):
+        for sig in ("x", "y"):
+            tr.declare(sig, "f64", 1)
+            for t in range(6):
+                tr.add(sig, t, float(t))
+    b.values["x"][diverge] = -1.0
+    if shift is not None:
+        b.times["x"][shift] += Fraction(1, 2)
+    if other is not None:
+        b.times["y"][other] += Fraction(1, 2)
+    want = _outcome(_reference_compare, a, b)
+    assert _outcome(compare_traces, a, b) == want
+    diverged = shift is not None and diverge < shift
+    assert isinstance(want, Comparison) == diverged
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("dtype, width, va, vb", [
+    ("f64", 1, [NAN, 1.0], [NAN, 1.0]),                          # one NaN object
+    ("f64", 1, [float("nan"), 1.0], [float("nan"), 1.0]),        # two NaN objects
+    ("f64", 1, [-0.0, 0.0], [0.0, -0.0]),
+    ("f64", 2, [(NAN, -0.0), (1.0, 2.0)], [(NAN, 0.0), (1.0, 2.0)]),
+    ("f64", 2, [(float("nan"), 1.0)], [(float("nan"), 1.0)]),
+    ("i32", 1, [True, 0, 7], [1, False, 7]),
+    ("bool", 1, [True, False], [1, 0]),
+    ("i32", 2, [(True, 2)], [(1, 2)]),
+])
+def test_compare_on_equal_columns_keeps_the_per_sample_verdict(dtype, width, va, vb):
+    a, b = Trace(), Trace()
+    for tr, vs in ((a, va), (b, vb)):
+        tr.declare("x", dtype, width)
+        for t, v in enumerate(vs):
+            tr.add("x", t, v)
+    got = compare_traces(a, b)
+    assert got == _reference_compare(a, b)
+    assert got.ok and got.samples == len(va) and got.max_rel == 0.0
 
 
 def _reference_compare(a, b, tol=0.0):
@@ -1291,22 +1471,21 @@ def _random_pair(rng):
             a.add(sig, t, v)
             b.add(sig, t, v)
         for _ in range(rng.choice([0, 0, 1, 2])):
-            pts = b.samples[sig]
+            ts, vs = b.times[sig], b.values[sig]
             edit = rng.random()
-            if not pts or edit < 0.05:
+            if not ts or edit < 0.05:
                 b.specs[sig] = (d, w + 1)
             elif edit < 0.1:
-                pts.pop()
+                ts.pop()
+                vs.pop()
             else:
-                i = rng.randrange(len(pts))
-                t, v = pts[i]
+                i = rng.randrange(len(ts))
                 if edit < 0.15:
-                    t += 1
+                    ts[i] += 1
                 elif w == 1:
-                    v = pick()
+                    vs[i] = pick()
                 else:
-                    v = tuple(pick() if rng.random() < 0.5 else x for x in v)
-                pts[i] = (t, v)
+                    vs[i] = tuple(pick() if rng.random() < 0.5 else x for x in vs[i])
     return a, b
 
 
@@ -1400,9 +1579,7 @@ def _ref_from_csv(text, specs):
             tr.add(sig, _ref_parse_time(ts), _ref_parse_value(*specs[sig], val))
         except (SchemaError, ValueError, ZeroDivisionError) as e:
             raise SchemaError(f"trace CSV line {n}: {e}") from None
-    for pts in tr.samples.values():
-        pts.sort(key=lambda p: p[0])
-    return tr
+    return tr  # add kept each signal in time order, as a stable sort would
 
 
 def _ref_stim_table(stimulus, units):
@@ -1436,7 +1613,7 @@ def _typed(x):
 
 
 def _typed_trace(tr):
-    return tr.specs, _typed(tr.samples)
+    return tr.specs, _typed(dict(tr.samples))
 
 
 def _outcome(f, *args):
@@ -1593,8 +1770,8 @@ def test_stim_table_matches_the_reference():
         tr = _random_trace(rng)
         if rng.random() < 0.2:  # a width-1 token may come as a one-element list
             sig = rng.choice(tr.signals())
-            tr.samples[sig] = [(t, [v] if tr.specs[sig][1] == 1 else list(v))
-                               for t, v in tr.samples[sig]]
+            tr.values[sig] = [[v] if tr.specs[sig][1] == 1 else list(v)
+                              for v in tr.values[sig]]
         units = {sig: rng.choice([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2)])
                  for sig in tr.signals() if rng.random() < 0.8}
         want = _outcome(_ref_stim_table, tr, units)
@@ -1612,7 +1789,8 @@ def test_trace_csv_rejects_an_i32_out_of_range():
         with pytest.raises(SchemaError, match=f"^trace CSV line {n}: i32 literal out of range"):
             Trace.from_csv(text, specs)
     tr = Trace.from_csv("time,signal,value\n0,u,2147483647\n0,v,-2147483648;0\n", specs)
-    assert tr.samples == {"u": [(0, 2**31 - 1)], "v": [(0, (-2**31, 0))]}
+    assert {sig: list(pts) for sig, pts in tr.samples.items()} == {
+        "u": [(0, 2**31 - 1)], "v": [(0, (-2**31, 0))]}
 
 
 def test_trace_csv_rejects_a_second_row_for_one_time():

@@ -168,3 +168,25 @@ def test_only_sdf_core_and_cli_build_or_check_a_schedule():
                 if name in ("build_schedule", "check_schedule"):
                     callers.add(path.stem)
     assert sorted(callers - {"cli", "sdf_core"}) == []
+
+
+def test_no_module_reads_the_sample_snapshot():
+    # Trace.samples builds a (time, value) pair per sample for readers
+    # outside the package; the engines and the comparator work on the
+    # columns.  The package reads only Comparison's `samples`, a count:
+    # in the class itself and on what compare_traces returns.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        counts = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Call)
+                  and getattr(node.value.func, "id", None) == "compare_traces"
+                  for t in node.targets if isinstance(t, ast.Name)}
+        own = {id(n) for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) and c.name == "Comparison" for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "samples"
+                    and id(node) not in own
+                    and not (isinstance(node.value, ast.Name) and node.value.id in counts)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
