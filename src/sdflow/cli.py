@@ -73,7 +73,7 @@ def _load_stimulus(path: str | None, m: BlockModel) -> Trace | None:
         return None
     specs = {b.id: (b.out_ports[0].dtype, b.out_ports[0].width)
              for b in m.root.children if b.kind == "Inport"}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:  # drops a byte-order mark editors may add
         try:
             text = f.read()
         except UnicodeDecodeError as e:

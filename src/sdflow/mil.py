@@ -20,13 +20,12 @@ A run takes one of two forms:
   loop whose body is one hyperperiod in straight-line code, with each
   leaf's outputs and state in locals.  A leaf with no in-port, update or
   enable chain fires once, before the loop; each enable chain is tested
-  once per step; an Outport appends only values, and its times, the
-  steps its period divides, are filled after the loop.  The steps past
-  its last whole hyperperiod are ticked.
+  once per step.  The steps past its last whole hyperperiod are ticked.
 
-Both call the same bound functions in the same order, the unchanging
-leaves once only in the compiled form, so they give the same trace, or
-raise the same error.  Compiling costs about 20-35 us per
+In both, an Outport appends only values: its times, the steps its
+period divides, are set before the run.  Both call the same bound
+functions in the same order, the unchanging leaves once only in the
+compiled form, so they give the same trace, or raise the same error.  Compiling costs about 20-35 us per
 leaf activation of a hyperperiod, and the compiled form saves about
 0.3-0.45 us per activation run, so it pays from 40-125 hyperperiods on.
 
@@ -42,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import kinds
-from .errors import AlgebraicLoopError, NormalizationError, SdflowError, UnsupportedKindError
+from .errors import AlgebraicLoopError, NormalizationError, UnsupportedKindError
 from .model_ir import Block, BlockModel
 from .trace import Trace, canon_time, stimulus_table
 
@@ -310,10 +309,10 @@ class DiagramEngine:
         role = {"Inport": _INPORT, "Outport": _OUTPORT}.get(leaf.kind, _EVAL)
         return (path, role, tuple(self.res.controls[path]), tuple(refs), output, update)
 
-    def tick(self, steps, stim=None):
-        """Output phase over `steps`, in evaluation order.  Returns the
-        (outport, value) pairs recorded and the steps of the enabled
-        stateful leaves, for update."""
+    def tick(self, steps, table=None, step=0):
+        """Output phase over `steps`, in evaluation order, at base step
+        `step` of the stimulus `table`.  Returns the (outport, value) pairs
+        recorded and the steps of the enabled stateful leaves, for update."""
         last, state, truth = self.last, self.state, kinds.truth
         recorded, latch = [], []
         for st in steps:
@@ -341,8 +340,8 @@ class DiagramEngine:
             elif role == _OUTPORT:
                 p, i = refs[0]
                 recorded.append((path, last[p][i]))
-            elif stim is not None:
-                last[path] = [stim(path)]
+            elif table and path in table:
+                last[path] = [table[path][step]]
             if update is not None:
                 latch.append(st)
         return recorded, latch
@@ -361,14 +360,14 @@ class DiagramEngine:
 
 
 def _activation(eng: DiagramEngine, base: Fraction):
-    """(active, span): active(step) gives the steps of the leaves active at
-    base step `step`, in evaluation order, and the pattern repeats every
-    `span` base steps, the hyperperiod.
+    """(active, span, div): active(step) gives the steps of the leaves
+    active at base step `step`, in evaluation order, and the pattern
+    repeats every `span` base steps, the hyperperiod.
 
     A leaf is active at step s when s * base is a multiple of its period,
-    which holds exactly when the denominator of base / period divides s.
-    So gcd(s, lcm of those denominators) names the set of active leaves,
-    and each set's list is built once, on first use."""
+    which holds exactly when div[leaf], the denominator of base / period,
+    divides s.  So gcd(s, span, the lcm of div) names the active set, and
+    each set's list is built once, on first use."""
     bn, bd = base.as_integer_ratio()  # base / period is bn*pd / (bd*pn): div is its denominator
     ratios = {path: leaf.period.as_integer_ratio() for path, leaf in eng.res.leaves.items()}
     div = {path: bd * pn // gcd(bn * pd, bd * pn) for path, (pn, pd) in ratios.items()}
@@ -381,7 +380,7 @@ def _activation(eng: DiagramEngine, base: Fraction):
         if now is None:
             now = lists[key] = [st for st in eng.steps if key % div[st[0]] == 0]
         return now
-    return active, span
+    return active, span, div
 
 
 def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
@@ -389,42 +388,26 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
 
     Stimulus signals are matched to top-level Inport blocks by id and
     must provide a sample at every activation time; absent signals read
-    as the zero token.
+    as the zero token.  An Outport's times, the steps its period divides,
+    are known before the run; the run appends its values.
 
     A run of fewer than _COMPILE_SPANS (256) hyperperiods ticks the engine
     one base step at a time.  A longer one runs its whole hyperperiods
-    through one function generated by _span_code, which calls the same
-    bound functions in the same order, then ticks the engine from that
-    function's final outputs and states over the steps left.  Compiling
-    costs about 20-35 us per leaf activation of a hyperperiod and saves
-    about 0.3-0.45 us per activation run, so it is repaid after 40-125
-    hyperperiods.
+    through the function _span_code generates, as the module explains,
+    then ticks the engine from its final outputs and states.
     """
     eng = DiagramEngine(m.root, m.triggers)
     base = m.base_step
-    trace = Trace()
-    for path in eng.res.outports:
-        trace.declare(path, *eng.res.leaves[path].in_ports[0])
-    # stimulus samples by step number; an Inport without a signal reads zero
+    # stimulus samples by step number
     table = stimulus_table(stimulus, {path: (base, eng.res.leaves[path].out_ports[0])
                                       for path in eng.res.inports})
-    zeros = {path: kinds.zero_token(*eng.res.leaves[path].out_ports[0])
-             for path in eng.res.inports}
-
-    def missing(path, step):
-        return SdflowError(f"stimulus for {path!r} has no sample at t={step * base}")
-
-    def stim(path):
-        if path not in table:
-            return zeros[path]
-        try:
-            return table[path][step]
-        except KeyError:
-            raise missing(path, step) from None
-
-    active, span = _activation(eng, base)
+    active, span, div = _activation(eng, base)
     unit = canon_time(base)
-    whole = type(unit) is int
+    trace = Trace()
+    for path in eng.res.outports:  # it fires at each step its period divides
+        trace.declare(path, *eng.res.leaves[path].in_ports[0])
+        trace.times[path] += (range(0, steps * unit, div[path] * unit) if type(unit) is int
+                              else [canon_time(s * unit) for s in range(0, steps, div[path])])
     start = steps - steps % span if steps >= _COMPILE_SPANS * span else 0
     if start:
         src, ns = _span_code(eng, active, span, table,
@@ -432,27 +415,14 @@ def run_mil(m: BlockModel, steps: int, stimulus: Trace | None = None) -> Trace:
         try:
             exec(compile(src, "<mil hyperperiod>", "exec"), ns)
             last, state = ns["run"](start)
-        except KeyError as e:  # a stimulus row missing: the first Inport to read it
-            miss = e.args[0]
-            for path, role, *_ in active(miss):
-                if role == _INPORT and path in table and miss not in table[path]:
-                    raise missing(path, miss) from None
-            raise
         finally:
             ns.clear()  # the function's globals hold the function
         for st, out, s in zip(eng.steps, last, state):
             eng.last[st[0]], eng.state[st[0]] = out, s
-        for path in eng.res.outports:  # it fired at each step its period divides
-            every = (base / eng.res.leaves[path].period).denominator
-            trace.times[path] += (range(0, start * unit, every * unit) if whole else
-                                  [canon_time(s * unit) for s in range(0, start, every)])
     for step in range(start, steps):
-        recorded, latch = eng.tick(active(step), stim)
-        if recorded:
-            t = step * unit if whole else canon_time(step * unit)
-            for path, v in recorded:
-                trace.times[path].append(t)
-                trace.values[path].append(v)
+        recorded, latch = eng.tick(active(step), table, step)
+        for path, v in recorded:
+            trace.values[path].append(v)
         eng.update(latch)
     return trace
 
@@ -470,8 +440,8 @@ def _span_code(eng: DiagramEngine, active, span: int, table: dict,
     the leaves of active(r) in order, each one statement under its enable
     chain, tested once per step for every leaf that shares it, then the
     updates of the enabled stateful ones.  An Outport appends only its
-    value, through `append`; the caller fills its times.  An Inport
-    without a stimulus signal keeps the zero output it was bound with.
+    value, through `append`.  An Inport without a stimulus signal keeps
+    the zero output it was bound with.
     Only positional names and integer literals appear in the source;
     every value arrives through the namespace."""
     at = {st[0]: k for k, st in enumerate(eng.steps)}

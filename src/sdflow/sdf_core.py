@@ -461,12 +461,8 @@ def firing_plan(g: Sdfg, periods: int, stimulus: Trace | None,
             times[k] = by_period[a.period]
         if a.kind != "Inport" or a.id not in table or not ix.outs[k]:
             continue
-        samples = table[a.id]
-        try:
-            stim[k] = [samples[n] for n in range(sched.repetition[a.id] * periods)]
-        except KeyError as e:
-            raise SdflowError(f"stimulus for {a.id!r} has no sample "
-                              f"at t={e.args[0] * a.period}") from None
+        samples = table[a.id]  # a missing sample raises, for the first Inport in actor order
+        stim[k] = [samples[n] for n in range(sched.repetition[a.id] * periods)]
     return FiringPlan(sched, [pos[aid] for aid in sched.firings], ch_in, ix.outs,
                       data_specs, out_specs, stim, times)
 

@@ -14,8 +14,9 @@ replays too, in one of two ways:
   it once and runs it: a loop whose body is one period in straight-line
   code, with a fixed slot for every token and a few statements per
   firing.  An actor with no in-port and no update fires once, before
-  the loop, and each Outport appends only values; its times are the
-  plan's, copied once the loop ends.
+  the loop.
+
+In both, an Outport appends only values: its times are the plan's.
 
 Both call the same bound functions in the same order, the unchanging
 actors once only in the compiled form, so they give the same trace, or
@@ -58,8 +59,8 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
     (FIFO, out-port index, rate), a [firings, held outputs, state] cell,
     the output and update functions bound from its kind, or for an
     opaque Subsystem from its diagram (None where unused), and a
-    role-specific extra: an Inport's stimulus rows, an Outport's firing
-    times and its trace columns of times and values.
+    role-specific extra: an Inport's stimulus rows, an Outport's append
+    to its trace values, its times being the plan's.
     An actor with no out-channel is a sink: nothing can observe its
     outputs or state, so it is not bound and only consumes its input
     tokens.  The firing loop walks those tuples in schedule order and
@@ -67,11 +68,8 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
     counts do not depend on token values, so no firing can underflow and
     every period ends with each channel back at its delay.
 
-    A run of _COMPILE_PERIODS (256) periods or more does not walk the
-    tuples: it runs one function generated from the plan by _period_code,
-    which calls the same functions in the same order.  Compiling costs
-    about 20-70 us per firing of the schedule and saves about 0.3 us per
-    firing run, so it is repaid after about 100 periods.
+    A run of _COMPILE_PERIODS (256) periods or more runs the function
+    _period_code generates from the plan instead, as the module explains.
     """
     plan = firing_plan(g, periods, stimulus, schedule)
     fifos = [deque(c.initial_values) for c in g.channels]
@@ -91,7 +89,8 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
         elif a.kind == "Outport":
             role = _OUTPORT
             trace.declare(a.id, *plan.data_specs[k][0])
-            extra = (plan.times[k], trace.times[a.id], trace.values[a.id])
+            trace.times[a.id] += plan.times[k][:periods * plan.schedule.repetition[a.id]]
+            extra = trace.values[a.id].append
         elif not plan.ch_out[k]:
             role = _SINK
         else:
@@ -142,10 +141,7 @@ def run_sil(g: Sdfg, periods: int = 1, stimulus: Trace | None = None, *,
                 else:
                     produced = cell[1]
             elif role == _OUTPORT:
-                times, ts, vs = extra
-                ts.append(times[cell[0]])
-                vs.append(vals[0])
-                cell[0] += 1
+                extra(vals[0])
                 continue
             elif role == _SINK:
                 continue
@@ -180,19 +176,16 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
         slots += c.initial_values
         slots += [None] * (q[c.src[0]] * c.rate_src)
     ns = {"B": slots, "truth": kinds.truth}
-    head, counts, body, tail = ["def run(periods):", " b = B"], [], [], []
+    head, counts, body = ["def run(periods):", " b = B"], [], []
     rd, wr, nth = [0] * len(chans), [0] * len(chans), [0] * len(actors)
     for k in plan.steps:
         role, _, _, cell, output, update, extra = bound[k]
         n, nth[k] = nth[k], nth[k] + 1
-        if n == 0:  # the actor's names
+        if n == 0:  # the actor's names; X{k} is its role's extra
+            ns[f"X{k}"] = extra
             if role in (_EVAL, _INPORT):
                 head += [f" s{k} = S{k}", f" h{k} = H{k}"]
-                ns.update({f"F{k}": output, f"U{k}": update, f"S{k}": cell[2], f"H{k}": cell[1],
-                           f"X{k}": extra})
-            elif role == _OUTPORT:  # its values in the loop, its times after it
-                ns[f"T{k}"], ns[f"E{k}"], ns[f"A{k}"] = extra[0], extra[1].extend, extra[2].append
-                tail.append(f" E{k}(T{k}[:periods * {q[actors[k].id]}])")
+                ns.update({f"F{k}": output, f"U{k}": update, f"S{k}": cell[2], f"H{k}": cell[1]})
             if role == _INPORT and extra is not None:
                 counts.append(f"  c{k} = p * {q[actors[k].id]}")  # its firings before this period
         keep = kinds.KINDS[actors[k].kind].keep
@@ -223,7 +216,7 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
             if extra is not None:
                 fire = [f"h{k} = [X{k}[c{k} + {n}]]"]
         elif role == _OUTPORT:
-            fire = [f"A{k}({data[0]})"]
+            fire = [f"X{k}({data[0]})"]
         cond = " and ".join(events)
         if cond and fire and role in (_EVAL, _INPORT):
             body += [f"  if {cond}:"] + [f"   {x}" for x in fire]
@@ -241,5 +234,4 @@ def _period_code(g: Sdfg, plan: FiringPlan, bound: list) -> tuple[str, dict]:
         if c.delay:
             s = base[j] + wr[j]
             body.append(f"  b[{base[j]}:{base[j] + c.delay}] = b[{s}:{s + c.delay}]")
-    return "\n".join(head + [" for p in range(periods):"] + counts + body + ["  pass"]
-                     + tail) + "\n", ns
+    return "\n".join(head + [" for p in range(periods):"] + counts + body + ["  pass\n"]), ns

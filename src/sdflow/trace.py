@@ -14,11 +14,13 @@ ints, and formats values with one function per signal; Trace.from_csv
 parses with one function per signal, which also range-checks i32, so
 every token it returns is canonical.  stimulus_table passes a signal's
 tokens through when all are canonical by exact type and indexes them by
-time directly when the grid unit is 1.
+time directly when the grid unit is 1; a read of a sample it lacks
+raises the one error that names the signal and the time.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +30,7 @@ from operator import eq, itemgetter, lt
 from types import MappingProxyType
 
 from . import kinds
-from .errors import SchemaError, ShapeError, SignalTypeError
+from .errors import SchemaError, SdflowError, ShapeError, SignalTypeError
 
 
 def time_str(t: int | Fraction) -> str:
@@ -96,6 +98,19 @@ def _parser(dtype: str, width: int):
             raise SchemaError(f"expected {width} elements, got {len(parts)}")
         return tuple(map(scalar, parts))
     return parse
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # Fraction's exponent syntax
+
+
+def _parse_time(ts: str) -> int | Fraction:
+    """A CSV time in canonical form.  Fraction builds 10**exp, for hours
+    when exp has millions of digits, so an exponent beyond 4300, Python's
+    int-digit limit that already bounds the digit form, is refused."""
+    m = _EXPONENT.search(ts)
+    if m and abs(exp := int(m[1])) > 4300:
+        raise SchemaError(f"time exponent out of range: {exp}")
+    return canon_time(Fraction(ts))
 
 
 def _reject_repeat(rows, start: int, signals: set[str]):
@@ -213,7 +228,7 @@ class Trace:
                                       _parser(*specs[sig]))
             add_t, add_v, parse = col
             try:  # digit strings take the int fast path
-                add_t(int(ts) if ts.isdigit() and ts.isascii() else canon_time(Fraction(ts)))
+                add_t(int(ts) if ts.isdigit() and ts.isascii() else _parse_time(ts))
                 add_v(parse(val))
             except (SchemaError, ValueError, ZeroDivisionError) as e:
                 raise SchemaError(f"trace CSV line {n}: {e}") from None
@@ -370,13 +385,21 @@ def _canon_tokens(dtype: str, width: int, values: list) -> list:
     return [kinds.canon_token(dtype, width, v) for v in values]
 
 
+class _Rows(dict):
+    """One stimulus signal's tokens by sample index, and its `signal` name
+    and grid `unit`: reading an index without a sample raises."""
+
+    def __missing__(self, n: int):
+        raise SdflowError(f"stimulus for {self.signal!r} has no sample at t={n * self.unit}")
+
+
 def stimulus_table(stimulus: Trace | None,
                    ports: dict[str, tuple[Fraction, tuple[str, int]]]):
     """The canonical tokens of each stimulus signal named in `ports`, by
     sample index: for ports[signal] = (unit, spec), the sample at time t
-    sits at index t / unit when that is an integer.  A signal whose spec
-    is not its port's is a SignalTypeError.  Every sample is
-    canonicalised, on that grid or not."""
+    sits at index t / unit when that is an integer, and reading an index
+    without one raises.  A signal whose spec is not its port's is a
+    SignalTypeError.  Every sample is canonicalised, on that grid or not."""
     if stimulus is None:
         return {}
     table = {}
@@ -389,10 +412,11 @@ def stimulus_table(stimulus: Trace | None,
         if (sd, sw) != (d, w):
             raise SignalTypeError(
                 f"stimulus {sig!r} is ({sd} x{sw}), the port wants ({d} x{w})")
+        rows = table[sig] = _Rows()
+        rows.signal, rows.unit = sig, unit
         if unit == 1 and set(map(type, times)) == {int}:
-            table[sig] = dict(zip(times, toks))
+            rows.update(zip(times, toks))
             continue
-        rows = table[sig] = {}
         for t, tok in zip(times, toks):
             n, r = divmod(t.numerator * unit.denominator, t.denominator * unit.numerator)
             if not r:

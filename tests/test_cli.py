@@ -584,7 +584,8 @@ def gain_doc(dtype):
 @pytest.mark.parametrize("rows, message", [
     ("0,u,2147483648\n1,u,1", "trace CSV line 2: i32 literal out of range: 2147483648"),
     ("0,u,1\n1,u,3\n0,u,7", "trace CSV line 4: a second sample of 'u' at t=0"),
-], ids=["i32_out_of_range", "repeated_row"])
+    ("0,u,1\n1e100000000,u,3", "trace CSV line 3: time exponent out of range: 100000000"),
+], ids=["i32_out_of_range", "repeated_row", "huge_time_exponent"])
 def test_stimulus_rows_are_checked_with_their_line(tmp_path, cmd, rows, message):
     path = write_model(tmp_path, gain_doc("i32"))
     stim = tmp_path / "stim.csv"
@@ -602,6 +603,15 @@ def test_non_utf8_stimulus_is_a_schema_error(tmp_path, cmd):
                            "--stimulus", stim, *extra)
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {stim}: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("cmd", ["simulate-mil", "simulate-sil", "verify"])
+def test_a_stimulus_with_a_byte_order_mark_reads_as_without(tmp_path, cmd):
+    plain, marked = stimulus_csv(tmp_path), tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    runs = [run_cli(cmd, MODELS / "transmission.json", "--steps", 40, "--stimulus", stim)
+            for stim in (plain, marked)]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("cmd, flag, value", [

@@ -371,6 +371,39 @@ def test_missing_stimulus_sample_is_an_error(transmission):
         run_sil(g, 1, stim)
 
 
+@pytest.mark.parametrize("gaps, mil_error, sil_error", [
+    ({"setpoint": 5, "sensor": 3}, ("sensor", 3), ("setpoint", 5)),
+    ({"setpoint": 3, "sensor": 3}, ("sensor", 3), ("setpoint", 3)),
+    ({"setpoint": 3, "sensor": 5}, ("setpoint", 3), ("setpoint", 3)),
+])
+def test_two_missing_samples_name_the_first_read(climate, monkeypatch, gaps, mil_error,
+                                                 sil_error):
+    """climate evaluates sensor before setpoint and lists the setpoint actor
+    first.  MIL names the earliest step, then the first Inport in
+    evaluation order; SIL and the C emitter name the first Inport in actor
+    order, at its earliest gap; interpreted and compiled alike."""
+    stim = Trace()
+    for sig, gap in gaps.items():
+        stim.declare(sig, "f64", 1)
+        for k in range(16):
+            if k != gap:
+                stim.add(sig, k, float(k))
+    g, _ = translate(normalize(climate))
+
+    def error(f):
+        with pytest.raises(SdflowError) as e:
+            f()
+        return type(e.value), str(e.value)
+    want_mil = (SdflowError, "stimulus for {!r} has no sample at t={}".format(*mil_error))
+    want_sil = (SdflowError, "stimulus for {!r} has no sample at t={}".format(*sil_error))
+    for limit in (math.inf, 1):  # interpreted, then compiled
+        monkeypatch.setattr(mil, "_COMPILE_SPANS", limit)
+        monkeypatch.setattr(sil, "_COMPILE_PERIODS", limit)
+        assert error(lambda: run_mil(climate, 16, stim)) == want_mil, limit
+        assert error(lambda: run_sil(g, 16, stim)) == want_sil, limit
+    assert error(lambda: emit_bundle(g, 16, stim)) == want_sil
+
+
 # ---------------------------------------------------------------------------
 # activation lists and replay errors
 
@@ -404,10 +437,11 @@ def activation_models():
 
 def test_activation_lists_match_the_modulo_rule():
     """The old per-step rule, t % period == 0 over every leaf, is the oracle
-    for the compiled activation lists over four hyperperiods."""
+    for the compiled activation lists and the strides over four
+    hyperperiods."""
     for name, m in activation_models():
         eng = DiagramEngine(m.root, m.triggers)
-        active, span = _activation(eng, m.base_step)
+        active, span, div = _activation(eng, m.base_step)
         periods = {path: leaf.period for path, leaf in eng.res.leaves.items()}
         hyper = math.lcm(*((p / m.base_step).numerator for p in periods.values()))
         assert span == hyper, name
@@ -415,6 +449,7 @@ def test_activation_lists_match_the_modulo_rule():
             t = step * m.base_step
             want = [path for path in eng.res.order if t % periods[path] == 0]
             assert [st[0] for st in active(step)] == want, f"{name} step {step}"
+            assert [path for path in eng.res.order if step % div[path] == 0] == want
 
 
 def test_trigger_gating_matches_the_member_scan():
@@ -565,6 +600,22 @@ def test_absent_stimulus_reads_zero(transmission):
     assert tr.samples["high"][0][1] is False
     gear0 = tr.samples["gear"][0][1]
     assert tr.samples["torque"][0][1] == 800.0 * gear0
+
+
+def test_absent_stimulus_reads_zero_in_every_form(transmission, monkeypatch):
+    """An Inport without a signal reads the zero token: the same trace as an
+    all-zero stimulus, from MIL and SIL, interpreted and compiled."""
+    steps = 64  # 16 hyperperiods and 16 schedule periods
+    zeros = ramp("throttle", Fraction(1), steps, lambda k: 0.0)
+    g, _ = translate(normalize(transmission))
+    for limit in (math.inf, 1):  # interpreted, then compiled
+        monkeypatch.setattr(mil, "_COMPILE_SPANS", limit)
+        monkeypatch.setattr(sil, "_COMPILE_PERIODS", limit)
+        for run in (lambda s: run_mil(transmission, steps, s),
+                    lambda s: run_sil(g, steps // 4, s)):
+            tr = run(None)
+            assert tr.to_csv() == run(zeros).to_csv(), limit
+            assert set(out_values(tr, "high")) == {False}, limit
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +908,8 @@ def span_sources(monkeypatch):
 
 
 def hyperperiod(m):
-    return _activation(DiagramEngine(m.root, m.triggers), m.base_step)[1]
+    _, span, _ = _activation(DiagramEngine(m.root, m.triggers), m.base_step)
+    return span
 
 
 def mil_runs(m, steps, stim=None):
@@ -1791,6 +1843,23 @@ def test_trace_csv_rejects_an_i32_out_of_range():
     tr = Trace.from_csv("time,signal,value\n0,u,2147483647\n0,v,-2147483648;0\n", specs)
     assert {sig: list(pts) for sig, pts in tr.samples.items()} == {
         "u": [(0, 2**31 - 1)], "v": [(0, (-2**31, 0))]}
+
+
+@pytest.mark.parametrize("ts", ["1e100000000", "1e-100000000", "1E+4_301", "2.5e-4301 "])
+def test_trace_csv_refuses_a_huge_time_exponent_at_once(ts):
+    # Fraction would build 10**exponent first, for minutes or hours
+    text = f"time,signal,value\n0,u,1\n{ts},u,2\n"
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="^trace CSV line 3: time exponent out of range: "):
+        Trace.from_csv(text, {"u": ("f64", 1)})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_trace_csv_parses_a_time_exponent_up_to_the_bound():
+    text = "time,signal,value\n1e3,u,1\n1e4_300,u,2\n5e-4300,u,3\n2E+0,u,4\n"
+    tr = Trace.from_csv(text, {"u": ("f64", 1)})
+    assert tr.times["u"] == [Fraction(5, 10 ** 4300), 2, 1000, 10 ** 4300]
+    assert list(map(type, tr.times["u"])) == [Fraction, int, int, int]
 
 
 def test_trace_csv_rejects_a_second_row_for_one_time():

@@ -190,3 +190,26 @@ def test_no_module_reads_the_sample_snapshot():
                     and not (isinstance(node.value, ast.Name) and node.value.id in counts)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_one_function_words_the_missing_sample_error():
+    # the stimulus table raises it on the first read of a missing sample,
+    # so no engine catches a KeyError to word it again
+    found, caught = [], []
+
+    def visit(path, node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = f"{path.stem}.{node.name}"
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "has no sample at" in node.value):
+            found.append(fn)
+        if isinstance(node, ast.ExceptHandler) and path.stem in ("mil", "sil"):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.extend(f"{path.name}:{node.lineno}" for t in types
+                          if isinstance(t, ast.Name) and t.id == "KeyError")
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, fn)
+    for path in sorted(SRC.glob("*.py")):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), None)
+    assert len(found) == 1 and found[0] is not None, found
+    assert caught == []
