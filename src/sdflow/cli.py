@@ -32,7 +32,7 @@ from .errors import (DeadlockError, InconsistentError, SchemaError, SdflowError,
 from .mil import run_mil
 from .model_ir import BlockModel, load_model_file, save_model
 from .sil import run_sil
-from .trace import Trace, compare_traces
+from .trace import TIME_BOUND, Trace, compare_traces
 
 
 def _depth_arg(s: str):
@@ -52,8 +52,8 @@ def _count_arg(s: str) -> int:
         v = int(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {s!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {v}")
+    if not 1 <= v < TIME_BOUND:
+        raise argparse.ArgumentTypeError(f"must be a positive integer below {TIME_BOUND}, got {v}")
     return v
 
 

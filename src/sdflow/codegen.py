@@ -566,7 +566,5 @@ def _fire_lines(a, data_specs, out_specs, live, ind: str) -> list[str]:
         lines.append(f"{ind}}} while (0);")
         return lines
 
-    if kind == "RateTransition":
-        return [f"{ind}memcpy(o0, u0, sizeof o0);"]
-
-    raise UnsupportedKindError(f"actor {a.id}: no C form for kind {kind!r}")
+    # RateTransition: firing_plan refused routing and unknown kinds, emit_bundle Subsystems
+    return [f"{ind}memcpy(o0, u0, sizeof o0);"]

@@ -71,11 +71,9 @@ def canon_scalar(dtype: str, v):
         if wrap32(v) != v:
             raise SchemaError(f"i32 literal out of range: {v!r}")
         return v
-    if dtype == "bool":
-        if not isinstance(v, bool):
-            raise SchemaError(f"expected bool literal, got {v!r}")
-        return v
-    raise SchemaError(f"unknown dtype {dtype!r}")
+    if not isinstance(v, bool):  # bool: every caller's dtype is one a loader checked
+        raise SchemaError(f"expected bool literal, got {v!r}")
+    return v
 
 
 def canon_token(dtype: str, width: int, v):
@@ -148,7 +146,10 @@ class Kind:
                  from one channel keeps: 0 the first, -1 the last
 
     canon_params gates a block's params at load; bind turns one block
-    instance into the functions an engine runs.
+    instance into the functions an engine runs.  Each kind defines
+    _canon(params, in_specs, out_specs, probs), which appends each problem
+    to probs and returns the canonical params, or None when a problem
+    leaves nothing further worth checking.
     """
 
     name = "?"
@@ -178,11 +179,6 @@ class Kind:
         if probs:
             raise SchemaError("; ".join(probs))
         return canon
-
-    def _canon(self, params, in_specs, out_specs, probs: list) -> dict | None:
-        """Append each problem to probs and return the canonical params, or
-        None when a problem leaves nothing further worth checking."""
-        return dict(params)
 
     def _param(self, params, key, probs: list, parse, *spec):
         """parse(*spec, params[key]), or None once the problem is noted."""
@@ -394,6 +390,8 @@ class _Switch(Kind):
     def _canon(self, params, in_specs, out_specs, probs):
         # Width agreement of the data inputs is deliberately not checked
         # here; that is the validator's fixed-output-size rule.
+        if in_specs[1][1] != 1:
+            probs.append("Switch control input must be scalar")
         return {"threshold": self._param(params, "threshold", probs, canon_scalar, "f64")}
 
     def bind(self, params, in_specs, out_specs):
@@ -649,12 +647,9 @@ class _DataStoreMemory(Kind):
         return {"store": params.get("store"), "initial": initial}
 
     def bind(self, params, in_specs, out_specs):
-        # bound without an out-spec when nothing accesses the store: the
-        # literal stays as written; without an in-spec nothing writes it
-        initial = params["initial"]
-        if out_specs:
-            initial = canon_token(*out_specs[0], initial)
-        return _register(initial, bool(in_specs))
+        # the loader made the initial canonical for the store's spec, when
+        # something accesses it; without an in-spec nothing writes it
+        return _register(params["initial"], bool(in_specs))
 
 
 class _TagParams(Kind):
@@ -706,11 +701,13 @@ class _BusSelector(Kind):
     feedthrough = False
 
     def _canon(self, params, in_specs, out_specs, probs):
+        # without indices, output j selects element j
         idx = params.get("indices")
-        if idx is not None and (not isinstance(idx, list) or len(idx) != len(out_specs)
-                                or not all(_nat(i) for i in idx)):
+        if idx is None:
+            return {"indices": list(range(len(out_specs)))}
+        if not isinstance(idx, list) or len(idx) != len(out_specs) or not all(map(_nat, idx)):
             probs.append("BusSelector indices must list one element index per output")
-        return dict(params)
+        return {"indices": idx}
 
 
 class _Subsystem(Kind):
@@ -727,6 +724,8 @@ class _Subsystem(Kind):
             if not (_nat(cp) and cp < len(in_specs)):
                 probs.append(f"{p['mode']} Subsystem requires params.control_port, "
                              "a valid in-port index")
+            elif in_specs[cp][1] != 1:
+                probs.append(f"{p['mode']} Subsystem control port must be scalar")
             p["control_port"] = cp
         elif cp is not None:
             probs.append("control_port is only meaningful for triggered/enabled Subsystems")

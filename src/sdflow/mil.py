@@ -62,7 +62,7 @@ class Resolution:
         self.outports: list[str] = []
         self.memories: dict[str, str] = {}        # store name -> leaf path
         self.mem_writer: dict[str, Ref] = {}      # leaf path -> writer's driver
-        self.mem_spec: dict[str, tuple] = {}      # leaf path -> (dtype, width)
+        self.mem_spec: dict[str, tuple] = {}      # store name -> its ends' (dtype, width)
 
 
 def _join(scope: str, bid: str) -> str:
@@ -95,21 +95,18 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
                 writers[c.params["store"]] = path
             elif c.kind == "DataStoreMemory":
                 res.memories[c.params["store"]] = path
+            if c.kind in ("DataStoreWrite", "DataStoreRead", "DataStoreMemory"):
+                for spec in c.in_ports[:1] or c.out_ports[:1]:  # the loader made them one
+                    res.mem_spec[c.params["store"]] = tuple(spec)
 
     collect("", top)
-    # the first connection into each in-port drives it
-    drivers: dict[str, dict[tuple[str, int], tuple[str, int]]] = {}
-    for scope_path, sub in scopes.items():
-        into = drivers[scope_path] = {}
-        for cn in sub.connections:
-            into.setdefault(cn.dst, cn.src)
+    # the loader binds every in-port, gives every subsystem out-port an
+    # inner Outport and keeps a control port below the in-port count
+    drivers = {scope_path: {cn.dst: cn.src for cn in sub.connections}
+               for scope_path, sub in scopes.items()}
 
     def driver(scope_path: str, bid: str, port: int) -> tuple[str, int]:
-        src = drivers[scope_path].get((bid, port))
-        if src is None:
-            raise NormalizationError(
-                f"{_join(scope_path, bid)}: in-port {port} has no driver")
-        return src
+        return drivers[scope_path][(bid, port)]
 
     def resolve(scope_path: str, ep: tuple[str, int]) -> Ref:
         bid, port = ep
@@ -149,8 +146,7 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
                 if pending:
                     raise NormalizationError(
                         f"{path}: BusSelector output consumed as a bus")
-                indices = b.params.get("indices") or list(range(len(b.out_ports)))
-                pending.append(indices[port])
+                pending.append(b.params["indices"][port])
                 bid, port = driver(scope_path, b.id, 0)
             elif b.kind == "BusCreator":
                 if not pending:
@@ -159,9 +155,7 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
                 if e >= len(b.in_ports):
                     raise NormalizationError(f"{path}: bus has no element {e}")
                 bid, port = driver(scope_path, b.id, e)
-            elif b.kind in ("Goto", "DataStoreWrite"):
-                raise NormalizationError(f"{path}: {b.kind} cannot drive a signal")
-            else:
+            else:  # a leaf: a Goto or DataStoreWrite has no out-port to be a source
                 if pending:
                     raise NormalizationError(
                         f"{path}: expected a BusCreator on this bus wire")
@@ -215,16 +209,7 @@ def resolve_wiring(top: Block, triggers=()) -> Resolution:
         mp = res.memories[store]
         res.mem_writer[mp] = resolve(scope_of[wpath], driver(scope_of[wpath],
                                                              blocks[wpath].id, 0))
-        res.mem_spec[mp] = tuple(blocks[wpath].in_ports[0])
     del collect, driver, resolve, walk  # each recursive one holds the cell that holds it
-    for path, b in blocks.items():
-        if b.kind == "DataStoreRead":
-            mp = res.memories.get(b.params["store"])
-            if mp is not None and mp not in res.mem_spec:
-                res.mem_spec[mp] = tuple(b.out_ports[0])
-    for mp in res.memories.values():
-        if mp in res.leaves and blocks[mp].out_ports:
-            res.mem_spec[mp] = tuple(blocks[mp].out_ports[0])
 
     # Output-phase order: a feedthrough leaf needs all its producers first,
     # and every leaf needs its enable chain first, itself included in both.
@@ -301,7 +286,8 @@ class DiagramEngine:
         if leaf.kind == "DataStoreMemory" and not ospecs:
             # A store in source form takes its accessors' spec and its
             # writer's driver; nothing accessing it leaves it without specs.
-            writer, spec = self.res.mem_writer.get(path), self.res.mem_spec.get(path)
+            writer = self.res.mem_writer.get(path)
+            spec = self.res.mem_spec.get(leaf.params["store"])
             refs, ispecs = ([], []) if writer is None else ([writer], [spec])
             ospecs = [] if spec is None else [spec]
         self.state[path], self.last[path], output, update = \
@@ -498,8 +484,7 @@ class EmbeddedDiagram:
         by_index = {leaves[path].port_index(): path for path in self.eng.res.outports}
         self.out_refs = [self.eng.res.producers[by_index[j]][0]
                          for j in range(len(block.out_ports))]
-        gated = block.mode() in ("triggered", "enabled")
-        self.control = block.params["control_port"] if gated else None
+        self.control = block.params.get("control_port")  # only a gated one has one
 
     def bind(self) -> tuple:
         return None, self.outputs(), self.output, None

@@ -10,10 +10,12 @@ Invariants held by a loaded BlockModel:
     flattener uses '/' to path-qualify dissolved scopes), ',' (the trace
     CSV separator) or non-printable characters
   * every in-port of every block has exactly one driving connection
-  * a connection's declared SignalSpec equals both endpoint port specs
+  * a connection's declared SignalSpec equals both endpoint port specs,
+    and the ends of one routed signal (a tag or a store) share one spec
   * every block has a resolved, positive sample period (inheritance is
     resolved at load: forward from drivers, then the enclosing scope,
-    then the model base step)
+    then the model base step), whose numerator and denominator, like the
+    base step's, are below trace.TIME_BOUND
 
 Harmonicity and the translation constraints are deliberately NOT
 enforced here; the validator reports those as diagnostics instead of
@@ -29,6 +31,7 @@ from typing import NamedTuple
 
 from . import kinds
 from .errors import ResolutionError, SchemaError, SignalTypeError
+from .trace import TIME_BOUND
 
 
 class SignalSpec(NamedTuple):
@@ -176,6 +179,8 @@ def _parse_period(obj, where, shared: dict) -> SampleTime:
             raise SchemaError(f"{_at(where)}.{label}: expected an integer")
     if den <= 0 or num <= 0:
         raise SchemaError(f"{_at(where)}: period must be positive")
+    if max(num, den) >= TIME_BOUND:
+        raise SchemaError(f"{_at(where)}: num and den must be below {TIME_BOUND}")
     return shared.get((num, den)) or shared.setdefault((num, den),
                                                        SampleTime(Fraction(num, den)))
 
@@ -323,7 +328,12 @@ def _check_boundary(sub: Block, path: str, is_root: bool):
         raise ResolutionError(f"{path}: out-ports {sorted(missing)} lack inner Outports")
 
 
-def _check_kinds(sub: Block, path: str, data_stores: list[str]):
+_ROUTED = {"Goto": "tag", "From": "tag", "DataStoreWrite": "store", "DataStoreRead": "store",
+           "DataStoreMemory": "store"}
+
+
+def _check_kinds(sub: Block, path: str, data_stores: list[str], routed: dict):
+    """`routed` holds the first end seen of each tag and store, and its spec."""
     for c in sub.children:
         here = f"{path}/{c.id}" if path else c.id
         kind = kinds.KINDS.get(c.kind)
@@ -333,13 +343,18 @@ def _check_kinds(sub: Block, path: str, data_stores: list[str]):
             c.params = kind.canon_params(c.params, c.in_ports, c.out_ports)
         except SchemaError as e:
             raise SchemaError(f"{here}: {e}") from None
-        if c.kind in ("DataStoreWrite", "DataStoreRead", "DataStoreMemory"):
-            if c.params["store"] not in data_stores:
-                raise ResolutionError(f"{here}: store {c.params['store']!r} is not declared "
-                                      f"in data_stores")
+        key = _ROUTED.get(c.kind)
+        if key == "store" and c.params["store"] not in data_stores:
+            raise ResolutionError(f"{here}: store {c.params['store']!r} is not declared "
+                                  f"in data_stores")
+        for spec in (c.in_ports[:1] or c.out_ports[:1]) if key else ():  # a memory may have none
+            where, seen = routed.setdefault((key, c.params[key]), (here, spec))
+            if spec != seen:
+                raise SignalTypeError(f"{here}: {key} {c.params[key]!r} carries {spec}, "
+                                      f"but {where} carries {seen}")
         if c.is_subsystem():
             _check_scope(c, here)
-            _check_kinds(c, here, data_stores)  # canonicalize inner params first
+            _check_kinds(c, here, data_stores, routed)  # canonicalize inner params first
             _check_boundary(c, here, is_root=False)
 
 
@@ -402,8 +417,16 @@ def load_model(doc: dict) -> BlockModel:
         raise SchemaError("model.root must be a normal Subsystem")
 
     _check_scope(root, root.id)
-    _check_kinds(root, "", list(stores))
+    routed: dict = {}
+    _check_kinds(root, "", list(stores), routed)
     _check_boundary(root, root.id, is_root=True)
+    for path, b, _ in iter_blocks(root):  # a memory without ports takes its store's spec
+        end = routed.get(("store", b.params["store"])) if b.kind == "DataStoreMemory" else None
+        if end and not b.out_ports:
+            try:
+                b.params["initial"] = kinds.canon_token(*end[1], b.params["initial"])
+            except SchemaError as e:
+                raise SchemaError(f"{path}: DataStoreMemory initial: {e}") from None
     if root.sample_time is None:
         root.sample_time = SampleTime(base)
     _resolve_sample_times(root, base)

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .errors import DepthWarning, NormalizationError, SignalTypeError
-from .kinds import ROUTING_KINDS, canon_token
+from .kinds import ROUTING_KINDS
 from .model_ir import (Block, BlockModel, Connection, SignalSpec, TriggerGroup,
                        model_height)
 
@@ -94,13 +94,12 @@ def _collect(sub: Block, prefix: str, depth: int, is_root: bool, out: _Flat):
 
 
 def _resolve(src, incoming: dict) -> tuple:
+    """The block port behind `src`; the loader gave every boundary port a driver."""
     seen = set()
     while src[0] != "blk":
         if src in seen:
             raise NormalizationError(f"pass-through wiring cycle at {src}")
         seen.add(src)
-        if src not in incoming:
-            raise NormalizationError(f"boundary port {src} has no driver")
         src = incoming[src]
     return src
 
@@ -146,8 +145,10 @@ def _flatten(m: BlockModel, depth: int | None) -> tuple[BlockModel, int]:
 # remove_routing
 
 
-def _chase(ep, ctx) -> tuple[str, int]:
-    """Follow routing blocks back to a real source port."""
+def _chase(ep, ctx, selector: str | None = None) -> tuple[str, int]:
+    """Follow routing blocks back to a real source port, or for the input
+    of the BusSelector `selector`, back to the BusCreator that feeds it.
+    remove_routing has checked that every store read has its memory."""
     by_id, driver, memories, gotos_by_tag, seen = ctx
     bid, port = ep
     if ep in seen:
@@ -159,22 +160,21 @@ def _chase(ep, ctx) -> tuple[str, int]:
         gotos = gotos_by_tag.get(tag, [])
         if len(gotos) != 1:
             raise NormalizationError(f"tag {tag!r} has {len(gotos)} Goto writers")
-        return _chase(driver[(gotos[0].id, 0)], ctx)
+        return _chase(driver[(gotos[0].id, 0)], ctx, selector)
     if b.kind == "DataStoreRead":
-        store = b.params["store"]
-        if store not in memories:
-            raise NormalizationError(f"store {store!r} has no DataStoreMemory")
-        return (memories[store].id, 0)
-    if b.kind == "BusSelector":
-        csrc = _chase(driver[(bid, 0)], ctx)
-        creator = by_id[csrc[0]]
-        if creator.kind != "BusCreator":
-            raise NormalizationError(f"BusSelector {bid!r} is not fed by a BusCreator")
-        elem = b.params.get("indices", list(range(len(b.out_ports))))[port]
+        b = memories[b.params["store"]]
+        bid, port = b.id, 0
+    elif b.kind == "BusSelector" and selector is None:
+        creator = by_id[_chase(driver[(bid, 0)], ctx, bid)[0]]
+        elem = b.params["indices"][port]
         if elem >= len(creator.in_ports):
             raise NormalizationError(f"BusSelector {bid!r} selects element {elem} "
                                      f"of a {len(creator.in_ports)}-wide bus")
         return _chase(driver[(creator.id, elem)], ctx)
+    if selector is not None and b.kind != "BusCreator":
+        raise NormalizationError(f"BusSelector {selector!r} is not fed by a BusCreator")
+    if selector is None and b.kind == "BusCreator":
+        raise NormalizationError(f"{bid}: bus feeds a non-selector consumer")
     return bid, port
 
 
@@ -192,9 +192,13 @@ def remove_routing(m: BlockModel) -> BlockModel:
 
     writers: dict[str, list[Block]] = {}
     gotos: dict[str, list[Block]] = {}
+    mem_spec: dict[str, SignalSpec] = {}  # the loader gave a store's accessors one spec
     for c in root.children:
         if c.kind == "DataStoreWrite":
             writers.setdefault(c.params["store"], []).append(c)
+            mem_spec[c.params["store"]] = c.in_ports[0]
+        elif c.kind == "DataStoreRead":
+            mem_spec[c.params["store"]] = c.out_ports[0]
         elif c.kind == "Goto":
             gotos.setdefault(c.params["tag"], []).append(c)
 
@@ -202,15 +206,6 @@ def remove_routing(m: BlockModel) -> BlockModel:
         return _chase(ep, (by_id, driver, memories, gotos, set()))
 
     # Replace each accessed memory by its register before rebuilding wires.
-    mem_spec: dict[str, SignalSpec] = {}
-    for c in root.children:
-        if c.kind in ("DataStoreWrite", "DataStoreRead"):
-            store = c.params["store"]
-            spec = c.in_ports[0] if c.kind == "DataStoreWrite" else c.out_ports[0]
-            if store in mem_spec and mem_spec[store] != spec:
-                raise SignalTypeError(f"store {store!r} is accessed as {mem_spec[store]} "
-                                      f"and as {spec}")
-            mem_spec[store] = spec
     for store, spec in sorted(mem_spec.items()):
         if store not in memories:
             raise NormalizationError(f"store {store!r} has no DataStoreMemory")
@@ -218,10 +213,7 @@ def remove_routing(m: BlockModel) -> BlockModel:
         ws = writers.get(store, [])
         if len(ws) > 1:
             raise NormalizationError(f"store {store!r} has {len(ws)} writers")
-        initial = canon_token(spec.dtype, spec.width, mem.params["initial"])
-        by_id[mem.id] = replace(
-            mem, params={**mem.params, "initial": initial},
-            in_ports=[spec] if ws else [], out_ports=[spec])
+        by_id[mem.id] = replace(mem, in_ports=[spec] if ws else [], out_ports=[spec])
 
     conns: list[Connection] = []
     for c in root.connections:
@@ -240,7 +232,7 @@ def remove_routing(m: BlockModel) -> BlockModel:
 
     removed = {c.id for c in root.children if c.kind in ROUTING_KINDS}
     children = [by_id[c.id] for c in root.children if c.id not in removed]
-    triggers = [TriggerGroup(t.path, t.mode, t.control,
+    triggers = [TriggerGroup(t.path, t.mode, chase(t.control),
                              tuple(b for b in t.members if b not in removed))
                 for t in m.triggers]
     return replace(m, root=replace(root, children=children, connections=conns),

@@ -35,7 +35,7 @@ from types import MappingProxyType
 from . import kinds
 from .errors import (DeadlockError, InconsistentError, SchemaError, SdflowError,
                      UnderflowError, UnsupportedKindError)
-from .trace import Trace, canon_time, stimulus_table
+from .trace import TIME_BOUND, Trace, canon_time, stimulus_table
 
 Endpoint = tuple[str, int]  # (actor id, port slot)
 
@@ -453,8 +453,9 @@ def firing_plan(g: Sdfg, periods: int, stimulus: Trace | None,
     ch_in = [sorted(ks, key=lambda k: g.channels[k].dst[1]) for ks in ix.ins]  # in slot order
     data_specs, out_specs, stim, times = [], [], [None] * len(ix.ids), [None] * len(ix.ids)
     for k, a in enumerate(g.actors):
-        if a.kind not in kinds.KINDS:
-            raise UnsupportedKindError(f"actor {a.id}: unknown kind {a.kind!r}")
+        if a.kind not in kinds.KINDS or a.kind in kinds.ROUTING_KINDS:
+            raise UnsupportedKindError(f"actor {a.id}: kind {a.kind!r} has no firing "
+                                       "(unknown, or routing that normalization removes)")
         data_specs.append([(p.dtype, p.width) for p in a.in_ports if not p.event])
         out_specs.append([(p.dtype, p.width) for p in a.out_ports])
         if a.kind == "Outport":
@@ -548,8 +549,6 @@ def _canon_params(a: Actor) -> dict:
         return k.canon_params(a.params, data_in, specs)
     except SchemaError as e:
         raise SchemaError(f"actor {a.id}: {e}") from None
-    except (KeyError, TypeError) as e:
-        raise SchemaError(f"actor {a.id}: malformed params ({type(e).__name__}: {e})") from None
 
 
 def _field(obj: dict, key: str, where: str, what: str, ok):
@@ -600,11 +599,12 @@ def _ports(ports: dict, key: str, where: str) -> tuple[Port, ...]:
 
 
 def _period(state: dict, where: str) -> Fraction:
-    """An actor's period: [num, den], both positive integers."""
+    """An actor's period: [num, den], positive integers below TIME_BOUND."""
     p = state.get("period")
-    if not (isinstance(p, list) and len(p) == 2 and all(_count(1)(x) for x in p)):
-        raise SchemaError(f"{where}: period must be [num, den] with "
-                          f"two positive integers, got {p!r}")
+    if not (isinstance(p, list) and len(p) == 2
+            and all(_count(1)(x) and x < TIME_BOUND for x in p)):
+        raise SchemaError(f"{where}: period must be [num, den] with two positive "
+                          f"integers below {TIME_BOUND}, got {p!r}")
     return Fraction(*p)
 
 

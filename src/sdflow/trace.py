@@ -33,6 +33,13 @@ from . import kinds
 from .errors import SchemaError, SdflowError, ShapeError, SignalTypeError
 
 
+# A period's numerator and denominator and a run's count of base steps or
+# iterations are below TIME_BOUND, so a time a run reaches has a few dozen
+# digits at most.  A time read from a trace needs only to fit int64.
+TIME_BOUND = 2 ** 31
+_INT64 = 2 ** 63
+
+
 def time_str(t: int | Fraction) -> str:
     """Exact decimal when the denominator allows one, else "num/den"."""
     den = t.denominator
@@ -105,12 +112,20 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # Fraction's exponent s
 
 def _parse_time(ts: str) -> int | Fraction:
     """A CSV time in canonical form.  Fraction builds 10**exp, for hours
-    when exp has millions of digits, so an exponent beyond 4300, Python's
-    int-digit limit that already bounds the digit form, is refused."""
+    when exp has millions of digits, so an exponent beyond 40, more than
+    an int64 time needs, is refused before it is built."""
     m = _EXPONENT.search(ts)
-    if m and abs(exp := int(m[1])) > 4300:
+    if m and abs(exp := int(m[1])) > 40:
         raise SchemaError(f"time exponent out of range: {exp}")
-    return canon_time(Fraction(ts))
+    return _int64_time(Fraction(ts))
+
+
+def _int64_time(t: Fraction) -> int | Fraction:
+    """`t` in canonical form, once its numerator and denominator fit int64."""
+    if not -_INT64 <= t.numerator < _INT64 or t.denominator >= _INT64:
+        raise SchemaError("time out of range: its numerator or denominator "
+                          "does not fit int64")
+    return canon_time(t)
 
 
 def _reject_repeat(rows, start: int, signals: set[str]):
@@ -227,8 +242,9 @@ class Trace:
                 col = columns[sig] = (tr.times[sig].append, tr.values[sig].append,
                                       _parser(*specs[sig]))
             add_t, add_v, parse = col
-            try:  # digit strings take the int fast path
-                add_t(int(ts) if ts.isdigit() and ts.isascii() else _parse_time(ts))
+            try:  # digit strings short enough to fit int64 take the int fast path
+                add_t(int(ts) if ts.isdigit() and ts.isascii() and len(ts) < 19
+                      else _parse_time(ts))
                 add_v(parse(val))
             except (SchemaError, ValueError, ZeroDivisionError) as e:
                 raise SchemaError(f"trace CSV line {n}: {e}") from None
@@ -282,7 +298,7 @@ class Trace:
                     raise SchemaError(f"({d!r} x{w!r}) is not a signal spec")
                 tr.declare(s["name"], d, w)
                 for (num, den), v in s["samples"]:
-                    tr.times[name].append(canon_time(Fraction(num, den)))
+                    tr.times[name].append(_int64_time(Fraction(num, den)))
                     tr.values[name].append(kinds.canon_token(d, w, v))
             except KeyError as e:
                 raise SchemaError(f"trace JSON signal {name!r} has no {e} field") from None

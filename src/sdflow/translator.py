@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kinds
-from .errors import NonHarmonicError, NormalizationError, SdflowError
+from .errors import NonHarmonicError, SdflowError
 from .model_ir import Connection
 from .normalizer import NormalizedModel
 from .sdf_core import MAX_ITERATION, Actor, Channel, Port, Sdfg
@@ -81,11 +81,8 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
     by_id = {b.id: b for b in leaves}
     conns = list(m.root.connections)
 
-    groups = []
-    for t in m.triggers:
-        members = [mid for mid in t.members if mid in by_id]
-        if members:
-            groups.append((t, members))
+    # remove_routing left each member list only leaves
+    groups = [(t, t.members) for t in m.triggers if t.members]
 
     # Consumers per producing (block id, out port): data connections, then
     # one control tap per member of a conditional subsystem.  A
@@ -94,10 +91,7 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
     first_reader: dict[tuple[str, int], Connection] = {}
     for c in conns:
         first_reader.setdefault(c.src, c)
-    for t, members in groups:
-        if t.control[0] not in by_id:
-            raise NormalizationError(
-                f"{t.path}: control signal source {t.control[0]!r} is not a leaf block")
+    for t, members in groups:  # remove_routing chased each control to a leaf
         taps[t.control] += len(members)
 
     report = TranslationReport(replicated_ports=sum(n - 1 for n in taps.values()),
@@ -114,8 +108,7 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
     for b in leaves:
         if b.kind != "RateTransition":
             continue
-        drv = driver_of.get((b.id, 0))
-        p_src = by_id[drv.src[0]].period if drv else b.period
+        p_src = by_id[driver_of[(b.id, 0)].src[0]].period  # the loader drove its in-port
         tap = first_reader.get((b.id, 0))
         p_dst = by_id[tap.dst[0]].period if tap else p_src
         ri, ro, d = rate_transition_rates(p_src, p_dst)
@@ -145,9 +138,7 @@ def translate(n: NormalizedModel) -> tuple[Sdfg, TranslationReport]:
             c.spec.dtype, c.spec.width))
 
     for t, members in groups:
-        spec = by_id[t.control[0]].out_ports[t.control[1]]
-        if spec.width != 1:
-            raise NormalizationError(f"{t.path}: control signal must be scalar")
+        spec = by_id[t.control[0]].out_ports[t.control[1]]  # scalar: the loader checked
         for mid in members:
             dst = (mid, len(in_ports[mid]))
             in_ports[mid].append(Port(spec.dtype, 1, event=True))

@@ -10,8 +10,8 @@ message.  The rule tags are a fixed vocabulary:
                         conditional subsystem mixes member rates
   E1_Hierarchy          a subsystem that stays atomic at this depth
                         contains a tag/store block whose peer is outside
-  E2_VariableSize       a control block does not pin its output size
-                        (Switch width mismatch, non-scalar control port)
+  E2_VariableSize       a Switch does not pin its output size (its data
+                        inputs and output differ in spec)
   E3_1_DanglingRouting  unmatched Goto/From or data-store accessors
   E3_2_BusPairing       BusCreator/BusSelector not directly paired
   E3_2_BusOutput        a BusSelector output consumed as a bus
@@ -84,7 +84,8 @@ def _check(m: BlockModel, depth: int | None):
 
 
 def _check_blocks(m: BlockModel, out: list[Violation]):
-    """The one-block rules in one walk: vocabulary, fixed step, control sizes."""
+    """The one-block rules in one walk: vocabulary, fixed step, Switch sizes.
+    A control input or port of width other than 1 fails the load."""
     bn, bd = m.base_step.as_integer_ratio()
     for path, b, _ in iter_blocks(m.root):
         if b.kind not in kinds.KINDS:
@@ -95,19 +96,10 @@ def _check_blocks(m: BlockModel, out: list[Violation]):
             out.append(Violation("FixedStep", path,
                                  f"period {b.period} is not an integer multiple of the "
                                  f"base step {m.base_step}"))
-        if b.kind == "Switch":
-            if not (b.in_ports[0] == b.in_ports[2] == b.out_ports[0]):
-                out.append(Violation("E2_VariableSize", path,
-                                     "Switch data inputs and output must share one spec "
-                                     f"(got {b.in_ports[0]}, {b.in_ports[2]} -> {b.out_ports[0]})"))
-            if b.in_ports[1].width != 1:
-                out.append(Violation("E2_VariableSize", path,
-                                     "Switch control input must be scalar"))
-        elif b.is_subsystem() and b.mode() != "normal":
-            cp = b.params["control_port"]
-            if b.in_ports[cp].width != 1:
-                out.append(Violation("E2_VariableSize", path,
-                                     f"{b.mode()} subsystem control port must be scalar"))
+        if b.kind == "Switch" and not (b.in_ports[0] == b.in_ports[2] == b.out_ports[0]):
+            out.append(Violation("E2_VariableSize", path,
+                                 "Switch data inputs and output must share one spec "
+                                 f"(got {b.in_ports[0]}, {b.in_ports[2]} -> {b.out_ports[0]})"))
 
 
 _STORE_KINDS = ("DataStoreWrite", "DataStoreRead", "DataStoreMemory")
@@ -200,8 +192,7 @@ def _check_bus_scope(flat: BlockModel, where: str, out: list[Violation]):
                                  f"BusSelector must be fed by a BusCreator, found {src.kind}"))
         if src.kind == "BusCreator" and dst.kind == "BusSelector":
             sel = dst
-            indices = sel.params.get("indices", list(range(len(sel.out_ports))))
-            for j, e in enumerate(indices):
+            for j, e in enumerate(sel.params["indices"]):
                 if e >= len(src.in_ports):
                     out.append(Violation("E3_2_BusPairing", loc,
                                          f"selector output {j} asks for bus element {e}, "

@@ -110,3 +110,44 @@ def compile_and_run(bundle, workdir) -> str:
 
 def c_trace(bundle, workdir, specs) -> Trace:
     return Trace.from_csv(compile_and_run(bundle, workdir), specs)
+
+
+def wiring_defect(name):
+    """(children, connections, stores) of a model that loads but whose
+    wiring neither MIL nor the normalizer can resolve."""
+    c = blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1])
+    y = blk("y", "Outport", {"index": 0}, ins=[F1])
+    bc = blk("bc", "BusCreator", {}, ins=[F1], outs=[F1])
+    into_y = conn(("x", 0), ("y", 0))
+    defects = {
+        # a From whose only Goto it feeds itself
+        "tag_cycle": ([blk("x", "From", {"tag": "t"}, outs=[F1]),
+                       blk("gt", "Goto", {"tag": "t"}, ins=[F1])],
+                      [conn(("x", 0), ("gt", 0))]),
+        "from_without_goto": ([blk("x", "From", {"tag": "t"}, st=1, outs=[F1])], []),
+        "read_without_memory": ([blk("x", "DataStoreRead", {"store": "s"}, st=1,
+                                     outs=[F1])], []),
+        "write_without_memory": ([c, blk("w", "DataStoreWrite", {"store": "s"}, ins=[F1]),
+                                  blk("x", "Gain", {"gain": 1.0}, ins=[F1], outs=[F1])],
+                                 [conn(("c", 0), ("w", 0)), conn(("c", 0), ("x", 0))]),
+        "two_store_writers": ([c, blk("m", "DataStoreMemory", {"store": "s", "initial": 0.0}),
+                               blk("w1", "DataStoreWrite", {"store": "s"}, ins=[F1]),
+                               blk("w2", "DataStoreWrite", {"store": "s"}, ins=[F1]),
+                               blk("x", "DataStoreRead", {"store": "s"}, outs=[F1])],
+                              [conn(("c", 0), ("w1", 0)), conn(("c", 0), ("w2", 0))]),
+        "bus_into_gain": ([c, bc, blk("x", "Gain", {"gain": 1.0}, ins=[F1], outs=[F1])],
+                          [conn(("c", 0), ("bc", 0)), conn(("bc", 0), ("x", 0))]),
+        "selector_without_creator": ([c, blk("x", "BusSelector", {}, ins=[F1], outs=[F1])],
+                                     [conn(("c", 0), ("x", 0))]),
+        "selector_of_a_selector": ([c, bc, blk("bs", "BusSelector", {}, ins=[F1], outs=[F1]),
+                                    blk("x", "BusSelector", {}, ins=[F1], outs=[F1])],
+                                   [conn(("c", 0), ("bc", 0)), conn(("bc", 0), ("bs", 0)),
+                                    conn(("bs", 0), ("x", 0))]),
+        "element_beyond_the_bus": ([c, bc, blk("x", "BusSelector", {"indices": [1]},
+                                               ins=[F1], outs=[F1])],
+                                   [conn(("c", 0), ("bc", 0)), conn(("bc", 0), ("x", 0))]),
+        "unknown_kind": ([c, blk("x", "Quantizer", {}, ins=[F1], outs=[F1])],
+                         [conn(("c", 0), ("x", 0))]),
+    }
+    children, conns = defects[name]
+    return [*children, y], [*conns, into_y], ["s"]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import F1, blk, conn, model_doc
+from conftest import B1, F1, F2, I1, blk, conn, model_doc, wiring_defect
 from sdflow import Trace, cli
 from sdflow.model_ir import MAX_NESTING
 
@@ -237,17 +237,159 @@ def port_doc(out_id="y", memory=False):
                      "children": children, "connections": conns}}
 
 
+def edited_port_doc(edit):
+    """port_doc() after edit(doc, its root, its Constant c)."""
+    doc = port_doc()
+    edit(doc, doc["root"], doc["root"]["children"][0])
+    return doc
+
+
 @pytest.mark.parametrize("doc, message", [
     (port_doc(memory=True), "m: DataStoreMemory must have no ports, or one in and one out"),
     (port_doc("y,1"), "id 'y,1' may not contain ',' or control characters"),
     (port_doc("y\n1"), "id 'y\\n1' may not contain ',' or control characters"),
     ({**port_doc(), "root": {**port_doc()["root"], "children": 1}},
      "pd.children: expected a list, got int"),
-], ids=["store_in_port_only", "comma_id", "newline_id", "children_not_a_list"])
+    (edited_port_doc(lambda d, r, c: r["ports"].update({"in": [F1]})),
+     "pd: the root subsystem may not declare ports"),
+    (edited_port_doc(lambda d, r, c: c.update(params=[])), "pd/c: params must be an object"),
+    (edited_port_doc(lambda d, r, c: c.update(kind="")), "pd: kind must be a non-empty string"),
+    (edited_port_doc(lambda d, r, c: c.update(ports=[])),
+     "pd/c.ports: expected an object, got list"),
+    (edited_port_doc(lambda d, r, c: r["connections"][0].update(src=["c"])),
+     "pd.connections[0].src: endpoint must be [block_id, port_index]"),
+    (edited_port_doc(lambda d, r, c: c["ports"]["out"][0].update(dtype="f32")),
+     "pd/c.ports.out[0]: dtype must be one of ('f64', 'i32', 'bool')"),
+    (edited_port_doc(lambda d, r, c: c["ports"]["out"][0].update(width=0)),
+     "pd/c.ports.out[0]: width must be an integer >= 1"),
+    (edited_port_doc(lambda d, r, c: d.update(data_stores=["s", "s"])),
+     "model.data_stores contains duplicates"),
+    (edited_port_doc(lambda d, r, c: d.update(data_stores="s")),
+     "model.data_stores must be a list of names"),
+    (edited_port_doc(lambda d, r, c: c.update(sample_time={"num": 1, "den": 2 ** 31})),
+     "pd/c.sample_time: num and den must be below 2147483648"),
+    # a memory without ports takes its accessors' spec at load, not at run
+    (model_doc([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+                blk("m", "DataStoreMemory", {"store": "s", "initial": "x"}),
+                blk("w", "DataStoreWrite", {"store": "s"}, ins=[F1]),
+                blk("r", "DataStoreRead", {"store": "s"}, outs=[F1]),
+                blk("y", "Outport", {"index": 0}, ins=[F1])],
+               [conn(("c", 0), ("w", 0)), conn(("r", 0), ("y", 0))], stores=["s"]),
+     "m: DataStoreMemory initial: expected f64 literal, got 'x'"),
+], ids=["store_in_port_only", "comma_id", "newline_id", "children_not_a_list",
+        "root_ports", "params_not_an_object", "empty_kind", "ports_not_an_object",
+        "short_endpoint", "unknown_dtype", "zero_width", "duplicate_stores",
+        "stores_not_a_list", "sample_time_den_at_the_bound", "store_initial_not_a_literal"])
 def test_load_defects_are_schema_errors(tmp_path, doc, message):
     rc, out, err = run_cli("check", write_model(tmp_path, doc))
     assert rc == 2 and out == ""
     assert err.endswith(f"{message}\n") and len(err.splitlines()) == 1, err
+
+
+def block_doc(kind, params, ins, outs):
+    """One block b of `kind`, in-port i fed by Inport u<i>, out-port j
+    feeding Outport y<j>."""
+    def spec(s):
+        return {"dtype": s["dtype"], "width": s["width"]}
+    children = [{"id": f"u{i}", "kind": "Inport", "params": {"index": i},
+                 "ports": {"in": [], "out": [spec(s)]}} for i, s in enumerate(ins)]
+    children += [{"id": f"y{j}", "kind": "Outport", "params": {"index": j},
+                  "ports": {"in": [spec(s)], "out": []}} for j, s in enumerate(outs)]
+    children.append({"id": "b", "kind": kind, "params": params,
+                     "ports": {"in": list(map(spec, ins)), "out": list(map(spec, outs))}})
+    conns = [{"src": [f"u{i}", 0], "dst": ["b", i], **s} for i, s in enumerate(ins)]
+    conns += [{"src": ["b", j], "dst": [f"y{j}", 0], **s} for j, s in enumerate(outs)]
+    return {"name": "one", "base_step": {"num": 1, "den": 1}, "data_stores": ["s"],
+            "root": {"id": "one", "kind": "Subsystem", "params": {"mode": "normal"},
+                     "ports": {"in": [], "out": []},
+                     "children": children, "connections": conns}}
+
+
+B2 = {"dtype": "bool", "width": 2}
+
+
+def chart(**edit):
+    """A two-state Chart's params, with the fields in `edit` replaced."""
+    p = {"states": ["a", "b"], "initial": "a",
+         "transitions": [{"from": "a", "to": "b", "input": 0, "op": ">", "value": 1.0}],
+         "outputs": {"a": [0.0], "b": [1.0]}}
+    return {**p, **edit}
+
+
+def move(**edit):
+    """chart()'s transition with the fields in `edit` replaced."""
+    return chart(transitions=[{**chart()["transitions"][0], **edit}])
+
+
+@pytest.mark.parametrize("kind, params, ins, outs, message", [
+    ("Gain", {"gain": 2}, [F1], [F1, F1], "Gain takes 1 outputs, has 2"),
+    ("Gain", {"gain": 2}, [F1], [I1], "Gain input and output specs must match"),
+    ("Gain", {"gain": 2}, [B1], [B1], "Gain is not defined on bool signals"),
+    ("BusCreator", {}, [], [F1], "BusCreator needs at least one input"),
+    ("Chart", chart(transitions=[1]), [F1], [F1], "Chart transition 0 must be an object"),
+    ("Chart", chart(transitions={}), [F1], [F1], "Chart transitions must be a list"),
+    ("Chart", chart(outputs={"a": [0.0], "b": [0.0, 1.0]}), [F1], [F1],
+     "Chart outputs[b] must list one literal per out port"),
+    ("Chart", chart(outputs={"a": [0.0], "b": ["x"]}), [F1], [F1],
+     "Chart outputs[b][0]: expected f64 literal, got 'x'"),
+    ("Chart", move(input=5), [F1], [F1], "Chart transition 0 input index out of range"),
+    ("Chart", move(element=1), [F1], [F1], "Chart transition 0 element index out of range"),
+    ("Chart", move(value="x"), [F1], [F1],
+     "Chart transition 0 value: expected f64 literal, got 'x'"),
+    ("Chart", move(zz=1), [F1], [F1], "Chart transition 0 has unknown fields ['zz']"),
+    ("DataStoreMemory", {"store": "s", "initial": 0}, [F1], [I1],
+     "DataStoreMemory input and output specs must match"),
+    ("Sum", {"signs": "+"}, [B1], [B1], "Sum is not defined on bool signals"),
+    ("Sum", {"signs": "++"}, [F1, I1], [F1], "Sum ports must share one SignalSpec"),
+    ("LogicalOp", {"op": "AND"}, [F1, F1], [F1], "LogicalOp is defined on bool signals only"),
+    ("LogicalOp", {"op": "OR"}, [B1, B2], [B1], "LogicalOp ports must share one SignalSpec"),
+    ("LogicalOp", {"op": "XOR", "inputs": 1}, [B1], [B1],
+     "LogicalOp XOR takes at least two inputs"),
+    ("Lookup1D", {"breakpoints": ["x", 1.0], "table": [0.0, 1.0]}, [F1], [F1],
+     "Lookup1D breakpoints: expected f64 literal, got 'x'"),
+    ("Lookup1D", {"breakpoints": [0.0, 1.0, 2.0], "table": [0.0, 1.0]}, [F1], [F1],
+     "Lookup1D breakpoints and table lengths differ"),
+    ("Lookup1D", {"breakpoints": [0.0, 1.0], "table": [0.0, 1.0]}, [F1], [F2],
+     "Lookup1D input and output widths must match"),
+    ("Lookup1D", {"breakpoints": [0.0, 1.0], "table": [0.0, 1.0]}, [I1], [I1],
+     "Lookup1D is defined on f64 signals only"),
+    ("RateTransition", {}, [F1], [I1], "RateTransition input and output specs must match"),
+    ("RelationalOp", {"op": "<"}, [F1, I1], [B1], "RelationalOp inputs must share one SignalSpec"),
+    ("RelationalOp", {"op": "<"}, [F1, F1], [F1],
+     "RelationalOp output must be bool with the input width"),
+    ("Saturation", {"lower": 0, "upper": 1}, [F1], [I1],
+     "Saturation input and output specs must match"),
+    ("Saturation", {"lower": 0, "upper": 1}, [B1], [B1],
+     "Saturation is not defined on bool signals"),
+    ("UnitDelay", {"initial": 0}, [F1], [I1], "UnitDelay input and output specs must match"),
+    # a control of width 2 would reach MIL, which runs without check
+    pytest.param("Switch", {"threshold": 0.5}, [F1, F2, F1], [F1],
+                 "Switch control input must be scalar", id="vector_switch_control"),
+    ("Subsystem", {"mode": "enabled", "control_port": 0}, [F2, F1], [F1],
+     "enabled Subsystem control port must be scalar"),
+])
+def test_each_kind_gate_problem_is_a_schema_error(tmp_path, kind, params, ins, outs, message):
+    rc, out, err = run_cli("check", write_model(tmp_path, block_doc(kind, params, ins, outs)))
+    assert (rc, out, err) == (2, "", f"error: b: {message}\n")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("tag_cycle", "wiring cycle while resolving x"),
+    ("from_without_goto", "x: tag 't' has no Goto writer"),
+    ("read_without_memory", "x: store 's' has no memory"),
+    ("write_without_memory", "w: store 's' has no memory"),
+    ("bus_into_gain", "bc: bus feeds a non-selector consumer"),
+    ("selector_without_creator", "c: expected a BusCreator on this bus wire"),
+    ("selector_of_a_selector", "bs: BusSelector output consumed as a bus"),
+    ("element_beyond_the_bus", "bc: bus has no element 1"),
+    ("unknown_kind", "x: unknown kind 'Quantizer'"),
+])
+def test_simulate_mil_names_each_wiring_defect(tmp_path, name, message):
+    # simulate-mil runs the model without check, so MIL's own resolver
+    # is what refuses it
+    children, conns, stores = wiring_defect(name)
+    path = write_model(tmp_path, model_doc(children, conns, stores))
+    assert run_cli("simulate-mil", path) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("cmd", ["codegen", "translate"])
@@ -339,6 +481,38 @@ def test_depth_above_height_warns_once(tmp_path, cmd):
     if cmd == "check":
         assert run_process(*args, "--depth", 99) == (
             rc, out, "warning: flatten depth 99 exceeds model height 1; clamped\n")
+
+
+ALL_COMMANDS = ["check", "translate", "schedule", "simulate-mil", "simulate-sil", "verify",
+                "codegen", "export-dot"]
+
+
+@pytest.mark.parametrize("cmd", ALL_COMMANDS)
+@pytest.mark.parametrize("num, den, rc", [
+    (2 ** 31 - 1, 2 ** 31 - 2, 0),
+    (2 ** 31, 1, 2),
+    (1, 2 ** 31, 2),
+    (int("7" * 4300), 1, 2),
+], ids=["largest_accepted", "num_at_the_bound", "den_at_the_bound", "num_of_4300_digits"])
+def test_base_step_is_bounded_on_every_subcommand(tmp_path, cmd, num, den, rc):
+    # a time of k * num / den, k below the bound too, is printed exactly
+    path = write_model(tmp_path, {**port_doc(), "base_step": {"num": num, "den": den}})
+    extra = (["--out", tmp_path / "out"] if cmd in ("translate", "codegen") else []) + (
+        ["--steps", 3] if cmd in ("simulate-mil", "simulate-sil", "verify", "codegen") else [])
+    got = run_cli(cmd, path, *extra)
+    if rc:
+        assert got == (2, "", "error: model.base_step: num and den must be below 2147483648\n")
+    else:
+        assert got[0] == 0 and "Traceback" not in got[2]
+        if cmd == "simulate-mil":
+            assert got[1].splitlines()[-1] == f"{Fraction(2 * num, den)},y,1.0"
+
+
+def test_depth_is_an_integer_or_full():
+    path = MODELS / "multirate.json"
+    assert run_cli("check", path, "--depth", "full") == run_cli("check", path)
+    rc, out, err = run_cli("check", path, "--depth", "x")
+    assert (rc, out) == (2, "") and "depth must be an integer or 'full', got 'x'" in err
 
 
 def test_bad_depth_is_a_usage_error():
@@ -457,19 +631,19 @@ def test_schedule_verdict_output(tmp_path, doc, status, detail):
 
 @pytest.mark.parametrize("cmd", ["schedule", "verify", "codegen"])
 def test_huge_period_ratio_is_refused_at_once(tmp_path, cmd):
-    # throttle at a period of 10**30 passes every requirement rule, but
-    # one iteration would fire 4 * 10**30 times
+    # throttle at a period of 2**30, which the loader accepts, passes every
+    # requirement rule, but one iteration would fire 4 * 2**30 times
     doc = json.loads((MODELS / "transmission.json").read_text())
     throttle, = (b for b in doc["root"]["children"] if b["id"] == "throttle")
-    throttle["sample_time"] = {"num": 10 ** 30, "den": 1}
+    throttle["sample_time"] = {"num": 2 ** 30, "den": 1}
     path = write_model(tmp_path, doc)
     assert run_cli("check", path)[0] == 0
     start = time.perf_counter()
     rc, out, err = run_cli(cmd, path, *(["--out", tmp_path / "out"] if cmd == "codegen" else []))
     assert time.perf_counter() - start < 1.0
     assert (rc, out) == (1, "")
-    assert err == (f"error: actor high fires {10 ** 30} times in an iteration of "
-                   f"{4 * 10 ** 30 + 5} firings; at most 1000000 are allowed\n")
+    assert err == (f"error: actor high fires {2 ** 30} times in an iteration of "
+                   f"{4 * 2 ** 30 + 5} firings; at most 1000000 are allowed\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -541,9 +715,9 @@ def test_verify_names_the_first_divergence(monkeypatch):
 def test_verify_passes_on_fixtures(tmp_path):
     stim = stimulus_csv(tmp_path)
     rc, out, _ = run_cli("verify", MODELS / "transmission.json",
-                         "--steps", 40, "--stimulus", stim)
+                         "--steps", 40, "--stimulus", stim, "--tol", "1e-9")
     assert rc == 0
-    assert out.startswith("PASS:")
+    assert out.startswith("PASS:") and "(tol 1e-09," in out
 
 
 @pytest.mark.parametrize("cmd", ["simulate-sil", "verify"])
@@ -580,17 +754,22 @@ def gain_doc(dtype):
                          {"src": ["g", 0], "dst": ["y", 0], "dtype": dtype, "width": 1}]}}
 
 
-@pytest.mark.parametrize("cmd", ["simulate-mil", "simulate-sil", "verify"])
+@pytest.mark.parametrize("cmd", ["simulate-mil", "simulate-sil", "verify", "codegen"])
 @pytest.mark.parametrize("rows, message", [
     ("0,u,2147483648\n1,u,1", "trace CSV line 2: i32 literal out of range: 2147483648"),
     ("0,u,1\n1,u,3\n0,u,7", "trace CSV line 4: a second sample of 'u' at t=0"),
     ("0,u,1\n1e100000000,u,3", "trace CSV line 3: time exponent out of range: 100000000"),
-], ids=["i32_out_of_range", "repeated_row", "huge_time_exponent"])
+    ("1e4300,u,1\n1e4300,u,3", "trace CSV line 2: time exponent out of range: 4300"),
+    ("0,u,1\n9223372036854775808,u,3", "trace CSV line 3: time out of range: its numerator "
+     "or denominator does not fit int64"),
+], ids=["i32_out_of_range", "repeated_row", "huge_time_exponent", "repeated_huge_time",
+        "time_beyond_int64"])
 def test_stimulus_rows_are_checked_with_their_line(tmp_path, cmd, rows, message):
     path = write_model(tmp_path, gain_doc("i32"))
     stim = tmp_path / "stim.csv"
     stim.write_text(f"time,signal,value\n{rows}\n")
-    rc, out, err = run_cli(cmd, path, "--steps", 2, "--stimulus", stim)
+    extra = ["--out", tmp_path / "out"] if cmd == "codegen" else []
+    rc, out, err = run_cli(cmd, path, "--steps", 2, "--stimulus", stim, *extra)
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -619,8 +798,12 @@ def test_a_stimulus_with_a_byte_order_mark_reads_as_without(tmp_path, cmd):
     ("simulate-sil", "--periods", "0"),
     ("codegen", "--periods", "0"),
     ("simulate-mil", "--steps", "0"),
+    ("verify", "--steps", "x"),
+    ("simulate-mil", "--steps", "2147483648"),
+    ("codegen", "--periods", "2147483648"),
 ], ids=["verify_negative_steps", "sil_zero_periods", "codegen_zero_periods",
-        "mil_zero_steps"])
+        "mil_zero_steps", "verify_steps_not_a_number", "mil_steps_at_the_bound",
+        "codegen_periods_at_the_bound"])
 def test_counts_must_be_positive(tmp_path, cmd, flag, value):
     extra = ["--out", tmp_path / "out"] if cmd == "codegen" else []
     rc, out, err = run_cli(cmd, MODELS / "transmission.json", flag, value, *extra)

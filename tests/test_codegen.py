@@ -126,6 +126,10 @@ def test_rejected_graphs(climate):
     g, _ = translate(normalize(climate, depth=0))
     with pytest.raises(UnsupportedKindError, match="subsystem actors"):
         emit_bundle(g)
+    # a loaded graph has no subsystem internals to run
+    with pytest.raises(SdflowError, match="^actor heater: subsystem internals are not "
+                       "serialized; re-translate the model instead of loading the graph$"):
+        run_sil(load_sdfg(save_sdfg(g)))
     with pytest.raises(SdflowError, match="at least 1"):
         emit_bundle(graph_of(climate), periods=0)
     # the schedule interpreter refuses the same counts instead of running none
@@ -322,10 +326,11 @@ def test_unstimulated_inport_reads_zero(transmission, tmp_path):
 
 def test_empty_model_prints_header_only(tmp_path):
     c = blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1])
-    # an unread Gain, and no channel at all
+    # an unread Gain, no channel at all, and no actor at all in a model
+    # whose name the C prefixes with '_'
     for k, m in enumerate([model([c, blk("g", "Gain", {"gain": 1.0}, ins=[F1], outs=[F1])],
                                  [conn(("c", 0), ("g", 0))], name="mute"),
-                           model([c], [], name="mute")]):
+                           model([c], [], name="mute"), model([], [], name="9lives")]):
         out = compile_and_run(emit_bundle(graph_of(m), periods=2), tmp_path / str(k))
         assert out == "time,signal,value\n"
 
@@ -431,6 +436,28 @@ def _channel(src, dst, rate_dst, dtype="f64"):
     return {"id": f"{src[0]}->{dst[0]}", "src": list(src), "dst": list(dst),
             "rate_src": 1, "rate_dst": rate_dst, "delay": 0,
             "dtype": dtype, "width": 1, "initial_values": []}
+
+
+@pytest.mark.parametrize("kind, ins, outs, params", [
+    ("From", 0, 1, {"tag": "t"}), ("Goto", 1, 0, {"tag": "t"}),
+    ("DataStoreRead", 0, 1, {"store": "s"}), ("DataStoreWrite", 1, 0, {"store": "s"}),
+    ("BusCreator", 1, 1, {}), ("BusSelector", 1, 1, {}), ("Quantizer", 1, 1, {}),
+])
+def test_a_kind_that_cannot_fire_is_refused_by_sil_and_c(kind, ins, outs, params):
+    # routing kinds load as actors, as an unknown kind does, but neither
+    # has a firing: both replays refuse them in the same place
+    actors = [_actor("c", "Constant", {"value": 1.0}, 1, outs=[_port()]),
+              _actor("r", kind, params, 1, ins=[_port()] * ins, outs=[_port()] * outs),
+              _actor("y", "Outport", {"index": 0}, 1, ins=[_port()])]
+    chans = [_channel(("r", 0) if outs else ("c", 0), ("y", 0), 1)]
+    if ins:
+        chans.append(_channel(("c", 0), ("r", 0), 1))
+    g = load_sdfg({"name": "routed", "actors": actors, "channels": chans})
+    message = (f"^actor r: kind '{kind}' has no firing "
+               r"\(unknown, or routing that normalization removes\)$")
+    for replay in (run_sil, emit_bundle):
+        with pytest.raises(UnsupportedKindError, match=message):
+            replay(g, 1)
 
 
 def test_multi_token_reads_keep_the_first_data_token(tmp_path):

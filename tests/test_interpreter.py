@@ -1243,10 +1243,15 @@ def _json_signal(**edit) -> dict:
     (_json_signal(dtype="q"), "signal 'y': "),
     (_json_signal(width=0), "signal 'y': "),
     (_json_signal(name=5), "signal 5: the name must be a string"),
+    (_json_signal(samples=[[[2 ** 63, 1], 0.5]]),
+     "signal 'y': time out of range: its numerator or denominator does not fit int64"),
+    ({"signals": [{"name": "y", "dtype": "f64", "width": 1}]},
+     "trace JSON signal 'y' has no 'samples' field"),
     # rows out of time order are sorted, as from_csv sorts them
     (_json_signal(samples=[[[1, 1], 1.5], [[0, 1], 0.5]]), [(0, 0.5), (1, 1.5)]),
 ], ids=["no_signals", "zero_denominator", "bare_int_time", "repeated_time",
-        "unknown_dtype", "zero_width", "name_not_a_string", "out_of_order"])
+        "unknown_dtype", "zero_width", "name_not_a_string", "time_beyond_int64",
+        "no_samples", "out_of_order"])
 def test_trace_json_rejects_what_csv_rejects(doc, outcome):
     if isinstance(outcome, list):
         assert list(Trace.from_json(doc).samples["y"]) == outcome
@@ -1282,6 +1287,9 @@ def test_clip_is_strict():
 def test_add_keeps_time_order():
     tr = Trace()
     tr.declare("y", "f64", 1)
+    tr.declare("y", "f64", 1)  # again with the same spec: a no-op
+    with pytest.raises(ShapeError, match="^signal 'y' re-declared with a different spec$"):
+        tr.declare("y", "i32", 1)
     tr.add("y", 2, 1.0)
     tr.add("y", 1, 2.0)
     assert list(tr.clip(2).samples["y"]) == [(1, 2.0)]
@@ -1320,6 +1328,8 @@ def test_compare_rejects_different_signal_sets():
     b.declare("y", "f64", 1)
     with pytest.raises(ShapeError, match="signal sets differ"):
         compare_traces(a, b)
+    b.declare("x", "f64", 1)
+    assert str(compare_traces(a, a)) == "traces match over 0 samples (max rel err 0)"
 
 
 def test_compare_rejects_length_and_time_mismatches():
@@ -1856,10 +1866,21 @@ def test_trace_csv_refuses_a_huge_time_exponent_at_once(ts):
 
 
 def test_trace_csv_parses_a_time_exponent_up_to_the_bound():
-    text = "time,signal,value\n1e3,u,1\n1e4_300,u,2\n5e-4300,u,3\n2E+0,u,4\n"
+    text = ("time,signal,value\n1e3,u,1\n9223372036854775807,u,2\n5e-18,u,3\n2E+0,u,4\n"
+            f"3{'0' * 40}e-4_0,u,5\n")
     tr = Trace.from_csv(text, {"u": ("f64", 1)})
-    assert tr.times["u"] == [Fraction(5, 10 ** 4300), 2, 1000, 10 ** 4300]
-    assert list(map(type, tr.times["u"])) == [Fraction, int, int, int]
+    assert tr.times["u"] == [Fraction(5, 10 ** 18), 2, 3, 1000, 2 ** 63 - 1]
+    assert list(map(type, tr.times["u"])) == [Fraction, int, int, int, int]
+
+
+@pytest.mark.parametrize("ts", ["9223372036854775808", "-9223372036854775809", "1e19",
+                                "1/9223372036854775808", "1e-19", "7" * 4300],
+                         ids=["2**63", "-2**63-1", "1e19", "den_2**63", "1e-19", "4300_digits"])
+def test_trace_csv_refuses_a_time_beyond_int64(ts):
+    text = f"time,signal,value\n0,u,1\n{ts},u,2\n{ts},u,3\n"
+    with pytest.raises(SchemaError, match=r"^trace CSV line 3: time out of range: its "
+                       r"numerator or denominator does not fit int64$"):
+        Trace.from_csv(text, {"u": ("f64", 1)})
 
 
 def test_trace_csv_rejects_a_second_row_for_one_time():

@@ -155,6 +155,28 @@ def test_unknown_kind_still_loads():
     d["root"]["connections"].append(conn(("src", 0), ("q", 0)))
     m = load_model(d)
     assert m.root.child("q").kind == "Quantizer"
+    with pytest.raises(KeyError):
+        m.root.child("absent")
+
+
+@pytest.mark.parametrize("route, message", [
+    ([blk("w", "Goto", {"tag": "t"}, ins=[F1]), blk("r", "From", {"tag": "t"}, outs=[I1])],
+     "r: tag 't' carries SignalSpec(dtype='i32', width=1), "
+     "but w carries SignalSpec(dtype='f64', width=1)"),
+    ([blk("m", "DataStoreMemory", {"store": "s", "initial": 0}),
+      blk("w", "DataStoreWrite", {"store": "s"}, ins=[F1]),
+      blk("r", "DataStoreRead", {"store": "s"}, outs=[I1])],
+     "r: store 's' carries SignalSpec(dtype='i32', width=1), "
+     "but w carries SignalSpec(dtype='f64', width=1)"),
+], ids=["tag_pair", "store"])
+def test_routed_ends_must_share_one_spec(route, message):
+    # a Goto fed f64 and its From declared i32: refused once, at load
+    d = model_doc([blk("c", "Constant", {"value": 1.5}, st=1, outs=[F1]), *route,
+                   blk("y", "Outport", {"index": 0}, ins=[I1])],
+                  [conn(("c", 0), ("w", 0)), conn(("r", 0), ("y", 0), I1)], stores=["s"])
+    with pytest.raises(SignalTypeError) as e:
+        load_model(d)
+    assert str(e.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import B1, F1, I1, blk, conn, load_fixture, model
+from conftest import B1, F1, I1, blk, c_trace, conn, load_fixture, model, wiring_defect
 from model_gen import random_model, random_stimulus
-from sdflow import (DepthWarning, NormalizationError, Trace, build_schedule,
+from sdflow import (DepthWarning, NormalizationError, SignalTypeError, Trace, build_schedule,
                     check_requirements, compare_traces, emit_bundle, load_model, normalize,
                     run_mil, run_sil, translate)
 from sdflow.model_ir import TriggerGroup, model_height, save_model
@@ -220,6 +220,91 @@ def test_trigger_members_shrink_with_routing():
     r = remove_routing(f)
     assert r.triggers[0].members == ("sub/g",)
     assert (("c", 0), ("sub/g", 0)) in wires(r)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("tag_cycle", "routing cycle through 'x'"),
+    ("read_without_memory", "store 's' has no DataStoreMemory"),
+    ("two_store_writers", "store 's' has 2 writers"),
+    ("bus_into_gain", "bc: bus feeds a non-selector consumer"),
+    ("selector_of_a_selector", "BusSelector 'x' is not fed by a BusCreator"),
+    ("element_beyond_the_bus", "BusSelector 'x' selects element 1 of a 1-wide bus"),
+])
+def test_unresolvable_routing_is_a_normalization_error(name, message):
+    # normalize without check
+    m = model(*wiring_defect(name))
+    with pytest.raises(NormalizationError) as e:
+        translate(normalize(m))
+    assert str(e.value) == message
+
+
+def test_bus_element_of_another_spec_is_a_signal_type_error():
+    m = model([blk("c", "Constant", {"value": 1.5}, st=1, outs=[F1]),
+               blk("bc", "BusCreator", {}, ins=[F1], outs=[F1]),
+               blk("bs", "BusSelector", {}, ins=[F1], outs=[I1]),
+               blk("y", "Outport", {"index": 0}, ins=[I1])],
+              [conn(("c", 0), ("bc", 0)), conn(("bc", 0), ("bs", 0)),
+               conn(("bs", 0), ("y", 0), I1)])
+    with pytest.raises(SignalTypeError, match=r"^routing chain into \('y', 0\) resolves to "
+                       r"\('c', 0\) of spec .*'f64'.*, expected .*'i32'"):
+        normalize(m)
+
+
+def test_selector_without_indices_selects_in_order():
+    # null indices load as output j selecting element j, for every stage
+    m = model([blk("a", "Constant", {"value": 1.0}, st=1, outs=[F1]),
+               blk("b", "Constant", {"value": 2}, st=1, outs=[I1]),
+               blk("bc", "BusCreator", {}, ins=[F1, I1], outs=[F1]),
+               blk("bs", "BusSelector", {"indices": None}, ins=[F1], outs=[F1, I1]),
+               blk("y1", "Outport", {"index": 0}, ins=[F1]),
+               blk("y2", "Outport", {"index": 1}, ins=[I1])],
+              [conn(("a", 0), ("bc", 0)), conn(("b", 0), ("bc", 1), I1),
+               conn(("bc", 0), ("bs", 0)),
+               conn(("bs", 0), ("y1", 0)), conn(("bs", 1), ("y2", 0), I1)])
+    assert m.root.child("bs").params == {"indices": [0, 1]}
+    assert check_requirements(m) == []
+    assert wires(normalize(m).model) == {(("a", 0), ("y1", 0)), (("b", 0), ("y2", 0))}
+    assert mil_vs_sil(m, 2, None, None).ok
+
+
+def routed_control(via):
+    """An enabled subsystem doubling u, its control e routed through a
+    Goto/From pair or a data store."""
+    sub = blk("s", "Subsystem", {"mode": "enabled", "control_port": 0}, ins=[F1, F1], outs=[F1],
+              children=[blk("i", "Inport", {"index": 1}, outs=[F1]),
+                        blk("g", "Gain", {"gain": 2.0}, ins=[F1], outs=[F1]),
+                        blk("o", "Outport", {"index": 0}, ins=[F1])],
+              connections=[conn(("i", 0), ("g", 0)), conn(("g", 0), ("o", 0))])
+    route = ([blk("w", "Goto", {"tag": "t"}, ins=[F1]), blk("r", "From", {"tag": "t"}, outs=[F1])]
+             if via == "tag" else
+             [blk("mem", "DataStoreMemory", {"store": "d", "initial": 0.0}),
+              blk("w", "DataStoreWrite", {"store": "d"}, ins=[F1]),
+              blk("r", "DataStoreRead", {"store": "d"}, outs=[F1])])
+    m = model([blk("e", "Inport", {"index": 0}, st=1, outs=[F1]),
+               blk("u", "Inport", {"index": 1}, st=1, outs=[F1]), *route, sub,
+               blk("y", "Outport", {"index": 0}, ins=[F1])],
+              [conn(("e", 0), ("w", 0)), conn(("r", 0), ("s", 0)), conn(("u", 0), ("s", 1)),
+               conn(("s", 0), ("y", 0))], stores=["d"])
+    stim = Trace()
+    stim.declare("e", "f64", 1)
+    stim.declare("u", "f64", 1)
+    for k, (e, u) in enumerate([(1.0, 1.0), (0.0, 5.0), (1.0, 2.0), (0.0, 7.0)]):
+        stim.add("e", k, e)
+        stim.add("u", k, u)
+    return m, stim
+
+
+@pytest.mark.parametrize("via, ys", [("tag", [2.0, 2.0, 4.0, 4.0]),
+                                     ("store", [0.0, 10.0, 10.0, 14.0])])
+def test_a_routed_control_gates_alike_in_mil_sil_and_c(tmp_path, via, ys):
+    # a store is read one step late, so its control lags by one step
+    m, stim = routed_control(via)
+    assert check_requirements(m) == []
+    g, _ = translate(normalize(m))
+    mil, sil = run_mil(m, 4, stim), run_sil(g, 4, stim)
+    assert list(mil.values["y"]) == ys
+    assert compare_traces(mil, sil).ok
+    assert c_trace(emit_bundle(g, 4, stim), tmp_path, sil.specs).to_csv() == sil.to_csv()
 
 
 # ---------------------------------------------------------------------------

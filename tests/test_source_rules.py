@@ -98,7 +98,7 @@ IMPORTS = {
     "errors": set(),
     "kinds": {"errors"},
     "mil": {"errors", "kinds", "model_ir", "trace"},
-    "model_ir": {"errors", "kinds"},
+    "model_ir": {"errors", "kinds", "trace"},
     "normalizer": {"errors", "kinds", "model_ir"},
     "sdf_core": {"errors", "kinds", "trace"},
     "sil": {"errors", "kinds", "mil", "sdf_core", "trace"},

@@ -38,14 +38,15 @@ def test_nonharmonic_periods_rejected():
 
 
 def test_preloaded_delay_is_bounded_before_allocation():
-    # fast to slow over a ratio of 10**30 would preload 10**30 - 1 zeros
+    # fast to slow over a ratio of 2**30, a period the loader accepts,
+    # would preload 2**30 - 1 zeros
     m = model([blk("c", "Constant", {"value": 1.0}, st=1, outs=[F1]),
-               blk("y", "Outport", {"index": 0}, st=10 ** 30, ins=[F1])],
+               blk("y", "Outport", {"index": 0}, st=2 ** 30, ins=[F1])],
               [conn(("c", 0), ("y", 0))])
     with pytest.raises(SdflowError) as e:
         translate(normalize(m))
-    assert str(e.value) == (f"rate transition rt_0: periods 1 and {10 ** 30} need "
-                            f"{10 ** 30 - 1} initial tokens, more than {MAX_ITERATION}")
+    assert str(e.value) == (f"rate transition rt_0: periods 1 and {2 ** 30} need "
+                            f"{2 ** 30 - 1} initial tokens, more than {MAX_ITERATION}")
 
 
 # ---------------------------------------------------------------------------

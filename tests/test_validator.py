@@ -4,7 +4,7 @@ and a passing sibling that differs only in the offending detail."""
 import pytest
 
 from conftest import B1, F1, F2, I1, blk, conn, model
-from sdflow import check_requirements
+from sdflow import SchemaError, check_requirements
 
 
 def rules_at(m, depth=None):
@@ -159,7 +159,10 @@ def control_width_pair(spec):
 
 
 def test_vector_control_port_fails():
-    assert ("E2_VariableSize", "sub") in rules_at(control_width_pair(F2))
+    # refused at load, so MIL, which runs without check, never reads it
+    with pytest.raises(SchemaError, match="^sub: triggered Subsystem control port must be "
+                       "scalar$"):
+        control_width_pair(F2)
 
 
 def test_scalar_control_port_passes():
@@ -354,15 +357,6 @@ def lone_from():
                  [conn(("f", 0), ("y", 0))])
 
 
-def vector_switch_control():
-    return model([blk("a", "Constant", {"value": 1.0}, st=1, outs=[F1]),
-                  blk("t", "Constant", {"value": [1.0, 0.0]}, st=1, outs=[F2]),
-                  blk("sw", "Switch", {"threshold": 0.0}, ins=[F1, F2, F1], outs=[F1]),
-                  blk("y", "Outport", {"index": 0}, ins=[F1])],
-                 [conn(("a", 0), ("sw", 0)), conn(("t", 0), ("sw", 1), F2),
-                  conn(("a", 0), ("sw", 2)), conn(("sw", 0), ("y", 0))])
-
-
 def mixed_rate_members():
     sub = blk("sub", "Subsystem", {"mode": "enabled", "control_port": 1},
               st=2, ins=[F1, B1], outs=[F1],
@@ -448,8 +442,6 @@ BRANCHES = [
      "E3_1_DanglingRouting", "w1", "store 's' has 2 writers"),
     ("two_store_memories", lambda: store_model(memories=2), None,
      "E3_1_DanglingRouting", "m1", "store 's' has 2 memories"),
-    ("vector_switch_control", vector_switch_control, None, "E2_VariableSize", "sw",
-     "Switch control input must be scalar"),
     ("members_at_mixed_periods", mixed_rate_members, None, "HarmonicRates", "sub",
      "enabled subsystem members span several periods (2, 4)"),
     ("selector_fed_by_non_creator", lambda: selector_model("Constant", [0]), None,
@@ -464,6 +456,8 @@ BRANCHES = [
      "store 's' is accessed both inside and outside this opaque subsystem"),
     ("opaque_wiring_cycle", opaque_wiring_cycle, 0, "E3_1_DanglingRouting", "sub",
      "wiring could not be resolved: pass-through wiring cycle at ('p_out', 'loop', 0)"),
+    ("wiring_cycle", opaque_wiring_cycle, None, "E3_1_DanglingRouting", "root",
+     "wiring could not be resolved: pass-through wiring cycle at ('p_out', 'sub/loop', 0)"),
 ]
 
 
